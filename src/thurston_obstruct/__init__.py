@@ -56,6 +56,7 @@ from .spectral import (
     power_positive_exponent,
     scc_partition,
     spectral_radius_class,
+    spectral_tag,
     wielandt_bound,
 )
 from .tables import (

@@ -82,19 +82,24 @@ def _load_json(text: str, origin: str) -> Any:
         raise InputFormatError(
             f"{origin}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer longer than the interpreter's digit limit
+        raise InputFormatError(f"{origin}: invalid JSON number: {exc}") from exc
+    except RecursionError as exc:
+        raise InputFormatError(f"{origin}: JSON nesting is too deep") from exc
 
 
 def _load_inline_matrix(text: str, origin: str) -> Any:
     # accept the shorthand [[1/2,0],[1,1]] by quoting bare fractions
     try:
-        return json.loads(text)
-    except json.JSONDecodeError:
+        return _load_json(text, origin)
+    except InputFormatError as exc:
+        if not isinstance(exc.__cause__, json.JSONDecodeError):
+            raise
         rewritten = re.sub(r"(-?\d+)\s*/\s*(\d+)", r'"\1/\2"', text)
         try:
-            return json.loads(rewritten)
-        except json.JSONDecodeError:
-            pass
-        return _load_json(text, origin)  # re-raise with the original diagnostics
+            return _load_json(rewritten, origin)
+        except InputFormatError:
+            raise exc  # keep the original diagnostics
 
 
 def _read_input(inline: Optional[str], path_or_json: Optional[str]) -> Any:
@@ -337,6 +342,10 @@ def render_text(report: dict) -> str:
             for reason in comp["reasons"]:
                 lines.append(f"    {reason}")
         lines.append(f"note: {result['note']}")
+        if result["truncated"]:
+            lines.append(
+                f"simple-obstruction search truncated at subset cap {request['options']['subset_cap']}"
+            )
     return "\n".join(lines) + "\n"
 
 

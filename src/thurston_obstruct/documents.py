@@ -9,6 +9,7 @@ the string "inf", slopes as two-element integer arrays.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any, Optional, Sequence
 
@@ -58,6 +59,11 @@ def _fail(where: str, message: str) -> "InputFormatError":
 # scalars
 
 
+#: ``rational`` strings of ``common.schema.json``: ``Fraction(str)`` alone
+#: would also take decimals, exponents, spaces and digit separators.
+_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, bool):
         raise _fail(where, "expected an integer or 'p/q' string")
@@ -66,6 +72,8 @@ def parse_rational(value: Any, where: str) -> Fraction:
     if isinstance(value, float):
         raise _fail(where, "floating-point numbers are not accepted; use 'p/q' strings")
     if isinstance(value, str):
+        if _RATIONAL_STRING.fullmatch(value) is None:
+            raise _fail(where, f"invalid rational {value!r}; expected an integer or 'p/q' string")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -465,6 +473,7 @@ def canonical_report_to_doc(report: CanonicalCandidateReport) -> dict:
             for v in report.components
         ],
         "note": report.note,
+        "truncated": report.truncated,
     }
 
 

@@ -14,20 +14,10 @@ import enum
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-from .polynomials import (
-    LargestRootIsolator,
-    Poly,
-    cauchy_root_bound,
-    count_roots_between,
-    divmod_poly,
-    evaluate,
-    poly,
-    squarefree_part,
-    sturm_chain,
-)
+from .polynomials import LargestRootIsolator, Poly, poly
 
 
 class PreconditionError(ValueError):
@@ -362,36 +352,106 @@ def _bool_row_mul(row_bits: int, mat: Sequence[int], n: int) -> int:
 # characteristic polynomial and the exact trichotomy
 
 
+def _cleared(rows, indices: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """``(L, L*B)`` for the principal submatrix B on ``indices``.
+
+    L is the lcm of B's entry denominators, so L*B is an integer matrix.
+    """
+    scale = lcm(*(rows[i][j].denominator for i in indices for j in indices))
+    return scale, [
+        [rows[i][j].numerator * (scale // rows[i][j].denominator) for j in indices]
+        for i in indices
+    ]
+
+
 def charpoly(m: NonnegMatrix) -> Poly:
     """Monic characteristic polynomial det(xI - M), exact over the rationals.
 
-    Faddeev-LeVerrier recursion; O(n^4) rational operations.
+    Berkowitz's division-free algorithm (S. J. Berkowitz, Inform. Process.
+    Lett. 18, 1984) runs on the integer matrix A = L*M, L the lcm of the
+    entry denominators.  With det(yI - A) = sum_k c_k y^k, the coefficient
+    of x^k in det(xI - M) is c_k / L^(n-k).  O(n^4) integer operations.
     """
     n = m.n
-    if n == 0:
-        return poly([1])
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    aux = NonnegMatrix.identity(n).rows
-    for k in range(1, n + 1):
-        prod = _raw_mul(m.rows, aux)
-        trace = sum((prod[i][i] for i in range(n)), Fraction(0))
-        a_k = -trace / k
-        coeffs[n - k] = a_k
-        if k < n:
-            aux = [
-                [prod[i][j] + (a_k if i == j else 0) for j in range(n)] for i in range(n)
-            ]
-    return poly(coeffs)
+    scale, a = _cleared(m.rows, range(n))
+    # det(yI - A_r) of the leading r x r block, highest degree first
+    vect = [1]
+    for r in range(n):
+        row, col = a[r][:r], [a[i][r] for i in range(r)]
+        # first column of the Toeplitz factor: 1, -a_rr, -R C, -R M C, ...
+        toeplitz = [1, -a[r][r]]
+        for k in range(r):
+            if k:
+                col = [sum(x * y for x, y in zip(a[i], col)) for i in range(r)]
+            toeplitz.append(-sum(x * y for x, y in zip(row, col)))
+        vect = [
+            sum(toeplitz[i - j] * vect[j] for j in range(min(i, r) + 1))
+            for i in range(r + 2)
+        ]
+    coeffs = []
+    power = 1
+    for c in vect:
+        coeffs.append(Fraction(c, power))
+        power *= scale
+    return poly(reversed(coeffs))
 
 
-def _raw_mul(a, b):
-    n = len(a)
-    cols = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
+def _block_tag(rows, block: Sequence[int]) -> SpectralTag:
+    """Leading eigenvalue of the principal submatrix on one SCC block against 1.
+
+    Fraction-free Bareiss elimination without pivoting (E. H. Bareiss,
+    Math. Comp. 22, 1968) on the integer Z-matrix C = L*I - L*B yields the
+    leading principal minors of C.  Minors 1..k-1 positive make I - B_(k-1)
+    a nonsingular M-matrix, i.e. rho(B_(k-1)) < 1 (Berman & Plemmons,
+    Nonnegative Matrices in the Mathematical Sciences, ch. 6).  For t above
+    rho(B_(k-1)), det(tI - B_k) has the sign of a Schur complement that
+    increases with t, so its sign at t = 1 says whether B_k has a real
+    eigenvalue >= 1.  Hence a minor <= 0 before the last means
+    rho(B_k) >= 1, and since B is irreducible its proper principal
+    submatrices have strictly smaller rho, so rho(B) > 1; otherwise the
+    sign of det C decides.  A 1x1 zero block has C = [L] and is below 1.
+    """
+    scale, b = _cleared(rows, block)
+    c = [[(scale if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(b)]
+    k = len(c)
+    prev = 1
+    for p in range(k - 1):
+        pivot_row = c[p]
+        pivot = pivot_row[p]
+        if pivot <= 0:
+            return SpectralTag.ABOVE_ONE
+        tail = pivot_row[p + 1 :]
+        for row in c[p + 1 :]:
+            f = row[p]
+            row[p + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[p + 1 :], tail)]
+        prev = pivot
+    det = c[-1][-1]
+    if det > 0:
+        return SpectralTag.BELOW_ONE
+    return SpectralTag.EXACTLY_ONE if det == 0 else SpectralTag.ABOVE_ONE
 
 
-def _leading_root_isolator(m: NonnegMatrix, p: Optional[Poly] = None) -> LargestRootIsolator:
+def spectral_tag(m: NonnegMatrix) -> SpectralTag:
+    """Exact trichotomy of the leading eigenvalue rho(M) against 1.
+
+    rho(M) is the largest rho over the strongly connected blocks of the
+    support digraph, and each block is decided by the M-matrix minors test
+    of ``_block_tag``: all leading principal minors of L*I - L*B positive
+    means below 1, the first n-1 positive and the determinant zero means
+    exactly 1, anything else above 1 (Berman & Plemmons, ch. 6; Bareiss
+    1968).  Integer arithmetic only; the empty matrix is below 1.
+    """
+    tag = SpectralTag.BELOW_ONE
+    for comp in _strongly_connected_components(m.support(), m.n):
+        block = _block_tag(m.rows, comp)
+        if block is SpectralTag.ABOVE_ONE:
+            return block
+        if block is SpectralTag.EXACTLY_ONE:
+            tag = block
+    return tag
+
+
+def _leading_root_isolator(m: NonnegMatrix) -> LargestRootIsolator:
     """Isolator for the leading eigenvalue of a nonempty matrix.
 
     The leading eigenvalue is the largest real root of the characteristic
@@ -399,7 +459,7 @@ def _leading_root_isolator(m: NonnegMatrix, p: Optional[Poly] = None) -> Largest
     which gives rational starting brackets.
     """
     rs = max(m.row_sums(), default=Fraction(0))
-    return LargestRootIsolator(charpoly(m) if p is None else p, -rs - 1, rs)
+    return LargestRootIsolator(charpoly(m), -rs - 1, rs)
 
 
 def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fraction, Fraction]:
@@ -416,35 +476,23 @@ def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fract
     return _leading_root_isolator(m).refine_to_width(width)
 
 
-def _count_real_roots_above(sf: Poly, point: Fraction) -> int:
-    """Number of real roots of squarefree ``sf`` strictly above ``point``."""
-    if evaluate(sf, point) == 0:
-        sf, rem = divmod_poly(sf, poly([-point, 1]))
-        assert not rem  # squarefree, so the deflated polynomial avoids the point
-    if len(sf) <= 1:
-        return 0
-    hi = max(point + 1, cauchy_root_bound(sf))
-    return count_roots_between(sturm_chain(sf), point, hi)
-
-
 def spectral_radius_class(m: NonnegMatrix) -> SpectralClass:
-    """Exact trichotomy of the leading eigenvalue against 1.
+    """Exact trichotomy of the leading eigenvalue against 1, with a bracket.
 
-    The attached interval is consistent with the tag: it is [1, 1] in the
-    exact case and lies strictly on the correct side of 1 otherwise.
+    The tag comes from ``spectral_tag`` (M-matrix leading minors, Berman &
+    Plemmons ch. 6, by Bareiss elimination).  The bracket is only printed:
+    it is [1, 1] in the exact case, and otherwise Sturm bisection of the
+    characteristic polynomial from (-rs-1, rs], rs the largest row sum,
+    shrinks it until it lies strictly on the tag's side of 1.
     """
     one = Fraction(1)
     if m.n == 0:
         return SpectralClass(SpectralTag.BELOW_ONE, Fraction(0), Fraction(0))
-    p = charpoly(m)
-    sf = squarefree_part(p)
-    if _count_real_roots_above(sf, one) > 0:
-        lo, hi = _leading_root_isolator(m, p).refine_until_separated_from(one)
-        return SpectralClass(SpectralTag.ABOVE_ONE, lo, hi)
-    if evaluate(sf, one) == 0:
-        return SpectralClass(SpectralTag.EXACTLY_ONE, one, one)
-    lo, hi = _leading_root_isolator(m, p).refine_until_separated_from(one)
-    return SpectralClass(SpectralTag.BELOW_ONE, lo, hi)
+    tag = spectral_tag(m)
+    if tag is SpectralTag.EXACTLY_ONE:
+        return SpectralClass(tag, one, one)
+    lo, hi = _leading_root_isolator(m).refine_until_separated_from(one)
+    return SpectralClass(tag, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -549,7 +597,7 @@ def _condensation_with_tags(
     """SCC blocks (children listed before parents), child sets, spectral tags."""
     structure = scc_partition(m)
     blocks = structure.blocks()
-    tags = [spectral_radius_class(m.submatrix(list(b))).tag for b in blocks]
+    tags = [_block_tag(m.rows, b) for b in blocks]
     index_of = {}
     for bi, b in enumerate(blocks):
         for v in b:

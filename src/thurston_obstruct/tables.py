@@ -36,6 +36,7 @@ from .spectral import (
     exists_positive_subinvariant_vector,
     is_irreducible,
     spectral_radius_class,
+    spectral_tag,
 )
 
 #: Reserved pullback targets: a component that bounds a disk with at most
@@ -218,7 +219,7 @@ def extract_simple_core(table: CurveTable, curves: Sequence[str]) -> tuple[str, 
     """
     order = curve_order(table, curves)
     matrix = thurston_matrix(table, order)
-    if spectral_radius_class(matrix).tag is SpectralTag.BELOW_ONE:
+    if spectral_tag(matrix) is SpectralTag.BELOW_ONE:
         raise PreconditionError("the multicurve is not an obstruction")
     dropped = set(below_one_closed_indices(matrix))
     return tuple(cid for k, cid in enumerate(order) if k not in dropped)
@@ -299,7 +300,7 @@ def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> Minima
             sub = full.submatrix([pos[c] for c in combo])
             if not is_irreducible(sub):
                 continue
-            if spectral_radius_class(sub).tag is not SpectralTag.BELOW_ONE:
+            if spectral_tag(sub) is not SpectralTag.BELOW_ONE:
                 found.append(combo)
                 found_sets.append(combo_set)
     return MinimalObstructionSearch(
@@ -461,9 +462,7 @@ def _check_2222_component(
 def _check_general_component(ret: ReturnGeneral) -> tuple[bool, list[str]]:
     # the full class list bounds every sub-multicurve's eigenvalue, so one
     # spectral test certifies the absence of obstructions in the table
-    matrix = thurston_matrix(ret.table, None)
-    spectral = spectral_radius_class(matrix)
-    if spectral.tag is SpectralTag.BELOW_ONE:
+    if spectral_tag(thurston_matrix(ret.table, None)) is SpectralTag.BELOW_ONE:
         return True, ["no multicurve of the supplied table is an obstruction"]
     reasons = ["the supplied table carries a Thurston obstruction"]
     levy = find_levy_cycles(ret.table)

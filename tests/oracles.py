@@ -13,6 +13,16 @@ from math import gcd
 from typing import Optional, Sequence
 
 from thurston_obstruct import NonnegMatrix, SpectralTag, spectral_radius_class
+from thurston_obstruct.polynomials import (
+    Poly,
+    cauchy_root_bound,
+    count_roots_between,
+    divmod_poly,
+    evaluate,
+    poly,
+    squarefree_part,
+    sturm_chain,
+)
 
 
 def solve2(rows, rhs) -> Optional[tuple[Fraction, Fraction]]:
@@ -219,3 +229,43 @@ def determinant_by_elimination(rows) -> Fraction:
                 factor = mat[r][col] * inv
                 mat[r] = [x - factor * y for x, y in zip(mat[r], mat[col])]
     return det
+
+
+def _mul(a, b):
+    cols = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]
+
+
+def charpoly_faddeev_leverrier(m: NonnegMatrix) -> Poly:
+    """det(xI - M) by the Faddeev-LeVerrier recursion over Fractions, O(n^4)."""
+    n = m.n
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    aux = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for k in range(1, n + 1):
+        prod = _mul(m.rows, aux)
+        a_k = -sum((prod[i][i] for i in range(n)), Fraction(0)) / k
+        coeffs[n - k] = a_k
+        aux = [[prod[i][j] + (a_k if i == j else 0) for j in range(n)] for i in range(n)]
+    return poly(coeffs)
+
+
+def sturm_tag(m: NonnegMatrix) -> SpectralTag:
+    """Leading eigenvalue against 1 by counting real roots of the
+    characteristic polynomial above 1 with a Sturm chain.
+
+    The leading eigenvalue of a nonnegative matrix is its largest real
+    eigenvalue, so it exceeds 1 exactly when some real root does.
+    """
+    if m.n == 0:
+        return SpectralTag.BELOW_ONE
+    one = Fraction(1)
+    sf = squarefree_part(charpoly_faddeev_leverrier(m))
+    at_one = evaluate(sf, one) == 0
+    if at_one:
+        sf, rem = divmod_poly(sf, poly([-1, 1]))
+        assert not rem
+    if len(sf) > 1:
+        hi = max(one + 1, cauchy_root_bound(sf))
+        if count_roots_between(sturm_chain(sf), one, hi) > 0:
+            return SpectralTag.ABOVE_ONE
+    return SpectralTag.EXACTLY_ONE if at_one else SpectralTag.BELOW_ONE

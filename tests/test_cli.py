@@ -220,6 +220,62 @@ def test_exit_code_resource_cap(tmp_path, capsys):
     VALIDATOR.validate(report)
 
 
+def test_exit_code_resource_cap_canonical(capsys):
+    doc = json.loads(json.dumps(CANONICAL_DOC_FULL))
+    inner = doc["decomposition"][1]["first_return"]["table"]
+    inner["classes"].append(
+        {
+            "id": "k",
+            "pullback": [{"degree": 2, "target": "k"}],
+            "partition": [["p1", "p3"], ["p2", "p4"]],
+        }
+    )
+    args = ["canonical", json.dumps(doc), "--subset-cap", "1"]
+    report, code = run_json(capsys, args)
+    assert code == 4
+    assert report["result"]["truncated"] is True
+    VALIDATOR.validate(report)
+    assert main(args) == 4
+    assert "truncated at subset cap 1" in capsys.readouterr().out
+
+
+def test_uncapped_canonical_report_is_not_truncated(capsys):
+    report, code = run_json(capsys, ["canonical", json.dumps(CANONICAL_DOC_FULL)])
+    assert code == 0
+    assert report["result"]["truncated"] is False
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        '[["0.5"]]',
+        '[["1e3"]]',
+        '[[" 1/2 "]]',
+        '[["1_000"]]',
+        "[[" + "7" * 5000 + "]]",
+        "[" * 3000 + "]" * 3000,
+    ],
+    ids=["decimal", "exponent", "spaces", "digit_separator", "5000_digits", "deep_nesting"],
+)
+def test_schema_rejected_documents_exit_2(capsys, document):
+    for args in (["matrix", document], ["matrix", "--matrix", document]):
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
+def test_orbifold_report_with_unramified_marked_point(capsys):
+    # the marked fixed point 1 of z^2 lies off the postcritical set {0, inf}
+    doc = json.loads(json.dumps(PORTRAIT_DOC))
+    doc["points"].append({"id": "1", "marked": True, "image": "1", "local_degree": 1})
+    report, code = run_json(capsys, ["orbifold", json.dumps(doc)])
+    assert code == 0
+    assert report["result"]["ramification"]["1"] == 1
+    VALIDATOR.validate(report)
+
+
 def test_missing_input(capsys):
     code = main(["orbifold"])
     assert code == 2

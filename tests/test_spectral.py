@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    charpoly_faddeev_leverrier,
     determinant_by_elimination,
     imprimitivity_by_cycles,
     simple_by_exhaustion,
+    sturm_tag,
 )
 from thurston_obstruct import (
     NonnegMatrix,
@@ -24,6 +26,7 @@ from thurston_obstruct import (
     power_positive_exponent,
     scc_partition,
     spectral_radius_class,
+    spectral_tag,
     wielandt_bound,
 )
 from thurston_obstruct.polynomials import evaluate
@@ -42,8 +45,64 @@ def matrices(draw, max_n=5):
     return NonnegMatrix(rows)
 
 
+@st.composite
+def row_stochastic(draw, n, scale=F(1)):
+    """Rows summing to ``scale``: the leading eigenvalue is exactly ``scale``."""
+    rows = []
+    for _ in range(n):
+        weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        total = sum(weights)
+        rows.append([scale * F(w, total) for w in weights])
+    return rows
+
+
+@st.composite
+def spectral_block(draw, n):
+    if n == 1 and draw(st.booleans()):
+        return [[F(0)]]
+    kind = draw(st.sampled_from(["entries", "stochastic", "scaled"]))
+    if kind == "entries":
+        return [[draw(entries) for _ in range(n)] for _ in range(n)]
+    scale = F(1) if kind == "stochastic" else draw(st.sampled_from(ENTRY_POOL[4:] + [F(9, 10)]))
+    return draw(row_stochastic(n, scale))
+
+
+@st.composite
+def mixed_block_matrices(draw, max_n=9):
+    """Reducible matrices: blocks below, at and above 1 (1x1 zero blocks
+    included) on the diagonal, random entries under it, then a random
+    simultaneous permutation of rows and columns."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=4))
+    while sum(sizes) > max_n:
+        sizes.pop()
+    n = sum(sizes)
+    rows = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for size in sizes:
+        block = draw(spectral_block(size))
+        for i in range(size):
+            rows[start + i][start : start + size] = block[i]
+            rows[start + i][:start] = [draw(entries) for _ in range(start)]
+        start += size
+    perm = draw(st.permutations(range(n)))
+    return NonnegMatrix([[rows[i][j] for j in perm] for i in perm])
+
+
+spectral_matrices = st.one_of(
+    matrices(max_n=9),
+    st.integers(1, 9).flatmap(row_stochastic).map(NonnegMatrix),
+    mixed_block_matrices(),
+)
+
+
 # ---------------------------------------------------------------------------
 # characteristic polynomial
+
+
+@given(spectral_matrices)
+@settings(max_examples=150, deadline=None)
+def test_charpoly_matches_faddeev_leverrier_oracle(m):
+    assert charpoly(m) == charpoly_faddeev_leverrier(m)
 
 
 @given(matrices(max_n=5), st.integers(-7, 7), st.integers(1, 5))
@@ -62,6 +121,29 @@ def test_charpoly_empty_matrix():
 
 # ---------------------------------------------------------------------------
 # trichotomy and intervals
+
+
+@given(spectral_matrices)
+@settings(max_examples=150, deadline=None)
+def test_spectral_tag_matches_sturm_oracle(m):
+    expected = sturm_tag(m)
+    assert spectral_tag(m) is expected
+    assert spectral_radius_class(m).tag is expected
+
+
+def test_spectral_tag_examples():
+    assert spectral_tag(NonnegMatrix([])) is SpectralTag.BELOW_ONE
+    assert spectral_tag(NonnegMatrix([[0]])) is SpectralTag.BELOW_ONE
+    assert spectral_tag(NonnegMatrix([[1]])) is SpectralTag.EXACTLY_ONE
+    # a leading minor vanishes before the last: the 1x1 block [1] sits
+    # inside an irreducible block, so rho > 1
+    assert spectral_tag(NonnegMatrix([[1, F(1, 2)], [F(1, 2), 0]])) is SpectralTag.ABOVE_ONE
+    # det(I - B) > 0 although rho > 1: two eigenvalues above 1 in separate blocks
+    m = NonnegMatrix([[2, 0, 0], [1, 3, 0], [0, 1, F(1, 2)]])
+    assert spectral_tag(m) is SpectralTag.ABOVE_ONE
+    # row-stochastic plus a sub-1 block fed by it
+    m = NonnegMatrix([[F(1, 2), F(1, 2), 0], [1, 0, 0], [1, 0, F(1, 3)]])
+    assert spectral_tag(m) is SpectralTag.EXACTLY_ONE
 
 
 def test_spectral_class_examples():
