@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from pathlib import Path
@@ -35,19 +34,13 @@ from .spectral import (
     imprimitive_block_decomposition,
     imprimitivity_index,
     is_irreducible,
-    is_primitive,
     leading_eigenvalue_interval,
     power_positive_exponent,
     scc_partition,
     spectral_radius_class,
     exists_positive_subinvariant_vector,
 )
-from .tables import (
-    analyze_table,
-    check_canonical_candidate,
-    is_completely_invariant,
-    is_simple_obstruction,
-)
+from .tables import analyze_table, check_canonical_candidate
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -56,23 +49,6 @@ EXIT_RESOURCE_CAP = 4
 
 DEFAULT_WIDTH = "1/1000000"
 DEFAULT_SUBSET_CAP = 12
-
-THREADS_ENV = "THURSTON_OBSTRUCT_THREADS"
-
-
-def _worker_cap() -> int:
-    """Upper bound on worker count; the analyses here all run serially,
-    which complies with any positive cap."""
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise InputFormatError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise InputFormatError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    return value
 
 
 def _load_json(text: str, origin: str) -> Any:
@@ -141,17 +117,18 @@ def _run_matrix(input_doc: Any, options: dict) -> tuple[dict, int]:
     width = docs.parse_rational(options["width"], "options.width")
     if width <= 0:
         raise PreconditionError("width must be positive")
-    spectral = spectral_radius_class(matrix)
-    structure = scc_partition(matrix)
+    # the matrix keeps its spectral profile and root isolator, so the calls
+    # below share one SCC pass and one characteristic polynomial
     irreducible = is_irreducible(matrix)
+    index = imprimitivity_index(matrix) if irreducible else None
     result: dict[str, Any] = {
         "n": matrix.n,
-        "spectral": docs.spectral_to_doc(spectral),
+        "spectral": docs.spectral_to_doc(spectral_radius_class(matrix)),
         "leading_interval": docs.interval_to_doc(leading_eigenvalue_interval(matrix, width)),
-        "scc": docs.block_structure_to_doc(structure),
+        "scc": docs.block_structure_to_doc(scc_partition(matrix)),
         "irreducible": irreducible,
-        "imprimitivity_index": imprimitivity_index(matrix) if irreducible else None,
-        "primitive": is_primitive(matrix) if irreducible else False,
+        "imprimitivity_index": index,
+        "primitive": index == 1,
         "power_positive_exponent": power_positive_exponent(matrix) if matrix.n else None,
         "imprimitive_decomposition": docs.imprimitive_to_doc(imprimitive_block_decomposition(matrix))
         if irreducible
@@ -202,13 +179,13 @@ def _run_canonical(input_doc: Any, options: dict) -> tuple[dict, int]:
         table, multicurve, decomposition, subset_cap=options["subset_cap"]
     )
     result = docs.canonical_report_to_doc(report)
-    cert = is_simple_obstruction(table, multicurve)
+    cert = report.simple_certificate
     result["candidate"] = {
         "curves": multicurve,
         "simple_certificate": [docs.format_rational(x) for x in cert]
         if cert is not None
         else None,
-        "completely_invariant": is_completely_invariant(table, multicurve),
+        "completely_invariant": report.completely_invariant,
     }
     return result, EXIT_RESOURCE_CAP if report.truncated else EXIT_OK
 
@@ -462,7 +439,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        _worker_cap()
         request = _request_from_args(args)
         report, code = run_request(request)
     except InputFormatError as exc:

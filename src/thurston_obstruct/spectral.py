@@ -10,14 +10,15 @@ consulted for a verdict.
 
 from __future__ import annotations
 
+import copy
 import enum
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .polynomials import LargestRootIsolator, Poly, poly
+from .polynomials import LargestRootIsolator, Poly, _primitive, poly
 
 
 class PreconditionError(ValueError):
@@ -31,9 +32,15 @@ def _as_fraction(value) -> Fraction:
 
 
 class NonnegMatrix:
-    """Immutable square matrix of nonnegative rationals."""
+    """Immutable square matrix of nonnegative rationals.
 
-    __slots__ = ("rows", "n")
+    The spectral profile and the leading-root isolator are pure functions
+    of the entries; each is computed on first use and kept on the matrix,
+    so every question about one matrix shares one SCC pass, one set of
+    block tags and one characteristic polynomial.
+    """
+
+    __slots__ = ("rows", "n", "_profile", "_isolator")
 
     def __init__(self, rows: Iterable[Iterable]):
         mat = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
@@ -46,6 +53,8 @@ class NonnegMatrix:
                     raise ValueError("matrix entries must be nonnegative")
         object.__setattr__(self, "rows", mat)
         object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_profile", None)
+        object.__setattr__(self, "_isolator", None)
 
     def __setattr__(self, *_):
         raise AttributeError("NonnegMatrix is immutable")
@@ -111,6 +120,9 @@ class SpectralTag(enum.Enum):
     ABOVE_ONE = "above_one"
 
 
+_TAG_ORDER = tuple(SpectralTag)  # members are declared in increasing order of rho
+
+
 @dataclass(frozen=True)
 class SpectralClass:
     """Trichotomy of the leading eigenvalue against 1, with a rational bracket."""
@@ -146,6 +158,21 @@ class BlockStructure:
 
 # ---------------------------------------------------------------------------
 # support digraph machinery
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _restrict(adj: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
+    """Support rows of the principal submatrix on ``indices``, renumbered from 0."""
+    return tuple(
+        sum(1 << a for a, j in enumerate(indices) if adj[i] >> j & 1) for i in indices
+    )
 
 
 def _strongly_connected_components(adj: Sequence[int], n: int) -> list[list[int]]:
@@ -199,18 +226,10 @@ def _strongly_connected_components(adj: Sequence[int], n: int) -> list[list[int]
     return comps
 
 
-def scc_partition(m: NonnegMatrix) -> BlockStructure:
-    """Condense the support digraph into a block lower triangular form.
-
-    Components are emitted so that all support edges point from later
-    blocks to earlier blocks; among valid orders the one whose next block
-    has the smallest original index is chosen, which makes reports
-    deterministic.
-    """
-    n = m.n
-    if n == 0:
-        return BlockStructure((), (), ())
-    adj = m.support()
+def _condense(adj: Sequence[int]) -> tuple[BlockStructure, tuple[frozenset[int], ...]]:
+    """Condensation of a support digraph in ``scc_partition``'s order, and
+    for each block the blocks it has support edges into."""
+    n = len(adj)
     comps = _strongly_connected_components(adj, n)
     comp_of = [0] * n
     for ci, comp in enumerate(comps):
@@ -219,13 +238,9 @@ def scc_partition(m: NonnegMatrix) -> BlockStructure:
     # condensation: edge a -> b when some support edge leaves comp a into comp b
     succ: list[set[int]] = [set() for _ in comps]
     for v in range(n):
-        mask = adj[v]
-        j = 0
-        while mask:
-            if mask & 1 and comp_of[v] != comp_of[j]:
+        for j in _bits(adj[v]):
+            if comp_of[v] != comp_of[j]:
                 succ[comp_of[v]].add(comp_of[j])
-            mask >>= 1
-            j += 1
     # a block may be listed once all blocks it points to are listed
     pending = [len(s) for s in succ]
     preds: list[set[int]] = [set() for _ in comps]
@@ -242,19 +257,34 @@ def scc_partition(m: NonnegMatrix) -> BlockStructure:
             pending[a] -= 1
             if pending[a] == 0:
                 heapq.heappush(heap, (comps[a][0], a))
-    perm: list[int] = []
-    sizes: list[int] = []
-    irreducible: list[bool] = []
-    for ci in order:
-        comp = comps[ci]
-        perm.extend(comp)
-        sizes.append(len(comp))
-        if len(comp) == 1:
-            v = comp[0]
-            irreducible.append(bool(adj[v] >> v & 1))
-        else:
-            irreducible.append(True)
-    return BlockStructure(tuple(perm), tuple(sizes), tuple(irreducible))
+    rank = {ci: r for r, ci in enumerate(order)}
+    blocks = [comps[ci] for ci in order]
+    structure = BlockStructure(
+        permutation=tuple(v for block in blocks for v in block),
+        block_sizes=tuple(len(block) for block in blocks),
+        blocks_irreducible=tuple(
+            len(block) > 1 or bool(adj[block[0]] >> block[0] & 1) for block in blocks
+        ),
+    )
+    return structure, tuple(frozenset(rank[c] for c in succ[ci]) for ci in order)
+
+
+def _irreducible_support(adj: Sequence[int]) -> bool:
+    """Irreducibility from support rows: strongly connected, a loop when 1x1."""
+    if len(adj) == 1:
+        return bool(adj[0] & 1)
+    return len(adj) > 1 and len(_strongly_connected_components(adj, len(adj))) == 1
+
+
+def scc_partition(m: NonnegMatrix) -> BlockStructure:
+    """Condense the support digraph into a block lower triangular form.
+
+    Components are emitted so that all support edges point from later
+    blocks to earlier blocks; among valid orders the one whose next block
+    has the smallest original index is chosen, which makes reports
+    deterministic.
+    """
+    return spectral_profile(m).structure
 
 
 def is_irreducible(m: NonnegMatrix) -> bool:
@@ -263,42 +293,37 @@ def is_irreducible(m: NonnegMatrix) -> bool:
     A 1x1 zero matrix counts as reducible so that irreducible matrices
     always have a positive leading eigenvalue.
     """
-    n = m.n
-    if n == 0:
-        return False
-    if n == 1:
-        return m.rows[0][0] > 0
-    return len(_strongly_connected_components(m.support(), n)) == 1
+    return spectral_profile(m).irreducible
+
+
+def _cyclic_levels(m: NonnegMatrix) -> tuple[int, list[int]]:
+    """Imprimitivity index h and the BFS levels from vertex 0.
+
+    h is the gcd over support edges u -> v of level(u) + 1 - level(v),
+    which is the gcd of all cycle lengths; the cyclic classes are the
+    levels modulo h.
+    """
+    if not is_irreducible(m):
+        raise PreconditionError("imprimitivity index requires an irreducible matrix")
+    adj = spectral_profile(m).support
+    level = [-1] * m.n
+    level[0] = 0
+    queue = [0]
+    for v in queue:
+        for j in _bits(adj[v]):
+            if level[j] == -1:
+                level[j] = level[v] + 1
+                queue.append(j)
+    h = 0
+    for u in range(m.n):
+        for v in _bits(adj[u]):
+            h = gcd(h, abs(level[u] + 1 - level[v]))
+    return h, level
 
 
 def imprimitivity_index(m: NonnegMatrix) -> int:
     """gcd of all directed cycle lengths of the support digraph."""
-    if not is_irreducible(m):
-        raise PreconditionError("imprimitivity index requires an irreducible matrix")
-    adj = m.support()
-    n = m.n
-    dist = [-1] * n
-    dist[0] = 0
-    queue = [0]
-    edges: list[tuple[int, int]] = []
-    while queue:
-        nxt: list[int] = []
-        for v in queue:
-            mask = adj[v]
-            j = 0
-            while mask:
-                if mask & 1:
-                    edges.append((v, j))
-                    if dist[j] == -1:
-                        dist[j] = dist[v] + 1
-                        nxt.append(j)
-                mask >>= 1
-                j += 1
-        queue = nxt
-    h = 0
-    for u, v in edges:
-        h = gcd(h, abs(dist[u] + 1 - dist[v]))
-    return h
+    return _cyclic_levels(m)[0]
 
 
 def is_primitive(m: NonnegMatrix) -> bool:
@@ -320,32 +345,30 @@ def power_positive_exponent(m: NonnegMatrix, cap: Optional[int] = None) -> Optio
         cap = wielandt_bound(m.n)
     if cap < 1:
         raise PreconditionError("cap must be at least 1")
-    n = m.n
-    if n == 0:
-        return 1
-    full = (1 << n) - 1
-    base = m.support()
+    return _first_full_power(m.support(), cap)
+
+
+def _first_full_power(base: Sequence[int], cap: int) -> Optional[int]:
+    """Smallest k <= cap whose boolean power of the support rows is all ones."""
+    full = (1 << len(base)) - 1
     cur = base
     for k in range(1, cap + 1):
         if k > 1:
-            cur = tuple(
-                _bool_row_mul(cur[i], base, n) for i in range(n)
-            )
+            cur = _bool_mul(cur, base)
         if all(row == full for row in cur):
             return k
     return None
 
 
-def _bool_row_mul(row_bits: int, mat: Sequence[int], n: int) -> int:
-    out = 0
-    j = 0
-    bits = row_bits
-    while bits:
-        if bits & 1:
-            out |= mat[j]
-        bits >>= 1
-        j += 1
-    return out
+def _bool_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Support rows of a product of nonnegative matrices from those of its factors."""
+    out = []
+    for row in a:
+        acc = 0
+        for j in _bits(row):
+            acc |= b[j]
+        out.append(acc)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -431,6 +454,43 @@ def _block_tag(rows, block: Sequence[int]) -> SpectralTag:
     return SpectralTag.EXACTLY_ONE if det == 0 else SpectralTag.ABOVE_ONE
 
 
+@dataclass(frozen=True)
+class SpectralProfile:
+    """Support, condensation and spectral tags of one matrix.
+
+    ``children[b]`` holds the blocks that block ``b`` of ``structure`` has
+    support edges into, all earlier in the block order; ``closed_below[b]``
+    says that block ``b`` and every block reachable from it are below 1.
+    ``tag`` is the largest block tag, the trichotomy of rho(M).
+    """
+
+    support: tuple[int, ...]
+    structure: BlockStructure
+    children: tuple[frozenset[int], ...]
+    block_tags: tuple[SpectralTag, ...]
+    closed_below: tuple[bool, ...]
+    tag: SpectralTag
+
+    @property
+    def irreducible(self) -> bool:
+        return self.structure.blocks_irreducible == (True,)
+
+
+def spectral_profile(m: NonnegMatrix) -> SpectralProfile:
+    """The matrix's spectral profile, built on first use and kept on the matrix."""
+    if m._profile is None:
+        support = m.support()
+        structure, children = _condense(support)
+        tags = tuple(_block_tag(m.rows, block) for block in structure.blocks())
+        closed: list[bool] = []
+        for tag, targets in zip(tags, children):  # children precede parents
+            closed.append(tag is SpectralTag.BELOW_ONE and all(closed[c] for c in targets))
+        overall = max(tags, key=_TAG_ORDER.index, default=SpectralTag.BELOW_ONE)
+        profile = SpectralProfile(support, structure, children, tags, tuple(closed), overall)
+        object.__setattr__(m, "_profile", profile)
+    return m._profile
+
+
 def spectral_tag(m: NonnegMatrix) -> SpectralTag:
     """Exact trichotomy of the leading eigenvalue rho(M) against 1.
 
@@ -441,25 +501,22 @@ def spectral_tag(m: NonnegMatrix) -> SpectralTag:
     exactly 1, anything else above 1 (Berman & Plemmons, ch. 6; Bareiss
     1968).  Integer arithmetic only; the empty matrix is below 1.
     """
-    tag = SpectralTag.BELOW_ONE
-    for comp in _strongly_connected_components(m.support(), m.n):
-        block = _block_tag(m.rows, comp)
-        if block is SpectralTag.ABOVE_ONE:
-            return block
-        if block is SpectralTag.EXACTLY_ONE:
-            tag = block
-    return tag
+    return spectral_profile(m).tag
 
 
 def _leading_root_isolator(m: NonnegMatrix) -> LargestRootIsolator:
-    """Isolator for the leading eigenvalue of a nonempty matrix.
+    """A fresh copy of the isolator for the leading eigenvalue of a nonempty matrix.
 
     The leading eigenvalue is the largest real root of the characteristic
     polynomial; every eigenvalue has modulus at most the maximal row sum,
-    which gives rational starting brackets.
+    which gives the starting bracket (-rs-1, rs].  The isolator is built
+    once per matrix and every caller refines its own copy, so each bracket
+    bisects from that start whatever was asked before.
     """
-    rs = max(m.row_sums(), default=Fraction(0))
-    return LargestRootIsolator(charpoly(m), -rs - 1, rs)
+    if m._isolator is None:
+        rs = max(m.row_sums(), default=Fraction(0))
+        object.__setattr__(m, "_isolator", LargestRootIsolator(charpoly(m), -rs - 1, rs))
+    return copy.copy(m._isolator)
 
 
 def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fraction, Fraction]:
@@ -516,27 +573,10 @@ class ImprimitiveDecomposition:
 
 def cyclic_classes(m: NonnegMatrix) -> list[list[int]]:
     """Vertex classes modulo the imprimitivity index, each mapped into the next."""
-    h = imprimitivity_index(m)
-    adj = m.support()
-    n = m.n
-    dist = [-1] * n
-    dist[0] = 0
-    queue = [0]
-    while queue:
-        nxt = []
-        for v in queue:
-            mask = adj[v]
-            j = 0
-            while mask:
-                if mask & 1 and dist[j] == -1:
-                    dist[j] = dist[v] + 1
-                    nxt.append(j)
-                mask >>= 1
-                j += 1
-        queue = nxt
+    h, level = _cyclic_levels(m)
     classes: list[list[int]] = [[] for _ in range(h)]
-    for v in range(n):
-        classes[dist[v] % h].append(v)
+    for v, depth in enumerate(level):
+        classes[depth % h].append(v)
     return classes
 
 
@@ -546,19 +586,21 @@ def imprimitive_block_decomposition(m: NonnegMatrix) -> ImprimitiveDecomposition
     The cyclic classes of the support digraph are invariant under m**h;
     each restriction is primitive, so a further uniform power makes all
     diagonal blocks positive while the off-diagonal blocks stay zero.
+    The support of m**h is the boolean h-th power of the support, so that
+    exponent comes from bitmasks; only the final power is rational.
     """
     if not is_irreducible(m):
         raise PreconditionError("imprimitive decomposition requires an irreducible matrix")
-    h = imprimitivity_index(m)
     classes = cyclic_classes(m)
-    mh = m.pow(h)
-    extra = 1
-    for cls in classes:
-        block = mh.submatrix(cls)
-        e = power_positive_exponent(block)
-        if e is None:  # pragma: no cover - blocks of m**h are primitive
-            raise AssertionError("cyclic-class block failed to become positive")
-        extra = max(extra, e)
+    h = len(classes)
+    adj = spectral_profile(m).support
+    support_h = adj
+    for _ in range(h - 1):
+        support_h = _bool_mul(support_h, adj)
+    # each class block of m**h is primitive, so the Wielandt bound caps its search
+    extra = max(
+        _first_full_power(_restrict(support_h, cls), wielandt_bound(len(cls))) for cls in classes
+    )
     k = h * extra
     mk = m.pow(k)
     perm: list[int] = []
@@ -591,30 +633,6 @@ def imprimitive_block_decomposition(m: NonnegMatrix) -> ImprimitiveDecomposition
 # positive subinvariant vectors (simple-obstruction certificates)
 
 
-def _condensation_with_tags(
-    m: NonnegMatrix,
-) -> tuple[tuple[tuple[int, ...], ...], list[set[int]], list[SpectralTag]]:
-    """SCC blocks (children listed before parents), child sets, spectral tags."""
-    structure = scc_partition(m)
-    blocks = structure.blocks()
-    tags = [_block_tag(m.rows, b) for b in blocks]
-    index_of = {}
-    for bi, b in enumerate(blocks):
-        for v in b:
-            index_of[v] = bi
-    children: list[set[int]] = [set() for _ in blocks]
-    adj = m.support()
-    for u in range(m.n):
-        mask = adj[u]
-        j = 0
-        while mask:
-            if mask & 1 and index_of[u] != index_of[j]:
-                children[index_of[u]].add(index_of[j])
-            mask >>= 1
-            j += 1
-    return blocks, children, tags
-
-
 def below_one_closed_indices(m: NonnegMatrix) -> tuple[int, ...]:
     """Indices lying in blocks whose whole forward closure stays below 1.
 
@@ -622,42 +640,24 @@ def below_one_closed_indices(m: NonnegMatrix) -> tuple[int, ...]:
     principal block with leading eigenvalue below 1; dropping them never
     changes the leading eigenvalue of a matrix whose eigenvalue is >= 1.
     """
-    blocks, children, tags = _condensation_with_tags(m)
-    all_below = [False] * len(blocks)
-    out: list[int] = []
-    for bi in range(len(blocks)):  # children precede parents
-        below = tags[bi] is SpectralTag.BELOW_ONE
-        all_below[bi] = below and all(all_below[c] for c in children[bi])
-        if all_below[bi]:
-            out.extend(blocks[bi])
-    return tuple(sorted(out))
-
-
-def _solve_unique(a: list[list[Fraction]], b: list[Fraction]) -> list[Fraction]:
-    """Solve a nonsingular square rational system by Gaussian elimination."""
-    n = len(a)
-    aug = [row[:] + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if pivot is None:
-            raise ArithmeticError("singular system")
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [x - factor * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    profile = spectral_profile(m)
+    closed = zip(profile.structure.blocks(), profile.closed_below)
+    return tuple(sorted(i for block, below in closed if below for i in block))
 
 
 def _kernel_vector(a: list[list[Fraction]]) -> list[Fraction]:
-    """A nonzero kernel vector of a square rational matrix with nullity >= 1."""
-    n = len(a)
+    """A nonzero kernel vector of a rational matrix of rank below its column count.
+
+    Gauss-Jordan elimination to reduced row echelon form; the first free
+    column gets 1 and the pivot columns are solved for.  On ``[A | -b]``
+    with A square and nonsingular the free column is the last, so the
+    vector is ``(x, 1)`` with ``A x = b``.
+    """
     mat = [row[:] for row in a]
+    n, cols = len(mat), len(mat[0])
     pivots: list[tuple[int, int]] = []
     row = 0
-    for col in range(n):
+    for col in range(cols):
         pivot = next((r for r in range(row, n) if mat[r][col] != 0), None)
         if pivot is None:
             continue
@@ -671,58 +671,29 @@ def _kernel_vector(a: list[list[Fraction]]) -> list[Fraction]:
         pivots.append((row, col))
         row += 1
     pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(n) if c not in pivot_cols), None)
+    free = next((c for c in range(cols) if c not in pivot_cols), None)
     if free is None:
         raise ArithmeticError("matrix has trivial kernel")
-    x = [Fraction(0)] * n
+    x = [Fraction(0)] * cols
     x[free] = Fraction(1)
     for r, c in pivots:
         x[c] = -mat[r][free]
     return x
 
 
-def _scale_integer(v: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale a rational vector by a positive factor to coprime integers."""
-    if not v:
-        return ()
-    den = 1
-    for x in v:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in v]
-    g = 0
-    for val in ints:
-        g = gcd(g, abs(val))
-    g = g or 1
-    return tuple(Fraction(val // g) for val in ints)
+def _geometric_certificate(rows, block: Sequence[int]) -> list[Fraction]:
+    """Positive v with B v >= v for the block B on ``block``, rho(B) > 1.
 
-
-def _block_subinvariant(block: NonnegMatrix, tag: SpectralTag) -> list[Fraction]:
-    """Positive v with block*v >= v for an SCC block with leading eigenvalue >= 1."""
-    n = block.n
-    ones = [Fraction(1)] * n
-    if tag is SpectralTag.EXACTLY_ONE:
-        a = [
-            [block.rows[i][j] - (1 if i == j else 0) for j in range(n)]
-            for i in range(n)
-        ]
-        v = _kernel_vector(a)
-        if all(x < 0 for x in v):
-            v = [-x for x in v]
-        if not all(x > 0 for x in v):  # pragma: no cover - Perron vector is positive
-            raise AssertionError("kernel vector of an irreducible block is not positive")
-        return v
-    # leading eigenvalue > 1: geometric sums v = sum_{j<k} M^j 1 satisfy
-    # M v - v = M^k 1 - 1, so any power with M^k 1 >= 1 yields a certificate.
-    power_ones = ones[:]
-    acc = ones[:]
+    Geometric sums v = sum_{j<k} B^j 1 satisfy B v - v = B^k 1 - 1, so
+    any power with B^k 1 >= 1 yields a certificate.
+    """
+    power = [Fraction(1)] * len(block)
+    acc = power
     while True:
-        power_ones = [
-            sum((block.rows[i][j] * power_ones[j] for j in range(n)), Fraction(0))
-            for i in range(n)
-        ]
-        if all(x >= 1 for x in power_ones):
+        power = [sum((rows[i][j] * p for j, p in zip(block, power)), Fraction(0)) for i in block]
+        if all(x >= 1 for x in power):
             return acc
-        acc = [a + p for a, p in zip(acc, power_ones)]
+        acc = [a + p for a, p in zip(acc, power)]
 
 
 def exists_positive_subinvariant_vector(
@@ -732,54 +703,32 @@ def exists_positive_subinvariant_vector(
 
     Existence is equivalent to: no reordering of indices exposes a leading
     principal block, closed under support edges, whose leading eigenvalue
-    is below 1 (the matrix as a whole counts as such a block).  The search
-    walks the condensation; certificates are assembled per component:
+    is below 1 (the matrix as a whole counts as such a block).  The profile
+    answers that; certificates are assembled per block of the condensation:
     an exact kernel vector at eigenvalue 1, a geometric power sum above 1,
     and an inflow-fed resolvent solve below 1.
     """
     n = m.n
-    if n == 0:
+    profile = spectral_profile(m)
+    if n == 0 or any(profile.closed_below):
         return None
-    blocks, children, tags = _condensation_with_tags(m)
-    # blocks are ordered with all support edges pointing to earlier blocks;
-    # a block whose forward closure sees only sub-1 eigenvalues is fatal
-    k = len(blocks)
-    all_below: list[bool] = [False] * k
-    for bi in range(k):  # children precede parents in this order
-        below = tags[bi] is SpectralTag.BELOW_ONE
-        all_below[bi] = below and all(all_below[c] for c in children[bi])
-        if all_below[bi]:
-            return None
-    # assemble the certificate block by block
-    vec: list[Optional[Fraction]] = [None] * n
-    for bi, block_indices in enumerate(blocks):
-        idx = list(block_indices)
-        block = m.submatrix(idx)
-        if tags[bi] is SpectralTag.BELOW_ONE:
-            inflow = []
-            for i in idx:
-                total = Fraction(0)
-                for j in range(n):
-                    if j not in block_indices and m.rows[i][j] != 0:
-                        contribution = vec[j]
-                        assert contribution is not None
-                        total += m.rows[i][j] * contribution
-                inflow.append(total)
+    rows = m.rows
+    vec = [Fraction(0)] * n
+    # support edges point to earlier blocks, which are assigned first
+    for block, tag in zip(profile.structure.blocks(), profile.block_tags):
+        eye_minus = [[(1 if i == j else 0) - rows[i][j] for j in block] for i in block]
+        if tag is SpectralTag.EXACTLY_ONE:
+            x = _kernel_vector(eye_minus)  # the Perron vector of the block
+        elif tag is SpectralTag.ABOVE_ONE:
+            x = _geometric_certificate(rows, block)
+        else:
             # solve (I - B) x = inflow; x > 0 since the block is strongly
             # connected (or a single fed vertex) and some inflow is positive
-            a = [
-                [(1 if r == c else 0) - block.rows[r][c] for c in range(block.n)]
-                for r in range(block.n)
-            ]
-            x = _solve_unique(a, inflow)
-            if not all(val > 0 for val in x):  # pragma: no cover - fed blocks stay positive
-                raise AssertionError("resolvent certificate is not positive")
-        else:
-            x = _block_subinvariant(block, tags[bi])
-        for pos, i in enumerate(idx):
-            vec[i] = x[pos]
-    assert all(v is not None for v in vec)
-    result = _scale_integer([v for v in vec if v is not None])
+            inflow = [sum((rows[i][j] * vec[j] for j in range(n)), Fraction(0)) for i in block]
+            x = _kernel_vector([r + [-f] for r, f in zip(eye_minus, inflow)])[:-1]
+        for i, value in zip(block, x):
+            vec[i] = value
+    result = _primitive(tuple(vec))
     # exact self-check: the certificate is part of the public contract
     mv = [sum((m.rows[i][j] * result[j] for j in range(n)), Fraction(0)) for i in range(n)]
     if not all(val > 0 for val in result) or not all(a >= b for a, b in zip(mv, result)):

@@ -32,9 +32,11 @@ from .spectral import (
     PreconditionError,
     SpectralClass,
     SpectralTag,
+    _block_tag,
+    _irreducible_support,
+    _restrict,
     below_one_closed_indices,
     exists_positive_subinvariant_vector,
-    is_irreducible,
     spectral_radius_class,
     spectral_tag,
 )
@@ -210,6 +212,12 @@ def is_simple_obstruction(
     return exists_positive_subinvariant_vector(thurston_matrix(table, curves))
 
 
+def _outside_below_one_closure(order: Sequence[str], matrix: NonnegMatrix) -> tuple[str, ...]:
+    """The curves of ``order`` (the matrix's index order) outside its below-one closure."""
+    dropped = set(below_one_closed_indices(matrix))
+    return tuple(cid for k, cid in enumerate(order) if k not in dropped)
+
+
 def extract_simple_core(table: CurveTable, curves: Sequence[str]) -> tuple[str, ...]:
     """Largest sub-multicurve left after shedding sub-1 leading blocks.
 
@@ -221,8 +229,7 @@ def extract_simple_core(table: CurveTable, curves: Sequence[str]) -> tuple[str, 
     matrix = thurston_matrix(table, order)
     if spectral_tag(matrix) is SpectralTag.BELOW_ONE:
         raise PreconditionError("the multicurve is not an obstruction")
-    dropped = set(below_one_closed_indices(matrix))
-    return tuple(cid for k, cid in enumerate(order) if k not in dropped)
+    return _outside_below_one_closure(order, matrix)
 
 
 def find_levy_cycles(table: CurveTable) -> tuple[tuple[str, ...], ...]:
@@ -277,7 +284,8 @@ def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> Minima
     matrix is attained on a proper strongly connected block), so the
     search enumerates strongly connected subsets by size and prunes
     supersets of hits; subsets larger than ``subset_cap`` are not visited
-    and the result says so.
+    and the result says so.  Each subset is tested on the full matrix:
+    irreducibility on its support rows, the tag on its entries.
     """
     if subset_cap < 1:
         raise PreconditionError("subset cap must be at least 1")
@@ -287,6 +295,7 @@ def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> Minima
         if all(comp.target != UNTRACKED for comp in c.pullback)
     ]
     full = thurston_matrix(table, None)
+    support = full.support()
     ids = table.class_ids()
     pos = {cid: k for k, cid in enumerate(ids)}
     found: list[tuple[str, ...]] = []
@@ -297,10 +306,10 @@ def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> Minima
             combo_set = frozenset(combo)
             if any(f <= combo_set for f in found_sets):
                 continue
-            sub = full.submatrix([pos[c] for c in combo])
-            if not is_irreducible(sub):
+            idx = [pos[c] for c in combo]
+            if not _irreducible_support(_restrict(support, idx)):
                 continue
-            if spectral_tag(sub) is not SpectralTag.BELOW_ONE:
+            if _block_tag(full.rows, idx) is not SpectralTag.BELOW_ONE:
                 found.append(combo)
                 found_sets.append(combo_set)
     return MinimalObstructionSearch(
@@ -344,7 +353,7 @@ def analyze_table(
         invariant=is_invariant(table, order) if order else True,
         completely_invariant=is_completely_invariant(table, order) if order else True,
         simple_certificate=exists_positive_subinvariant_vector(matrix),
-        simple_core=extract_simple_core(table, order) if obstruction else None,
+        simple_core=_outside_below_one_closure(order, matrix) if obstruction else None,
         levy_cycles=find_levy_cycles(table),
         minimal=find_minimal_obstructions(table, subset_cap),
     )
@@ -397,26 +406,14 @@ class CanonicalCandidateReport:
     components: tuple[ComponentVerdict, ...]
     note: str
     truncated: bool = False
+    simple_certificate: Optional[tuple[Fraction, ...]] = None
+    completely_invariant: Optional[bool] = None
 
 
 _RELATIVE_NOTE = (
     "certified relative to the supplied component data; obstructions outside "
     "the listed tables are not ruled out"
 )
-
-
-def _simple_obstructions(table: CurveTable, subset_cap: int) -> list[tuple[str, ...]]:
-    """Every multicurve of the table (up to the cap) carrying a simple certificate."""
-    ids = table.class_ids()
-    out = []
-    full = thurston_matrix(table, None)
-    pos = {cid: k for k, cid in enumerate(ids)}
-    for size in range(1, min(subset_cap, len(ids)) + 1):
-        for combo in itertools.combinations(ids, size):
-            sub = full.submatrix([pos[c] for c in combo])
-            if exists_positive_subinvariant_vector(sub) is not None:
-                out.append(combo)
-    return out
 
 
 def _check_2222_component(
@@ -441,21 +438,25 @@ def _check_2222_component(
             f"homology action {tmap} has equal or non-integer eigenvalues"
         )
     if ret.table is not None:
-        for curves in _simple_obstructions(ret.table, subset_cap):
-            for cid in curves:
-                row = ret.table.row(cid)
-                if row.partition is None:
-                    raise PreconditionError(
-                        f"curve {cid!r} sits in a simple obstruction of a "
-                        "torus-quotient component but carries no marked-point partition"
-                    )
-                side_a, side_b = row.partition
-                if len(side_a) != 2 or len(side_b) != 2:
-                    ok = False
-                    reasons.append(
-                        f"curve {cid!r} of simple obstruction {list(curves)} does not "
-                        "separate the marked points two and two"
-                    )
+        # The union of two simple obstructions is simple (pad each certificate
+        # with zeros and add), so the curves lying in some simple obstruction
+        # are those outside the below-one closure, and together they form one.
+        ids = ret.table.class_ids()[: max(subset_cap, 0)]
+        union = list(_outside_below_one_closure(ids, thurston_matrix(ret.table, ids)))
+        for cid in union:
+            row = ret.table.row(cid)
+            if row.partition is None:
+                raise PreconditionError(
+                    f"curve {cid!r} sits in a simple obstruction of a "
+                    "torus-quotient component but carries no marked-point partition"
+                )
+            side_a, side_b = row.partition
+            if len(side_a) != 2 or len(side_b) != 2:
+                ok = False
+                reasons.append(
+                    f"curve {cid!r} of simple obstruction {union} does not "
+                    "separate the marked points two and two"
+                )
     return ok, reasons
 
 
@@ -485,6 +486,8 @@ def check_canonical_candidate(
     eigenvalues (and two-by-two separating obstruction curves) for
     torus-quotient returns, no obstruction in the supplied table for
     general returns, and vacuous acceptance for homeomorphism returns.
+    A torus-quotient table is read up to its first ``subset_cap`` declared
+    classes; a longer one marks the report truncated.
     """
     order = curve_order(table, curves)
     if not order:
@@ -502,47 +505,43 @@ def check_canonical_candidate(
         )
     elif not invariant:
         preconditions.append("the candidate is not completely invariant")
-    if preconditions:
-        return CanonicalCandidateReport(
-            accepted=False,
-            preconditions=tuple(preconditions),
-            components=(),
-            note=_RELATIVE_NOTE,
-        )
-    verdicts = []
+    verdicts: list[ComponentVerdict] = []
     truncated = False
-    for idx, comp in enumerate(decomposition):
-        ret = comp.first_return
-        if isinstance(ret, ReturnHomeomorphism):
-            verdicts.append(
-                ComponentVerdict(
-                    index=idx,
-                    kind="homeomorphism",
-                    passed=True,
-                    reasons=(
-                        "homeomorphism return maps are accepted vacuously; no finite "
-                        "certificate is available from table data",
-                    ),
+    if not preconditions:
+        for idx, comp in enumerate(decomposition):
+            ret = comp.first_return
+            if isinstance(ret, ReturnHomeomorphism):
+                verdicts.append(
+                    ComponentVerdict(
+                        index=idx,
+                        kind="homeomorphism",
+                        passed=True,
+                        reasons=(
+                            "homeomorphism return maps are accepted vacuously; no finite "
+                            "certificate is available from table data",
+                        ),
+                    )
                 )
-            )
-        elif isinstance(ret, Return2222):
-            if ret.table is not None and len(ret.table.classes) > subset_cap:
-                truncated = True
-            ok, reasons = _check_2222_component(comp, ret, subset_cap)
-            verdicts.append(
-                ComponentVerdict(index=idx, kind="2222", passed=ok, reasons=tuple(reasons))
-            )
-        elif isinstance(ret, ReturnGeneral):
-            ok, reasons = _check_general_component(ret)
-            verdicts.append(
-                ComponentVerdict(index=idx, kind="general", passed=ok, reasons=tuple(reasons))
-            )
-        else:  # pragma: no cover - closed union
-            raise TypeError(f"unknown first-return descriptor {ret!r}")
+            elif isinstance(ret, Return2222):
+                if ret.table is not None and len(ret.table.classes) > subset_cap:
+                    truncated = True
+                ok, reasons = _check_2222_component(comp, ret, subset_cap)
+                verdicts.append(
+                    ComponentVerdict(index=idx, kind="2222", passed=ok, reasons=tuple(reasons))
+                )
+            elif isinstance(ret, ReturnGeneral):
+                ok, reasons = _check_general_component(ret)
+                verdicts.append(
+                    ComponentVerdict(index=idx, kind="general", passed=ok, reasons=tuple(reasons))
+                )
+            else:  # pragma: no cover - closed union
+                raise TypeError(f"unknown first-return descriptor {ret!r}")
     return CanonicalCandidateReport(
-        accepted=all(v.passed for v in verdicts),
-        preconditions=(),
+        accepted=not preconditions and all(v.passed for v in verdicts),
+        preconditions=tuple(preconditions),
         components=tuple(verdicts),
         note=_RELATIVE_NOTE,
         truncated=truncated,
+        simple_certificate=certificate,
+        completely_invariant=invariant,
     )

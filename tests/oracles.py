@@ -8,11 +8,22 @@ order arithmetic.  Oracles stay deliberately slow and simple.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd
 from typing import Optional, Sequence
 
-from thurston_obstruct import NonnegMatrix, SpectralTag, spectral_radius_class
+from thurston_obstruct import (
+    CurveTable,
+    NonnegMatrix,
+    SpectralTag,
+    exists_positive_subinvariant_vector,
+    imprimitivity_index,
+    power_positive_exponent,
+    spectral_radius_class,
+    thurston_matrix,
+)
+from thurston_obstruct.spectral import cyclic_classes
 from thurston_obstruct.polynomials import (
     Poly,
     cauchy_root_bound,
@@ -193,6 +204,17 @@ def imprimitivity_by_cycles(m: NonnegMatrix) -> int:
     return h
 
 
+def decomposition_exponent_by_rational_powers(m: NonnegMatrix) -> int:
+    """Exponent of the imprimitive decomposition from the rational power m**h.
+
+    Each cyclic-class block of m**h is primitive; the uniform extra power
+    is the largest of their first positive powers.
+    """
+    h = imprimitivity_index(m)
+    mh = m.pow(h)
+    return h * max(power_positive_exponent(mh.submatrix(cls)) for cls in cyclic_classes(m))
+
+
 def minimal_obstructions_by_exhaustion(m: NonnegMatrix) -> list[tuple[int, ...]]:
     """Minimal obstruction index sets straight from the definition."""
     n = m.n
@@ -269,3 +291,24 @@ def sturm_tag(m: NonnegMatrix) -> SpectralTag:
         if count_roots_between(sturm_chain(sf), one, hi) > 0:
             return SpectralTag.ABOVE_ONE
     return SpectralTag.EXACTLY_ONE if at_one else SpectralTag.BELOW_ONE
+
+
+# ---------------------------------------------------------------------------
+# curve-table oracles
+
+
+def simple_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> list[tuple[str, ...]]:
+    """Every multicurve of up to ``subset_cap`` classes with a simple certificate.
+
+    Visits each subset of the declared classes and asks for a positive
+    subinvariant vector of its own submatrix.
+    """
+    ids = table.class_ids()
+    full = thurston_matrix(table, None)
+    out = []
+    for size in range(1, min(subset_cap, len(ids)) + 1):
+        for combo in itertools.combinations(ids, size):
+            sub = full.submatrix([ids.index(c) for c in combo])
+            if exists_positive_subinvariant_vector(sub) is not None:
+                out.append(combo)
+    return out

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -6,8 +7,10 @@ import pytest
 from referencing import Registry, Resource
 
 import thurston_obstruct
+from thurston_obstruct import NonnegMatrix, charpoly
 from thurston_obstruct.cli import main, run_request
 from thurston_obstruct.documents import dumps
+from thurston_obstruct.polynomials import LargestRootIsolator
 
 SCHEMA_DIR = Path(thurston_obstruct.__file__).parent / "schemas"
 
@@ -239,6 +242,39 @@ def test_exit_code_resource_cap_canonical(capsys):
     assert "truncated at subset cap 1" in capsys.readouterr().out
 
 
+def test_capped_canonical_ignores_curve_beyond_the_cap(capsys):
+    # 'k' lies in a simple obstruction but has no partition: an error only
+    # when the cap lets the check read it
+    doc = json.loads(json.dumps(CANONICAL_DOC_FULL))
+    inner = doc["decomposition"][1]["first_return"]["table"]
+    inner["classes"].append({"id": "k", "pullback": [{"degree": 1, "target": "k"}]})
+    assert main(["canonical", json.dumps(doc)]) == 3
+    assert "'k'" in capsys.readouterr().err
+    report, code = run_json(capsys, ["canonical", json.dumps(doc), "--subset-cap", "1"])
+    assert code == 4
+    assert report["result"]["truncated"] is True
+    assert report["result"]["accepted"] is True
+
+
+def test_matrix_brackets_near_one_match_fresh_isolators(capsys):
+    # rho = sqrt(1 + 2^-31): the separated bracket needs more bisection
+    # steps than the width bracket, and neither may inherit the other's
+    eps = Fraction(1, 2**31)
+    m = NonnegMatrix([[0, 1], [1 + eps, 0]])
+    args = ["matrix", "--matrix", f'[[0,1],["{1 + eps}",0]]', "--width", "1/1000"]
+    report, code = run_json(capsys, args)
+    assert code == 0
+
+    def fresh():
+        return LargestRootIsolator(charpoly(m), -2 - eps, 1 + eps)
+
+    separated = fresh().refine_until_separated_from(Fraction(1))
+    assert report["result"]["spectral"]["interval"] == [str(x) for x in separated]
+    assert report["result"]["leading_interval"] == [
+        str(x) for x in fresh().refine_to_width(Fraction(1, 1000))
+    ]
+
+
 def test_uncapped_canonical_report_is_not_truncated(capsys):
     report, code = run_json(capsys, ["canonical", json.dumps(CANONICAL_DOC_FULL)])
     assert code == 0
@@ -279,15 +315,6 @@ def test_orbifold_report_with_unramified_marked_point(capsys):
 def test_missing_input(capsys):
     code = main(["orbifold"])
     assert code == 2
-
-
-def test_threads_env_validation(capsys, monkeypatch):
-    monkeypatch.setenv("THURSTON_OBSTRUCT_THREADS", "0")
-    code = main(["slopes", "--matrix", "[[2,0],[0,3]]"])
-    assert code == 2
-    monkeypatch.setenv("THURSTON_OBSTRUCT_THREADS", "4")
-    code = main(["slopes", "--matrix", "[[2,0],[0,3]]"])
-    assert code == 0
 
 
 @pytest.mark.parametrize(

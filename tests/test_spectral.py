@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     charpoly_faddeev_leverrier,
+    decomposition_exponent_by_rational_powers,
     determinant_by_elimination,
     imprimitivity_by_cycles,
     simple_by_exhaustion,
@@ -29,7 +30,8 @@ from thurston_obstruct import (
     spectral_tag,
     wielandt_bound,
 )
-from thurston_obstruct.polynomials import evaluate
+from thurston_obstruct.polynomials import LargestRootIsolator, evaluate
+from thurston_obstruct.spectral import spectral_profile
 
 F = Fraction
 
@@ -361,6 +363,85 @@ def test_imprimitive_decomposition_reassembles():
                     expected[pos + i][pos + j] = block.rows[i][j]
             pos += size
         assert permuted == expected
+
+
+def test_decomposition_exponent_matches_rational_powers():
+    rng = random.Random(41)
+    for _ in range(60):
+        # support edges only from each cyclic class into the next
+        h = rng.randint(1, 3)
+        cls_of = [c for c in range(h) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(cls_of)
+        n = len(cls_of)
+        while True:
+            rows = [
+                [rng.choice((0, 1, 2, F(1, 2))) if cls_of[j] == (cls_of[i] + 1) % h else 0
+                 for j in range(n)]
+                for i in range(n)
+            ]
+            m = NonnegMatrix(rows)
+            if is_irreducible(m):
+                break
+        assert imprimitive_block_decomposition(m).exponent == (
+            decomposition_exponent_by_rational_powers(m)
+        )
+
+
+# ---------------------------------------------------------------------------
+# the spectral profile
+
+
+def _forward_closure(m, block):
+    reach, stack = set(block), list(block)
+    while stack:
+        v = stack.pop()
+        for w in range(m.n):
+            if m.rows[v][w] > 0 and w not in reach:
+                reach.add(w)
+                stack.append(w)
+    return sorted(reach)
+
+
+@given(spectral_matrices)
+@settings(max_examples=60, deadline=None)
+def test_profile_matches_block_oracles(m):
+    profile = spectral_profile(m)
+    assert spectral_profile(m) is profile
+    assert profile.support == m.support()
+    assert profile.tag is sturm_tag(m)
+    blocks = profile.structure.blocks()
+    for b, block in enumerate(blocks):
+        assert profile.block_tags[b] is sturm_tag(m.submatrix(list(block)))
+        closure = m.submatrix(_forward_closure(m, block))
+        assert profile.closed_below[b] == (sturm_tag(closure) is SpectralTag.BELOW_ONE)
+        targets = {
+            c for c, other in enumerate(blocks)
+            if c != b and any(m.rows[i][j] > 0 for i in block for j in other)
+        }
+        assert profile.children[b] == targets
+
+
+def test_brackets_near_one_match_fresh_isolators():
+    # rho = sqrt(1 + 2^-31) lies within 2^-30 of 1: separating it from 1
+    # takes far more bisection steps than the width 1/1000 does
+    rows = [[0, 1], [1 + F(1, 2**31), 0]]
+    width = F(1, 1000)
+    m = NonnegMatrix(rows)
+    spectral = spectral_radius_class(m)
+    interval = leading_eigenvalue_interval(m, width)
+
+    def fresh():
+        rs = max(m.row_sums())
+        return LargestRootIsolator(charpoly(m), -rs - 1, rs)
+
+    assert spectral.tag is SpectralTag.ABOVE_ONE
+    assert (spectral.lo, spectral.hi) == fresh().refine_until_separated_from(F(1))
+    assert interval == fresh().refine_to_width(width)
+    assert interval[1] - interval[0] > 2**20 * (spectral.hi - spectral.lo)
+    # asked in the other order on a new matrix, the brackets are the same
+    other = NonnegMatrix(rows)
+    assert leading_eigenvalue_interval(other, width) == interval
+    assert spectral_radius_class(other) == spectral
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import minimal_obstructions_by_exhaustion, simple_by_exhaustion
+from oracles import (
+    minimal_obstructions_by_exhaustion,
+    simple_by_exhaustion,
+    simple_obstructions_by_subsets,
+)
 from thurston_obstruct import (
     INESSENTIAL,
     UNTRACKED,
@@ -17,6 +22,7 @@ from thurston_obstruct import (
     ReturnHomeomorphism,
     SpectralTag,
     analyze_table,
+    below_one_closed_indices,
     check_canonical_candidate,
     classify_multicurve,
     extract_simple_core,
@@ -435,6 +441,99 @@ def test_candidate_2222_rejects_unbalanced_partition():
     )
     assert not report.accepted
     assert any("two and two" in r for r in report.components[0].reasons)
+
+
+def _two_and_two_reasons(curves, union):
+    return tuple(
+        f"curve {cid!r} of simple obstruction {list(union)} does not separate "
+        "the marked points two and two"
+        for cid in curves
+    )
+
+
+def _check_inner(inner, subset_cap=12):
+    component = DecompositionComponent(4, Return2222(((2, 2), (0, 2)), table=inner))
+    return check_canonical_candidate(levy_two_cycle(), ["g1", "g2"], (component,), subset_cap)
+
+
+@st.composite
+def inner_2222_tables(draw):
+    """Up to 8 classes on 4, 5 or 6 marked points (only 4 allows a 2|2 split),
+    with inessential and untracked targets and some partitions missing."""
+    marked = ("p1", "p2", "p3", "p4", "p5", "p6")[: draw(st.sampled_from([4, 5, 6]))]
+    ids = [f"c{i}" for i in range(draw(st.integers(1, 8)))]
+    degree = draw(st.integers(2, 4))
+    classes = []
+    for cid in ids:
+        comps, budget = [], degree
+        for _ in range(draw(st.integers(0, 3))):
+            if budget == 0:
+                break
+            d = draw(st.integers(1, budget))
+            budget -= d
+            comps.append(PullbackComponent(d, draw(st.sampled_from(ids + [INESSENTIAL, UNTRACKED]))))
+        split = draw(st.integers(2, len(marked) - 2))
+        partition = (frozenset(marked[:split]), frozenset(marked[split:]))
+        classes.append(CurveClass(cid, tuple(comps), None if draw(st.integers(0, 9)) == 0 else partition))
+    return CurveTable(map_degree=degree, classes=tuple(classes), marked_points=marked)
+
+
+@given(inner_2222_tables())
+@settings(max_examples=80, deadline=None)
+def test_2222_union_matches_subset_oracle(inner):
+    ids = inner.class_ids()
+    subsets = simple_obstructions_by_subsets(inner, len(ids))
+    union = [cid for cid in ids if any(cid in s for s in subsets)]
+    closed = below_one_closed_indices(thurston_matrix(inner, None))
+    assert union == [cid for k, cid in enumerate(ids) if k not in closed]
+    if union:
+        assert union in [list(s) for s in subsets]  # the union is simple itself
+    if any(inner.row(cid).partition is None for cid in union):
+        with pytest.raises(PreconditionError):
+            _check_inner(inner)
+        return
+    bad = [cid for cid in union if sorted(map(len, inner.row(cid).partition)) != [2, 2]]
+    report = _check_inner(inner)
+    assert report.accepted == (not bad)
+    assert report.components[0].reasons[1:] == _two_and_two_reasons(bad, union)
+    assert not report.truncated
+
+
+def test_2222_one_reason_line_per_bad_curve():
+    # {a}, {b} and {a, b} are all simple obstructions; each curve is named once
+    marked = ("p1", "p2", "p3", "p4", "p5")
+    split = (frozenset(marked[:2]), frozenset(marked[2:]))
+    inner = CurveTable(
+        map_degree=2,
+        marked_points=marked,
+        classes=(
+            CurveClass("a", (PullbackComponent(1, "a"),), partition=split),
+            CurveClass("b", (PullbackComponent(1, "b"),), partition=split),
+        ),
+    )
+    report = _check_inner(inner)
+    assert not report.accepted
+    assert report.components[0].reasons[1:] == _two_and_two_reasons(["a", "b"], ["a", "b"])
+
+
+def test_capped_2222_check_ignores_curves_beyond_the_cap():
+    # 'a' lies in no simple obstruction; 'k' does and splits 2|4
+    marked = ("p1", "p2", "p3", "p4", "p5", "p6")
+    split = (frozenset(marked[:2]), frozenset(marked[2:]))
+    inner = CurveTable(
+        map_degree=2,
+        marked_points=marked,
+        classes=(
+            CurveClass("a", (PullbackComponent(1, INESSENTIAL),), partition=split),
+            CurveClass("k", (PullbackComponent(1, "k"),), partition=split),
+        ),
+    )
+    full = _check_inner(inner)
+    assert not full.accepted and not full.truncated
+    assert full.components[0].reasons[1:] == _two_and_two_reasons(["k"], ["k"])
+    capped = _check_inner(inner, subset_cap=1)
+    assert capped.accepted and capped.truncated
+    assert capped.components[0].reasons[1:] == ()
 
 
 def test_candidate_2222_wrong_marked_count():
