@@ -389,7 +389,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--subset-cap",
         type=int,
         default=DEFAULT_SUBSET_CAP,
-        help=f"largest multicurve size searched (default {DEFAULT_SUBSET_CAP})",
+        help="declared classes of each torus-quotient inner table that are examined "
+        f"(default {DEFAULT_SUBSET_CAP})",
     )
     return parser
 

@@ -30,10 +30,6 @@ def degree(p: Poly) -> int:
     return len(p) - 1
 
 
-def is_zero(p: Poly) -> bool:
-    return not p
-
-
 def evaluate(p: Poly, x: Fraction) -> Fraction:
     acc = ZERO
     for c in reversed(p):
@@ -41,17 +37,8 @@ def evaluate(p: Poly, x: Fraction) -> Fraction:
     return acc
 
 
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return poly((p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n))
-
-
 def neg(p: Poly) -> Poly:
     return tuple(-c for c in p)
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
 
 
 def mul(p: Poly, q: Poly) -> Poly:
@@ -160,12 +147,16 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
 
 
-def variations_at(chain: list[Poly], x: Fraction) -> int:
+def _signs_at(chain: list[Poly], x: Fraction) -> list[int]:
     signs = []
     for q in chain:
         v = evaluate(q, x)
         signs.append(0 if v == 0 else (1 if v > 0 else -1))
-    return _variations(signs)
+    return signs
+
+
+def variations_at(chain: list[Poly], x: Fraction) -> int:
+    return _variations(_signs_at(chain, x))
 
 
 def count_roots_between(chain: list[Poly], a: Fraction, b: Fraction) -> int:
@@ -211,79 +202,75 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
 class LargestRootIsolator:
     """Exact bisection for the largest real root of a polynomial.
 
-    Built once per polynomial; repeated queries share the squarefree part
-    and the Sturm chain.  The caller must supply rational bounds lo < hi
-    such that the largest real root lies in (lo, hi] and p(lo) != 0.
+    An immutable value built once per polynomial: the squarefree part
+    ``sf``, its Sturm chain, the sign variations ``v_inf`` of the chain's
+    leading coefficients, and the start bracket.  With zeros dropped,
+    ``variations_at(chain, x) - v_inf`` is the number of distinct real
+    roots in (x, +inf) for every rational x, a root or not (Sturm), so
+    each bisection step evaluates the chain once.  Every query bisects
+    from the start bracket, so answers never depend on earlier queries.
+    The caller must supply rational bounds lo < hi such that the largest
+    real root lies in (lo, hi] and p(lo) != 0.
     """
+
+    __slots__ = ("sf", "chain", "v_inf", "lo", "hi")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
         if degree(p) < 1:
             raise ValueError("need a nonconstant polynomial")
         self.sf = squarefree_part(p)
         self.chain = sturm_chain(self.sf)
-        if evaluate(self.sf, lo) == 0:
-            raise ValueError("lower bound must not be a root")
+        self.v_inf = _variations([1 if q[-1] > 0 else -1 for q in self.chain])
         self.lo = lo
         self.hi = hi
-        self.exact: Fraction | None = None
-        if evaluate(self.sf, hi) == 0:
-            # the upper bound itself is the largest root
-            self.exact = hi
-            self.lo = hi
-        else:
-            n_above = count_roots_between(self.chain, lo, hi)
-            if n_above < 1:
-                raise ValueError("no real root in the given range")
+        lo_is_root, above_lo = self._probe(lo)
+        if lo_is_root:
+            raise ValueError("lower bound must not be a root")
+        if above_lo <= self._probe(hi)[1]:
+            raise ValueError("no real root in the given range")
 
-    def _roots_strictly_above(self, x: Fraction) -> int:
-        """Roots in (x, hi); x may be a root, hi never is at call time."""
-        sf, chain = self.sf, self.chain
-        if evaluate(sf, x) == 0:
-            sf, rem = divmod_poly(sf, poly([-x, 1]))
-            if rem:
-                raise ArithmeticError("deflation of a squarefree root failed")
-            if degree(sf) < 1:
-                return 0
-            chain = sturm_chain(sf)
-        return count_roots_between(chain, x, self.hi)
+    def _probe(self, x: Fraction) -> tuple[bool, int]:
+        """Whether x is a root, and the number of distinct roots in (x, +inf)."""
+        signs = _signs_at(self.chain, x)
+        return signs[0] == 0, _variations(signs) - self.v_inf
+
+    def _is_largest_root(self, x: Fraction) -> bool:
+        return self._probe(x) == (True, 0)
+
+    def _bisect(self, done) -> tuple[Fraction, Fraction]:
+        """Bisect the start bracket until ``done(lo, hi)``; exact roots snap to points."""
+        lo, hi = self.lo, self.hi
+        if self._is_largest_root(hi):
+            return (hi, hi)
+        while not done(lo, hi):
+            mid = (lo + hi) / 2
+            is_root, above = self._probe(mid)
+            if above:
+                lo = mid
+            elif is_root:
+                return (mid, mid)
+            else:
+                hi = mid
+        # snap to the simplest rational in the bracket if it is the root itself
+        cand = simplest_rational_between(lo, hi)
+        if lo < cand and self._is_largest_root(cand):
+            return (cand, cand)
+        return (lo, hi)
 
     def refine_to_width(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """Shrink the bracket to at most the given width; exact roots snap to points."""
+        """A bracket of width at most ``width``; exact roots snap to points."""
         if width <= 0:
             raise ValueError("width must be positive")
-        if self.exact is not None:
-            return (self.exact, self.exact)
-        while self.hi - self.lo > width:
-            mid = (self.lo + self.hi) / 2
-            if evaluate(self.sf, mid) == 0:
-                if self._roots_strictly_above(mid) == 0:
-                    self.exact = mid
-                    self.lo = self.hi = mid
-                    return (mid, mid)
-                self.lo = mid
-                continue
-            if count_roots_between(self.chain, mid, self.hi) >= 1:
-                self.lo = mid
-            else:
-                self.hi = mid
-        # snap to the simplest rational in the bracket if it is the root itself
-        cand = simplest_rational_between(self.lo, self.hi)
-        if self.lo < cand and evaluate(self.sf, cand) == 0 and self._roots_strictly_above(cand) == 0:
-            self.exact = cand
-            self.lo = self.hi = cand
-            return (cand, cand)
-        return (self.lo, self.hi)
+        return self._bisect(lambda lo, hi: hi - lo <= width)
 
     def refine_until_separated_from(self, point: Fraction) -> tuple[Fraction, Fraction]:
-        """Shrink until the closed bracket excludes ``point``.
+        """A bracket whose closure excludes ``point``.
 
         The caller must know the root differs from ``point``; the loop then
-        terminates because bisection converges to the root.
+        terminates because bisection converges to the root.  A start bracket
+        that already excludes ``point`` is returned as it is, unless its upper
+        end is the root.
         """
-        if self.exact is not None:
-            return (self.exact, self.exact)
-        while self.lo <= point <= self.hi:
-            self.refine_to_width((self.hi - self.lo) / 2)
-            if self.exact is not None:
-                return (self.exact, self.exact)
-        return (self.lo, self.hi)
+        if not self.lo <= point <= self.hi and not self._is_largest_root(self.hi):
+            return (self.lo, self.hi)
+        return self._bisect(lambda lo, hi: not lo <= point <= hi)

@@ -10,7 +10,6 @@ consulted for a verdict.
 
 from __future__ import annotations
 
-import copy
 import enum
 import heapq
 from dataclasses import dataclass
@@ -68,30 +67,18 @@ class NonnegMatrix:
     def __repr__(self) -> str:
         return f"NonnegMatrix({[[str(x) for x in row] for row in self.rows]})"
 
-    @staticmethod
-    def identity(n: int) -> "NonnegMatrix":
-        return NonnegMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    def mul(self, other: "NonnegMatrix") -> "NonnegMatrix":
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        n = self.n
-        cols = list(zip(*other.rows)) if n else []
-        return NonnegMatrix(
-            [[sum((a * b for a, b in zip(row, col)), Fraction(0)) for col in cols] for row in self.rows]
-        )
-
     def pow(self, k: int) -> "NonnegMatrix":
+        """M**k by repeated squaring of the integer matrix L*M, divided by L**k."""
         if k < 0:
             raise ValueError("negative power")
-        result = NonnegMatrix.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result.mul(base)
-            base = base.mul(base) if k > 1 else base
-            k >>= 1
-        return result
+        scale, base = _cleared(self.rows, range(self.n))
+        power = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+        for bit in bin(k)[2:]:
+            power = _int_mul(power, power)
+            if bit == "1":
+                power = _int_mul(power, base)
+        den = scale**k
+        return NonnegMatrix([[Fraction(x, den) for x in row] for row in power])
 
     def submatrix(self, indices: Sequence[int]) -> "NonnegMatrix":
         return NonnegMatrix([[self.rows[i][j] for j in indices] for i in indices])
@@ -360,6 +347,11 @@ def _first_full_power(base: Sequence[int], cap: int) -> Optional[int]:
     return None
 
 
+def _int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
 def _bool_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     """Support rows of a product of nonnegative matrices from those of its factors."""
     out = []
@@ -505,18 +497,18 @@ def spectral_tag(m: NonnegMatrix) -> SpectralTag:
 
 
 def _leading_root_isolator(m: NonnegMatrix) -> LargestRootIsolator:
-    """A fresh copy of the isolator for the leading eigenvalue of a nonempty matrix.
+    """The isolator for the leading eigenvalue of a nonempty matrix.
 
     The leading eigenvalue is the largest real root of the characteristic
     polynomial; every eigenvalue has modulus at most the maximal row sum,
-    which gives the starting bracket (-rs-1, rs].  The isolator is built
-    once per matrix and every caller refines its own copy, so each bracket
-    bisects from that start whatever was asked before.
+    which gives the starting bracket (-rs-1, rs].  The isolator is an
+    immutable value built once per matrix; each query bisects from that
+    start whatever was asked before.
     """
     if m._isolator is None:
         rs = max(m.row_sums(), default=Fraction(0))
         object.__setattr__(m, "_isolator", LargestRootIsolator(charpoly(m), -rs - 1, rs))
-    return copy.copy(m._isolator)
+    return m._isolator
 
 
 def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fraction, Fraction]:

@@ -441,7 +441,7 @@ def _check_2222_component(
         # The union of two simple obstructions is simple (pad each certificate
         # with zeros and add), so the curves lying in some simple obstruction
         # are those outside the below-one closure, and together they form one.
-        ids = ret.table.class_ids()[: max(subset_cap, 0)]
+        ids = ret.table.class_ids()[:subset_cap]
         union = list(_outside_below_one_closure(ids, thurston_matrix(ret.table, ids)))
         for cid in union:
             row = ret.table.row(cid)
@@ -489,6 +489,8 @@ def check_canonical_candidate(
     A torus-quotient table is read up to its first ``subset_cap`` declared
     classes; a longer one marks the report truncated.
     """
+    if subset_cap < 1:
+        raise PreconditionError("subset cap must be at least 1")
     order = curve_order(table, curves)
     if not order:
         raise PreconditionError("the candidate multicurve is empty")

@@ -28,9 +28,11 @@ from thurston_obstruct.polynomials import (
     Poly,
     cauchy_root_bound,
     count_roots_between,
+    degree,
     divmod_poly,
     evaluate,
     poly,
+    simplest_rational_between,
     squarefree_part,
     sturm_chain,
 )
@@ -204,6 +206,16 @@ def imprimitivity_by_cycles(m: NonnegMatrix) -> int:
     return h
 
 
+def matrix_powers_by_fraction_products(m: NonnegMatrix, k_max: int) -> list[list[list[Fraction]]]:
+    """Rows of m**0, m**1, ..., m**k_max, each one Fraction product from the last."""
+    power = [[Fraction(int(i == j)) for j in range(m.n)] for i in range(m.n)]
+    powers = [power]
+    for _ in range(k_max):
+        power = _mul(power, m.rows) if m.n else []
+        powers.append(power)
+    return powers
+
+
 def decomposition_exponent_by_rational_powers(m: NonnegMatrix) -> int:
     """Exponent of the imprimitive decomposition from the rational power m**h.
 
@@ -211,7 +223,7 @@ def decomposition_exponent_by_rational_powers(m: NonnegMatrix) -> int:
     is the largest of their first positive powers.
     """
     h = imprimitivity_index(m)
-    mh = m.pow(h)
+    mh = NonnegMatrix(matrix_powers_by_fraction_products(m, h)[h])
     return h * max(power_positive_exponent(mh.submatrix(cls)) for cls in cyclic_classes(m))
 
 
@@ -312,3 +324,80 @@ def simple_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> list[t
             if exists_positive_subinvariant_vector(sub) is not None:
                 out.append(combo)
     return out
+
+
+# ---------------------------------------------------------------------------
+# root-isolation oracles
+
+
+def roots_strictly_above(p: Poly, x: Fraction) -> int:
+    """Distinct real roots of p in (x, +inf), deflating x when it is a root.
+
+    Counts between two non-roots only: x itself after dividing out (X - x),
+    and the Cauchy bound, which every root lies below.
+    """
+    sf = squarefree_part(p)
+    if evaluate(sf, x) == 0:
+        sf, rem = divmod_poly(sf, poly([-x, 1]))
+        assert not rem
+    if degree(sf) < 1:
+        return 0
+    hi = max(x + 1, cauchy_root_bound(sf))
+    return count_roots_between(sturm_chain(sf), x, hi)
+
+
+class DeflatingRootIsolator:
+    """Mutable bisection for the largest real root: two chain evaluations
+    per step, and a second Sturm chain of the deflated polynomial whenever
+    a midpoint is a root.  Refines its own state, so one instance answers
+    one query.  Same contract as ``LargestRootIsolator``: the largest real
+    root lies in (lo, hi] and p(lo) != 0.
+    """
+
+    def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
+        self.sf = squarefree_part(p)
+        self.chain = sturm_chain(self.sf)
+        assert evaluate(self.sf, lo) != 0
+        self.lo = lo
+        self.hi = hi
+        self.exact: Optional[Fraction] = None
+        if evaluate(self.sf, hi) == 0:
+            self.exact = self.lo = hi
+        else:
+            assert count_roots_between(self.chain, lo, hi) >= 1
+
+    def _roots_strictly_above(self, x: Fraction) -> int:
+        """Roots in (x, hi); x may be a root, hi never is at call time."""
+        sf, chain = self.sf, self.chain
+        if evaluate(sf, x) == 0:
+            sf, rem = divmod_poly(sf, poly([-x, 1]))
+            assert not rem
+            if degree(sf) < 1:
+                return 0
+            chain = sturm_chain(sf)
+        return count_roots_between(chain, x, self.hi)
+
+    def refine_to_width(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        if self.exact is not None:
+            return (self.exact, self.exact)
+        while self.hi - self.lo > width:
+            mid = (self.lo + self.hi) / 2
+            if evaluate(self.sf, mid) == 0:
+                if self._roots_strictly_above(mid) == 0:
+                    self.exact = self.lo = self.hi = mid
+                    return (mid, mid)
+                self.lo = mid
+            elif count_roots_between(self.chain, mid, self.hi) >= 1:
+                self.lo = mid
+            else:
+                self.hi = mid
+        cand = simplest_rational_between(self.lo, self.hi)
+        if self.lo < cand and evaluate(self.sf, cand) == 0:
+            if self._roots_strictly_above(cand) == 0:
+                self.exact = self.lo = self.hi = cand
+        return (self.lo, self.hi)
+
+    def refine_until_separated_from(self, point: Fraction) -> tuple[Fraction, Fraction]:
+        while self.exact is None and self.lo <= point <= self.hi:
+            self.refine_to_width((self.hi - self.lo) / 2)
+        return (self.lo, self.hi)

@@ -242,6 +242,15 @@ def test_exit_code_resource_cap_canonical(capsys):
     assert "truncated at subset cap 1" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_canonical_rejects_subset_cap_below_one(capsys, cap):
+    for command, doc in (("canonical", CANONICAL_DOC_FULL), ("table", LEVY_TABLE_DOC)):
+        assert main([command, json.dumps(doc), "--subset-cap", cap]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: subset cap must be at least 1\n"
+
+
 def test_capped_canonical_ignores_curve_beyond_the_cap(capsys):
     # 'k' lies in a simple obstruction but has no partition: an error only
     # when the cap lets the check read it

@@ -5,16 +5,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    DeflatingRootIsolator,
     charpoly_faddeev_leverrier,
     decomposition_exponent_by_rational_powers,
     determinant_by_elimination,
     imprimitivity_by_cycles,
+    matrix_powers_by_fraction_products,
+    roots_strictly_above,
     simple_by_exhaustion,
     sturm_tag,
 )
 from thurston_obstruct import (
     NonnegMatrix,
     PreconditionError,
+    SpectralClass,
     SpectralTag,
     below_one_closed_indices,
     charpoly,
@@ -31,7 +35,7 @@ from thurston_obstruct import (
     wielandt_bound,
 )
 from thurston_obstruct.polynomials import LargestRootIsolator, evaluate
-from thurston_obstruct.spectral import spectral_profile
+from thurston_obstruct.spectral import _leading_root_isolator, spectral_profile
 
 F = Fraction
 
@@ -442,6 +446,71 @@ def test_brackets_near_one_match_fresh_isolators():
     other = NonnegMatrix(rows)
     assert leading_eigenvalue_interval(other, width) == interval
     assert spectral_radius_class(other) == spectral
+
+
+@st.composite
+def shaped_matrices(draw, min_n=1, max_n=7):
+    """General, constant-row-sum (rho rational), triangular (rational
+    eigenvalues on the diagonal) and strictly triangular (nilpotent) matrices."""
+    n = draw(st.integers(min_n, max_n))
+    shape = draw(st.sampled_from(("general", "row_sum", "triangular", "strict")))
+    if shape == "row_sum" and n:
+        scale = draw(st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(5, 3))))
+        return NonnegMatrix(draw(row_stochastic(n, scale)))
+    cut = {"general": n, "triangular": 1, "strict": 0}.get(shape, n)
+    return NonnegMatrix([[draw(entries) if j < i + cut else 0 for j in range(n)] for i in range(n)])
+
+
+QUERY_WIDTHS = (F(2), F(1), F(1, 3), F(1, 10), F(1, 1000), F(1, 10**6))
+QUERY_POINTS = (F(-1), F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(7, 3))
+
+
+@given(shaped_matrices(), st.randoms(use_true_random=False))
+@settings(max_examples=120, deadline=None)
+def test_isolator_matches_deflating_oracle_in_any_order(m, rng):
+    cp = charpoly(m)
+    rs = max(m.row_sums())
+    lo, hi = -rs - 1, rs
+    # the isolator's own start-bracket ends are queried too; rho itself is
+    # skipped, since no bracket can be separated from it
+    points = [
+        x for x in QUERY_POINTS + (lo, hi) if evaluate(cp, x) != 0 or roots_strictly_above(cp, x)
+    ]
+    queries = [("width", w) for w in QUERY_WIDTHS] + [("point", x) for x in points]
+    rng.shuffle(queries)
+
+    def ask(iso, query):
+        kind, arg = query
+        return iso.refine_to_width(arg) if kind == "width" else iso.refine_until_separated_from(arg)
+
+    iso = _leading_root_isolator(m)
+    for query in queries:
+        assert ask(iso, query) == ask(DeflatingRootIsolator(cp, lo, hi), query), query
+    assert (iso.lo, iso.hi) == (lo, hi)
+    assert _leading_root_isolator(m) is iso
+
+
+@given(shaped_matrices(min_n=0), st.integers(0, 40))
+@settings(max_examples=80, deadline=None)
+def test_pow_matches_fraction_products(m, k_max):
+    for k, expected in enumerate(matrix_powers_by_fraction_products(m, k_max)):
+        assert [list(row) for row in m.pow(k).rows] == expected
+
+
+def test_pow_edge_cases():
+    assert NonnegMatrix([]).pow(0) == NonnegMatrix([]).pow(40) == NonnegMatrix([])
+    m = NonnegMatrix([[F(1, 2), 0], [3, 0]])
+    assert m.pow(0) == NonnegMatrix([[1, 0], [0, 1]])
+    with pytest.raises(ValueError):
+        m.pow(-1)
+
+
+def test_start_bracket_that_excludes_one_is_returned_unsnapped():
+    # nilpotent with row sums below 1: the start bracket (-3/2, 1/2] already
+    # excludes 1, and its upper end 1/2 is not the root 0
+    m = NonnegMatrix([[0, F(1, 2)], [0, 0]])
+    assert spectral_radius_class(m) == SpectralClass(SpectralTag.BELOW_ONE, F(-3, 2), F(1, 2))
+    assert leading_eigenvalue_interval(m, F(1, 10)) == (F(0), F(0))
 
 
 # ---------------------------------------------------------------------------

@@ -536,6 +536,17 @@ def test_capped_2222_check_ignores_curves_beyond_the_cap():
     assert capped.components[0].reasons[1:] == ()
 
 
+@pytest.mark.parametrize("cap", [0, -3])
+def test_candidate_rejects_subset_cap_below_one(cap):
+    with pytest.raises(PreconditionError, match="subset cap must be at least 1"):
+        check_canonical_candidate(
+            levy_two_cycle(),
+            ["g1", "g2"],
+            (DecompositionComponent(4, Return2222(((2, 2), (0, 2)))),),
+            cap,
+        )
+
+
 def test_candidate_2222_wrong_marked_count():
     with pytest.raises(PreconditionError):
         check_canonical_candidate(
