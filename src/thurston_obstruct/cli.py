@@ -21,7 +21,7 @@ from typing import Any, Optional
 
 from . import documents as docs
 from .documents import InputFormatError
-from .orbifold import OrbifoldClass, classify_orbifold
+from .orbifold import CriticalPortrait, classify_orbifold
 from .slopes import (
     canonical_obstruction_2222,
     eigenvalue_classification,
@@ -91,25 +91,24 @@ def _read_input(inline: Optional[str], path_or_json: Optional[str]) -> Any:
     if stripped.startswith("{"):
         return _load_json(path_or_json, "argument")
     path = Path(path_or_json)
-    if not path.exists():
-        raise InputFormatError(f"input file {path_or_json!r} does not exist")
-    return _load_json(path.read_text(encoding="utf-8"), str(path))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError as exc:
+        raise InputFormatError(f"input file {path_or_json!r} does not exist") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise InputFormatError(f"input file {path_or_json!r} cannot be read: {exc}") from exc
+    return _load_json(text, str(path))
 
 
 # ---------------------------------------------------------------------------
-# per-command analyses; each takes the echoed request and returns (result, code)
+# per-command analyses; each takes the decoded input and returns (result, code)
 
 
-def _run_orbifold(input_doc: Any, options: dict) -> tuple[dict, int]:
-    portrait = docs.portrait_from_doc(input_doc)
-    sig = classify_orbifold(portrait)
-    result = docs.signature_to_doc(sig)
-    result["is_2222"] = sig.kind == OrbifoldClass.PARABOLIC and sig.weights == (2, 2, 2, 2)
-    return result, EXIT_OK
+def _run_orbifold(portrait: CriticalPortrait, options: dict) -> tuple[dict, int]:
+    return docs.signature_to_doc(classify_orbifold(portrait)), EXIT_OK
 
 
-def _run_matrix(input_doc: Any, options: dict) -> tuple[dict, int]:
-    rows = docs.rational_rows_from_doc(input_doc["matrix"], "matrix")
+def _run_matrix(rows: list, options: dict) -> tuple[dict, int]:
     try:
         matrix = NonnegMatrix(rows)
     except ValueError as exc:
@@ -136,22 +135,19 @@ def _run_matrix(input_doc: Any, options: dict) -> tuple[dict, int]:
     }
     if options["check_simple"]:
         cert = exists_positive_subinvariant_vector(matrix)
-        result["simple"] = {
-            "exists": cert is not None,
-            "certificate": [docs.format_rational(x) for x in cert] if cert is not None else None,
-        }
+        result["simple"] = {"exists": cert is not None, "certificate": docs.certificate_to_doc(cert)}
     return result, EXIT_OK
 
 
-def _run_slopes(input_doc: Any, options: dict) -> tuple[dict, int]:
-    raw = docs.int_matrix2_from_doc(input_doc["matrix"], "matrix")
-    tmap = normalize(raw)
+def _run_slopes(action: tuple, options: dict) -> tuple[dict, int]:
+    tmap = normalize(action)
     canonical = canonical_obstruction_2222(tmap)
     result: dict[str, Any] = {
         "action": docs.torus_map_to_doc(tmap),
         "degree": tmap.degree,
         "eigenvalues": docs.eigenvalue_class_to_doc(eigenvalue_classification(tmap)),
         "canonical_obstruction": docs.obstruction_slope_to_doc(canonical),
+        "search": None,
     }
     bound = options["bound"]
     if bound is not None:
@@ -161,60 +157,63 @@ def _run_slopes(input_doc: Any, options: dict) -> tuple[dict, int]:
             "bound": bound,
             "found": docs.obstruction_slope_to_doc(find_obstruction_by_search(tmap, bound)),
         }
-    else:
-        result["search"] = None
     return result, EXIT_OK
 
 
-def _run_table(input_doc: Any, options: dict) -> tuple[dict, int]:
-    table, multicurve = docs.table_from_doc(input_doc)
-    report = analyze_table(table, multicurve, subset_cap=options["subset_cap"])
-    result = docs.table_report_to_doc(report)
-    return result, EXIT_RESOURCE_CAP if report.minimal.truncated else EXIT_OK
+def _run_table(decoded: tuple, options: dict) -> tuple[dict, int]:
+    report = analyze_table(*decoded, subset_cap=options["subset_cap"])
+    return docs.table_report_to_doc(report), EXIT_RESOURCE_CAP if report.minimal.truncated else EXIT_OK
 
 
-def _run_canonical(input_doc: Any, options: dict) -> tuple[dict, int]:
-    table, multicurve, decomposition = docs.canonical_from_doc(input_doc)
+def _run_canonical(decoded: tuple, options: dict) -> tuple[dict, int]:
+    table, multicurve, decomposition = decoded
     report = check_canonical_candidate(
         table, multicurve, decomposition, subset_cap=options["subset_cap"]
     )
     result = docs.canonical_report_to_doc(report)
-    cert = report.simple_certificate
     result["candidate"] = {
         "curves": multicurve,
-        "simple_certificate": [docs.format_rational(x) for x in cert]
-        if cert is not None
-        else None,
+        "simple_certificate": docs.certificate_to_doc(report.simple_certificate),
         "completely_invariant": report.completely_invariant,
     }
     return result, EXIT_RESOURCE_CAP if report.truncated else EXIT_OK
 
 
-_RUNNERS = {
-    "orbifold": _run_orbifold,
-    "matrix": _run_matrix,
-    "slopes": _run_slopes,
-    "table": _run_table,
-    "canonical": _run_canonical,
+#: command -> (decode the input document, echo the decoded input, analysis).
+#: The lambdas look the ``docs`` functions up at each call, so a wrapper
+#: patched onto the module (a tracer's, say) sees every call.
+_COMMANDS = {
+    "orbifold": (
+        lambda raw: docs.portrait_from_doc(raw), lambda p: docs.portrait_to_doc(p), _run_orbifold
+    ),
+    "matrix": (
+        lambda raw: docs.matrix_from_doc(raw), lambda m: docs.matrix_input_to_doc(m), _run_matrix
+    ),
+    "slopes": (
+        lambda raw: docs.action_from_doc(raw), lambda a: docs.action_input_to_doc(a), _run_slopes
+    ),
+    "table": (lambda raw: docs.table_from_doc(raw), lambda t: docs.table_to_doc(*t), _run_table),
+    "canonical": (
+        lambda raw: docs.canonical_from_doc(raw), lambda c: docs.canonical_to_doc(*c), _run_canonical
+    ),
 }
 
 
 def run_request(request: dict) -> tuple[dict, int]:
     """Execute an analysis request and assemble its report document.
 
-    The request document is echoed into the report, so re-running the
-    report's embedded request reproduces the report bit for bit.
+    The input is decoded once; the report echoes its normal form, and
+    normalizing is idempotent, so re-running the report's embedded request
+    reproduces the report bit for bit.
     """
     command = request.get("command")
-    if command not in _RUNNERS:
+    if command not in _COMMANDS:
         raise InputFormatError(f"unknown command {command!r}")
-    result, code = _RUNNERS[command](request["input"], request["options"])
-    report = {
-        "schema": docs.REPORT_SCHEMA,
-        "request": request,
-        "result": result,
-    }
-    return report, code
+    decode, echo, analyze = _COMMANDS[command]
+    decoded = decode(request["input"])
+    echoed = {"command": command, "input": echo(decoded), "options": request["options"]}
+    result, code = analyze(decoded, request["options"])
+    return {"schema": docs.REPORT_SCHEMA, "request": echoed, "result": result}, code
 
 
 # ---------------------------------------------------------------------------
@@ -236,6 +235,11 @@ def _render_obstruction_slope(doc: dict) -> str:
     return f"nonempty, slope {p}/{q}, multiplier {doc['multiplier']}"
 
 
+def _render_spectral(doc: dict) -> str:
+    lo, hi = doc["interval"]
+    return f"spectral class: {doc['class']} (interval [{lo}, {hi}])"
+
+
 def _tristate_text(value) -> str:
     return {True: "yes", False: "no", None: "unknown"}[value]
 
@@ -254,11 +258,7 @@ def render_text(report: dict) -> str:
         lines.append(f"(2,2,2,2)-map: {'yes' if result['is_2222'] else 'no'}")
     elif command == "matrix":
         lines.append(f"size: {result['n']}")
-        spectral = result["spectral"]
-        lines.append(
-            f"spectral class: {spectral['class']} "
-            f"(interval [{spectral['interval'][0]}, {spectral['interval'][1]}])"
-        )
+        lines.append(_render_spectral(result["spectral"]))
         li = result["leading_interval"]
         lines.append(f"leading eigenvalue interval: [{li[0]}, {li[1]}]")
         lines.append(f"irreducible: {'yes' if result['irreducible'] else 'no'}")
@@ -292,11 +292,7 @@ def render_text(report: dict) -> str:
         lines.append(f"curves: {result['curves']}")
         for row in result["matrix"]:
             lines.append(f"  [{', '.join(row)}]")
-        spectral = result["spectral"]
-        lines.append(
-            f"spectral class: {spectral['class']} "
-            f"(interval [{spectral['interval'][0]}, {spectral['interval'][1]}])"
-        )
+        lines.append(_render_spectral(result["spectral"]))
         lines.append(f"obstruction: {'yes' if result['is_obstruction'] else 'no'}")
         lines.append(f"invariant: {_tristate_text(result['invariant'])}")
         lines.append(f"completely invariant: {_tristate_text(result['completely_invariant'])}")
@@ -395,63 +391,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _request_from_args(args: argparse.Namespace) -> dict:
-    command = args.command
-    inline = getattr(args, "matrix", None)
-    raw = _read_input(inline, args.input)
-    if command in ("matrix", "slopes"):
-        input_doc = docs.matrix_doc_from_value(raw) if command == "matrix" else _slopes_doc(raw)
-    elif command == "orbifold":
-        input_doc = docs.portrait_to_doc(docs.portrait_from_doc(raw))
-    elif command == "table":
-        table, multicurve = docs.table_from_doc(raw)
-        input_doc = docs.table_to_doc(table, multicurve)
-    else:
-        table, multicurve, decomposition = docs.canonical_from_doc(raw)
-        input_doc = {
-            "schema": docs.CANONICAL_SCHEMA,
-            "table": {k: v for k, v in docs.table_to_doc(table).items() if k != "schema"},
-            "multicurve": multicurve,
-            "decomposition": docs.decomposition_to_doc(decomposition),
-        }
-    options: dict[str, Any] = {}
-    if command == "matrix":
-        options = {"width": args.width, "check_simple": bool(args.check_simple)}
-    elif command == "slopes":
-        options = {"bound": args.bound}
-    elif command in ("table", "canonical"):
-        options = {"subset_cap": args.subset_cap}
-    return {"command": command, "input": input_doc, "options": options}
-
-
-def _slopes_doc(raw: Any) -> dict:
-    if isinstance(raw, dict):
-        schema = raw.get("schema")
-        if schema != docs.MATRIX_SCHEMA:
-            raise InputFormatError(f"schema: expected {docs.MATRIX_SCHEMA!r}, got {schema!r}")
-        value = raw.get("matrix")
-    else:
-        value = raw
-    action = docs.int_matrix2_from_doc(value, "matrix")
-    return {"schema": docs.MATRIX_SCHEMA, "matrix": [list(action[0]), list(action[1])]}
-
-
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    # a request's options: every parsed argument but the input and the report format
+    skip = ("command", "input", "matrix", "format")
+    options = {k: v for k, v in vars(args).items() if k not in skip}
     try:
-        request = _request_from_args(args)
-        report, code = run_request(request)
-    except InputFormatError as exc:
+        raw = _read_input(getattr(args, "matrix", None), args.input)
+        report, code = run_request({"command": args.command, "input": raw, "options": options})
+    except (InputFormatError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    if args.format == "json":
-        sys.stdout.write(docs.dumps(report))
-    else:
-        sys.stdout.write(render_text(report))
+        return EXIT_BAD_INPUT if isinstance(exc, InputFormatError) else EXIT_PRECONDITION
+    sys.stdout.write(docs.dumps(report) if args.format == "json" else render_text(report))
     return code
 
 

@@ -4,11 +4,17 @@ Inputs and reports are UTF-8 JSON with a versioned top-level ``schema``
 field.  Exactness forbids floats everywhere: rationals travel as
 canonical "p/q" strings (or bare integers on input), infinite weights as
 the string "inf", slopes as two-element integer arrays.
+
+The input schemas shipped in ``schemas/`` are the one definition of a
+valid input: every decoder first runs ``validate`` on its document, then
+checks only what no schema states (a zero denominator, a square matrix)
+and leaves the mathematics to the domain constructors.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import re
 from fractions import Fraction
 from typing import Any, Optional, Sequence
@@ -25,7 +31,6 @@ from .slopes import (
 from .spectral import (
     BlockStructure,
     ImprimitiveDecomposition,
-    NonnegMatrix,
     SpectralClass,
 )
 from .tables import (
@@ -56,39 +61,149 @@ def _fail(where: str, message: str) -> "InputFormatError":
 
 
 # ---------------------------------------------------------------------------
+# validation against the shipped schemas
+
+_SCHEMA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "schemas")
+
+_files: dict[str, dict] = {}  # schema file name -> parsed file, loaded on first use
+_targets: dict[tuple[str, str], tuple[Any, str]] = {}  # ($ref, file) -> (schema, its file)
+
+_TYPES = {  # schema type -> (Python type, what an error message calls it)
+    "object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string"),
+    "integer": (int, "an integer"), "boolean": (bool, "a boolean"), "null": (type(None), "null"),
+}
+
+
+def _resolve(ref: str, base: str) -> tuple[Any, str]:
+    """The schema that ``ref`` names when read in the file ``base``, and its file."""
+    target = _targets.get((ref, base))
+    if target is None:
+        name, _, pointer = ref.partition("#")
+        name = name or base
+        node = _files.get(name)
+        if node is None:
+            with open(os.path.join(_SCHEMA_DIR, name), encoding="utf-8") as f:
+                node = _files[name] = json.load(f)
+        for part in pointer.split("/")[1:]:
+            node = node[part.replace("~1", "/").replace("~0", "~")]
+        target = _targets[ref, base] = (node, name)
+    return target
+
+
+def _join(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _check(value: Any, schema: dict, base: str, where: str) -> Optional[tuple[str, str]]:
+    """The ``(path, message)`` of the first failure of ``value``, or None.
+
+    Failures are returned, not raised: ``oneOf`` tries every branch, and an
+    exception per failed branch (one per string entry of a matrix) would
+    cost more than the rest of the validation.
+    """
+    if "$ref" in schema:
+        error = _check(value, *_resolve(schema["$ref"], base), where)
+        if error is not None:
+            return error
+    branches = schema.get("oneOf")
+    if branches is not None:
+        errors = [_check(value, branch, base, where) for branch in branches]
+        errors = [e for e in errors if e is not None]
+        if len(errors) < len(branches) - 1:
+            return where, "matches more than one allowed form"
+        if len(errors) == len(branches):
+            paths = [path for path, _ in errors]
+            if paths.count(paths[0]) == len(paths):
+                return paths[0], schema.get("description", errors[0][1])
+            # the branch that got furthest into the value; of equally deep
+            # failures, the one fewest branches share (the others failed on
+            # a discriminating field such as "kind")
+            return max(errors, key=lambda e: (e[0].count(".") + e[0].count("["), -paths.count(e[0])))
+    kind = schema.get("type")
+    if kind is not None:
+        kinds = (kind,) if isinstance(kind, str) else kind
+        for k in kinds:
+            # "integer" is stricter than jsonschema, which takes 1.0: floats
+            # never enter the program; and a boolean is not a number
+            if isinstance(value, _TYPES[k][0]) and not (k == "integer" and isinstance(value, bool)):
+                break
+        else:
+            return where, "expected " + " or ".join(_TYPES[k][1] for k in kinds)
+    if "const" in schema:
+        const = schema["const"]
+        if value != const or type(value) is not type(const):
+            return where, f"expected {const!r}, got {value!r}"
+    if isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            return where, f"expected at least {schema['minLength']} character(s)"
+        pattern = schema.get("pattern")
+        # the whole string, as ECMA-262's `$` requires: Python's `$` also
+        # matches before a final newline, so re.search would take "1/2\n"
+        if pattern is not None and re.fullmatch(pattern, value) is None:
+            return where, f"expected a string matching {pattern}"
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return where, f"expected at least {schema['minItems']} entries"
+        if len(value) > schema.get("maxItems", len(value)):
+            return where, f"expected at most {schema['maxItems']} entries"
+        items = schema.get("items")
+        if items is not None:
+            for i, item in enumerate(value):
+                error = _check(item, items, base, f"{where}[{i}]")
+                if error is not None:
+                    return error
+    elif isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key, sub in properties.items():
+            if key in value:
+                error = _check(value[key], sub, base, _join(where, key))
+                if error is not None:
+                    return error
+        if schema.get("additionalProperties", True) is False:
+            for key in value:
+                if key not in properties:
+                    return _join(where, key), "unknown field"
+        for key in schema.get("required", ()):
+            if key not in value:
+                return _join(where, key), "missing field"
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if value < schema.get("minimum", value):
+            return where, f"expected at least {schema['minimum']}"
+    return None
+
+
+def validate(value: Any, ref: str, where: str = "") -> None:
+    """Raise ``InputFormatError`` unless ``value`` satisfies the schema ``ref``.
+
+    ``ref`` is a schema file name, optionally with a JSON pointer
+    (``table.schema.json#/$defs/tableFields``); ``where`` is the field
+    path of ``value``, the prefix of every path in the message.
+    """
+    error = _check(value, *_resolve(ref, ""), where)
+    if error is not None:
+        path, message = error
+        raise _fail(path or "input", message)
+
+
+# ---------------------------------------------------------------------------
 # scalars
 
 
-#: ``rational`` strings of ``common.schema.json``: ``Fraction(str)`` alone
-#: would also take decimals, exponents, spaces and digit separators.
-_RATIONAL_STRING = re.compile(r"-?[0-9]+(/[0-9]+)?")
+def _fraction(value: Any, where: str) -> Fraction:
+    """A schema-valid rational; ``p/0`` is the one form the pattern lets through."""
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError) as exc:  # zero denominator, or too many digits
+        raise _fail(where, f"invalid rational {value!r}") from exc
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
-    if isinstance(value, bool):
-        raise _fail(where, "expected an integer or 'p/q' string")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        raise _fail(where, "floating-point numbers are not accepted; use 'p/q' strings")
-    if isinstance(value, str):
-        if _RATIONAL_STRING.fullmatch(value) is None:
-            raise _fail(where, f"invalid rational {value!r}; expected an integer or 'p/q' string")
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise _fail(where, f"invalid rational {value!r}") from exc
-    raise _fail(where, f"expected an integer or 'p/q' string, got {type(value).__name__}")
+    validate(value, "common.schema.json#/$defs/rational", where)
+    return _fraction(value, where)
 
 
 def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
-
-
-def parse_int(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise _fail(where, "expected an integer")
-    return value
 
 
 def format_weight(w) -> Any:
@@ -99,11 +214,9 @@ def format_weight(w) -> Any:
 # matrices
 
 
-def rational_rows_from_doc(value: Any, where: str) -> list[list[Fraction]]:
-    if not isinstance(value, list) or not all(isinstance(r, list) for r in value):
-        raise _fail(where, "expected an array of arrays")
+def _square_rows(value: list, where: str) -> list[list[Fraction]]:
     rows = [
-        [parse_rational(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
+        [_fraction(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
         for i, row in enumerate(value)
     ]
     n = len(rows)
@@ -113,39 +226,47 @@ def rational_rows_from_doc(value: Any, where: str) -> list[list[Fraction]]:
     return rows
 
 
+def rational_rows_from_doc(value: Any, where: str) -> list[list[Fraction]]:
+    validate(value, "common.schema.json#/$defs/rationalMatrix", where)
+    return _square_rows(value, where)
+
+
 def int_matrix2_from_doc(value: Any, where: str) -> tuple[tuple[int, int], tuple[int, int]]:
-    if (
-        not isinstance(value, list)
-        or len(value) != 2
-        or any(not isinstance(r, list) or len(r) != 2 for r in value)
-    ):
-        raise _fail(where, "expected a 2x2 array of integers")
-    (a, b), (c, d) = value
-    return (
-        (parse_int(a, f"{where}[0][0]"), parse_int(b, f"{where}[0][1]")),
-        (parse_int(c, f"{where}[1][0]"), parse_int(d, f"{where}[1][1]")),
-    )
+    validate(value, "common.schema.json#/$defs/intMatrix2", where)
+    return tuple(map(tuple, value))
 
 
-def matrix_to_doc(m: NonnegMatrix) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in m.rows]
+def matrix_from_doc(value: Any) -> list[list[Fraction]]:
+    """Rows of a ``matrix`` input: a matrix document or a bare array."""
+    if not isinstance(value, dict):
+        return rational_rows_from_doc(value, "matrix")
+    validate(value, "matrix.schema.json")  # covers the entries: no second pass over them
+    return _square_rows(value["matrix"], "matrix")
+
+
+def action_from_doc(value: Any) -> tuple[tuple[int, int], tuple[int, int]]:
+    """Homology action of a ``slopes`` input: a matrix document or a bare 2x2 array."""
+    if isinstance(value, dict):
+        validate(value, "matrix.schema.json")
+        value = value["matrix"]
+    return int_matrix2_from_doc(value, "matrix")
+
+
+def matrix_to_doc(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
+    return [[format_rational(x) for x in row] for row in rows]
+
+
+def matrix_input_to_doc(rows: Sequence[Sequence[Fraction]]) -> dict:
+    return {"schema": MATRIX_SCHEMA, "matrix": matrix_to_doc(rows)}
+
+
+def action_input_to_doc(action: tuple[tuple[int, int], tuple[int, int]]) -> dict:
+    return {"schema": MATRIX_SCHEMA, "matrix": [list(row) for row in action]}
 
 
 def matrix_doc_from_value(value: Any) -> dict:
     """Normalize a bare matrix array or a schema'd document to a document."""
-    if isinstance(value, dict):
-        schema = value.get("schema")
-        if schema != MATRIX_SCHEMA:
-            raise _fail("schema", f"expected {MATRIX_SCHEMA!r}, got {schema!r}")
-        if "matrix" not in value:
-            raise _fail("matrix", "missing field")
-        rows = rational_rows_from_doc(value["matrix"], "matrix")
-    else:
-        rows = rational_rows_from_doc(value, "matrix")
-    return {
-        "schema": MATRIX_SCHEMA,
-        "matrix": [[format_rational(x) for x in row] for row in rows],
-    }
+    return matrix_input_to_doc(matrix_from_doc(value))
 
 
 # ---------------------------------------------------------------------------
@@ -153,32 +274,12 @@ def matrix_doc_from_value(value: Any) -> dict:
 
 
 def portrait_from_doc(doc: Any) -> CriticalPortrait:
-    if not isinstance(doc, dict):
-        raise _fail("portrait", "expected an object")
-    schema = doc.get("schema")
-    if schema != PORTRAIT_SCHEMA:
-        raise _fail("schema", f"expected {PORTRAIT_SCHEMA!r}, got {schema!r}")
-    degree = parse_int(doc.get("degree"), "degree")
-    raw_points = doc.get("points")
-    if not isinstance(raw_points, list) or not raw_points:
-        raise _fail("points", "expected a nonempty array")
-    points = []
-    for i, entry in enumerate(raw_points):
-        where = f"points[{i}]"
-        if not isinstance(entry, dict):
-            raise _fail(where, "expected an object")
-        label = entry.get("id")
-        if not isinstance(label, str) or not label:
-            raise _fail(f"{where}.id", "expected a nonempty string")
-        marked = entry.get("marked")
-        if not isinstance(marked, bool):
-            raise _fail(f"{where}.marked", "expected a boolean")
-        image = entry.get("image")
-        if not isinstance(image, str):
-            raise _fail(f"{where}.image", "expected a string")
-        local_degree = parse_int(entry.get("local_degree", 1), f"{where}.local_degree")
-        points.append(PortraitPoint(label, marked, image, local_degree))
-    return CriticalPortrait(degree=degree, points=tuple(points))
+    validate(doc, "portrait.schema.json")
+    points = tuple(
+        PortraitPoint(p["id"], p["marked"], p["image"], p.get("local_degree", 1))
+        for p in doc["points"]
+    )
+    return CriticalPortrait(degree=doc["degree"], points=points)
 
 
 def portrait_to_doc(portrait: CriticalPortrait) -> dict:
@@ -201,72 +302,30 @@ def portrait_to_doc(portrait: CriticalPortrait) -> dict:
 # curve tables and decompositions
 
 
-def _table_from_fields(doc: dict, where: str) -> CurveTable:
-    map_degree = parse_int(doc.get("map_degree"), f"{where}.map_degree")
+def _table(doc: dict) -> CurveTable:
+    """The table of schema-valid ``tableFields``."""
     marked = doc.get("marked_points")
-    marked_points: Optional[tuple[str, ...]] = None
-    if marked is not None:
-        if not isinstance(marked, list) or not all(isinstance(x, str) for x in marked):
-            raise _fail(f"{where}.marked_points", "expected an array of strings")
-        marked_points = tuple(marked)
-    raw_classes = doc.get("classes")
-    if not isinstance(raw_classes, list) or not raw_classes:
-        raise _fail(f"{where}.classes", "expected a nonempty array")
-    classes = []
-    for i, entry in enumerate(raw_classes):
-        cw = f"{where}.classes[{i}]"
-        if not isinstance(entry, dict):
-            raise _fail(cw, "expected an object")
-        cid = entry.get("id")
-        if not isinstance(cid, str) or not cid:
-            raise _fail(f"{cw}.id", "expected a nonempty string")
-        raw_pullback = entry.get("pullback", [])
-        if not isinstance(raw_pullback, list):
-            raise _fail(f"{cw}.pullback", "expected an array")
-        comps = []
-        for j, comp in enumerate(raw_pullback):
-            pw = f"{cw}.pullback[{j}]"
-            if not isinstance(comp, dict):
-                raise _fail(pw, "expected an object")
-            deg = parse_int(comp.get("degree"), f"{pw}.degree")
-            target = comp.get("target")
-            if not isinstance(target, str):
-                raise _fail(f"{pw}.target", "expected a class id, 'inessential' or 'untracked'")
-            comps.append(PullbackComponent(degree=deg, target=target))
-        partition = None
-        raw_partition = entry.get("partition")
-        if raw_partition is not None:
-            if (
-                not isinstance(raw_partition, list)
-                or len(raw_partition) != 2
-                or any(
-                    not isinstance(side, list) or not all(isinstance(x, str) for x in side)
-                    for side in raw_partition
-                )
-            ):
-                raise _fail(f"{cw}.partition", "expected two arrays of marked-point ids")
-            partition = (frozenset(raw_partition[0]), frozenset(raw_partition[1]))
-        classes.append(CurveClass(id=cid, pullback=tuple(comps), partition=partition))
-    return CurveTable(map_degree=map_degree, classes=tuple(classes), marked_points=marked_points)
+    return CurveTable(
+        map_degree=doc["map_degree"],
+        classes=tuple(
+            CurveClass(
+                c["id"],
+                tuple(PullbackComponent(p["degree"], p["target"]) for p in c["pullback"]),
+                tuple(map(frozenset, c["partition"])) if "partition" in c else None,
+            )
+            for c in doc["classes"]
+        ),
+        marked_points=tuple(marked) if marked is not None else None,
+    )
 
 
 def table_from_doc(doc: Any) -> tuple[CurveTable, Optional[list[str]]]:
-    if not isinstance(doc, dict):
-        raise _fail("table", "expected an object")
-    schema = doc.get("schema")
-    if schema != TABLE_SCHEMA:
-        raise _fail("schema", f"expected {TABLE_SCHEMA!r}, got {schema!r}")
-    table = _table_from_fields(doc, "table")
-    multicurve = doc.get("multicurve")
-    if multicurve is not None:
-        if not isinstance(multicurve, list) or not all(isinstance(x, str) for x in multicurve):
-            raise _fail("multicurve", "expected an array of class ids")
-    return table, multicurve
+    validate(doc, "table.schema.json")
+    return _table(doc), doc.get("multicurve")
 
 
-def table_to_doc(table: CurveTable, multicurve: Optional[Sequence[str]] = None) -> dict:
+def _table_fields_to_doc(table: CurveTable) -> dict:
     doc: dict[str, Any] = {
-        "schema": TABLE_SCHEMA,
         "map_degree": table.map_degree,
         "classes": [
             {
@@ -285,43 +344,35 @@ def table_to_doc(table: CurveTable, multicurve: Optional[Sequence[str]] = None) 
     }
     if table.marked_points is not None:
         doc["marked_points"] = list(table.marked_points)
+    return doc
+
+
+def table_to_doc(table: CurveTable, multicurve: Optional[Sequence[str]] = None) -> dict:
+    doc = {"schema": TABLE_SCHEMA, **_table_fields_to_doc(table)}
     if multicurve is not None:
         doc["multicurve"] = list(multicurve)
     return doc
 
 
-def decomposition_from_doc(value: Any) -> tuple[DecompositionComponent, ...]:
-    if not isinstance(value, list) or not value:
-        raise _fail("decomposition", "expected a nonempty array")
+def _decomposition(value: list) -> tuple[DecompositionComponent, ...]:
+    """The components of a schema-valid ``decomposition`` array."""
     out = []
-    for i, entry in enumerate(value):
-        where = f"decomposition[{i}]"
-        if not isinstance(entry, dict):
-            raise _fail(where, "expected an object")
-        marked = parse_int(entry.get("marked_points"), f"{where}.marked_points")
-        ret = entry.get("first_return")
-        if not isinstance(ret, dict):
-            raise _fail(f"{where}.first_return", "expected an object")
-        kind = ret.get("kind")
-        if kind == "homeomorphism":
+    for entry in value:
+        ret = entry["first_return"]
+        if ret["kind"] == "homeomorphism":
             first = ReturnHomeomorphism()
-        elif kind == "2222":
-            matrix = int_matrix2_from_doc(ret.get("matrix"), f"{where}.first_return.matrix")
-            inner = None
-            if ret.get("table") is not None:
-                inner = _table_from_fields(ret["table"], f"{where}.first_return.table")
-            first = Return2222(matrix=matrix, table=inner)
-        elif kind == "general":
-            if not isinstance(ret.get("table"), dict):
-                raise _fail(f"{where}.first_return.table", "expected an object")
-            first = ReturnGeneral(table=_table_from_fields(ret["table"], f"{where}.first_return.table"))
+        elif ret["kind"] == "2222":
+            inner = _table(ret["table"]) if "table" in ret else None
+            first = Return2222(matrix=tuple(map(tuple, ret["matrix"])), table=inner)
         else:
-            raise _fail(
-                f"{where}.first_return.kind",
-                "expected 'homeomorphism', '2222' or 'general'",
-            )
-        out.append(DecompositionComponent(marked_points=marked, first_return=first))
+            first = ReturnGeneral(table=_table(ret["table"]))
+        out.append(DecompositionComponent(marked_points=entry["marked_points"], first_return=first))
     return tuple(out)
+
+
+def decomposition_from_doc(value: Any) -> tuple[DecompositionComponent, ...]:
+    validate(value, "canonical.schema.json#/properties/decomposition", "decomposition")
+    return _decomposition(value)
 
 
 def decomposition_to_doc(decomposition: Sequence[DecompositionComponent]) -> list[dict]:
@@ -333,31 +384,29 @@ def decomposition_to_doc(decomposition: Sequence[DecompositionComponent]) -> lis
         elif isinstance(ret, Return2222):
             payload = {"kind": "2222", "matrix": [list(ret.matrix[0]), list(ret.matrix[1])]}
             if ret.table is not None:
-                inner = table_to_doc(ret.table)
-                inner.pop("schema")
-                payload["table"] = inner
+                payload["table"] = _table_fields_to_doc(ret.table)
         else:
-            inner = table_to_doc(ret.table)
-            inner.pop("schema")
-            payload = {"kind": "general", "table": inner}
+            payload = {"kind": "general", "table": _table_fields_to_doc(ret.table)}
         out.append({"marked_points": comp.marked_points, "first_return": payload})
     return out
 
 
 def canonical_from_doc(doc: Any) -> tuple[CurveTable, list[str], tuple[DecompositionComponent, ...]]:
-    if not isinstance(doc, dict):
-        raise _fail("canonical", "expected an object")
-    schema = doc.get("schema")
-    if schema != CANONICAL_SCHEMA:
-        raise _fail("schema", f"expected {CANONICAL_SCHEMA!r}, got {schema!r}")
-    if not isinstance(doc.get("table"), dict):
-        raise _fail("table", "expected an object")
-    table = _table_from_fields(doc["table"], "table")
-    multicurve = doc.get("multicurve")
-    if not isinstance(multicurve, list) or not all(isinstance(x, str) for x in multicurve):
-        raise _fail("multicurve", "expected an array of class ids")
-    decomposition = decomposition_from_doc(doc.get("decomposition"))
-    return table, multicurve, decomposition
+    validate(doc, "canonical.schema.json")
+    return _table(doc["table"]), doc["multicurve"], _decomposition(doc["decomposition"])
+
+
+def canonical_to_doc(
+    table: CurveTable,
+    multicurve: Sequence[str],
+    decomposition: Sequence[DecompositionComponent],
+) -> dict:
+    return {
+        "schema": CANONICAL_SCHEMA,
+        "table": _table_fields_to_doc(table),
+        "multicurve": list(multicurve),
+        "decomposition": decomposition_to_doc(decomposition),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +437,7 @@ def imprimitive_to_doc(dec: ImprimitiveDecomposition) -> dict:
         "exponent": dec.exponent,
         "permutation": list(dec.permutation),
         "block_sizes": list(dec.block_sizes),
-        "blocks": [matrix_to_doc(b) for b in dec.blocks],
+        "blocks": [matrix_to_doc(b.rows) for b in dec.blocks],
     }
 
 
@@ -429,26 +478,24 @@ def signature_to_doc(sig: OrbifoldSignature) -> dict:
         "signature": [format_weight(w) for w in sig.weights]
         if sig.parabolic_signature is not None
         else None,
+        "is_2222": sig.is_2222,
     }
 
 
-def _tristate(value: Optional[bool]) -> Any:
-    return value  # JSON true / false / null (null = unknown)
+def certificate_to_doc(cert: Optional[Sequence[Fraction]]) -> Optional[list[str]]:
+    return [format_rational(x) for x in cert] if cert is not None else None
 
 
 def table_report_to_doc(report: ObstructionReport) -> dict:
     cert = report.simple_certificate
     return {
         "curves": list(report.curve_order),
-        "matrix": matrix_to_doc(report.matrix),
+        "matrix": matrix_to_doc(report.matrix.rows),
         "spectral": spectral_to_doc(report.spectral),
         "is_obstruction": report.is_obstruction,
-        "invariant": _tristate(report.invariant),
-        "completely_invariant": _tristate(report.completely_invariant),
-        "simple": {
-            "exists": cert is not None,
-            "certificate": [format_rational(x) for x in cert] if cert is not None else None,
-        },
+        "invariant": report.invariant,  # true / false / null (unknown)
+        "completely_invariant": report.completely_invariant,
+        "simple": {"exists": cert is not None, "certificate": certificate_to_doc(cert)},
         "simple_core": list(report.simple_core) if report.simple_core is not None else None,
         "levy_cycles": [list(c) for c in report.levy_cycles],
         "minimal_obstructions": {

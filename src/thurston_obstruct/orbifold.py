@@ -197,6 +197,11 @@ class OrbifoldSignature:
     def parabolic_signature(self) -> Optional[tuple[Weight, ...]]:
         return self.weights if self.kind == OrbifoldClass.PARABOLIC else None
 
+    @property
+    def is_2222(self) -> bool:
+        """True for the torus-quotient signature (2,2,2,2)."""
+        return self.kind == OrbifoldClass.PARABOLIC and self.weights == (2, 2, 2, 2)
+
 
 def classify_orbifold(portrait: CriticalPortrait) -> OrbifoldSignature:
     """Signature and hyperbolic/parabolic classification of the portrait."""
@@ -217,5 +222,4 @@ def classify_orbifold(portrait: CriticalPortrait) -> OrbifoldSignature:
 
 def is_2222(portrait: CriticalPortrait) -> bool:
     """True when the orbifold is the torus-quotient signature (2,2,2,2)."""
-    sig = classify_orbifold(portrait)
-    return sig.kind == OrbifoldClass.PARABOLIC and sig.weights == (2, 2, 2, 2)
+    return classify_orbifold(portrait).is_2222

@@ -282,10 +282,11 @@ def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> Minima
     Only subsets of fully tracked classes are searched.  A minimal
     obstruction is necessarily irreducible (the eigenvalue of a reducible
     matrix is attained on a proper strongly connected block), so the
-    search enumerates strongly connected subsets by size and prunes
-    supersets of hits; subsets larger than ``subset_cap`` are not visited
-    and the result says so.  Each subset is tested on the full matrix:
-    irreducibility on its support rows, the tag on its entries.
+    search visits every subset of tracked classes by size, skips the
+    reducible ones and prunes supersets of hits; subsets larger than
+    ``subset_cap`` are not visited and the result says so.  Each subset is
+    tested on the full matrix: irreducibility on its support rows, the tag
+    on its entries.
     """
     if subset_cap < 1:
         raise PreconditionError("subset cap must be at least 1")

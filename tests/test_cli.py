@@ -393,3 +393,93 @@ def test_no_floats_anywhere_in_reports(capsys):
                 walk(v)
 
     walk(report)
+
+
+@pytest.mark.parametrize("case", ["empty", "directory", "undecodable"])
+def test_unreadable_inputs_exit_2(tmp_path, capsys, case):
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b"\xff\xfe{")
+    # "" names the current directory, as a directory path does
+    argument = {"empty": "", "directory": str(tmp_path), "undecodable": str(undecodable)}[case]
+    assert main(["matrix", argument]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: input file {argument!r} cannot be read: ")
+    assert "Traceback" not in captured.err
+
+
+def _edited(doc: dict, edit) -> str:
+    doc = json.loads(json.dumps(doc))
+    edit(doc)
+    return json.dumps(doc)
+
+
+def _set(path, value):
+    """An edit that sets the field at ``path`` (keys and indices) to ``value``."""
+
+    def edit(doc):
+        *head, last = path
+        for key in head:
+            doc = doc[key]
+        doc[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "command, document, field",
+    [
+        ("orbifold", _edited(PORTRAIT_DOC, lambda d: d["points"][1].update(local_deg=2)),
+         "points[1].local_deg"),
+        ("table", _edited(LEVY_TABLE_DOC, _set(["multicurv"], ["g1"])), "multicurv"),
+        ("table", _edited(LEVY_TABLE_DOC, lambda d: d["classes"][1].pop("pullback")),
+         "classes[1].pullback"),
+        ("canonical", _edited(CANONICAL_DOC, _set(["decomposition", 0, "marked_points"], -1)),
+         "decomposition[0].marked_points"),
+        ("table", _edited(LEVY_TABLE_DOC, _set(["map_degree"], 1)), "map_degree"),
+        ("table", _edited(LEVY_TABLE_DOC, _set(["classes", 0, "pullback", 0, "degree"], 0)),
+         "classes[0].pullback[0].degree"),
+        ("orbifold", _edited(PORTRAIT_DOC, _set(["degree"], 1)), "degree"),
+        ("orbifold", _edited(PORTRAIT_DOC, _set(["points", 0, "local_degree"], 0)),
+         "points[0].local_degree"),
+        ("orbifold", _edited(PORTRAIT_DOC, _set(["points", 1, "image"], "")), "points[1].image"),
+        ("canonical", _edited(CANONICAL_DOC, _set(["multicurve"], [])), "multicurve"),
+        ("table", _edited(LEVY_TABLE_DOC, _set(["marked_points"], None)), "marked_points"),
+        ("table", _edited(LEVY_TABLE_DOC, _set(["multicurve"], None)), "multicurve"),
+        ("canonical",
+         _edited(CANONICAL_DOC, _set(["decomposition", 0, "first_return", "table"], None)),
+         "decomposition[0].first_return.table"),
+    ],
+    ids=[
+        "unknown_point_field", "unknown_table_field", "missing_pullback",
+        "negative_marked_points", "map_degree_1", "pullback_degree_0", "portrait_degree_1",
+        "local_degree_0", "empty_image", "empty_multicurve", "null_marked_points",
+        "null_multicurve", "null_inner_table",
+    ],
+)
+def test_schema_violations_exit_2_with_field_path(capsys, command, document, field):
+    assert main([command, document]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {field}: ")
+    assert "Traceback" not in captured.err
+
+
+def test_first_return_errors_name_the_failing_field(capsys):
+    # every branch of the first-return oneOf rejects the kind: the schema's description
+    doc = _edited(CANONICAL_DOC, _set(["decomposition", 0, "first_return", "kind"], "torus"))
+    assert main(["canonical", doc]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: decomposition[0].first_return.kind: First-return map"
+    )
+    # the kind matches one branch: that branch's error
+    doc = _edited(CANONICAL_DOC, _set(["decomposition", 0, "first_return", "matrix", 1, 0], "0"))
+    assert main(["canonical", doc]) == 2
+    assert capsys.readouterr().err == (
+        "error: decomposition[0].first_return.matrix[1][0]: expected an integer\n"
+    )
+    doc = _edited(CANONICAL_DOC, lambda d: d["decomposition"][0]["first_return"].pop("matrix"))
+    assert main(["canonical", doc]) == 2
+    assert capsys.readouterr().err == (
+        "error: decomposition[0].first_return.matrix: missing field\n"
+    )

@@ -1,16 +1,28 @@
+import contextlib
+import copy
+import io
+import json
+import re
 from fractions import Fraction
+from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
+from referencing import Registry, Resource
 
+import thurston_obstruct
 from thurston_obstruct import (
     CurveClass,
     CurveTable,
     DecompositionComponent,
+    PreconditionError,
     PullbackComponent,
     Return2222,
     ReturnGeneral,
     ReturnHomeomorphism,
 )
+from thurston_obstruct.cli import main
 from thurston_obstruct.documents import (
     InputFormatError,
     canonical_from_doc,
@@ -19,6 +31,7 @@ from thurston_obstruct.documents import (
     format_rational,
     int_matrix2_from_doc,
     matrix_doc_from_value,
+    matrix_from_doc,
     parse_rational,
     portrait_from_doc,
     portrait_to_doc,
@@ -165,3 +178,205 @@ def test_canonical_doc_requires_fields():
                 ],
             }
         )
+
+
+def test_validator_is_stricter_than_jsonschema_on_floats_and_newlines():
+    # jsonschema takes 1.0 as an integer and lets "\n" follow the pattern's `$`
+    with pytest.raises(InputFormatError, match=r"^matrix\[0\]\[1\]: "):
+        rational_rows_from_doc([[1, 1.0], [0, 1]], "matrix")
+    with pytest.raises(InputFormatError, match=r"^matrix\[1\]\[0\]: "):
+        rational_rows_from_doc([[1, 0], ["1/2\n", 1]], "matrix")
+    with pytest.raises(InputFormatError, match=r"^m\[0\]\[0\]: expected an integer"):
+        int_matrix2_from_doc([[2.0, 0], [0, 3]], "m")
+
+
+# ---------------------------------------------------------------------------
+# the shipped input schemas against jsonschema
+
+SCHEMA_DIR = Path(thurston_obstruct.__file__).parent / "schemas"
+SCHEMAS = {p.name: json.loads(p.read_text(encoding="utf-8")) for p in SCHEMA_DIR.glob("*.schema.json")}
+REGISTRY = Registry().with_resources(
+    (name, Resource.from_contents(contents)) for name, contents in SCHEMAS.items()
+)
+INPUT_SCHEMAS = sorted(name for name in SCHEMAS if name != "report.schema.json")
+
+IMPLEMENTED = {
+    "$ref", "type", "const", "minimum", "minItems", "maxItems", "minLength", "pattern",
+    "required", "properties", "additionalProperties", "items", "oneOf",
+}
+ANNOTATIONS = {"$schema", "$id", "$defs", "title", "description"}
+TYPES = {"object", "array", "string", "integer", "boolean", "null"}
+
+
+def _subschemas(schema: dict):
+    yield schema
+    for key, sub in schema.items():
+        if key in ("properties", "$defs"):
+            for child in sub.values():
+                yield from _subschemas(child)
+        elif key == "items":
+            yield from _subschemas(sub)
+        elif key == "oneOf":
+            for child in sub:
+                yield from _subschemas(child)
+
+
+@pytest.mark.parametrize("name", INPUT_SCHEMAS)
+def test_input_schemas_use_only_implemented_keywords(name):
+    for schema in _subschemas(SCHEMAS[name]):
+        assert set(schema) <= IMPLEMENTED | ANNOTATIONS, schema
+        assert schema.get("additionalProperties", False) is False  # the one form enforced
+        kinds = schema.get("type", [])
+        assert set([kinds] if isinstance(kinds, str) else kinds) <= TYPES
+        if "$ref" in schema:
+            file, _, pointer = schema["$ref"].partition("#")
+            target = SCHEMAS[file or name]
+            for part in pointer.split("/")[1:]:
+                target = target[part]
+            assert isinstance(target, dict)
+
+
+PORTRAIT = {
+    "schema": "thurston-obstruct/portrait/1",
+    "degree": 2,
+    "points": [
+        {"id": "0", "marked": True, "image": "0", "local_degree": 2},
+        {"id": "inf", "marked": True, "image": "inf"},
+    ],
+}
+INNER_TABLE = {
+    "map_degree": 2,
+    "marked_points": ["p1", "p2", "p3", "p4"],
+    "classes": [
+        {
+            "id": "g",
+            "pullback": [{"degree": 1, "target": "g"}, {"degree": 1, "target": "inessential"}],
+            "partition": [["p1", "p2"], ["p3", "p4"]],
+        },
+        {"id": "h", "pullback": [{"degree": 2, "target": "untracked"}]},
+    ],
+}
+CANONICAL = {
+    "schema": "thurston-obstruct/canonical/1",
+    "table": {"map_degree": 2, "classes": [{"id": "g", "pullback": [{"degree": 1, "target": "g"}]}]},
+    "multicurve": ["g"],
+    "decomposition": [
+        {"marked_points": 3, "first_return": {"kind": "homeomorphism"}},
+        {
+            "marked_points": 4,
+            "first_return": {"kind": "2222", "matrix": [[2, 2], [0, 2]], "table": INNER_TABLE},
+        },
+        {"marked_points": 5, "first_return": {"kind": "general", "table": INNER_TABLE}},
+    ],
+}
+
+#: kind -> (valid document, its schema, its decoder, the CLI command reading it)
+VALID = {
+    "portrait": (PORTRAIT, "portrait.schema.json", portrait_from_doc, "orbifold"),
+    "matrix": (
+        {"schema": "thurston-obstruct/matrix/1", "matrix": [[1, "1/2"], ["0", "-3/4"]]},
+        "matrix.schema.json",
+        matrix_from_doc,
+        "matrix",
+    ),
+    "table": (
+        {"schema": "thurston-obstruct/table/1", **INNER_TABLE, "multicurve": ["g"]},
+        "table.schema.json",
+        table_from_doc,
+        "table",
+    ),
+    "canonical": (CANONICAL, "canonical.schema.json", canonical_from_doc, "canonical"),
+}
+JSON_VALIDATORS = {
+    name: jsonschema.Draft202012Validator(SCHEMAS[name], registry=REGISTRY) for name in INPUT_SCHEMAS
+}
+#: a matrix input may also be the bare matrix array
+BARE_MATRIX = jsonschema.Draft202012Validator(
+    {"$ref": "common.schema.json#/$defs/rationalMatrix"}, registry=REGISTRY
+)
+REPLACEMENTS = st.sampled_from(
+    [None, True, 0, 1, -1, 1.0, 2.0, 0.5, "", "x", "1/2", "3/0", "1/2\n", [], ["x"], {}, {"x": 1}]
+).map(copy.deepcopy)
+
+
+def _nodes(value, path=()):
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, child in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _nodes(child, path + (key,))
+
+
+def _replaced(doc, path, value):
+    if not path:
+        return value
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return doc
+
+
+@st.composite
+def mutated_documents(draw):
+    """A valid document with one or two schema-relevant edits."""
+    kind = draw(st.sampled_from(sorted(VALID)))
+    doc = copy.deepcopy(VALID[kind][0])
+    for _ in range(draw(st.integers(1, 2))):
+        how = draw(st.sampled_from(["drop", "add", "swap", "below", "empty"]))
+        applies = {
+            "drop": lambda v: isinstance(v, dict) and v,
+            "add": lambda v: isinstance(v, dict),
+            "below": lambda v: isinstance(v, int) and not isinstance(v, bool),
+            "empty": lambda v: isinstance(v, list) and v,
+        }.get(how, lambda v: True)
+        nodes = [(path, v) for path, v in _nodes(doc) if applies(v)]
+        if not nodes:
+            how, nodes = "swap", list(_nodes(doc))
+        path, node = draw(st.sampled_from(nodes))
+        if how == "drop":
+            del node[draw(st.sampled_from(sorted(node)))]
+        elif how == "add":
+            key = draw(st.sampled_from(["extra", "local_deg", "multicurv"]))
+            node[key] = draw(REPLACEMENTS)
+        elif how == "below":
+            doc = _replaced(doc, path, node - draw(st.integers(1, 3)))
+        elif how == "empty":
+            doc = _replaced(doc, path, [])
+        else:
+            doc = _replaced(doc, path, draw(REPLACEMENTS))
+    return kind, doc
+
+
+def _allowed_semantic_rejection(kind, doc) -> bool:
+    """The document holds a form the schemas allow and the decoders refuse."""
+    for _, value in _nodes(doc):
+        if isinstance(value, float):  # jsonschema's integer takes 1.0
+            return True
+        if isinstance(value, str) and (value.endswith("\n") or re.fullmatch(r"-?[0-9]+/0+", value)):
+            return True  # jsonschema's pattern lets "\n" follow `$`; a zero denominator
+    rows = (doc.get("matrix") if isinstance(doc, dict) else doc) if kind == "matrix" else None
+    return isinstance(rows, list) and any(len(row) != len(rows) for row in rows)  # not square
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_decoders_accept_what_jsonschema_accepts(case):
+    kind, doc = case
+    _, schema, decode, command = VALID[kind]
+    bare = kind == "matrix" and not isinstance(doc, dict)
+    accepted = (BARE_MATRIX if bare else JSON_VALIDATORS[schema]).is_valid(doc)
+    try:
+        decode(doc)
+    except InputFormatError as exc:
+        assert not accepted or _allowed_semantic_rejection(kind, doc), (doc, exc)
+        if accepted or not isinstance(doc, dict):
+            return
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main([command, json.dumps(doc)]) == 2
+        assert err.getvalue().startswith("error: ")
+        assert "Traceback" not in err.getvalue()
+    except PreconditionError:
+        assert accepted, doc
+    else:
+        assert accepted, doc
