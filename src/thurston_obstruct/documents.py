@@ -246,10 +246,10 @@ def matrix_from_doc(value: Any) -> list[list[Fraction]]:
 
 def action_from_doc(value: Any) -> tuple[tuple[int, int], tuple[int, int]]:
     """Homology action of a ``slopes`` input: a matrix document or a bare 2x2 array."""
-    if isinstance(value, dict):
-        validate(value, "matrix.schema.json")
-        value = value["matrix"]
-    return int_matrix2_from_doc(value, "matrix")
+    if not isinstance(value, dict):
+        return int_matrix2_from_doc(value, "matrix")
+    validate(value, "slopes.schema.json")
+    return tuple(map(tuple, value["matrix"]))
 
 
 def matrix_to_doc(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:

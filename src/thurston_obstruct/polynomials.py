@@ -1,20 +1,21 @@
-"""Dense univariate polynomials over exact rationals.
+"""Dense univariate polynomials with exact coefficients, and real root isolation.
 
-Polynomials are tuples of Fractions, lowest degree first, with no trailing
-zeros; the zero polynomial is the empty tuple.  Everything here is exact:
-root counting goes through Sturm chains and all verdicts are sign tests on
-rational numbers.
+Polynomials are tuples of coefficients, lowest degree first, with no
+trailing zeros; the zero polynomial is the empty tuple.  ``charpoly``
+hands over rational (``Fraction``) coefficients; ``sturm_chain`` clears
+them once, and from there on everything runs over the integers: one
+primitive pseudo-remainder sequence per polynomial (Collins 1967; Brown &
+Traub 1971) serves both as the Sturm chain and, through its last element
+gcd(p, p'), as the squarefree reduction, and each sign test at a rational
+a/b is the sign of the integer b^deg q(a/b).  All verdicts are exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Poly = tuple[Fraction, ...]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def poly(coeffs) -> Poly:
@@ -25,121 +26,93 @@ def poly(coeffs) -> Poly:
     return tuple(cs)
 
 
-def degree(p: Poly) -> int:
+def degree(p) -> int:
     """Degree, with the zero polynomial at -1."""
     return len(p) - 1
 
 
-def evaluate(p: Poly, x: Fraction) -> Fraction:
-    acc = ZERO
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
+def derivative(p):
+    return tuple(i * c for i, c in enumerate(p) if i)
 
 
-def neg(p: Poly) -> Poly:
-    return tuple(-c for c in p)
-
-
-def mul(p: Poly, q: Poly) -> Poly:
-    if not p or not q:
-        return ()
-    out = [ZERO] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return poly(out)
-
-
-def scale(p: Poly, c: Fraction) -> Poly:
-    if c == 0:
-        return ()
-    return tuple(a * c for a in p)
-
-
-def derivative(p: Poly) -> Poly:
-    return poly(i * c for i, c in enumerate(p) if i > 0)
-
-
-def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
-    """Euclidean division: p = quot * q + rem with deg rem < deg q."""
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    dq = degree(q)
-    lead = q[-1]
-    quot = [ZERO] * max(0, len(p) - dq)
-    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
-        while rem and rem[-1] == 0:
-            rem.pop()
-        if len(rem) - 1 < dq:
-            break
-        shift = len(rem) - 1 - dq
-        factor = rem[-1] / lead
-        quot[shift] = factor
-        for i, c in enumerate(q):
-            rem[shift + i] -= factor * c
-        rem.pop()
-    return poly(quot), poly(rem)
-
-
-def _primitive(p: Poly) -> Poly:
+def _primitive(p) -> tuple[int, ...]:
     # Divide by a positive rational to reach coprime integer coefficients;
     # positive scaling keeps every sign test intact.
-    if not p:
-        return p
-    den_lcm = 1
-    for c in p:
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    ints = [int(c * den_lcm) for c in p]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    return tuple(Fraction(v // g) for v in ints)
+    den = lcm(*(c.denominator for c in p))
+    ints = [c.numerator * (den // c.denominator) for c in p]
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def gcd_poly(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor."""
-    a, b = _primitive(p), _primitive(q)
-    while b:
-        _, r = divmod_poly(a, b)
-        a, b = b, _primitive(r)
-    if not a:
-        return ()
-    return scale(a, ONE / a[-1])
+def _pseudo_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """A positive multiple of the remainder of a by b, over the integers.
 
-
-def squarefree_part(p: Poly) -> Poly:
-    """p divided by gcd(p, p'), normalized to the same leading sign."""
-    if degree(p) <= 0:
-        return p
-    g = gcd_poly(p, derivative(p))
-    if degree(g) == 0:
-        return p
-    q, r = divmod_poly(p, g)
-    if r:
-        raise ArithmeticError("squarefree division left a remainder")
-    return q
-
-
-def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of a squarefree polynomial.
-
-    Each element is rescaled by a positive rational to keep coefficients
-    small; this leaves sign variation counts unchanged.
+    Each elimination step scales the running remainder by |lc(b)| (over
+    the gcd of the two leading coefficients), never by a negative number.
     """
-    chain = [_primitive(p)]
-    d = derivative(p)
-    if d:
-        chain.append(_primitive(d))
-    while chain[-1] and degree(chain[-1]) > 0:
-        _, r = divmod_poly(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append(_primitive(neg(r)))
+    rem = list(a)
+    db, lb = len(b) - 1, b[-1]
+    while len(rem) > db:
+        lr = rem.pop()
+        if lr:
+            g = gcd(lb, lr)
+            c, f = abs(lb) // g, (lr if lb > 0 else -lr) // g
+            shift = len(rem) - db
+            rem = [c * x for x in rem]
+            for i, y in enumerate(b[:-1]):
+                rem[shift + i] -= f * y
+    while rem and rem[-1] == 0:
+        rem.pop()
+    return tuple(rem)
+
+
+def sturm_chain(p: Poly) -> list[tuple[int, ...]]:
+    """Sturm sequence of p by primitive pseudo-remainders.
+
+    The chain is p, p', then the negated remainders, each element a
+    positive integer multiple of the Sturm remainder over the rationals,
+    so every sign variation count is that of the classical chain.  The
+    last element is gcd(p, p') up to a constant: a nonzero constant
+    exactly when p is squarefree.
+    """
+    a = _primitive(p)
+    chain = [a]
+    b = derivative(a)
+    while b:
+        b = _primitive(b)
+        chain.append(b)
+        a, b = b, tuple(-c for c in _pseudo_remainder(a, b))
     return chain
+
+
+def _exact_quotient(p: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    # g is primitive and divides p, so the quotient is integral (Gauss)
+    rem, quot = list(p), []
+    while len(rem) >= len(g) and not rem[-1] % g[-1]:
+        f = rem.pop() // g[-1]
+        shift = len(rem) - len(g) + 1
+        for i, y in enumerate(g[:-1]):
+            rem[shift + i] -= f * y
+        quot.append(f)
+    if any(rem):
+        raise ArithmeticError("squarefree division left a remainder")
+    return tuple(reversed(quot))
+
+
+def squarefree_part(chain: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    """The chain of ``sturm_chain(p)`` divided exactly by its last element.
+
+    Every element is a multiple of g = gcd(p, p'), and the quotients form
+    a Sturm sequence of the squarefree part p/g: each is a positive
+    multiple of the element over g, and the first is the squarefree part
+    itself up to a positive constant.
+    """
+    g = chain[-1]
+    if len(g) <= 1:
+        return chain
+    if g[-1] < 0:
+        g = tuple(-c for c in g)
+    return [_exact_quotient(q, g) for q in chain]
 
 
 def _variations(signs: list[int]) -> int:
@@ -147,38 +120,32 @@ def _variations(signs: list[int]) -> int:
     return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
 
 
-def _signs_at(chain: list[Poly], x: Fraction) -> list[int]:
+def _signs_at(chain: list[tuple[int, ...]], x: Fraction) -> list[int]:
+    """Signs of the chain at x = a/b, b > 0, as signs of b^deg q(a/b)."""
+    a, b = x.numerator, x.denominator
+    powers = [b**k for k in range(len(chain[0]))]
     signs = []
     for q in chain:
-        v = evaluate(q, x)
-        signs.append(0 if v == 0 else (1 if v > 0 else -1))
+        d = len(q) - 1
+        acc = q[d]
+        for i in range(d - 1, -1, -1):
+            acc = acc * a + q[i] * powers[d - i]
+        signs.append((acc > 0) - (acc < 0))
     return signs
 
 
-def variations_at(chain: list[Poly], x: Fraction) -> int:
-    return _variations(_signs_at(chain, x))
-
-
-def count_roots_between(chain: list[Poly], a: Fraction, b: Fraction) -> int:
-    """Number of real roots of the chain's polynomial in (a, b).
+def count_roots_between(chain: list[tuple[int, ...]], a: Fraction, b: Fraction) -> int:
+    """Number of distinct real roots of the chain's polynomial in (a, b).
 
     Requires a < b and that neither endpoint is a root, so the open
     interval count is unambiguous.
     """
-    p = chain[0]
     if not (a < b):
         raise ValueError("need a < b")
-    if evaluate(p, a) == 0 or evaluate(p, b) == 0:
+    at_a, at_b = _signs_at(chain, a), _signs_at(chain, b)
+    if at_a[0] == 0 or at_b[0] == 0:
         raise ValueError("endpoints must not be roots")
-    return variations_at(chain, a) - variations_at(chain, b)
-
-
-def cauchy_root_bound(p: Poly) -> Fraction:
-    """Rational B with every complex root of p inside |z| < B."""
-    if degree(p) < 1:
-        return ONE
-    lead = abs(p[-1])
-    return ONE + max(abs(c) / lead for c in p[:-1])
+    return _variations(at_a) - _variations(at_b)
 
 
 def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -186,40 +153,49 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
     if lo > hi:
         raise ValueError("empty interval")
     if lo <= 0 <= hi:
-        return ZERO
+        return Fraction(0)
     if hi < 0:
         return -simplest_rational_between(-hi, -lo)
-    # 0 < lo <= hi: strip continued-fraction terms shared by both endpoints.
-    f = lo.numerator // lo.denominator
-    if f >= lo:
-        return Fraction(f)
-    if f + 1 <= hi:
-        return Fraction(f + 1)
-    inner = simplest_rational_between(1 / (hi - f), 1 / (lo - f))
-    return f + 1 / inner
+    # 0 < a/b <= c/d: strip the continued-fraction terms both endpoints
+    # share, keeping the convergent so the answer is (p1*y + p0)/(q1*y + q0)
+    # with y the simplest rational of the remaining interval
+    a, b, c, d = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    p1, p0, q1, q0 = 1, 0, 0, 1
+    while True:
+        f = a // b
+        if f * b == a:
+            y = f
+            break
+        if (f + 1) * d <= c:
+            y = f + 1
+            break
+        # y = f + 1/y' with y' in [1/(hi - f), 1/(lo - f)]
+        p1, p0, q1, q0 = p1 * f + p0, p1, q1 * f + q0, q1
+        a, b, c, d = d, c - f * d, b, a - f * b
+    return Fraction(p1 * y + p0, q1 * y + q0)
 
 
 class LargestRootIsolator:
     """Exact bisection for the largest real root of a polynomial.
 
-    An immutable value built once per polynomial: the squarefree part
-    ``sf``, its Sturm chain, the sign variations ``v_inf`` of the chain's
-    leading coefficients, and the start bracket.  With zeros dropped,
-    ``variations_at(chain, x) - v_inf`` is the number of distinct real
-    roots in (x, +inf) for every rational x, a root or not (Sturm), so
-    each bisection step evaluates the chain once.  Every query bisects
-    from the start bracket, so answers never depend on earlier queries.
-    The caller must supply rational bounds lo < hi such that the largest
-    real root lies in (lo, hi] and p(lo) != 0.
+    An immutable value built once per polynomial: the Sturm sequence of
+    its squarefree part (one integer remainder sequence, see
+    ``sturm_chain`` and ``squarefree_part``), the sign variations ``v_inf``
+    of the chain's leading coefficients, and the start bracket.  With
+    zeros dropped, the sign variations at x minus ``v_inf`` count the
+    distinct real roots in (x, +inf) for every rational x, a root or not
+    (Sturm), so each bisection step evaluates the chain once.  Every query
+    bisects from the start bracket, so answers never depend on earlier
+    queries.  The caller must supply rational bounds lo < hi such that the
+    largest real root lies in (lo, hi] and p(lo) != 0.
     """
 
-    __slots__ = ("sf", "chain", "v_inf", "lo", "hi")
+    __slots__ = ("chain", "v_inf", "lo", "hi")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
         if degree(p) < 1:
             raise ValueError("need a nonconstant polynomial")
-        self.sf = squarefree_part(p)
-        self.chain = sturm_chain(self.sf)
+        self.chain = squarefree_part(sturm_chain(p))
         self.v_inf = _variations([1 if q[-1] > 0 else -1 for q in self.chain])
         self.lo = lo
         self.hi = hi

@@ -720,7 +720,7 @@ def exists_positive_subinvariant_vector(
             x = _kernel_vector([r + [-f] for r, f in zip(eye_minus, inflow)])[:-1]
         for i, value in zip(block, x):
             vec[i] = value
-    result = _primitive(tuple(vec))
+    result = tuple(map(Fraction, _primitive(vec)))
     # exact self-check: the certificate is part of the public contract
     mv = [sum((m.rows[i][j] * result[j] for j in range(n)), Fraction(0)) for i in range(n)]
     if not all(val > 0 for val in result) or not all(a >= b for a, b in zip(mv, result)):

@@ -24,18 +24,10 @@ from thurston_obstruct import (
     thurston_matrix,
 )
 from thurston_obstruct.spectral import cyclic_classes
-from thurston_obstruct.polynomials import (
-    Poly,
-    cauchy_root_bound,
-    count_roots_between,
-    degree,
-    divmod_poly,
-    evaluate,
-    poly,
-    simplest_rational_between,
-    squarefree_part,
-    sturm_chain,
-)
+from thurston_obstruct.polynomials import Poly, degree, derivative, poly
+
+ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def solve2(rows, rhs) -> Optional[tuple[Fraction, Fraction]]:
@@ -293,14 +285,14 @@ def sturm_tag(m: NonnegMatrix) -> SpectralTag:
     if m.n == 0:
         return SpectralTag.BELOW_ONE
     one = Fraction(1)
-    sf = squarefree_part(charpoly_faddeev_leverrier(m))
+    sf = squarefree_part_by_gcd(charpoly_faddeev_leverrier(m))
     at_one = evaluate(sf, one) == 0
     if at_one:
         sf, rem = divmod_poly(sf, poly([-1, 1]))
         assert not rem
     if len(sf) > 1:
         hi = max(one + 1, cauchy_root_bound(sf))
-        if count_roots_between(sturm_chain(sf), one, hi) > 0:
+        if count_roots_by_evaluation(sturm_chain_by_division(sf), one, hi) > 0:
             return SpectralTag.ABOVE_ONE
     return SpectralTag.EXACTLY_ONE if at_one else SpectralTag.BELOW_ONE
 
@@ -327,6 +319,154 @@ def simple_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> list[t
 
 
 # ---------------------------------------------------------------------------
+# polynomial oracles: Euclid, Sturm chains and Horner over Fractions
+
+
+def evaluate(p: Poly, x: Fraction) -> Fraction:
+    acc = ZERO
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def neg(p: Poly) -> Poly:
+    return tuple(-c for c in p)
+
+
+def mul(p: Poly, q: Poly) -> Poly:
+    if not p or not q:
+        return ()
+    out = [ZERO] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        if a == 0:
+            continue
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return poly(out)
+
+
+def scale(p: Poly, c: Fraction) -> Poly:
+    if c == 0:
+        return ()
+    return tuple(a * c for a in p)
+
+
+def divmod_poly(p: Poly, q: Poly) -> tuple[Poly, Poly]:
+    """Euclidean division: p = quot * q + rem with deg rem < deg q."""
+    if not q:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(p)
+    dq = degree(q)
+    lead = q[-1]
+    quot = [ZERO] * max(0, len(p) - dq)
+    while len(rem) - 1 >= dq and any(c != 0 for c in rem):
+        while rem and rem[-1] == 0:
+            rem.pop()
+        if len(rem) - 1 < dq:
+            break
+        shift = len(rem) - 1 - dq
+        factor = rem[-1] / lead
+        quot[shift] = factor
+        for i, c in enumerate(q):
+            rem[shift + i] -= factor * c
+        rem.pop()
+    return poly(quot), poly(rem)
+
+
+def primitive_fractions(p: Poly) -> Poly:
+    """p over a positive rational, with coprime integer coefficients, as Fractions."""
+    if not p:
+        return p
+    den_lcm = 1
+    for c in p:
+        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
+    ints = [int(c * den_lcm) for c in p]
+    g = 0
+    for v in ints:
+        g = gcd(g, abs(v))
+    return tuple(Fraction(v // g) for v in ints)
+
+
+def gcd_poly(p: Poly, q: Poly) -> Poly:
+    """Monic greatest common divisor."""
+    a, b = primitive_fractions(p), primitive_fractions(q)
+    while b:
+        _, r = divmod_poly(a, b)
+        a, b = b, primitive_fractions(r)
+    if not a:
+        return ()
+    return scale(a, ONE / a[-1])
+
+
+def cauchy_root_bound(p: Poly) -> Fraction:
+    """Rational B with every complex root of p inside |z| < B."""
+    if degree(p) < 1:
+        return ONE
+    lead = abs(p[-1])
+    return ONE + max(abs(c) / lead for c in p[:-1])
+
+
+def squarefree_part_by_gcd(p: Poly) -> Poly:
+    """p divided by its monic gcd with p', so with the same leading sign."""
+    p = poly(p)
+    if degree(p) <= 0:
+        return p
+    g = gcd_poly(p, poly(derivative(p)))
+    if degree(g) == 0:
+        return p
+    q, r = divmod_poly(p, g)
+    assert not r, "squarefree division left a remainder"
+    return q
+
+
+def sturm_chain_by_division(p: Poly) -> list[Poly]:
+    """Classical Sturm chain p, p', -rem, ... by Fraction Euclidean division,
+    each element rescaled by a positive rational."""
+    p = poly(p)
+    chain = [primitive_fractions(p)]
+    d = poly(derivative(p))
+    if d:
+        chain.append(primitive_fractions(d))
+    while chain[-1] and degree(chain[-1]) > 0:
+        _, r = divmod_poly(chain[-2], chain[-1])
+        if not r:
+            break
+        chain.append(primitive_fractions(neg(r)))
+    return chain
+
+
+def _variations_of(positive: list[bool]) -> int:
+    return sum(1 for a, b in zip(positive, positive[1:]) if a != b)
+
+
+def _sign_variations(chain: list[Poly], x: Fraction) -> int:
+    return _variations_of([v > 0 for v in (evaluate(q, x) for q in chain) if v != 0])
+
+
+def count_roots_by_evaluation(chain: list[Poly], a: Fraction, b: Fraction) -> int:
+    """Distinct real roots in (a, b) of a squarefree chain; a < b, neither a root."""
+    assert a < b and evaluate(chain[0], a) != 0 and evaluate(chain[0], b) != 0
+    return _sign_variations(chain, a) - _sign_variations(chain, b)
+
+
+def simplest_rational_by_recursion(lo: Fraction, hi: Fraction) -> Fraction:
+    """A smallest-denominator rational in [lo, hi], one call per shared
+    continued-fraction term of the endpoints."""
+    assert lo <= hi
+    if lo <= 0 <= hi:
+        return ZERO
+    if hi < 0:
+        return -simplest_rational_by_recursion(-hi, -lo)
+    f = lo.numerator // lo.denominator
+    if f >= lo:
+        return Fraction(f)
+    if f + 1 <= hi:
+        return Fraction(f + 1)
+    inner = simplest_rational_by_recursion(1 / (hi - f), 1 / (lo - f))
+    return f + 1 / inner
+
+
+# ---------------------------------------------------------------------------
 # root-isolation oracles
 
 
@@ -336,14 +476,14 @@ def roots_strictly_above(p: Poly, x: Fraction) -> int:
     Counts between two non-roots only: x itself after dividing out (X - x),
     and the Cauchy bound, which every root lies below.
     """
-    sf = squarefree_part(p)
+    sf = squarefree_part_by_gcd(p)
     if evaluate(sf, x) == 0:
         sf, rem = divmod_poly(sf, poly([-x, 1]))
         assert not rem
     if degree(sf) < 1:
         return 0
     hi = max(x + 1, cauchy_root_bound(sf))
-    return count_roots_between(sturm_chain(sf), x, hi)
+    return count_roots_by_evaluation(sturm_chain_by_division(sf), x, hi)
 
 
 class DeflatingRootIsolator:
@@ -355,8 +495,8 @@ class DeflatingRootIsolator:
     """
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
-        self.sf = squarefree_part(p)
-        self.chain = sturm_chain(self.sf)
+        self.sf = squarefree_part_by_gcd(p)
+        self.chain = sturm_chain_by_division(self.sf)
         assert evaluate(self.sf, lo) != 0
         self.lo = lo
         self.hi = hi
@@ -364,7 +504,7 @@ class DeflatingRootIsolator:
         if evaluate(self.sf, hi) == 0:
             self.exact = self.lo = hi
         else:
-            assert count_roots_between(self.chain, lo, hi) >= 1
+            assert count_roots_by_evaluation(self.chain, lo, hi) >= 1
 
     def _roots_strictly_above(self, x: Fraction) -> int:
         """Roots in (x, hi); x may be a root, hi never is at call time."""
@@ -374,8 +514,8 @@ class DeflatingRootIsolator:
             assert not rem
             if degree(sf) < 1:
                 return 0
-            chain = sturm_chain(sf)
-        return count_roots_between(chain, x, self.hi)
+            chain = sturm_chain_by_division(sf)
+        return count_roots_by_evaluation(chain, x, self.hi)
 
     def refine_to_width(self, width: Fraction) -> tuple[Fraction, Fraction]:
         if self.exact is not None:
@@ -387,11 +527,11 @@ class DeflatingRootIsolator:
                     self.exact = self.lo = self.hi = mid
                     return (mid, mid)
                 self.lo = mid
-            elif count_roots_between(self.chain, mid, self.hi) >= 1:
+            elif count_roots_by_evaluation(self.chain, mid, self.hi) >= 1:
                 self.lo = mid
             else:
                 self.hi = mid
-        cand = simplest_rational_between(self.lo, self.hi)
+        cand = simplest_rational_by_recursion(self.lo, self.hi)
         if self.lo < cand and evaluate(self.sf, cand) == 0:
             if self._roots_strictly_above(cand) == 0:
                 self.exact = self.lo = self.hi = cand
@@ -401,3 +541,48 @@ class DeflatingRootIsolator:
         while self.exact is None and self.lo <= point <= self.hi:
             self.refine_to_width((self.hi - self.lo) / 2)
         return (self.lo, self.hi)
+
+
+class FractionRootIsolator:
+    """The largest-root isolator over Fractions: squarefree part by a gcd
+    Euclid, a second Euclid for its Sturm chain, and Horner over Fractions
+    at every probe.  Immutable, one chain evaluation per bisection step,
+    and the contract of ``LargestRootIsolator``: the largest real root lies
+    in (lo, hi] and p(lo) != 0.
+    """
+
+    def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
+        self.chain = sturm_chain_by_division(squarefree_part_by_gcd(p))
+        self.v_inf = _variations_of([q[-1] > 0 for q in self.chain])
+        self.lo, self.hi = lo, hi
+        assert self.probe(lo)[0] is False and self.probe(lo)[1] > self.probe(hi)[1]
+
+    def probe(self, x: Fraction) -> tuple[bool, int]:
+        """Whether x is a root, and the number of distinct roots in (x, +inf)."""
+        return evaluate(self.chain[0], x) == 0, _sign_variations(self.chain, x) - self.v_inf
+
+    def _bisect(self, done) -> tuple[Fraction, Fraction]:
+        lo, hi = self.lo, self.hi
+        if self.probe(hi) == (True, 0):
+            return (hi, hi)
+        while not done(lo, hi):
+            mid = (lo + hi) / 2
+            is_root, above = self.probe(mid)
+            if above:
+                lo = mid
+            elif is_root:
+                return (mid, mid)
+            else:
+                hi = mid
+        cand = simplest_rational_by_recursion(lo, hi)
+        if lo < cand and self.probe(cand) == (True, 0):
+            return (cand, cand)
+        return (lo, hi)
+
+    def refine_to_width(self, width: Fraction) -> tuple[Fraction, Fraction]:
+        return self._bisect(lambda lo, hi: hi - lo <= width)
+
+    def refine_until_separated_from(self, point: Fraction) -> tuple[Fraction, Fraction]:
+        if not self.lo <= point <= self.hi and self.probe(self.hi) != (True, 0):
+            return (self.lo, self.hi)
+        return self._bisect(lambda lo, hi: not lo <= point <= hi)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -284,6 +288,25 @@ def test_matrix_brackets_near_one_match_fresh_isolators(capsys):
     ]
 
 
+def test_golden_ratio_bracket_at_width_ten_to_minus_1000():
+    # the final bracket shares over 1000 continued-fraction terms with the
+    # golden ratio; a fresh process, since a traceback would print to stderr
+    width = "1/1" + "0" * 1000
+    env = dict(os.environ, PYTHONPATH=str(SCHEMA_DIR.parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "thurston_obstruct.cli", "matrix", "--format", "json",
+         "--width", width, "[[1,1],[1,0]]"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lo, hi = map(Fraction, json.loads(proc.stdout)["result"]["leading_interval"])
+    assert 0 < hi - lo <= Fraction(width)
+    assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1  # x^2 - x - 1 changes sign
+
+
 def test_uncapped_canonical_report_is_not_truncated(capsys):
     report, code = run_json(capsys, ["canonical", json.dumps(CANONICAL_DOC_FULL)])
     assert code == 0
@@ -463,6 +486,13 @@ def test_schema_violations_exit_2_with_field_path(capsys, command, document, fie
     assert captured.out == ""
     assert captured.err.startswith(f"error: {field}: ")
     assert "Traceback" not in captured.err
+
+
+def test_slopes_documents_are_checked_against_the_slopes_schema(capsys):
+    # a float entry is reported as a non-integer, not as a non-rational
+    doc = json.dumps({"schema": "thurston-obstruct/matrix/1", "matrix": [[0.5, 0], [0, 3]]})
+    assert main(["slopes", doc]) == 2
+    assert capsys.readouterr().err == "error: matrix[0][0]: expected an integer\n"
 
 
 def test_first_return_errors_name_the_failing_field(capsys):

@@ -25,6 +25,7 @@ from thurston_obstruct import (
 from thurston_obstruct.cli import main
 from thurston_obstruct.documents import (
     InputFormatError,
+    action_from_doc,
     canonical_from_doc,
     decomposition_from_doc,
     decomposition_to_doc,
@@ -286,17 +287,29 @@ VALID = {
         "table",
     ),
     "canonical": (CANONICAL, "canonical.schema.json", canonical_from_doc, "canonical"),
+    "slopes": (
+        {"schema": "thurston-obstruct/matrix/1", "matrix": [[2, 1], [0, 3]]},
+        "slopes.schema.json",
+        action_from_doc,
+        "slopes",
+    ),
 }
 JSON_VALIDATORS = {
     name: jsonschema.Draft202012Validator(SCHEMAS[name], registry=REGISTRY) for name in INPUT_SCHEMAS
 }
-#: a matrix input may also be the bare matrix array
-BARE_MATRIX = jsonschema.Draft202012Validator(
-    {"$ref": "common.schema.json#/$defs/rationalMatrix"}, registry=REGISTRY
-)
+#: a matrix or slopes input may also be the bare matrix array
+BARE_MATRIX = {
+    kind: jsonschema.Draft202012Validator({"$ref": f"common.schema.json#/$defs/{ref}"}, registry=REGISTRY)
+    for kind, ref in (("matrix", "rationalMatrix"), ("slopes", "intMatrix2"))
+}
 REPLACEMENTS = st.sampled_from(
     [None, True, 0, 1, -1, 1.0, 2.0, 0.5, "", "x", "1/2", "3/0", "1/2\n", [], ["x"], {}, {"x": 1}]
 ).map(copy.deepcopy)
+
+
+def test_every_input_schema_is_a_mutation_target():
+    # common.schema.json only holds the definitions the others refer to
+    assert {schema for _, schema, _, _ in VALID.values()} == set(INPUT_SCHEMAS) - {"common.schema.json"}
 
 
 def _nodes(value, path=()):
@@ -363,8 +376,8 @@ def _allowed_semantic_rejection(kind, doc) -> bool:
 def test_decoders_accept_what_jsonschema_accepts(case):
     kind, doc = case
     _, schema, decode, command = VALID[kind]
-    bare = kind == "matrix" and not isinstance(doc, dict)
-    accepted = (BARE_MATRIX if bare else JSON_VALIDATORS[schema]).is_valid(doc)
+    bare = kind in BARE_MATRIX and not isinstance(doc, dict)
+    accepted = (BARE_MATRIX[kind] if bare else JSON_VALIDATORS[schema]).is_valid(doc)
     try:
         decode(doc)
     except InputFormatError as exc:

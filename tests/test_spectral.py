@@ -6,9 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     DeflatingRootIsolator,
+    FractionRootIsolator,
     charpoly_faddeev_leverrier,
     decomposition_exponent_by_rational_powers,
     determinant_by_elimination,
+    evaluate,
     imprimitivity_by_cycles,
     matrix_powers_by_fraction_products,
     roots_strictly_above,
@@ -34,7 +36,7 @@ from thurston_obstruct import (
     spectral_tag,
     wielandt_bound,
 )
-from thurston_obstruct.polynomials import LargestRootIsolator, evaluate
+from thurston_obstruct.polynomials import LargestRootIsolator
 from thurston_obstruct.spectral import _leading_root_isolator, spectral_profile
 
 F = Fraction
@@ -488,6 +490,37 @@ def test_isolator_matches_deflating_oracle_in_any_order(m, rng):
         assert ask(iso, query) == ask(DeflatingRootIsolator(cp, lo, hi), query), query
     assert (iso.lo, iso.hi) == (lo, hi)
     assert _leading_root_isolator(m) is iso
+
+
+@st.composite
+def repeated_block_matrices(draw, max_n=4):
+    """B (+) B (+) ... : every eigenvalue of B repeated, so gcd(p, p') != 1."""
+    block = draw(shaped_matrices(max_n=max_n)).rows
+    k, n = draw(st.integers(2, 3)), len(block)
+    return NonnegMatrix(
+        [[block[i % n][j % n] if i // n == j // n else 0 for j in range(k * n)] for i in range(k * n)]
+    )
+
+
+@given(
+    st.one_of(
+        repeated_block_matrices(),
+        st.integers(1, 7).flatmap(row_stochastic).map(NonnegMatrix),
+        matrices(max_n=7),
+    )
+)
+@settings(max_examples=120, deadline=None)
+def test_integer_chain_brackets_match_fraction_route(m):
+    # the integer remainder sequence against Euclid, Sturm chain and Horner
+    # over Fractions, on repeated eigenvalues, rho = 1 and general matrices
+    cp = charpoly(m)
+    rs = max(m.row_sums())
+    iso, oracle = _leading_root_isolator(m), FractionRootIsolator(cp, -rs - 1, rs)
+    for width in QUERY_WIDTHS:
+        assert iso.refine_to_width(width) == oracle.refine_to_width(width), width
+    for x in QUERY_POINTS:
+        if not oracle.probe(x) == (True, 0):  # rho itself cannot be separated from
+            assert iso.refine_until_separated_from(x) == oracle.refine_until_separated_from(x), x
 
 
 @given(shaped_matrices(min_n=0), st.integers(0, 40))
