@@ -60,6 +60,18 @@ def _fail(where: str, message: str) -> "InputFormatError":
     return InputFormatError(f"{where}: {message}")
 
 
+#: Rejected values are echoed in messages up to this many characters.
+_ECHO_LIMIT = 40
+
+
+def _echo(value: Any) -> str:
+    """``repr(value)`` for an error message, cut after ``_ECHO_LIMIT`` characters."""
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+
+
 # ---------------------------------------------------------------------------
 # validation against the shipped schemas
 
@@ -132,7 +144,7 @@ def _check(value: Any, schema: dict, base: str, where: str) -> Optional[tuple[st
     if "const" in schema:
         const = schema["const"]
         if value != const or type(value) is not type(const):
-            return where, f"expected {const!r}, got {value!r}"
+            return where, f"expected {const!r}, got {_echo(value)}"
     if isinstance(value, str):
         if len(value) < schema.get("minLength", 0):
             return where, f"expected at least {schema['minLength']} character(s)"
@@ -194,7 +206,7 @@ def _fraction(value: Any, where: str) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError) as exc:  # zero denominator, or too many digits
-        raise _fail(where, f"invalid rational {value!r}") from exc
+        raise _fail(where, f"invalid rational {_echo(value)}") from exc
 
 
 def parse_rational(value: Any, where: str) -> Fraction:

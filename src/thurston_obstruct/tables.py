@@ -16,7 +16,6 @@ verdicts unknown.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
@@ -32,9 +31,11 @@ from .spectral import (
     PreconditionError,
     SpectralClass,
     SpectralTag,
+    _bits,
     _block_tag,
     _irreducible_support,
     _restrict,
+    _strongly_connected_components,
     below_one_closed_indices,
     exists_positive_subinvariant_vector,
     spectral_radius_class,
@@ -237,20 +238,24 @@ def find_levy_cycles(table: CurveTable) -> tuple[tuple[str, ...], ...]:
 
     An edge goes from class j to class i when j's row contains a degree-1
     component homotopic to i; every elementary cycle of that digraph is a
-    Levy cycle and hence an obstruction.
+    Levy cycle and hence an obstruction.  Every elementary cycle lies in
+    one strongly connected component, so successors in other components
+    are dropped and an acyclic table costs no search.
     """
     ids = table.class_ids()
     pos = {cid: k for k, cid in enumerate(ids)}
+    adj = [0] * len(ids)
+    for k, cls in enumerate(table.classes):
+        for comp in cls.pullback:
+            if comp.degree == 1 and comp.target in pos:
+                adj[k] |= 1 << pos[comp.target]
+    comp_of = [0] * len(ids)
+    for ci, comp in enumerate(_strongly_connected_components(adj, len(ids))):
+        for v in comp:
+            comp_of[v] = ci
     succ: dict[str, list[str]] = {
-        cid: sorted(
-            {
-                comp.target
-                for comp in table.row(cid).pullback
-                if comp.degree == 1 and comp.target in pos
-            },
-            key=pos.get,
-        )
-        for cid in ids
+        cid: [ids[w] for w in _bits(adj[k]) if comp_of[w] == comp_of[k]]
+        for k, cid in enumerate(ids)
     }
     cycles: list[tuple[str, ...]] = []
     for s, root in enumerate(ids):
@@ -279,42 +284,77 @@ class MinimalObstructionSearch:
 def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> MinimalObstructionSearch:
     """All multicurves that are obstructions with no smaller obstruction inside.
 
-    Only subsets of fully tracked classes are searched.  A minimal
-    obstruction is necessarily irreducible (the eigenvalue of a reducible
-    matrix is attained on a proper strongly connected block), so the
-    search visits every subset of tracked classes by size, skips the
-    reducible ones and prunes supersets of hits; subsets larger than
-    ``subset_cap`` are not visited and the result says so.  Each subset is
-    tested on the full matrix: irreducibility on its support rows, the tag
-    on its entries.
+    Only subsets of fully tracked classes are searched, up to ``subset_cap``
+    classes; a larger tracked set marks the result truncated.  A minimal
+    obstruction is irreducible (the eigenvalue of a reducible matrix is
+    attained on a proper strongly connected block), so it lies inside one
+    strongly connected component of the support on the tracked classes and
+    is connected there.  Since rho only grows from a principal submatrix to
+    the whole, a component below 1 holds no obstruction and is skipped
+    unvisited.  Inside each other component, ESU extension sets (Wernicke,
+    IEEE/ACM TCBB 3(4), 2006) over the undirected neighbourhoods reach each
+    connected subset once, one size at a time, so all smaller hits are
+    known when a subset is reached: a hit is not extended, and a subset
+    containing one is not visited.  Each visited subset is tested on the
+    full matrix: irreducibility on its support rows, the tag on its
+    entries.  Hits are listed by size, then in ``itertools.combinations``
+    order of the tracked classes.
     """
     if subset_cap < 1:
         raise PreconditionError("subset cap must be at least 1")
-    tracked = [
-        c.id
-        for c in table.classes
+    pos = [
+        k
+        for k, c in enumerate(table.classes)
         if all(comp.target != UNTRACKED for comp in c.pullback)
     ]
+    tracked = [table.classes[k].id for k in pos]
     full = thurston_matrix(table, None)
     support = full.support()
-    ids = table.class_ids()
-    pos = {cid: k for k, cid in enumerate(ids)}
-    found: list[tuple[str, ...]] = []
-    found_sets: list[frozenset[str]] = []
     limit = min(subset_cap, len(tracked))
-    for size in range(1, limit + 1):
-        for combo in itertools.combinations(tracked, size):
-            combo_set = frozenset(combo)
-            if any(f <= combo_set for f in found_sets):
-                continue
-            idx = [pos[c] for c in combo]
-            if not _irreducible_support(_restrict(support, idx)):
-                continue
-            if _block_tag(full.rows, idx) is not SpectralTag.BELOW_ONE:
-                found.append(combo)
-                found_sets.append(combo_set)
+    local = _restrict(support, pos)  # support digraph on the tracked classes
+    hits: list[tuple[int, ...]] = []  # positions in ``tracked``
+    for comp in _strongly_connected_components(local, len(local)):
+        if _block_tag(full.rows, [pos[v] for v in comp]) is SpectralTag.BELOW_ONE:
+            continue
+        members = sum(1 << v for v in comp)
+        nbr = {v: local[v] & members & ~(1 << v) for v in comp}
+        for u in comp:
+            for v in _bits(local[u] & members & ~(1 << u)):
+                nbr[v] |= 1 << u
+        # ESU nodes of one size: the subset, its extension set, the subset
+        # with its neighbours, and the classes after the subset's first one
+        level = []
+        for v in comp:
+            later = members & ~((2 << v) - 1)
+            level.append((1 << v, nbr[v] & later, nbr[v] | 1 << v, later))
+        found: list[int] = []
+        for size in range(1, limit + 1):
+            grow = []
+            for sub, ext, closed, later in level:
+                idx = [pos[u] for u in _bits(sub)]
+                if _irreducible_support(_restrict(support, idx)) and (
+                    _block_tag(full.rows, idx) is not SpectralTag.BELOW_ONE
+                ):
+                    found.append(sub)
+                    hits.append(tuple(_bits(sub)))
+                else:
+                    grow.append((sub, ext, closed, later))
+            if size == limit:
+                break
+            # every hit of this size or smaller is known: drop their supersets
+            level = []
+            for sub, ext, closed, later in grow:
+                while ext:
+                    w = ext & -ext
+                    ext ^= w
+                    if any(f & (sub | w) == f for f in found):
+                        continue
+                    near = nbr[w.bit_length() - 1]
+                    level.append((sub | w, ext | (near & ~closed & later), closed | near, later))
+    # no hit contains another, since no superset of a hit is visited
+    hits.sort(key=lambda h: (len(h), h))
     return MinimalObstructionSearch(
-        multicurves=tuple(found),
+        multicurves=tuple(tuple(tracked[v] for v in h) for h in hits),
         truncated=len(tracked) > subset_cap,
         subset_cap=subset_cap,
     )

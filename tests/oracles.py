@@ -14,8 +14,11 @@ from math import gcd
 from typing import Optional, Sequence
 
 from thurston_obstruct import (
+    UNTRACKED,
     CurveTable,
+    MinimalObstructionSearch,
     NonnegMatrix,
+    PreconditionError,
     SpectralTag,
     exists_positive_subinvariant_vector,
     imprimitivity_index,
@@ -23,7 +26,7 @@ from thurston_obstruct import (
     spectral_radius_class,
     thurston_matrix,
 )
-from thurston_obstruct.spectral import cyclic_classes
+from thurston_obstruct.spectral import _block_tag, _irreducible_support, _restrict, cyclic_classes
 from thurston_obstruct.polynomials import Poly, degree, derivative, poly
 
 ZERO = Fraction(0)
@@ -316,6 +319,81 @@ def simple_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> list[t
             if exists_positive_subinvariant_vector(sub) is not None:
                 out.append(combo)
     return out
+
+
+def minimal_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> MinimalObstructionSearch:
+    """Minimal obstructions by visiting every subset of tracked classes.
+
+    Subsets come by size, in ``itertools.combinations`` order; a subset
+    containing an earlier hit is skipped, and the rest are tested on the
+    full matrix: irreducibility on their support rows, the tag on their
+    entries.
+    """
+    if subset_cap < 1:
+        raise PreconditionError("subset cap must be at least 1")
+    tracked = [
+        c.id
+        for c in table.classes
+        if all(comp.target != UNTRACKED for comp in c.pullback)
+    ]
+    full = thurston_matrix(table, None)
+    support = full.support()
+    ids = table.class_ids()
+    pos = {cid: k for k, cid in enumerate(ids)}
+    found: list[tuple[str, ...]] = []
+    found_sets: list[frozenset[str]] = []
+    limit = min(subset_cap, len(tracked))
+    for size in range(1, limit + 1):
+        for combo in itertools.combinations(tracked, size):
+            combo_set = frozenset(combo)
+            if any(f <= combo_set for f in found_sets):
+                continue
+            idx = [pos[c] for c in combo]
+            if not _irreducible_support(_restrict(support, idx)):
+                continue
+            if _block_tag(full.rows, idx) is not SpectralTag.BELOW_ONE:
+                found.append(combo)
+                found_sets.append(combo_set)
+    return MinimalObstructionSearch(
+        multicurves=tuple(found),
+        truncated=len(tracked) > subset_cap,
+        subset_cap=subset_cap,
+    )
+
+
+def levy_cycles_by_path_search(table: CurveTable) -> tuple[tuple[str, ...], ...]:
+    """Elementary cycles of the degree-1 digraph by extending every path.
+
+    From each root, every simple path through classes declared no earlier
+    than the root is extended; one that steps back onto the root is a cycle.
+    """
+    ids = table.class_ids()
+    pos = {cid: k for k, cid in enumerate(ids)}
+    succ: dict[str, list[str]] = {
+        cid: sorted(
+            {
+                comp.target
+                for comp in table.row(cid).pullback
+                if comp.degree == 1 and comp.target in pos
+            },
+            key=pos.get,
+        )
+        for cid in ids
+    }
+    cycles: list[tuple[str, ...]] = []
+    for s, root in enumerate(ids):
+        stack: list[tuple[str, tuple[str, ...]]] = [(root, (root,))]
+        while stack:
+            v, path = stack.pop()
+            for w in succ[v]:
+                if pos[w] < s:
+                    continue
+                if w == root:
+                    cycles.append(path)
+                elif w not in path:
+                    stack.append((w, path + (w,)))
+    cycles.sort(key=lambda cyc: (len(cyc), tuple(pos[c] for c in cyc)))
+    return tuple(cycles)
 
 
 # ---------------------------------------------------------------------------

@@ -307,6 +307,30 @@ def test_golden_ratio_bracket_at_width_ten_to_minus_1000():
     assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1  # x^2 - x - 1 changes sign
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--width", "1/1" + "0" * 5000], "options.width: invalid rational '1/1" + "0" * 36
+         + "... (5005 characters)"),
+        (["--width", "1/0"], "options.width: invalid rational '1/0'"),
+        (["--width", "0.5"], "options.width: Exact rational: an integer or a canonical "
+         "'p/q' string; floats are forbidden."),
+        (['{"schema": "' + "x" * 3000 + '", "matrix": [[1]]}'],
+         "schema: expected 'thurston-obstruct/matrix/1', got '" + "x" * 39 + "... (3002 characters)"),
+    ],
+    ids=["5000_digit_width", "zero_denominator", "decimal_width", "long_schema"],
+)
+def test_rejected_values_are_echoed_up_to_forty_characters(capsys, args, message):
+    if args[0] == "--width":
+        args = ["matrix", "[[1,1],[1,0]]", *args]
+    else:
+        args = ["matrix", *args]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_uncapped_canonical_report_is_not_truncated(capsys):
     report, code = run_json(capsys, ["canonical", json.dumps(CANONICAL_DOC_FULL)])
     assert code == 0

@@ -1,11 +1,14 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    levy_cycles_by_path_search,
     minimal_obstructions_by_exhaustion,
+    minimal_obstructions_by_subsets,
     simple_by_exhaustion,
     simple_obstructions_by_subsets,
 )
@@ -15,6 +18,7 @@ from thurston_obstruct import (
     CurveClass,
     CurveTable,
     DecompositionComponent,
+    MinimalObstructionSearch,
     PreconditionError,
     PullbackComponent,
     Return2222,
@@ -34,6 +38,7 @@ from thurston_obstruct import (
     spectral_radius_class,
     thurston_matrix,
 )
+from thurston_obstruct import tables
 
 F = Fraction
 
@@ -218,6 +223,117 @@ def test_levy_cycles_are_obstructions():
         for cycle in find_levy_cycles(table):
             cls = classify_multicurve(table, list(cycle))
             assert cls.is_obstruction
+
+
+@st.composite
+def curve_tables(draw, max_classes=11):
+    """Up to ``max_classes`` classes with inessential and untracked targets,
+    self-loops, and a planted cycle of degree-1 components."""
+    ids = [f"c{i}" for i in range(draw(st.integers(1, max_classes)))]
+    degree = draw(st.integers(2, 5))
+    rows = {cid: [] for cid in ids}
+    cycle = draw(st.lists(st.sampled_from(ids), unique=True))
+    for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+        rows[a].append(PullbackComponent(1, b))
+    for cid in ids:
+        budget = degree - len(rows[cid])
+        for _ in range(draw(st.integers(0, 3))):
+            if budget == 0:
+                break
+            d = draw(st.integers(1, budget))
+            budget -= d
+            # the row's own class is listed twice to draw more self-loops
+            target = draw(st.sampled_from(ids + [cid, INESSENTIAL, UNTRACKED]))
+            rows[cid].append(PullbackComponent(d, target))
+    return CurveTable(degree, tuple(CurveClass(cid, tuple(rows[cid])) for cid in ids))
+
+
+@given(curve_tables(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_minimal_obstructions_match_subset_oracle(table, data):
+    cap = data.draw(st.integers(1, len(table.classes) + 1))
+    assert find_minimal_obstructions(table, cap) == minimal_obstructions_by_subsets(table, cap)
+
+
+@given(curve_tables(max_classes=8))
+@settings(max_examples=150, deadline=None)
+def test_levy_cycles_match_path_search(table):
+    assert find_levy_cycles(table) == levy_cycles_by_path_search(table)
+
+
+def _indexed_table(n, rows, map_degree) -> CurveTable:
+    """Classes c0..c(n-1); ``rows(i)`` lists the (degree, target index) pairs of ci."""
+    return CurveTable(
+        map_degree,
+        tuple(
+            CurveClass(f"c{i}", tuple(PullbackComponent(d, f"c{t % n}") for d, t in rows(i)))
+            for i in range(n)
+        ),
+    )
+
+
+def _timed_minimal_search(table, cap):
+    start = time.perf_counter()
+    result = find_minimal_obstructions(table, cap)
+    return result, time.perf_counter() - start
+
+
+def test_minimal_search_on_a_sparse_20_class_ring():
+    # a degree-1 ring with a half loop at c0: one strongly connected block
+    # above 1 whose only obstruction is the whole ring, among 381 connected
+    # subsets and about a million subsets
+    ring = _indexed_table(20, lambda i: [(1, i + 1)] + [(2, 0)] * (i == 0), 3)
+    result, elapsed = _timed_minimal_search(ring, 20)
+    assert result == MinimalObstructionSearch((tuple(f"c{i}" for i in range(20)),), False, 20)
+    assert elapsed < 5
+
+
+def test_minimal_search_on_a_dense_20_class_chain_of_blocks():
+    # four blocks of five classes, each joined to all of its block (degree 4),
+    # to itself (degree 8) and to all of the next block (degree 8): every block
+    # has rho 9/8 and its proper subsets at most 7/8
+    def rows(i):
+        base = i - i % 5
+        inside = [(4, base + k) for k in range(5) if base + k != i] + [(8, i)]
+        return inside + ([(8, base + 5 + k) for k in range(5)] if base < 15 else [])
+
+    result, elapsed = _timed_minimal_search(_indexed_table(20, rows, 64), 20)
+    blocks = tuple(tuple(f"c{b + k}" for k in range(5)) for b in range(0, 20, 5))
+    assert result == MinimalObstructionSearch(blocks, False, 20)
+    assert elapsed < 5
+
+
+def test_minimal_search_skips_a_block_below_one(monkeypatch):
+    # complete on 12 classes with every entry 1/16: rho is 3/4
+    table = _indexed_table(12, lambda i: [(16, k) for k in range(12)], 192)
+    calls = []
+    real = tables._irreducible_support
+    monkeypatch.setattr(tables, "_irreducible_support", lambda adj: calls.append(adj) or real(adj))
+    assert find_minimal_obstructions(table, 12) == MinimalObstructionSearch((), False, 12)
+    assert calls == []
+
+
+def test_levy_search_on_a_layered_acyclic_table():
+    # 15 layers of 4 classes, each with degree-1 components on three classes
+    # of the next layer: 3^14 paths from each class of the first layer, no cycle
+    width, layers = 4, 15
+    table = CurveTable(
+        3,
+        tuple(
+            CurveClass(
+                f"l{layer}_{k}",
+                tuple(
+                    PullbackComponent(1, f"l{layer + 1}_{(k + j) % width}")
+                    for j in range(3 if layer + 1 < layers else 0)
+                ),
+            )
+            for layer in range(layers)
+            for k in range(width)
+        ),
+    )
+    start = time.perf_counter()
+    assert find_levy_cycles(table) == ()
+    assert time.perf_counter() - start < 1
 
 
 def test_minimal_obstructions_examples():
