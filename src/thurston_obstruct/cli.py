@@ -49,6 +49,8 @@ EXIT_RESOURCE_CAP = 4
 
 DEFAULT_WIDTH = "1/1000000"
 DEFAULT_SUBSET_CAP = 12
+# the slope search visits Theta(N^2) slopes: N = 1000 takes seconds, N = 3000 a minute
+MAX_SLOPE_BOUND = 1000
 
 
 def _load_json(text: str, origin: str) -> Any:
@@ -153,6 +155,8 @@ def _run_slopes(action: tuple, options: dict) -> tuple[dict, int]:
     if bound is not None:
         if bound < 1:
             raise PreconditionError("search bound must be at least 1")
+        if bound > MAX_SLOPE_BOUND:
+            raise PreconditionError(f"search bound must be at most {MAX_SLOPE_BOUND}")
         result["search"] = {
             "bound": bound,
             "found": docs.obstruction_slope_to_doc(find_obstruction_by_search(tmap, bound)),
@@ -367,7 +371,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_slopes = sub.add_parser("slopes", help="torus-quotient obstruction decision")
     add_common(p_slopes, matrix_flag=True)
     p_slopes.add_argument(
-        "--bound", type=int, default=None, help="also run the brute-force slope search"
+        "--bound",
+        type=int,
+        default=None,
+        help=f"also run the brute-force slope search (at most {MAX_SLOPE_BOUND})",
     )
 
     p_table = sub.add_parser("table", help="analyze a curve table")

@@ -10,10 +10,10 @@ exact Euler characteristic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
+from ._records import field, record
 from .spectral import PreconditionError
 
 INFINITE_WEIGHT = math.inf
@@ -31,7 +31,7 @@ PARABOLIC_SIGNATURES: tuple[tuple[Weight, ...], ...] = (
 )
 
 
-@dataclass(frozen=True)
+@record
 class PortraitPoint:
     label: str
     marked: bool
@@ -39,7 +39,7 @@ class PortraitPoint:
     local_degree: int
 
 
-@dataclass(frozen=True)
+@record
 class CriticalPortrait:
     """Marked finite dynamics with local degrees.
 
@@ -186,7 +186,7 @@ class OrbifoldClass:
     SPHERICAL_EXCEPTION = "spherical_exception"
 
 
-@dataclass(frozen=True)
+@record
 class OrbifoldSignature:
     weights: tuple[Weight, ...]
     chi: Fraction

@@ -15,17 +15,17 @@ different techniques and are rejected upstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt
 from typing import Iterator, Optional, Union
 
+from ._records import record
 from .spectral import PreconditionError
 
 IntMatrix = tuple[tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
+@record
 class Slope:
     """Primitive integer vector up to sign, normalized to q > 0 or (q = 0, p > 0)."""
 
@@ -49,7 +49,7 @@ class Slope:
         return f"{self.p}/{self.q}"
 
 
-@dataclass(frozen=True)
+@record
 class TorusQuotientMap:
     """Integer homology action of a torus-quotient map, sign-normalized.
 
@@ -109,7 +109,7 @@ def normalize(rows) -> TorusQuotientMap:
     return TorusQuotientMap(a, b, c, d)
 
 
-@dataclass(frozen=True)
+@record
 class SlopePullback:
     """Essential preimage picture of one curve class.
 
@@ -148,18 +148,18 @@ def slope_multiplier(tmap: TorusQuotientMap, v: Slope) -> Fraction:
     return Fraction(pb.component_count, pb.component_degree)
 
 
-@dataclass(frozen=True)
+@record
 class TwoDistinctIntegers:
     d1: int
     d2: int
 
 
-@dataclass(frozen=True)
+@record
 class EqualIntegers:
     d: int
 
 
-@dataclass(frozen=True)
+@record
 class NonIntegerOrComplex:
     pass
 
@@ -186,7 +186,7 @@ def eigenvalue_classification(tmap: TorusQuotientMap) -> EigenvalueClass:
     return TwoDistinctIntegers((t - s) // 2, (t + s) // 2)
 
 
-@dataclass(frozen=True)
+@record
 class ObstructionSlope:
     """A curve fixed by pullback together with its one-curve matrix entry."""
 
@@ -219,7 +219,7 @@ def canonical_obstruction_2222(tmap: TorusQuotientMap) -> Optional[ObstructionSl
     return ObstructionSlope(slope=slope, multiplier=Fraction(d2, d1))
 
 
-@dataclass(frozen=True)
+@record
 class SlopeOrbit:
     """Forward pullback orbit of one slope.
 

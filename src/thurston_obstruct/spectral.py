@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import enum
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
+from ._records import record
 from .polynomials import LargestRootIsolator, Poly, _primitive, poly
 
 
@@ -110,7 +110,7 @@ class SpectralTag(enum.Enum):
 _TAG_ORDER = tuple(SpectralTag)  # members are declared in increasing order of rho
 
 
-@dataclass(frozen=True)
+@record
 class SpectralClass:
     """Trichotomy of the leading eigenvalue against 1, with a rational bracket."""
 
@@ -119,7 +119,7 @@ class SpectralClass:
     hi: Fraction
 
 
-@dataclass(frozen=True)
+@record
 class BlockStructure:
     """Strongly-connected condensation of the support digraph.
 
@@ -446,7 +446,7 @@ def _block_tag(rows, block: Sequence[int]) -> SpectralTag:
     return SpectralTag.EXACTLY_ONE if det == 0 else SpectralTag.ABOVE_ONE
 
 
-@dataclass(frozen=True)
+@record
 class SpectralProfile:
     """Support, condensation and spectral tags of one matrix.
 
@@ -548,7 +548,7 @@ def spectral_radius_class(m: NonnegMatrix) -> SpectralClass:
 # imprimitive decomposition
 
 
-@dataclass(frozen=True)
+@record
 class ImprimitiveDecomposition:
     """Permuted power of an irreducible matrix with positive diagonal blocks.
 

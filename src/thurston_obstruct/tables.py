@@ -16,10 +16,10 @@ verdicts unknown.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
+from ._records import record
 from .slopes import (
     TorusQuotientMap,
     TwoDistinctIntegers,
@@ -49,13 +49,13 @@ UNTRACKED = "untracked"
 _RESERVED = (INESSENTIAL, UNTRACKED)
 
 
-@dataclass(frozen=True)
+@record
 class PullbackComponent:
     degree: int
     target: str
 
 
-@dataclass(frozen=True)
+@record
 class CurveClass:
     """One declared curve class: its preimage row and optional marked-point split."""
 
@@ -64,7 +64,7 @@ class CurveClass:
     partition: Optional[tuple[frozenset[str], frozenset[str]]] = None
 
 
-@dataclass(frozen=True)
+@record
 class CurveTable:
     map_degree: int
     classes: tuple[CurveClass, ...]
@@ -188,7 +188,7 @@ def is_completely_invariant(table: CurveTable, curves: Sequence[str]) -> Optiona
     return set(order) == hit
 
 
-@dataclass(frozen=True)
+@record
 class MulticurveClassification:
     spectral: SpectralClass
     is_obstruction: bool
@@ -274,7 +274,7 @@ def find_levy_cycles(table: CurveTable) -> tuple[tuple[str, ...], ...]:
     return tuple(cycles)
 
 
-@dataclass(frozen=True)
+@record
 class MinimalObstructionSearch:
     multicurves: tuple[tuple[str, ...], ...]
     truncated: bool
@@ -360,7 +360,7 @@ def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> Minima
     )
 
 
-@dataclass(frozen=True)
+@record
 class ObstructionReport:
     """Full analysis of one multicurve plus table-wide searches."""
 
@@ -404,12 +404,12 @@ def analyze_table(
 # canonical-candidate checking
 
 
-@dataclass(frozen=True)
+@record
 class ReturnHomeomorphism:
     pass
 
 
-@dataclass(frozen=True)
+@record
 class Return2222:
     """First-return map of torus-quotient type: its homology action, plus an
     optional curve table describing the obstructions visible inside it."""
@@ -418,7 +418,7 @@ class Return2222:
     table: Optional[CurveTable] = None
 
 
-@dataclass(frozen=True)
+@record
 class ReturnGeneral:
     table: CurveTable
 
@@ -426,13 +426,13 @@ class ReturnGeneral:
 FirstReturn = Union[ReturnHomeomorphism, Return2222, ReturnGeneral]
 
 
-@dataclass(frozen=True)
+@record
 class DecompositionComponent:
     marked_points: int
     first_return: FirstReturn
 
 
-@dataclass(frozen=True)
+@record
 class ComponentVerdict:
     index: int
     kind: str
@@ -440,7 +440,7 @@ class ComponentVerdict:
     reasons: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@record
 class CanonicalCandidateReport:
     accepted: bool
     preconditions: tuple[str, ...]

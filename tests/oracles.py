@@ -8,6 +8,7 @@ order arithmetic.  Oracles stay deliberately slow and simple.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 from fractions import Fraction
 from math import gcd
@@ -26,6 +27,7 @@ from thurston_obstruct import (
     spectral_radius_class,
     thurston_matrix,
 )
+from thurston_obstruct import orbifold, slopes, spectral, tables
 from thurston_obstruct.spectral import _block_tag, _irreducible_support, _restrict, cyclic_classes
 from thurston_obstruct.polynomials import Poly, degree, derivative, poly
 
@@ -664,3 +666,52 @@ class FractionRootIsolator:
         if not self.lo <= point <= self.hi and self.probe(self.hi) != (True, 0):
             return (self.lo, self.hi)
         return self._bisect(lambda lo, hi: not lo <= point <= hi)
+
+
+#: Every frozen record class of the package (built by ``_records.record``).
+RECORD_CLASSES = (
+    orbifold.PortraitPoint,
+    orbifold.CriticalPortrait,
+    orbifold.OrbifoldSignature,
+    slopes.Slope,
+    slopes.TorusQuotientMap,
+    slopes.SlopePullback,
+    slopes.TwoDistinctIntegers,
+    slopes.EqualIntegers,
+    slopes.NonIntegerOrComplex,
+    slopes.ObstructionSlope,
+    slopes.SlopeOrbit,
+    spectral.SpectralClass,
+    spectral.BlockStructure,
+    spectral.SpectralProfile,
+    spectral.ImprimitiveDecomposition,
+    tables.PullbackComponent,
+    tables.CurveClass,
+    tables.CurveTable,
+    tables.MulticurveClassification,
+    tables.MinimalObstructionSearch,
+    tables.ObstructionReport,
+    tables.ReturnHomeomorphism,
+    tables.Return2222,
+    tables.ReturnGeneral,
+    tables.DecompositionComponent,
+    tables.ComponentVerdict,
+    tables.CanonicalCandidateReport,
+)
+
+
+def dataclass_twin(cls: type) -> type:
+    """The standard library's ``dataclass(frozen=True)`` of a record's class body.
+
+    The twin has the record's name, annotations, plain defaults and
+    ``__post_init__``; ``OrbifoldSignature.ramification`` gets the
+    ``field(compare=False, default_factory=dict)`` it is declared with.
+    """
+    annotations = cls.__dict__.get("__annotations__", {})
+    namespace = {name: cls.__dict__[name] for name in annotations if name in cls.__dict__}
+    if cls is orbifold.OrbifoldSignature:
+        namespace["ramification"] = dataclasses.field(compare=False, default_factory=dict)
+    if "__post_init__" in cls.__dict__:
+        namespace["__post_init__"] = cls.__dict__["__post_init__"]
+    namespace.update(__annotations__=dict(annotations), __qualname__=cls.__qualname__)
+    return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))

@@ -139,6 +139,24 @@ def test_slopes_text_mentions_verdict(capsys):
     assert "canonical obstruction: nonempty, slope 1/0, multiplier 3/2" in out
 
 
+def test_slopes_bound_above_the_cap_exits_3_before_searching(capsys):
+    # the search is Theta(N^2): N = 3000 would run for about a minute
+    start = time.perf_counter()
+    assert main(["slopes", "--matrix", "[[2,0],[0,3]]", "--bound", "1001"]) == 3
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: search bound must be at most 1000\n"
+
+
+def test_slopes_bound_at_the_cap_still_searches(capsys):
+    report, code = run_json(capsys, ["slopes", "--matrix", "[[2,0],[0,3]]", "--bound", "1000"])
+    assert code == 0
+    assert report["result"]["search"]["bound"] == 1000
+    assert report["result"]["search"]["found"]["empty"] is False
+    VALIDATOR.validate(report)
+
+
 def test_matrix_check_simple(capsys):
     report, code = run_json(
         capsys, ["matrix", "--check-simple", "--matrix", '[["1/2",0],[1,1]]']
