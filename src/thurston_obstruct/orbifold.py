@@ -98,10 +98,6 @@ class CriticalPortrait:
         return tuple((p.label, p.local_degree) for p in self.points if p.image == label)
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
 def ramification_function(portrait: CriticalPortrait) -> dict[str, Weight]:
     """Minimal ramification weights of the portrait.
 
@@ -154,7 +150,7 @@ def ramification_function(portrait: CriticalPortrait) -> dict[str, Weight]:
                 if w == INFINITE_WEIGHT:
                     value = INFINITE_WEIGHT
                     break
-                value = _lcm(value, int(w) * deg)
+                value = math.lcm(value, int(w) * deg)
             if value != weights[lbl]:
                 weights[lbl] = value
                 changed = True

@@ -411,13 +411,56 @@ def charpoly(m: NonnegMatrix) -> Poly:
     return poly(reversed(coeffs))
 
 
+def _eye_minus(scale: int, b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer Z-matrix L*I - L*B from ``_cleared``'s ``(L, L*B)``."""
+    return [[(scale if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(b)]
+
+
+def _bareiss(c: list[list[int]]) -> int:
+    """Fraction-free elimination of the k rows of ``c`` (any width), in place.
+
+    Bareiss's scheme without pivoting (E. H. Bareiss, Math. Comp. 22, 1968)
+    divides exactly.  It stops at the first of pivots 0..k-2 that is not
+    positive and returns its index p, or k-1 when there is none; for each
+    row i <= p, ``c[i][j]``, j >= i, is then the minor on rows 0..i and
+    columns 0..i-1, j, so ``c[i][i]`` is the leading (i+1)-minor.
+    """
+    k = len(c)
+    prev = 1
+    for p in range(k - 1):
+        pivot_row = c[p]
+        pivot = pivot_row[p]
+        if pivot <= 0:
+            return p
+        tail = pivot_row[p + 1 :]
+        for row in c[p + 1 :]:
+            f = row[p]
+            row[p + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[p + 1 :], tail)]
+        prev = pivot
+    return k - 1
+
+
+def _back_substitute(c: Sequence[Sequence[int]], m: int) -> list[int]:
+    """Integer kernel vector z of the first m eliminated rows on columns 0..m.
+
+    The leading m x m block A of those rows has the positive determinant
+    d = ``c[m-1][m-1]`` (1 when m = 0).  Then z = d * (x, 1) with
+    A x = -(column m), so by Cramer's rule every entry of z is an integer
+    and each division below is exact.
+    """
+    z = [0] * m + [c[m - 1][m - 1] if m else 1]
+    for i in reversed(range(m)):
+        row = c[i]
+        z[i] = -sum(row[j] * z[j] for j in range(i + 1, m + 1)) // row[i]
+    return z
+
+
 def _block_tag(rows, block: Sequence[int]) -> SpectralTag:
     """Leading eigenvalue of the principal submatrix on one SCC block against 1.
 
-    Fraction-free Bareiss elimination without pivoting (E. H. Bareiss,
-    Math. Comp. 22, 1968) on the integer Z-matrix C = L*I - L*B yields the
-    leading principal minors of C.  Minors 1..k-1 positive make I - B_(k-1)
-    a nonsingular M-matrix, i.e. rho(B_(k-1)) < 1 (Berman & Plemmons,
+    ``_bareiss`` on the integer Z-matrix C = L*I - L*B yields the leading
+    principal minors of C.  Minors 1..k-1 positive make I - B_(k-1) a
+    nonsingular M-matrix, i.e. rho(B_(k-1)) < 1 (Berman & Plemmons,
     Nonnegative Matrices in the Mathematical Sciences, ch. 6).  For t above
     rho(B_(k-1)), det(tI - B_k) has the sign of a Schur complement that
     increases with t, so its sign at t = 1 says whether B_k has a real
@@ -426,20 +469,9 @@ def _block_tag(rows, block: Sequence[int]) -> SpectralTag:
     submatrices have strictly smaller rho, so rho(B) > 1; otherwise the
     sign of det C decides.  A 1x1 zero block has C = [L] and is below 1.
     """
-    scale, b = _cleared(rows, block)
-    c = [[(scale if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(b)]
-    k = len(c)
-    prev = 1
-    for p in range(k - 1):
-        pivot_row = c[p]
-        pivot = pivot_row[p]
-        if pivot <= 0:
-            return SpectralTag.ABOVE_ONE
-        tail = pivot_row[p + 1 :]
-        for row in c[p + 1 :]:
-            f = row[p]
-            row[p + 1 :] = [(x * pivot - f * y) // prev for x, y in zip(row[p + 1 :], tail)]
-        prev = pivot
+    c = _eye_minus(*_cleared(rows, block))
+    if _bareiss(c) < len(c) - 1:
+        return SpectralTag.ABOVE_ONE
     det = c[-1][-1]
     if det > 0:
         return SpectralTag.BELOW_ONE
@@ -637,57 +669,6 @@ def below_one_closed_indices(m: NonnegMatrix) -> tuple[int, ...]:
     return tuple(sorted(i for block, below in closed if below for i in block))
 
 
-def _kernel_vector(a: list[list[Fraction]]) -> list[Fraction]:
-    """A nonzero kernel vector of a rational matrix of rank below its column count.
-
-    Gauss-Jordan elimination to reduced row echelon form; the first free
-    column gets 1 and the pivot columns are solved for.  On ``[A | -b]``
-    with A square and nonsingular the free column is the last, so the
-    vector is ``(x, 1)`` with ``A x = b``.
-    """
-    mat = [row[:] for row in a]
-    n, cols = len(mat), len(mat[0])
-    pivots: list[tuple[int, int]] = []
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, n) if mat[r][col] != 0), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for r in range(n):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
-        pivots.append((row, col))
-        row += 1
-    pivot_cols = {c for _, c in pivots}
-    free = next((c for c in range(cols) if c not in pivot_cols), None)
-    if free is None:
-        raise ArithmeticError("matrix has trivial kernel")
-    x = [Fraction(0)] * cols
-    x[free] = Fraction(1)
-    for r, c in pivots:
-        x[c] = -mat[r][free]
-    return x
-
-
-def _geometric_certificate(rows, block: Sequence[int]) -> list[Fraction]:
-    """Positive v with B v >= v for the block B on ``block``, rho(B) > 1.
-
-    Geometric sums v = sum_{j<k} B^j 1 satisfy B v - v = B^k 1 - 1, so
-    any power with B^k 1 >= 1 yields a certificate.
-    """
-    power = [Fraction(1)] * len(block)
-    acc = power
-    while True:
-        power = [sum((rows[i][j] * p for j, p in zip(block, power)), Fraction(0)) for i in block]
-        if all(x >= 1 for x in power):
-            return acc
-        acc = [a + p for a, p in zip(acc, power)]
-
-
 def exists_positive_subinvariant_vector(
     m: NonnegMatrix,
 ) -> Optional[tuple[Fraction, ...]]:
@@ -696,9 +677,22 @@ def exists_positive_subinvariant_vector(
     Existence is equivalent to: no reordering of indices exposes a leading
     principal block, closed under support edges, whose leading eigenvalue
     is below 1 (the matrix as a whole counts as such a block).  The profile
-    answers that; certificates are assembled per block of the condensation:
-    an exact kernel vector at eigenvalue 1, a geometric power sum above 1,
-    and an inflow-fed resolvent solve below 1.
+    answers that.  Each block B of the condensation gets its part of the
+    certificate from the ``_bareiss`` elimination of C = L*I - L*B that
+    decides its tag, in integers until one division per block:
+
+    - below 1, C gets the cleared inflow from the blocks assigned before
+      as an extra column, and back substitution solves (I - B) x = inflow;
+      x > 0, since the block is strongly connected (or a single fed
+      vertex) and some inflow is positive;
+    - at or above 1, the elimination stops at p with the leading p x p
+      block of C a nonsingular M-matrix and the next leading minor <= 0.
+      So x = (y, 1, 0, ..., 0) with (I - B_p) y = B[:p, p] has y >= 0 and
+      B x >= x: rows 0..p-1 are equal and row p exceeds by minus the Schur
+      complement of that minor.  The step x <- B x keeps B x >= x, and as
+      B x >= x it adds the predecessors of the support to it; B is
+      irreducible, so x is positive within k - 1 steps.  At exactly 1,
+      p = k - 1 and x is the Perron vector with x_last = 1.
     """
     n = m.n
     profile = spectral_profile(m)
@@ -708,18 +702,28 @@ def exists_positive_subinvariant_vector(
     vec = [Fraction(0)] * n
     # support edges point to earlier blocks, which are assigned first
     for block, tag in zip(profile.structure.blocks(), profile.block_tags):
-        eye_minus = [[(1 if i == j else 0) - rows[i][j] for j in block] for i in block]
-        if tag is SpectralTag.EXACTLY_ONE:
-            x = _kernel_vector(eye_minus)  # the Perron vector of the block
-        elif tag is SpectralTag.ABOVE_ONE:
-            x = _geometric_certificate(rows, block)
+        scale, b = _cleared(rows, block)
+        c = _eye_minus(scale, b)
+        if tag is SpectralTag.BELOW_ONE:
+            inflow = [
+                scale * sum((rows[i][j] * vec[j] for j in range(n)), Fraction(0)) for i in block
+            ]
+            den = lcm(*(f.denominator for f in inflow))
+            for row, f in zip(c, inflow):
+                row.append(-f.numerator * (den // f.denominator))
+            _bareiss(c)
+            z = _back_substitute(c, len(block))
+            den *= z.pop()
         else:
-            # solve (I - B) x = inflow; x > 0 since the block is strongly
-            # connected (or a single fed vertex) and some inflow is positive
-            inflow = [sum((rows[i][j] * vec[j] for j in range(n)), Fraction(0)) for i in block]
-            x = _kernel_vector([r + [-f] for r, f in zip(eye_minus, inflow)])[:-1]
-        for i, value in zip(block, x):
-            vec[i] = value
+            p = _bareiss(c)
+            z = _back_substitute(c, p) + [0] * (len(block) - 1 - p)
+            den = z[p]
+            for _ in range(len(block) - 1):
+                if all(z):
+                    break
+                z = [sum(y * w for y, w in zip(row, z)) for row in b]
+        for i, value in zip(block, z):
+            vec[i] = Fraction(value, den)
     result = tuple(map(Fraction, _primitive(vec)))
     # exact self-check: the certificate is part of the public contract
     mv = [sum((m.rows[i][j] * result[j] for j in range(n)), Fraction(0)) for i in range(n)]

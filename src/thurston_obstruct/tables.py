@@ -38,6 +38,7 @@ from .spectral import (
     _strongly_connected_components,
     below_one_closed_indices,
     exists_positive_subinvariant_vector,
+    spectral_profile,
     spectral_radius_class,
     spectral_tag,
 )
@@ -289,32 +290,28 @@ def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> Minima
     obstruction is irreducible (the eigenvalue of a reducible matrix is
     attained on a proper strongly connected block), so it lies inside one
     strongly connected component of the support on the tracked classes and
-    is connected there.  Since rho only grows from a principal submatrix to
-    the whole, a component below 1 holds no obstruction and is skipped
-    unvisited.  Inside each other component, ESU extension sets (Wernicke,
-    IEEE/ACM TCBB 3(4), 2006) over the undirected neighbourhoods reach each
-    connected subset once, one size at a time, so all smaller hits are
-    known when a subset is reached: a hit is not extended, and a subset
-    containing one is not visited.  Each visited subset is tested on the
-    full matrix: irreducibility on its support rows, the tag on its
-    entries.  Hits are listed by size, then in ``itertools.combinations``
-    order of the tracked classes.
+    is connected there.  The components and their tags come from the
+    spectral profile of the tracked classes' matrix.  Since rho only grows
+    from a principal submatrix to the whole, a component below 1 holds no
+    obstruction and is skipped unvisited.  Inside each other component, ESU
+    extension sets (Wernicke, IEEE/ACM TCBB 3(4), 2006) over the undirected
+    neighbourhoods reach each connected subset once, one size at a time, so
+    all smaller hits are known when a subset is reached: a hit is not
+    extended, and a subset containing one is not visited.  Each visited
+    subset is tested on that matrix: irreducibility on its support rows,
+    the tag on its entries.  Hits are listed by size, then in
+    ``itertools.combinations`` order of the tracked classes.
     """
     if subset_cap < 1:
         raise PreconditionError("subset cap must be at least 1")
-    pos = [
-        k
-        for k, c in enumerate(table.classes)
-        if all(comp.target != UNTRACKED for comp in c.pullback)
-    ]
-    tracked = [table.classes[k].id for k in pos]
-    full = thurston_matrix(table, None)
-    support = full.support()
+    tracked = [c.id for c in table.classes if all(x.target != UNTRACKED for x in c.pullback)]
+    matrix = thurston_matrix(table, tracked)
+    profile = spectral_profile(matrix)
+    local = profile.support  # support digraph on the tracked classes
     limit = min(subset_cap, len(tracked))
-    local = _restrict(support, pos)  # support digraph on the tracked classes
     hits: list[tuple[int, ...]] = []  # positions in ``tracked``
-    for comp in _strongly_connected_components(local, len(local)):
-        if _block_tag(full.rows, [pos[v] for v in comp]) is SpectralTag.BELOW_ONE:
+    for comp, tag in zip(profile.structure.blocks(), profile.block_tags):
+        if tag is SpectralTag.BELOW_ONE:
             continue
         members = sum(1 << v for v in comp)
         nbr = {v: local[v] & members & ~(1 << v) for v in comp}
@@ -331,9 +328,9 @@ def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> Minima
         for size in range(1, limit + 1):
             grow = []
             for sub, ext, closed, later in level:
-                idx = [pos[u] for u in _bits(sub)]
-                if _irreducible_support(_restrict(support, idx)) and (
-                    _block_tag(full.rows, idx) is not SpectralTag.BELOW_ONE
+                idx = list(_bits(sub))
+                if _irreducible_support(_restrict(local, idx)) and (
+                    _block_tag(matrix.rows, idx) is not SpectralTag.BELOW_ONE
                 ):
                     found.append(sub)
                     hits.append(tuple(_bits(sub)))

@@ -29,7 +29,7 @@ from thurston_obstruct import (
 )
 from thurston_obstruct import orbifold, slopes, spectral, tables
 from thurston_obstruct.spectral import _block_tag, _irreducible_support, _restrict, cyclic_classes
-from thurston_obstruct.polynomials import Poly, degree, derivative, poly
+from thurston_obstruct.polynomials import Poly, _primitive, degree, derivative, poly
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -300,6 +300,85 @@ def sturm_tag(m: NonnegMatrix) -> SpectralTag:
         if count_roots_by_evaluation(sturm_chain_by_division(sf), one, hi) > 0:
             return SpectralTag.ABOVE_ONE
     return SpectralTag.EXACTLY_ONE if at_one else SpectralTag.BELOW_ONE
+
+
+def kernel_vector(a: list[list[Fraction]]) -> list[Fraction]:
+    """A nonzero kernel vector of a rational matrix of rank below its column count.
+
+    Gauss-Jordan elimination to reduced row echelon form; the first free
+    column gets 1 and the pivot columns are solved for.  On ``[A | -b]``
+    with A square and nonsingular the free column is the last, so the
+    vector is ``(x, 1)`` with ``A x = b``.
+    """
+    mat = [row[:] for row in a]
+    n, cols = len(mat), len(mat[0])
+    pivots: list[tuple[int, int]] = []
+    row = 0
+    for col in range(cols):
+        pivot = next((r for r in range(row, n) if mat[r][col] != 0), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = 1 / mat[row][col]
+        mat[row] = [x * inv for x in mat[row]]
+        for r in range(n):
+            if r != row and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[row])]
+        pivots.append((row, col))
+        row += 1
+    pivot_cols = {c for _, c in pivots}
+    free = next((c for c in range(cols) if c not in pivot_cols), None)
+    if free is None:
+        raise ArithmeticError("matrix has trivial kernel")
+    x = [Fraction(0)] * cols
+    x[free] = Fraction(1)
+    for r, c in pivots:
+        x[c] = -mat[r][free]
+    return x
+
+
+def geometric_certificate(rows, block: Sequence[int]) -> list[Fraction]:
+    """Positive v with B v >= v for the block B on ``block``, rho(B) > 1.
+
+    Geometric sums v = sum_{j<k} B^j 1 satisfy B v - v = B^k 1 - 1, so
+    any power with B^k 1 >= 1 yields a certificate.  The number of terms
+    grows without bound as rho(B) approaches 1.
+    """
+    power = [Fraction(1)] * len(block)
+    acc = power
+    while True:
+        power = [sum((rows[i][j] * p for j, p in zip(block, power)), Fraction(0)) for i in block]
+        if all(x >= 1 for x in power):
+            return acc
+        acc = [a + p for a, p in zip(acc, power)]
+
+
+def subinvariant_by_fraction_solves(m: NonnegMatrix) -> Optional[tuple[Fraction, ...]]:
+    """Positive v with M v >= v assembled per condensation block over Fractions.
+
+    The Perron vector by Gauss-Jordan at eigenvalue 1, a geometric power
+    sum above 1, and a Gauss-Jordan solve of (I - B) x = inflow below 1;
+    existence from the same profile as the library.
+    """
+    n = m.n
+    profile = spectral.spectral_profile(m)
+    if n == 0 or any(profile.closed_below):
+        return None
+    rows = m.rows
+    vec = [Fraction(0)] * n
+    for block, tag in zip(profile.structure.blocks(), profile.block_tags):
+        eye_minus = [[(1 if i == j else 0) - rows[i][j] for j in block] for i in block]
+        if tag is SpectralTag.EXACTLY_ONE:
+            x = kernel_vector(eye_minus)
+        elif tag is SpectralTag.ABOVE_ONE:
+            x = geometric_certificate(rows, block)
+        else:
+            inflow = [sum((rows[i][j] * vec[j] for j in range(n)), Fraction(0)) for i in block]
+            x = kernel_vector([r + [-f] for r, f in zip(eye_minus, inflow)])[:-1]
+        for i, value in zip(block, x):
+            vec[i] = value
+    return tuple(map(Fraction, _primitive(vec)))
 
 
 # ---------------------------------------------------------------------------

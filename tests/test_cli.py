@@ -325,6 +325,27 @@ def test_golden_ratio_bracket_at_width_ten_to_minus_1000():
     assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1  # x^2 - x - 1 changes sign
 
 
+def test_check_simple_just_above_one_reports_a_verified_certificate():
+    # rho - 1 is about 1e-4: the certificate takes no power series in rho
+    rows = [["1/2", "2501/10000"], [1, "1/2"]]
+    env = dict(os.environ, PYTHONPATH=str(SCHEMA_DIR.parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "thurston_obstruct.cli", "matrix", "--format", "json",
+         "--check-simple", json.dumps(rows)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    simple = json.loads(proc.stdout)["result"]["simple"]
+    assert simple["exists"] is True
+    v = [Fraction(x) for x in simple["certificate"]]
+    m = [[Fraction(x) for x in row] for row in rows]
+    assert all(x > 0 for x in v)
+    assert all(sum(a * x for a, x in zip(row, v)) >= y for row, y in zip(m, v))
+
+
 @pytest.mark.parametrize(
     "args, message",
     [

@@ -1,8 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     DeflatingRootIsolator,
@@ -12,10 +13,12 @@ from oracles import (
     determinant_by_elimination,
     evaluate,
     imprimitivity_by_cycles,
+    kernel_vector,
     matrix_powers_by_fraction_products,
     roots_strictly_above,
     simple_by_exhaustion,
     sturm_tag,
+    subinvariant_by_fraction_solves,
 )
 from thurston_obstruct import (
     NonnegMatrix,
@@ -37,7 +40,14 @@ from thurston_obstruct import (
     wielandt_bound,
 )
 from thurston_obstruct.polynomials import LargestRootIsolator
-from thurston_obstruct.spectral import _leading_root_isolator, spectral_profile
+from thurston_obstruct.spectral import (
+    _back_substitute,
+    _bareiss,
+    _cleared,
+    _eye_minus,
+    _leading_root_isolator,
+    spectral_profile,
+)
 
 F = Fraction
 
@@ -577,6 +587,120 @@ def test_subinvariant_matches_exhaustion_and_verifies(m):
         assert all(x > 0 for x in v)
         mv = [sum(m.rows[i][j] * v[j] for j in range(m.n)) for i in range(m.n)]
         assert all(a >= b for a, b in zip(mv, v))
+
+
+@st.composite
+def nonsingular_m_matrices(draw, max_n=6):
+    """``(C, b)``: an integer Z-matrix s*I - N with rho(N) < s (by the Sturm
+    oracle), so a nonsingular M-matrix, and an integer right-hand side."""
+    n = draw(st.integers(1, max_n))
+    big = [[draw(st.integers(0, 4)) for _ in range(n)] for _ in range(n)]
+    s = draw(st.integers(1, max(map(sum, big)) + 1))
+    scaled = NonnegMatrix([[F(x, s) for x in row] for row in big])
+    assume(sturm_tag(scaled) is SpectralTag.BELOW_ONE)
+    c = [[(s if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(big)]
+    return c, [draw(st.integers(-9, 9)) for _ in range(n)]
+
+
+@st.composite
+def irreducible_at_one(draw, max_n=6):
+    """D P^T D^-1 for a row-stochastic P with a Hamiltonian cycle and a
+    positive diagonal D: irreducible, rho exactly 1, Perron vector not flat."""
+    n = draw(st.integers(1, max_n))
+    rows = []
+    for i in range(n):
+        weights = [draw(st.integers(0, 3)) for _ in range(n)]
+        weights[(i + 1) % n] += 1
+        rows.append([F(w, sum(weights)) for w in weights])
+    d = [draw(st.integers(1, 5)) for _ in range(n)]
+    return [[d[i] * rows[j][i] / d[j] for j in range(n)] for i in range(n)]
+
+
+@given(nonsingular_m_matrices())
+@settings(max_examples=150, deadline=None)
+def test_back_substitution_matches_fraction_solve_on_m_matrices(case):
+    c, rhs = case
+    k = len(c)
+    expected = kernel_vector([[F(x) for x in row] + [F(-f)] for row, f in zip(c, rhs)])
+    work = [row + [-f] for row, f in zip(c, rhs)]
+    assert _bareiss(work) == k - 1
+    z = _back_substitute(work, k)
+    assert z[k] == determinant_by_elimination(c) > 0
+    assert [F(v, z[k]) for v in z] == expected
+
+
+@given(irreducible_at_one())
+@settings(max_examples=150, deadline=None)
+def test_back_substitution_matches_fraction_kernel_at_one(rows):
+    k = len(rows)
+    c = _eye_minus(*_cleared(rows, range(k)))
+    assert _bareiss(c) == k - 1 and c[-1][-1] == 0
+    z = _back_substitute(c, k - 1)
+    eye_minus = [[(1 if i == j else 0) - rows[i][j] for j in range(k)] for i in range(k)]
+    assert [F(v, z[-1]) for v in z] == kernel_vector(eye_minus)
+
+
+def _growth_steps(m, block) -> int:
+    """Steps x <- B x from the elimination's start vector to a positive one.
+
+    Checks on the way that the start vector is (y, 1, 0, ..., 0) with
+    y >= 0 and B x >= x, equal on the rows before the stopping pivot.
+    """
+    c = _eye_minus(*_cleared(m.rows, block))
+    p = _bareiss(c)
+    z = _back_substitute(c, p)
+    x = [F(v, z[p]) for v in z] + [F(0)] * (len(block) - 1 - p)
+    bx = [sum(m.rows[i][j] * v for j, v in zip(block, x)) for i in block]
+    assert x[p] == 1 and all(v >= 0 for v in x)
+    assert bx[:p] == x[:p] and all(u >= v for u, v in zip(bx, x))
+    steps = 0
+    while not all(x) and steps < len(block):
+        x = [sum(m.rows[i][j] * w for j, w in zip(block, x)) for i in block]
+        steps += 1
+    return steps
+
+
+@given(spectral_matrices)
+@settings(max_examples=120, deadline=None)
+def test_certificate_exists_exactly_when_the_fraction_route_finds_one(m):
+    v = exists_positive_subinvariant_vector(m)
+    assert (v is None) == (subinvariant_by_fraction_solves(m) is None)
+
+
+@given(spectral_matrices)
+@settings(max_examples=120, deadline=None)
+def test_certificate_without_a_block_above_one_matches_the_fraction_route(m):
+    assume(SpectralTag.ABOVE_ONE not in spectral_profile(m).block_tags)
+    assert exists_positive_subinvariant_vector(m) == subinvariant_by_fraction_solves(m)
+
+
+@given(spectral_matrices)
+@settings(max_examples=120, deadline=None)
+def test_certificate_with_a_block_above_one_verifies_in_bounded_steps(m):
+    profile = spectral_profile(m)
+    assume(SpectralTag.ABOVE_ONE in profile.block_tags)
+    v = exists_positive_subinvariant_vector(m)
+    if v is not None:
+        assert all(x > 0 for x in v)
+        mv = [sum(m.rows[i][j] * v[j] for j in range(m.n)) for i in range(m.n)]
+        assert all(a >= b for a, b in zip(mv, v))
+    for block, tag in zip(profile.structure.blocks(), profile.block_tags):
+        if tag is not SpectralTag.BELOW_ONE:
+            assert _growth_steps(m, block) <= len(block) - 1
+
+
+def test_certificate_just_above_one_is_immediate():
+    # rho = 1/2 + sqrt(1/4 + e) = 1 + e - e^2 + ...: the oracle's geometric
+    # power sum would need on the order of 1/e terms
+    e = F(1, 10**30)
+    m = NonnegMatrix([[F(1, 2), F(1, 4) + e], [1, F(1, 2)]])
+    start = time.perf_counter()
+    v = exists_positive_subinvariant_vector(m)
+    assert time.perf_counter() - start < 1
+    assert spectral_tag(m) is SpectralTag.ABOVE_ONE
+    # (y, 1) with y = (1/4 + e) / (1/2), scaled to coprime integers
+    assert v == (F(25 * 10**28 + 1), F(5 * 10**29))
+    assert all(sum(a * x for a, x in zip(row, v)) >= y for row, y in zip(m.rows, v))
 
 
 @given(matrices())
