@@ -33,13 +33,14 @@ def _as_fraction(value) -> Fraction:
 class NonnegMatrix:
     """Immutable square matrix of nonnegative rationals.
 
-    The spectral profile and the leading-root isolator are pure functions
-    of the entries; each is computed on first use and kept on the matrix,
-    so every question about one matrix shares one SCC pass, one set of
-    block tags and one characteristic polynomial.
+    The spectral profile, the leading-root isolator and the cyclic
+    structure are pure functions of the entries; each is computed on first
+    use and kept on the matrix, so every question about one matrix shares
+    one SCC pass, one set of block tags, one characteristic polynomial and
+    one boolean-power loop.
     """
 
-    __slots__ = ("rows", "n", "_profile", "_isolator")
+    __slots__ = ("rows", "n", "_profile", "_isolator", "_cyclic")
 
     def __init__(self, rows: Iterable[Iterable]):
         mat = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
@@ -54,6 +55,7 @@ class NonnegMatrix:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_profile", None)
         object.__setattr__(self, "_isolator", None)
+        object.__setattr__(self, "_cyclic", None)
 
     def __setattr__(self, *_):
         raise AttributeError("NonnegMatrix is immutable")
@@ -68,12 +70,12 @@ class NonnegMatrix:
         return f"NonnegMatrix({[[str(x) for x in row] for row in self.rows]})"
 
     def pow(self, k: int) -> "NonnegMatrix":
-        """M**k by repeated squaring of the integer matrix L*M, divided by L**k."""
+        """M**k by repeated squaring of L*M from k's leading bit, divided by L**k."""
         if k < 0:
             raise ValueError("negative power")
         scale, base = _cleared(self.rows, range(self.n))
-        power = [[int(i == j) for j in range(self.n)] for i in range(self.n)]
-        for bit in bin(k)[2:]:
+        power = base if k else [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+        for bit in bin(k)[3:]:
             power = _int_mul(power, power)
             if bit == "1":
                 power = _int_mul(power, base)
@@ -283,34 +285,52 @@ def is_irreducible(m: NonnegMatrix) -> bool:
     return spectral_profile(m).irreducible
 
 
-def _cyclic_levels(m: NonnegMatrix) -> tuple[int, list[int]]:
-    """Imprimitivity index h and the BFS levels from vertex 0.
+def _cyclic_structure(m: NonnegMatrix) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """``(h, classes, j)`` of an irreducible matrix, built once and kept on it.
 
-    h is the gcd over support edges u -> v of level(u) + 1 - level(v),
-    which is the gcd of all cycle lengths; the cyclic classes are the
-    levels modulo h.
+    One BFS from vertex 0 gives levels; h is the gcd over support edges
+    u -> v of level(u) + 1 - level(v), which is the gcd of all cycle
+    lengths, and the cyclic classes are the levels modulo h.  M maps each
+    class into the next, so every class block of M**h is primitive and
+    every other block of it is zero (Berman & Plemmons, ch. 2).  j is the
+    least power of M**h whose support is exactly the class pattern, found
+    by one loop over boolean powers within the Wielandt bound; for h = 1 it
+    is the first positive power of M.
     """
-    if not is_irreducible(m):
-        raise PreconditionError("imprimitivity index requires an irreducible matrix")
-    adj = spectral_profile(m).support
-    level = [-1] * m.n
-    level[0] = 0
-    queue = [0]
-    for v in queue:
-        for j in _bits(adj[v]):
-            if level[j] == -1:
-                level[j] = level[v] + 1
-                queue.append(j)
-    h = 0
-    for u in range(m.n):
-        for v in _bits(adj[u]):
-            h = gcd(h, abs(level[u] + 1 - level[v]))
-    return h, level
+    if m._cyclic is None:
+        if not is_irreducible(m):
+            raise PreconditionError("cyclic structure requires an irreducible matrix")
+        n = m.n
+        adj = spectral_profile(m).support
+        level = [0] + [-1] * (n - 1)
+        queue = [0]
+        for v in queue:
+            for w in _bits(adj[v]):
+                if level[w] == -1:
+                    level[w] = level[v] + 1
+                    queue.append(w)
+        h = 0
+        for u in range(n):
+            for v in _bits(adj[u]):
+                h = gcd(h, abs(level[u] + 1 - level[v]))
+        classes = tuple(tuple(v for v in range(n) if level[v] % h == c) for c in range(h))
+        masks = [sum(1 << v for v in cls) for cls in classes]
+        pattern = tuple(masks[depth % h] for depth in level)
+        step = adj
+        for _ in range(h - 1):
+            step = _bool_mul(step, adj)
+        power, j = step, 1
+        while power != pattern:
+            if j == wielandt_bound(n):  # pragma: no cover - class blocks of M**h are primitive
+                raise AssertionError("a class block of M**h is not primitive")
+            power, j = _bool_mul(power, step), j + 1
+        object.__setattr__(m, "_cyclic", (h, classes, j))
+    return m._cyclic
 
 
 def imprimitivity_index(m: NonnegMatrix) -> int:
     """gcd of all directed cycle lengths of the support digraph."""
-    return _cyclic_levels(m)[0]
+    return _cyclic_structure(m)[0]
 
 
 def is_primitive(m: NonnegMatrix) -> bool:
@@ -324,27 +344,22 @@ def wielandt_bound(n: int) -> int:
 def power_positive_exponent(m: NonnegMatrix, cap: Optional[int] = None) -> Optional[int]:
     """Smallest k <= cap with m**k entrywise positive, or None.
 
-    The default cap is the Wielandt bound (n-1)^2 + 1, which suffices for
-    every primitive matrix.  Positivity of a power depends only on the
-    support, so the search runs on boolean matrices.
+    The default cap is the Wielandt bound (n-1)^2 + 1, which every
+    primitive matrix meets.  No power of a reducible or imprimitive matrix
+    is positive, so those get None without a search; for a primitive
+    matrix k is the ``j`` of its cyclic structure.  The empty matrix is
+    vacuously positive at k = 1.
     """
     if cap is None:
         cap = wielandt_bound(m.n)
     if cap < 1:
         raise PreconditionError("cap must be at least 1")
-    return _first_full_power(m.support(), cap)
-
-
-def _first_full_power(base: Sequence[int], cap: int) -> Optional[int]:
-    """Smallest k <= cap whose boolean power of the support rows is all ones."""
-    full = (1 << len(base)) - 1
-    cur = base
-    for k in range(1, cap + 1):
-        if k > 1:
-            cur = _bool_mul(cur, base)
-        if all(row == full for row in cur):
-            return k
-    return None
+    if m.n == 0:
+        return 1
+    if not is_primitive(m):
+        return None
+    k = _cyclic_structure(m)[2]
+    return k if k <= cap else None
 
 
 def _int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -596,60 +611,35 @@ class ImprimitiveDecomposition:
 
 
 def cyclic_classes(m: NonnegMatrix) -> list[list[int]]:
-    """Vertex classes modulo the imprimitivity index, each mapped into the next."""
-    h, level = _cyclic_levels(m)
-    classes: list[list[int]] = [[] for _ in range(h)]
-    for v, depth in enumerate(level):
-        classes[depth % h].append(v)
-    return classes
+    """The h cyclic classes of an irreducible matrix, h its imprimitivity index.
+
+    Class c holds the vertices whose BFS level from vertex 0 is c modulo h,
+    in increasing order, so vertex 0 is in class 0; every support edge
+    leads from a class into the next one, cyclically.
+    """
+    return [list(cls) for cls in _cyclic_structure(m)[1]]
 
 
 def imprimitive_block_decomposition(m: NonnegMatrix) -> ImprimitiveDecomposition:
     """Block-diagonal positive decomposition of a power of an irreducible matrix.
 
-    The cyclic classes of the support digraph are invariant under m**h;
-    each restriction is primitive, so a further uniform power makes all
-    diagonal blocks positive while the off-diagonal blocks stay zero.
-    The support of m**h is the boolean h-th power of the support, so that
-    exponent comes from bitmasks; only the final power is rational.
+    With ``(h, classes, j)`` the cyclic structure, the exponent is h*j: j is
+    the least power of m**h whose class blocks are all positive, while every
+    block between two classes stays zero.  Only that one power is computed
+    in rationals, and its support is checked exactly against the class
+    pattern before the blocks are cut out of it.
     """
-    if not is_irreducible(m):
-        raise PreconditionError("imprimitive decomposition requires an irreducible matrix")
-    classes = cyclic_classes(m)
-    h = len(classes)
-    adj = spectral_profile(m).support
-    support_h = adj
-    for _ in range(h - 1):
-        support_h = _bool_mul(support_h, adj)
-    # each class block of m**h is primitive, so the Wielandt bound caps its search
-    extra = max(
-        _first_full_power(_restrict(support_h, cls), wielandt_bound(len(cls))) for cls in classes
-    )
-    k = h * extra
+    h, classes, j = _cyclic_structure(m)
+    k = h * j
     mk = m.pow(k)
-    perm: list[int] = []
-    for cls in classes:
-        perm.extend(cls)
-    blocks = []
-    for cls in classes:
-        block = NonnegMatrix([[mk.rows[i][j] for j in cls] for i in cls])
-        if not block.is_positive():  # pragma: no cover - persistence of positivity
-            raise AssertionError("diagonal block is not positive")
-        blocks.append(block)
-    # off-diagonal blocks must vanish exactly
-    cls_of = {}
-    for ci, cls in enumerate(classes):
-        for v in cls:
-            cls_of[v] = ci
-    for i in range(m.n):
-        for j in range(m.n):
-            if cls_of[i] != cls_of[j] and mk.rows[i][j] != 0:  # pragma: no cover
-                raise AssertionError("off-diagonal block is not zero")
+    support = mk.support()
+    if any(support[v] != sum(1 << w for w in cls) for cls in classes for v in cls):
+        raise AssertionError("power does not have the cyclic block pattern")  # pragma: no cover
     return ImprimitiveDecomposition(
         exponent=k,
-        permutation=tuple(perm),
-        block_sizes=tuple(len(c) for c in classes),
-        blocks=tuple(blocks),
+        permutation=tuple(v for cls in classes for v in cls),
+        block_sizes=tuple(len(cls) for cls in classes),
+        blocks=tuple(mk.submatrix(cls) for cls in classes),
     )
 
 

@@ -20,12 +20,7 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from ._records import record
-from .slopes import (
-    TorusQuotientMap,
-    TwoDistinctIntegers,
-    eigenvalue_classification,
-    normalize,
-)
+from .slopes import TwoDistinctIntegers, eigenvalue_classification, normalize
 from .spectral import (
     NonnegMatrix,
     PreconditionError,
@@ -131,12 +126,13 @@ def curve_order(table: CurveTable, curves: Optional[Sequence[str]] = None) -> tu
     if curves is None:
         return ids
     wanted = list(curves)
-    if len(set(wanted)) != len(wanted):
+    chosen = set(wanted)
+    if len(chosen) != len(wanted):
         raise PreconditionError("multicurve repeats a class id")
     unknown = [c for c in wanted if c not in ids]
     if unknown:
         raise PreconditionError(f"unknown curve classes: {unknown}")
-    return tuple(c for c in ids if c in set(wanted))
+    return tuple(c for c in ids if c in chosen)
 
 
 def thurston_matrix(table: CurveTable, curves: Optional[Sequence[str]] = None) -> NonnegMatrix:
@@ -181,12 +177,13 @@ def is_completely_invariant(table: CurveTable, curves: Sequence[str]) -> Optiona
     if inv is not True:
         return inv
     order = curve_order(table, curves)
+    members = set(order)
     hit = set()
     for cid in order:
         for comp in table.row(cid).pullback:
-            if comp.target in set(order):
+            if comp.target in members:
                 hit.add(comp.target)
-    return set(order) == hit
+    return members == hit
 
 
 @record

@@ -22,8 +22,6 @@ from thurston_obstruct import (
     PreconditionError,
     SpectralTag,
     exists_positive_subinvariant_vector,
-    imprimitivity_index,
-    power_positive_exponent,
     spectral_radius_class,
     thurston_matrix,
 )
@@ -213,15 +211,29 @@ def matrix_powers_by_fraction_products(m: NonnegMatrix, k_max: int) -> list[list
     return powers
 
 
+def power_positive_exponent_by_rational_powers(m: NonnegMatrix, cap: int) -> Optional[int]:
+    """Smallest k <= cap whose Fraction power m**k is entrywise positive, or None."""
+    powers = matrix_powers_by_fraction_products(m, cap)
+    for k in range(1, cap + 1):
+        if all(x > 0 for row in powers[k] for x in row):
+            return k
+    return None
+
+
 def decomposition_exponent_by_rational_powers(m: NonnegMatrix) -> int:
     """Exponent of the imprimitive decomposition from the rational power m**h.
 
-    Each cyclic-class block of m**h is primitive; the uniform extra power
-    is the largest of their first positive powers.
+    h is the gcd of the elementary cycle lengths.  Each cyclic-class block
+    of m**h is primitive; the uniform extra power is the largest of their
+    first positive powers, each within its block's Wielandt bound.
     """
-    h = imprimitivity_index(m)
+    h = imprimitivity_by_cycles(m)
     mh = NonnegMatrix(matrix_powers_by_fraction_products(m, h)[h])
-    return h * max(power_positive_exponent(mh.submatrix(cls)) for cls in cyclic_classes(m))
+    extra = []
+    for cls in cyclic_classes(m):
+        cap = (len(cls) - 1) ** 2 + 1
+        extra.append(power_positive_exponent_by_rational_powers(mh.submatrix(cls), cap))
+    return h * max(extra)
 
 
 def minimal_obstructions_by_exhaustion(m: NonnegMatrix) -> list[tuple[int, ...]]:

@@ -15,6 +15,7 @@ from oracles import (
     imprimitivity_by_cycles,
     kernel_vector,
     matrix_powers_by_fraction_products,
+    power_positive_exponent_by_rational_powers,
     roots_strictly_above,
     simple_by_exhaustion,
     sturm_tag,
@@ -43,9 +44,11 @@ from thurston_obstruct.polynomials import LargestRootIsolator
 from thurston_obstruct.spectral import (
     _back_substitute,
     _bareiss,
+    _bool_mul,
     _cleared,
     _eye_minus,
     _leading_root_isolator,
+    cyclic_classes,
     spectral_profile,
 )
 
@@ -322,10 +325,27 @@ def test_imprimitivity_matches_cycle_gcd():
         assert imprimitivity_index(m) == imprimitivity_by_cycles(m)
 
 
+CYCLIC_EDGE_CASES = (
+    NonnegMatrix([]),
+    NonnegMatrix([[0]]),
+    NonnegMatrix([[F(1, 3)]]),
+    NonnegMatrix([[0, 2], [1, 0]]),
+    NonnegMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]]),
+    NonnegMatrix([[1, 1], [0, 1]]),
+    NonnegMatrix([[0, 1, 0], [0, 0, 1], [1, 1, 0]]),  # primitive, Wielandt's extremal case
+)
+
+
 def test_power_positive_examples():
     assert power_positive_exponent(NonnegMatrix([[1]])) == 1
     assert power_positive_exponent(NonnegMatrix([[1, 1], [1, 0]])) == 2
     assert power_positive_exponent(NonnegMatrix([[1, 0], [0, 1]])) is None
+    for m in CYCLIC_EDGE_CASES:
+        for cap in range(1, wielandt_bound(m.n) + 3):
+            expected = power_positive_exponent_by_rational_powers(m, cap)
+            assert power_positive_exponent(NonnegMatrix(m.rows), cap) == expected, (m, cap)
+        with pytest.raises(PreconditionError):
+            power_positive_exponent(m, 0)
 
 
 def test_wielandt_bound_on_primitive_samples():
@@ -546,6 +566,86 @@ def test_pow_edge_cases():
     assert m.pow(0) == NonnegMatrix([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         m.pow(-1)
+
+
+mostly_positive = st.sampled_from(ENTRY_POOL[2:])
+
+
+@st.composite
+def cyclic_pattern_matrices(draw, max_n=7):
+    """Support edges only from each of h >= 2 classes into the next:
+    imprimitive when irreducible, reducible when a class is empty or an
+    entry on a needed edge is 0."""
+    h = draw(st.integers(2, 3))
+    cls_of = draw(st.lists(st.integers(0, h - 1), min_size=1, max_size=max_n))
+    n = len(cls_of)
+    return NonnegMatrix(
+        [[draw(mostly_positive) if cls_of[j] == (cls_of[i] + 1) % h else 0 for j in range(n)]
+         for i in range(n)]
+    )
+
+
+cyclic_test_matrices = st.one_of(shaped_matrices(min_n=0), cyclic_pattern_matrices())
+
+
+@given(cyclic_test_matrices, st.data())
+@settings(max_examples=100, deadline=None)
+def test_power_positive_exponent_matches_rational_powers(m, data):
+    cap = data.draw(st.integers(1, wielandt_bound(m.n) + 2), label="cap")
+    assert power_positive_exponent(m, cap) == power_positive_exponent_by_rational_powers(m, cap)
+    assert power_positive_exponent(m) == power_positive_exponent_by_rational_powers(
+        m, wielandt_bound(m.n)
+    )
+
+
+CYCLIC_QUERIES = (
+    imprimitivity_index,
+    is_primitive,
+    cyclic_classes,
+    power_positive_exponent,
+    imprimitive_block_decomposition,
+)
+
+
+def _cyclic_answer(query, m):
+    try:
+        return query(m)
+    except PreconditionError:
+        return PreconditionError
+
+
+@given(cyclic_test_matrices, st.permutations(CYCLIC_QUERIES))
+@settings(max_examples=80, deadline=None)
+def test_cyclic_queries_in_any_order_match_fresh_copies(m, order):
+    for query in order:
+        assert _cyclic_answer(query, m) == _cyclic_answer(query, NonnegMatrix(m.rows)), query
+    # the classes handed out are copies: changing them leaves the kept structure alone
+    if is_irreducible(m):
+        cyclic_classes(m)[0].append(-1)
+        assert cyclic_classes(m) == cyclic_classes(NonnegMatrix(m.rows))
+
+
+def test_power_positive_exponent_of_a_large_triangular_matrix_is_immediate():
+    # reducible, so no power is positive; the Wielandt-bound search would
+    # take 6241 boolean products of 80 x 80 supports
+    m = NonnegMatrix([[int(j >= i) for j in range(80)] for i in range(80)])
+    start = time.perf_counter()
+    assert power_positive_exponent(m) is None
+    assert time.perf_counter() - start < 0.5
+
+
+def test_non_primitive_matrices_get_no_positive_power_search(monkeypatch):
+    products = []
+    monkeypatch.setattr(
+        "thurston_obstruct.spectral._bool_mul", lambda a, b: products.append(1) or _bool_mul(a, b)
+    )
+    assert power_positive_exponent(NonnegMatrix([[1, 1], [0, 1]])) is None
+    assert products == []
+    # the 3-cycle: two products give the support of M**3, already the class pattern
+    cycle = NonnegMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert power_positive_exponent(cycle) is None
+    assert imprimitive_block_decomposition(cycle).exponent == 3
+    assert len(products) == 2
 
 
 def test_start_bracket_that_excludes_one_is_returned_unsnapped():
