@@ -49,8 +49,6 @@ EXIT_RESOURCE_CAP = 4
 
 DEFAULT_WIDTH = "1/1000000"
 DEFAULT_SUBSET_CAP = 12
-# the slope search visits Theta(N^2) slopes: N = 1000 takes seconds, N = 3000 a minute
-MAX_SLOPE_BOUND = 1000
 
 
 def _load_json(text: str, origin: str) -> Any:
@@ -116,8 +114,6 @@ def _run_matrix(rows: list, options: dict) -> tuple[dict, int]:
     except ValueError as exc:
         raise PreconditionError(str(exc)) from exc
     width = docs.parse_rational(options["width"], "options.width")
-    if width <= 0:
-        raise PreconditionError("width must be positive")
     # the matrix keeps its spectral profile and root isolator, so the calls
     # below share one SCC pass and one characteristic polynomial
     irreducible = is_irreducible(matrix)
@@ -153,10 +149,6 @@ def _run_slopes(action: tuple, options: dict) -> tuple[dict, int]:
     }
     bound = options["bound"]
     if bound is not None:
-        if bound < 1:
-            raise PreconditionError("search bound must be at least 1")
-        if bound > MAX_SLOPE_BOUND:
-            raise PreconditionError(f"search bound must be at most {MAX_SLOPE_BOUND}")
         result["search"] = {
             "bound": bound,
             "found": docs.obstruction_slope_to_doc(find_obstruction_by_search(tmap, bound)),
@@ -374,7 +366,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--bound",
         type=int,
         default=None,
-        help=f"also run the brute-force slope search (at most {MAX_SLOPE_BOUND})",
+        help="also run the bounded slope search",
     )
 
     p_table = sub.add_parser("table", help="analyze a curve table")

@@ -263,19 +263,20 @@ def enumerate_slopes(bound: int) -> Iterator[Slope]:
 
 
 def find_obstruction_by_search(tmap: TorusQuotientMap, bound: int) -> Optional[ObstructionSlope]:
-    """Brute-force scan for a slope fixed by pullback with multiplier above 1.
+    """The slope with |p|, |q| <= bound fixed by pullback with multiplier above 1.
 
-    This is the verification oracle for the eigenvalue criterion: a fixed
-    slope with ratio g/d strictly greater than 1 exists exactly when the
-    action has two distinct integer eigenvalues.  Slopes fixed with ratio
-    exactly 1 (scalar and shear actions have those) do not degenerate and
-    are not reported.
+    Decided in closed form: the answer is the canonical slope when
+    ``enumerate_slopes(bound)`` contains it, and None otherwise.  A slope v
+    is fixed by pullback exactly when A v = lam v; then adj(A) v =
+    (det/lam) v, so the primitive v has g = det/lam preimages of degree
+    lam, and its multiplier g/d = det/lam^2 exceeds 1 exactly when lam is
+    the smaller of two distinct eigenvalues d1 < d2 (g = d2 > d1 = d).  A
+    scalar action or a shear fixes slopes only with multiplier 1, and any
+    other action fixes none.
     """
-    for slope in enumerate_slopes(bound):
-        pb = pullback_slope(tmap, slope)
-        if pb.target == slope and pb.component_count > pb.component_degree:
-            return ObstructionSlope(
-                slope=slope,
-                multiplier=Fraction(pb.component_count, pb.component_degree),
-            )
-    return None
+    if bound < 1:
+        raise PreconditionError("search bound must be at least 1")
+    found = canonical_obstruction_2222(tmap)
+    if found is None or abs(found.slope.p) > bound or found.slope.q > bound:
+        return None
+    return found

@@ -138,6 +138,21 @@ def box_coset_pullback_oracle(rows, v: tuple[int, int]) -> tuple[tuple[int, int]
     return (normalize_pq(*hit), det // order, order)
 
 
+def obstruction_slope_by_scan(
+    tmap: slopes.TorusQuotientMap, bound: int
+) -> Optional[slopes.ObstructionSlope]:
+    """The first slope of ``enumerate_slopes(bound)`` that pulls back to
+    itself with more preimage components than their covering degree."""
+    for slope in slopes.enumerate_slopes(bound):
+        pb = slopes.pullback_slope(tmap, slope)
+        if pb.target == slope and pb.component_count > pb.component_degree:
+            return slopes.ObstructionSlope(
+                slope=slope,
+                multiplier=Fraction(pb.component_count, pb.component_degree),
+            )
+    return None
+
+
 # ---------------------------------------------------------------------------
 # matrix oracles
 

@@ -9,7 +9,11 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import covering_pullback_oracle, simple_by_exhaustion
+from oracles import (
+    covering_pullback_oracle,
+    obstruction_slope_by_scan,
+    simple_by_exhaustion,
+)
 from thurston_obstruct import (
     INFINITE_WEIGHT,
     PARABOLIC_SIGNATURES,
@@ -179,7 +183,8 @@ def test_criterion_5_search_equivalence():
     family = normalized_action_family()
     for rows in family:
         tmap = normalize([list(rows[0]), list(rows[1])])
-        found = find_obstruction_by_search(tmap, 8)
+        found = obstruction_slope_by_scan(tmap, 8)
+        assert find_obstruction_by_search(tmap, 8) == found, f"mismatch at action {rows}"
         two_distinct = isinstance(eigenvalue_classification(tmap), TwoDistinctIntegers)
         assert (found is not None) == two_distinct, f"mismatch at action {rows}"
         if found is not None:

@@ -139,14 +139,28 @@ def test_slopes_text_mentions_verdict(capsys):
     assert "canonical obstruction: nonempty, slope 1/0, multiplier 3/2" in out
 
 
-def test_slopes_bound_above_the_cap_exits_3_before_searching(capsys):
-    # the search is Theta(N^2): N = 3000 would run for about a minute
+def test_slopes_bound_is_decided_in_closed_form(capsys):
+    # no scan: a bound of 10^9 costs what a bound of 1 costs
     start = time.perf_counter()
-    assert main(["slopes", "--matrix", "[[2,0],[0,3]]", "--bound", "1001"]) == 3
+    args = ["slopes", "--matrix", "[[1,-1],[1,1]]", "--bound", "1000000000"]
+    report, code = run_json(capsys, args)
     assert time.perf_counter() - start < 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: search bound must be at most 1000\n"
+    assert code == 0
+    assert report["result"]["search"] == {"bound": 1000000000, "found": {"empty": True}}
+    # the canonical slope 3/1 lies outside the box at bound 2 and inside it at bound 3
+    args = ["slopes", "--matrix", "[[0,6],[-1,5]]", "--bound"]
+    report, code = run_json(capsys, args + ["2"])
+    assert code == 0
+    assert report["result"]["canonical_obstruction"]["slope"] == [3, 1]
+    assert report["result"]["search"]["found"] == {"empty": True}
+    report, code = run_json(capsys, args + ["3"])
+    assert code == 0
+    assert report["result"]["search"]["found"] == {
+        "empty": False,
+        "slope": [3, 1],
+        "multiplier": "3/2",
+    }
+    VALIDATOR.validate(report)
 
 
 def test_slopes_bound_at_the_cap_still_searches(capsys):
@@ -262,6 +276,31 @@ def test_exit_code_resource_cap_canonical(capsys):
     VALIDATOR.validate(report)
     assert main(args) == 4
     assert "truncated at subset cap 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["matrix", "[[2,1],[1,1]]", "--width", "0"], "width must be positive"),
+        (["matrix", "[[2,1],[1,1]]", "--width=-1/2"], "width must be positive"),
+        (["slopes", "[[2,0],[0,3]]", "--bound", "0"], "search bound must be at least 1"),
+        (["slopes", "[[2,0],[0,3]]", "--bound", "-3"], "search bound must be at least 1"),
+        (
+            ["table", json.dumps(LEVY_TABLE_DOC), "--subset-cap", "0"],
+            "subset cap must be at least 1",
+        ),
+        (
+            ["canonical", json.dumps(CANONICAL_DOC), "--subset-cap", "0"],
+            "subset cap must be at least 1",
+        ),
+    ],
+)
+def test_option_out_of_range_exits_3(capsys, args, message):
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("cap", ["0", "-3"])

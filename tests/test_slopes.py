@@ -4,7 +4,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oracles import box_coset_pullback_oracle, covering_pullback_oracle
+from oracles import (
+    box_coset_pullback_oracle,
+    covering_pullback_oracle,
+    obstruction_slope_by_scan,
+)
 from thurston_obstruct import (
     EqualIntegers,
     NonIntegerOrComplex,
@@ -102,6 +106,11 @@ def test_search_examples():
     assert found is not None and found.slope == Slope(1, 0) and found.multiplier == F(3, 2)
     assert find_obstruction_by_search(normalize([[2, 2], [0, 2]]), 5) is None
     assert find_obstruction_by_search(normalize([[1, -1], [1, 1]]), 5) is None
+    # the canonical slope -3/1 lies in the box |p|, |q| <= 3 but not in the one for 2
+    mirrored = normalize([[0, -6], [1, 5]])
+    assert find_obstruction_by_search(mirrored, 2) is None
+    assert find_obstruction_by_search(mirrored, 3) == canonical_obstruction_2222(mirrored)
+    assert canonical_obstruction_2222(mirrored).slope == Slope(-3, 1)
 
 
 def test_search_ignores_multiplier_one_fixed_slopes():
@@ -248,3 +257,10 @@ def test_pullback_matches_box_coset_oracle():
         target, g, dd = box_coset_pullback_oracle(tmap.matrix(), v.vector())
         assert (pb.target.vector(), pb.component_count, pb.component_degree) == (target, g, dd)
         checked += 1
+
+
+@given(raw_actions, st.integers(1, 8))
+@settings(max_examples=300, deadline=None)
+def test_search_closed_form_matches_scan_oracle(raw, bound):
+    tmap = normalize([[raw[0], raw[1]], [raw[2], raw[3]]])
+    assert find_obstruction_by_search(tmap, bound) == obstruction_slope_by_scan(tmap, bound)
