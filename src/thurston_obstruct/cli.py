@@ -13,6 +13,7 @@ Exit codes: 0 completed analysis (whatever the mathematical verdict),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -322,7 +323,17 @@ def render_text(report: dict) -> str:
 # argument parsing
 
 
+def _int_argument(text: str) -> int:
+    """argparse's ``type=int``, with a rejected value echoed cut, as document fields are."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {docs._echo(text)}") from None
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="thurston-obstruct",
         description="Exact obstruction-theoretic analyses of branched sphere covers.",
@@ -364,7 +375,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_slopes, matrix_flag=True)
     p_slopes.add_argument(
         "--bound",
-        type=int,
+        type=_int_argument,
         default=None,
         help="also run the bounded slope search",
     )
@@ -373,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_table, matrix_flag=False)
     p_table.add_argument(
         "--subset-cap",
-        type=int,
+        type=_int_argument,
         default=DEFAULT_SUBSET_CAP,
         help=f"largest multicurve size searched (default {DEFAULT_SUBSET_CAP})",
     )
@@ -382,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p_canon, matrix_flag=False)
     p_canon.add_argument(
         "--subset-cap",
-        type=int,
+        type=_int_argument,
         default=DEFAULT_SUBSET_CAP,
         help="declared classes of each torus-quotient inner table that are examined "
         f"(default {DEFAULT_SUBSET_CAP})",

@@ -537,5 +537,37 @@ def canonical_report_to_doc(report: CanonicalCandidateReport) -> dict:
 
 
 def dumps(doc: Any) -> str:
-    """Canonical serialization: sorted keys, two-space indent, trailing newline."""
-    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+    """Canonical serialization: sorted keys, two-space indent, trailing newline.
+
+    The same bytes as ``json.dumps(doc, sort_keys=True, indent=2,
+    ensure_ascii=False)`` and a newline, without ``json``'s pure-Python
+    indenting encoder: a report holds only dicts with ``str`` keys, lists
+    (tuples are written as lists), strings, ints, booleans and ``None``, and
+    anything else raises ``TypeError``.  Strings go through ``json``'s C
+    string encoder.
+    """
+    encode = json.encoder.encode_basestring  # raises TypeError on a key that is not a str
+
+    def node(value: Any, newline: str) -> str:
+        if isinstance(value, str):
+            return encode(value)
+        if value is None:
+            return "null"
+        if value is True or value is False:
+            return "true" if value else "false"
+        if isinstance(value, int):
+            return int.__repr__(value)
+        inner = newline + "  "
+        if isinstance(value, dict):
+            if not value:
+                return "{}"
+            items = [encode(key) + ": " + node(value[key], inner) for key in sorted(value)]
+            return "{" + inner + ("," + inner).join(items) + newline + "}"
+        if isinstance(value, (list, tuple)):
+            if not value:
+                return "[]"
+            items = [node(item, inner) for item in value]
+            return "[" + inner + ("," + inner).join(items) + newline + "]"
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+    return node(doc, "\n") + "\n"

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from thurston_obstruct import (
     UNTRACKED,
@@ -821,3 +822,8 @@ def dataclass_twin(cls: type) -> type:
         namespace["__post_init__"] = cls.__dict__["__post_init__"]
     namespace.update(__annotations__=dict(annotations), __qualname__=cls.__qualname__)
     return dataclasses.dataclass(frozen=True)(type(cls.__name__, (), namespace))
+
+
+def dumps_by_json(doc: Any) -> str:
+    """The report bytes through the standard library's indenting encoder."""
+    return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"

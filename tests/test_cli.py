@@ -12,7 +12,7 @@ from referencing import Registry, Resource
 
 import thurston_obstruct
 from thurston_obstruct import NonnegMatrix, charpoly
-from thurston_obstruct.cli import main, run_request
+from thurston_obstruct.cli import DEFAULT_SUBSET_CAP, DEFAULT_WIDTH, _build_parser, main, run_request
 from thurston_obstruct.documents import dumps
 from thurston_obstruct.polynomials import LargestRootIsolator
 
@@ -407,6 +407,68 @@ def test_rejected_values_are_echoed_up_to_forty_characters(capsys, args, message
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["slopes", "--matrix", "[[2,0],[0,3]]", "--bound"],
+        ["table", json.dumps(LEVY_TABLE_DOC), "--subset-cap"],
+        ["canonical", json.dumps(CANONICAL_DOC), "--subset-cap"],
+    ],
+    ids=["bound", "table_subset_cap", "canonical_subset_cap"],
+)
+def test_huge_int_options_are_echoed_cut(args):
+    # past the interpreter's int-string limit: argparse's own message would echo every digit
+    env = dict(os.environ, PYTHONPATH=str(SCHEMA_DIR.parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "thurston_obstruct.cli", *args, "1" + "0" * 5000],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    # argparse's usage lines come first: canonical's alone take about 170 characters
+    assert len(proc.stderr) < 400
+    message = proc.stderr.splitlines()[-1]
+    assert len(message) < 200
+    assert f"error: argument {args[-1]}: invalid int value: '1000" in message
+    assert message.endswith("... (5003 characters)")
+
+
+def test_short_invalid_int_options_keep_the_argparse_message(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["table", json.dumps(LEVY_TABLE_DOC), "--subset-cap", "x1"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(
+        "thurston-obstruct table: error: argument --subset-cap: invalid int value: 'x1'\n"
+    )
+
+
+def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
+    assert _build_parser() is _build_parser()
+    slopes = ["slopes", "--matrix", "[[2,0],[0,3]]", "--format", "json"]
+    assert main([*slopes[:1], "--bound", "3", *slopes[1:]]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["search"]["bound"] == 3
+    assert main(slopes) == 0
+    first = capsys.readouterr().out
+    assert json.loads(first)["result"]["search"] is None
+    # the defaults come back after calls that set the options
+    for command, doc in (("table", LEVY_TABLE_DOC), ("canonical", CANONICAL_DOC)):
+        run_json(capsys, [command, json.dumps(doc), "--subset-cap", "1"])
+        report, _ = run_json(capsys, [command, json.dumps(doc)])
+        assert report["request"]["options"]["subset_cap"] == DEFAULT_SUBSET_CAP
+    run_json(capsys, ["matrix", "[[1,1],[1,0]]", "--width", "1/10"])
+    report, _ = run_json(capsys, ["matrix", "[[1,1],[1,0]]"])
+    assert report["request"]["options"]["width"] == DEFAULT_WIDTH
+    # a call that argparse ends with exit 2 leaves the next report unchanged
+    for rejected in (["slopes", "--bound", "x"], ["slopes", "--no-such-option"], ["nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(rejected)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(slopes) == 0
+        assert capsys.readouterr().out == first
 
 
 def test_uncapped_canonical_report_is_not_truncated(capsys):

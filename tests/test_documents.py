@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import dumps_by_json
 from referencing import Registry, Resource
 
 import thurston_obstruct
@@ -29,6 +30,7 @@ from thurston_obstruct.documents import (
     canonical_from_doc,
     decomposition_from_doc,
     decomposition_to_doc,
+    dumps,
     format_rational,
     int_matrix2_from_doc,
     matrix_doc_from_value,
@@ -393,3 +395,58 @@ def test_decoders_accept_what_jsonschema_accepts(case):
         assert accepted, doc
     else:
         assert accepted, doc
+
+
+_REPORT_TEXT = st.text(
+    st.one_of(st.sampled_from(' \\"\x00\x01\x1f\x7f\u2028é€😀\n\t'), st.characters()),
+    max_size=6,
+)
+_REPORT_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1]),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(max_value=-(2**64)),
+    _REPORT_TEXT,
+)
+_REPORT_DOCS = st.recursive(
+    _REPORT_SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_REPORT_TEXT, inner, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_REPORT_DOCS)
+def test_dumps_matches_the_json_encoder(doc):
+    assert dumps(doc) == dumps_by_json(doc)
+
+
+def test_dumps_matches_the_json_encoder_on_edge_documents():
+    edge = {
+        "text": ["é", "\x01", " ", "\\", '"', "", "\u2028"],
+        "empty": [[], {}, (), [[]], {"": {}}],
+        "flags": [True, False, None, 0, 1],
+        "big": [2**64, -(2**64) - 1, 10**400],
+        "tuple": (1, ("a", (None,))),
+    }
+    for doc in (edge, [], {}, (), "", 0, True, None, [edge, edge]):
+        assert dumps(doc) == dumps_by_json(doc)
+
+
+@pytest.mark.parametrize("value", [0.5, F(1, 2), {1, 2}], ids=["float", "fraction", "set"])
+def test_dumps_rejects_what_json_cannot_write(value):
+    for doc in (value, [1, value], {"key": value}):
+        with pytest.raises(TypeError):
+            dumps(doc)
+
+
+def test_dumps_rejects_keys_that_are_not_strings():
+    # json.dumps would write the key 1 as "1"; no report has such a key
+    with pytest.raises(TypeError):
+        dumps({"a": {1: "b"}})
