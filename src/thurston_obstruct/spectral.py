@@ -11,7 +11,6 @@ consulted for a verdict.
 from __future__ import annotations
 
 import enum
-import heapq
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
@@ -36,8 +35,8 @@ class NonnegMatrix:
     The spectral profile, the leading-root isolator and the cyclic
     structure are pure functions of the entries; each is computed on first
     use and kept on the matrix, so every question about one matrix shares
-    one SCC pass, one set of block tags, one characteristic polynomial and
-    one boolean-power loop.
+    one transitive closure of the support, one set of block tags, one
+    characteristic polynomial and one boolean-power loop.
     """
 
     __slots__ = ("rows", "n", "_profile", "_isolator", "_cyclic")
@@ -164,105 +163,48 @@ def _restrict(adj: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
     )
 
 
-def _strongly_connected_components(adj: Sequence[int], n: int) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, components as sorted vertex lists."""
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    comps: list[list[int]] = []
-    counter = 0
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            mask = adj[v] >> pi
-            j = pi
-            while mask:
-                if mask & 1:
-                    w = j
-                    if index[w] == -1:
-                        work.append((v, j + 1))
-                        work.append((w, 0))
-                        advanced = True
-                        break
-                    if on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                mask >>= 1
-                j += 1
-            if advanced:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(sorted(comp))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
+def _reach(adj: Sequence[int]) -> list[int]:
+    """Transitive closure of support rows: bit j of row i iff a nonempty path leads from i to j.
+
+    Warshall's algorithm (S. Warshall, J. ACM 9, 1962): for each k, every
+    row holding bit k takes in row k.
+    """
+    reach = list(adj)
+    for k in range(len(reach)):
+        bit, row = 1 << k, reach[k]
+        reach = [r | row if r & bit else r for r in reach]
+    return reach
 
 
-def _condense(adj: Sequence[int]) -> tuple[BlockStructure, tuple[frozenset[int], ...]]:
-    """Condensation of a support digraph in ``scc_partition``'s order, and
-    for each block the blocks it has support edges into."""
-    n = len(adj)
-    comps = _strongly_connected_components(adj, n)
-    comp_of = [0] * n
-    for ci, comp in enumerate(comps):
-        for v in comp:
-            comp_of[v] = ci
-    # condensation: edge a -> b when some support edge leaves comp a into comp b
-    succ: list[set[int]] = [set() for _ in comps]
-    for v in range(n):
-        for j in _bits(adj[v]):
-            if comp_of[v] != comp_of[j]:
-                succ[comp_of[v]].add(comp_of[j])
-    # a block may be listed once all blocks it points to are listed
-    pending = [len(s) for s in succ]
-    preds: list[set[int]] = [set() for _ in comps]
-    for a, targets in enumerate(succ):
-        for b in targets:
-            preds[b].add(a)
-    heap = [(comps[ci][0], ci) for ci in range(len(comps)) if pending[ci] == 0]
-    heapq.heapify(heap)
-    order: list[int] = []
-    while heap:
-        _, ci = heapq.heappop(heap)
-        order.append(ci)
-        for a in preds[ci]:
-            pending[a] -= 1
-            if pending[a] == 0:
-                heapq.heappush(heap, (comps[a][0], a))
-    rank = {ci: r for r, ci in enumerate(order)}
-    blocks = [comps[ci] for ci in order]
-    structure = BlockStructure(
+def _condense(reach: Sequence[int]) -> BlockStructure:
+    """Condensation of a support digraph in ``scc_partition``'s order, from its closure.
+
+    Vertices on a cycle with equal closure rows form one block, and any
+    other vertex is a block alone.  Blocks are listed one at a time: the
+    first, by least vertex, of those whose reachable vertices are all listed.
+    """
+    groups: dict[int, list[int]] = {}
+    for v, r in enumerate(reach):
+        groups.setdefault(r if r >> v & 1 else ~v, []).append(v)
+    pending = [(sum(1 << v for v in block), block) for block in groups.values()]
+    blocks: list[list[int]] = []
+    done = 0
+    while pending:
+        i = next(i for i, (mask, b) in enumerate(pending) if not reach[b[0]] & ~(done | mask))
+        mask, block = pending.pop(i)
+        done |= mask
+        blocks.append(block)
+    return BlockStructure(
         permutation=tuple(v for block in blocks for v in block),
         block_sizes=tuple(len(block) for block in blocks),
-        blocks_irreducible=tuple(
-            len(block) > 1 or bool(adj[block[0]] >> block[0] & 1) for block in blocks
-        ),
+        blocks_irreducible=tuple(bool(reach[b[0]] >> b[0] & 1) for b in blocks),
     )
-    return structure, tuple(frozenset(rank[c] for c in succ[ci]) for ci in order)
 
 
 def _irreducible_support(adj: Sequence[int]) -> bool:
-    """Irreducibility from support rows: strongly connected, a loop when 1x1."""
-    if len(adj) == 1:
-        return bool(adj[0] & 1)
-    return len(adj) > 1 and len(_strongly_connected_components(adj, len(adj))) == 1
+    """Irreducibility from support rows: every vertex reaches every vertex."""
+    full = (1 << len(adj)) - 1
+    return bool(adj) and all(r == full for r in _reach(adj))
 
 
 def scc_partition(m: NonnegMatrix) -> BlockStructure:
@@ -497,15 +439,13 @@ def _block_tag(rows, block: Sequence[int]) -> SpectralTag:
 class SpectralProfile:
     """Support, condensation and spectral tags of one matrix.
 
-    ``children[b]`` holds the blocks that block ``b`` of ``structure`` has
-    support edges into, all earlier in the block order; ``closed_below[b]``
-    says that block ``b`` and every block reachable from it are below 1.
-    ``tag`` is the largest block tag, the trichotomy of rho(M).
+    ``closed_below[b]`` says that block ``b`` of ``structure`` and every
+    block reachable from it are below 1.  ``tag`` is the largest block tag,
+    the trichotomy of rho(M).
     """
 
     support: tuple[int, ...]
     structure: BlockStructure
-    children: tuple[frozenset[int], ...]
     block_tags: tuple[SpectralTag, ...]
     closed_below: tuple[bool, ...]
     tag: SpectralTag
@@ -519,13 +459,18 @@ def spectral_profile(m: NonnegMatrix) -> SpectralProfile:
     """The matrix's spectral profile, built on first use and kept on the matrix."""
     if m._profile is None:
         support = m.support()
-        structure, children = _condense(support)
-        tags = tuple(_block_tag(m.rows, block) for block in structure.blocks())
-        closed: list[bool] = []
-        for tag, targets in zip(tags, children):  # children precede parents
-            closed.append(tag is SpectralTag.BELOW_ONE and all(closed[c] for c in targets))
+        reach = _reach(support)
+        structure = _condense(reach)
+        blocks = structure.blocks()
+        tags = tuple(_block_tag(m.rows, block) for block in blocks)
+        # a block is closed below 1 when nothing it reaches lies in a block at or above 1
+        high = sum(
+            1 << v for block, tag in zip(blocks, tags) if tag is not SpectralTag.BELOW_ONE
+            for v in block
+        )
+        closed = tuple(not (reach[b[0]] | 1 << b[0]) & high for b in blocks)
         overall = max(tags, key=_TAG_ORDER.index, default=SpectralTag.BELOW_ONE)
-        profile = SpectralProfile(support, structure, children, tags, tuple(closed), overall)
+        profile = SpectralProfile(support, structure, tags, closed, overall)
         object.__setattr__(m, "_profile", profile)
     return m._profile
 

@@ -29,8 +29,8 @@ from .spectral import (
     _bits,
     _block_tag,
     _irreducible_support,
+    _reach,
     _restrict,
-    _strongly_connected_components,
     below_one_closed_indices,
     exists_positive_subinvariant_vector,
     spectral_profile,
@@ -237,8 +237,9 @@ def find_levy_cycles(table: CurveTable) -> tuple[tuple[str, ...], ...]:
     An edge goes from class j to class i when j's row contains a degree-1
     component homotopic to i; every elementary cycle of that digraph is a
     Levy cycle and hence an obstruction.  Every elementary cycle lies in
-    one strongly connected component, so successors in other components
-    are dropped and an acyclic table costs no search.
+    one strongly connected component, so an edge j -> i is kept only when
+    i reaches j back, read off the transitive closure, and an acyclic table
+    costs no search.
     """
     ids = table.class_ids()
     pos = {cid: k for k, cid in enumerate(ids)}
@@ -247,13 +248,9 @@ def find_levy_cycles(table: CurveTable) -> tuple[tuple[str, ...], ...]:
         for comp in cls.pullback:
             if comp.degree == 1 and comp.target in pos:
                 adj[k] |= 1 << pos[comp.target]
-    comp_of = [0] * len(ids)
-    for ci, comp in enumerate(_strongly_connected_components(adj, len(ids))):
-        for v in comp:
-            comp_of[v] = ci
+    reach = _reach(adj)
     succ: dict[str, list[str]] = {
-        cid: [ids[w] for w in _bits(adj[k]) if comp_of[w] == comp_of[k]]
-        for k, cid in enumerate(ids)
+        cid: [ids[w] for w in _bits(adj[k]) if reach[w] >> k & 1] for k, cid in enumerate(ids)
     }
     cycles: list[tuple[str, ...]] = []
     for s, root in enumerate(ids):
@@ -548,31 +545,21 @@ def check_canonical_candidate(
         for idx, comp in enumerate(decomposition):
             ret = comp.first_return
             if isinstance(ret, ReturnHomeomorphism):
-                verdicts.append(
-                    ComponentVerdict(
-                        index=idx,
-                        kind="homeomorphism",
-                        passed=True,
-                        reasons=(
-                            "homeomorphism return maps are accepted vacuously; no finite "
-                            "certificate is available from table data",
-                        ),
-                    )
-                )
+                kind, ok, reasons = "homeomorphism", True, [
+                    "homeomorphism return maps are accepted vacuously; no finite "
+                    "certificate is available from table data"
+                ]
             elif isinstance(ret, Return2222):
                 if ret.table is not None and len(ret.table.classes) > subset_cap:
                     truncated = True
-                ok, reasons = _check_2222_component(comp, ret, subset_cap)
-                verdicts.append(
-                    ComponentVerdict(index=idx, kind="2222", passed=ok, reasons=tuple(reasons))
-                )
+                kind, (ok, reasons) = "2222", _check_2222_component(comp, ret, subset_cap)
             elif isinstance(ret, ReturnGeneral):
-                ok, reasons = _check_general_component(ret)
-                verdicts.append(
-                    ComponentVerdict(index=idx, kind="general", passed=ok, reasons=tuple(reasons))
-                )
+                kind, (ok, reasons) = "general", _check_general_component(ret)
             else:  # pragma: no cover - closed union
                 raise TypeError(f"unknown first-return descriptor {ret!r}")
+            verdicts.append(
+                ComponentVerdict(index=idx, kind=kind, passed=ok, reasons=tuple(reasons))
+            )
     return CanonicalCandidateReport(
         accepted=not preconditions and all(v.passed for v in verdicts),
         preconditions=tuple(preconditions),

@@ -27,7 +27,7 @@ from thurston_obstruct import (
     thurston_matrix,
 )
 from thurston_obstruct import orbifold, slopes, spectral, tables
-from thurston_obstruct.spectral import _block_tag, _irreducible_support, _restrict, cyclic_classes
+from thurston_obstruct.spectral import _block_tag, _restrict, cyclic_classes
 from thurston_obstruct.polynomials import Poly, _primitive, degree, derivative, poly
 
 ZERO = Fraction(0)
@@ -430,13 +430,56 @@ def simple_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> list[t
     return out
 
 
+def scc_blocks_by_dfs(
+    adj: Sequence[int],
+) -> tuple[tuple[tuple[int, ...], ...], tuple[bool, ...]]:
+    """Blocks of a support digraph (row bitmasks) and their irreducibility flags.
+
+    Each vertex's reachable set comes from its own depth-first search over
+    successor sets; a block is a set of mutually reachable vertices, or a
+    vertex on no cycle alone.  Blocks are listed one at a time: of those
+    whose reachable vertices are all listed or inside it, the one with the
+    smallest least vertex.  A block is irreducible when its first vertex
+    reaches itself.
+    """
+    n = len(adj)
+    succ = [{j for j in range(n) if adj[i] >> j & 1} for i in range(n)]
+
+    def reachable(v: int) -> set[int]:
+        seen: set[int] = set()
+        stack = list(succ[v])
+        while stack:
+            w = stack.pop()
+            if w not in seen:
+                seen.add(w)
+                stack.extend(succ[w])
+        return seen
+
+    reach = [reachable(v) for v in range(n)]
+    comps: list[tuple[int, ...]] = []
+    for v in range(n):
+        if not any(v in comp for comp in comps):
+            comps.append(tuple(sorted({v} | {w for w in reach[v] if v in reach[w]})))
+    order: list[tuple[int, ...]] = []
+    listed: set[int] = set()
+    while len(order) < len(comps):
+        ready = [
+            comp for comp in comps
+            if comp not in order and reach[comp[0]] <= listed | set(comp)
+        ]
+        block = min(ready, key=lambda comp: comp[0])
+        order.append(block)
+        listed.update(block)
+    return tuple(order), tuple(comp[0] in reach[comp[0]] for comp in order)
+
+
 def minimal_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> MinimalObstructionSearch:
     """Minimal obstructions by visiting every subset of tracked classes.
 
     Subsets come by size, in ``itertools.combinations`` order; a subset
     containing an earlier hit is skipped, and the rest are tested on the
-    full matrix: irreducibility on their support rows, the tag on their
-    entries.
+    full matrix: irreducibility on their support rows (one block of
+    ``scc_blocks_by_dfs``, flagged irreducible), the tag on their entries.
     """
     if subset_cap < 1:
         raise PreconditionError("subset cap must be at least 1")
@@ -458,7 +501,7 @@ def minimal_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> Minim
             if any(f <= combo_set for f in found_sets):
                 continue
             idx = [pos[c] for c in combo]
-            if not _irreducible_support(_restrict(support, idx)):
+            if scc_blocks_by_dfs(_restrict(support, idx))[1] != (True,):
                 continue
             if _block_tag(full.rows, idx) is not SpectralTag.BELOW_ONE:
                 found.append(combo)

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     DeflatingRootIsolator,
@@ -17,6 +17,7 @@ from oracles import (
     matrix_powers_by_fraction_products,
     power_positive_exponent_by_rational_powers,
     roots_strictly_above,
+    scc_blocks_by_dfs,
     simple_by_exhaustion,
     sturm_tag,
     subinvariant_by_fraction_solves,
@@ -47,6 +48,7 @@ from thurston_obstruct.spectral import (
     _bool_mul,
     _cleared,
     _eye_minus,
+    _irreducible_support,
     _leading_root_isolator,
     cyclic_classes,
     spectral_profile,
@@ -107,6 +109,19 @@ def mixed_block_matrices(draw, max_n=9):
         start += size
     perm = draw(st.permutations(range(n)))
     return NonnegMatrix([[rows[i][j] for j in perm] for i in perm])
+
+
+@st.composite
+def shaped_matrices(draw, min_n=1, max_n=7):
+    """General, constant-row-sum (rho rational), triangular (rational
+    eigenvalues on the diagonal) and strictly triangular (nilpotent) matrices."""
+    n = draw(st.integers(min_n, max_n))
+    shape = draw(st.sampled_from(("general", "row_sum", "triangular", "strict")))
+    if shape == "row_sum" and n:
+        scale = draw(st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(5, 3))))
+        return NonnegMatrix(draw(row_stochastic(n, scale)))
+    cut = {"general": n, "triangular": 1, "strict": 0}.get(shape, n)
+    return NonnegMatrix([[draw(entries) if j < i + cut else 0 for j in range(n)] for i in range(n)])
 
 
 spectral_matrices = st.one_of(
@@ -265,6 +280,30 @@ def test_scc_block_lower_triangular(m):
                     assert m.rows[i][j] == 0
     for flag, blk in zip(bs.blocks_irreducible, blocks):
         assert flag == is_irreducible(m.submatrix(list(blk)))
+
+
+@given(st.one_of(matrices(), shaped_matrices(min_n=0), mixed_block_matrices()))
+@settings(max_examples=200, deadline=None)
+def test_scc_blocks_match_dfs_oracle(m):
+    blocks, irreducible = scc_blocks_by_dfs(m.support())
+    bs = scc_partition(m)
+    assert bs.blocks() == blocks
+    assert bs.blocks_irreducible == irreducible
+    assert is_irreducible(m) == (irreducible == (True,))
+
+
+@given(
+    st.integers(0, 12).flatmap(
+        lambda n: st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n)
+    )
+)
+@example([])
+@example([0])
+@example([1])
+@settings(max_examples=300, deadline=None)
+def test_irreducible_support_matches_dfs_oracle(adj):
+    blocks, irreducible = scc_blocks_by_dfs(adj)
+    assert _irreducible_support(adj) == (len(blocks) == 1 and irreducible[0])
 
 
 @given(matrices())
@@ -450,11 +489,6 @@ def test_profile_matches_block_oracles(m):
         assert profile.block_tags[b] is sturm_tag(m.submatrix(list(block)))
         closure = m.submatrix(_forward_closure(m, block))
         assert profile.closed_below[b] == (sturm_tag(closure) is SpectralTag.BELOW_ONE)
-        targets = {
-            c for c, other in enumerate(blocks)
-            if c != b and any(m.rows[i][j] > 0 for i in block for j in other)
-        }
-        assert profile.children[b] == targets
 
 
 def test_brackets_near_one_match_fresh_isolators():
@@ -478,19 +512,6 @@ def test_brackets_near_one_match_fresh_isolators():
     other = NonnegMatrix(rows)
     assert leading_eigenvalue_interval(other, width) == interval
     assert spectral_radius_class(other) == spectral
-
-
-@st.composite
-def shaped_matrices(draw, min_n=1, max_n=7):
-    """General, constant-row-sum (rho rational), triangular (rational
-    eigenvalues on the diagonal) and strictly triangular (nilpotent) matrices."""
-    n = draw(st.integers(min_n, max_n))
-    shape = draw(st.sampled_from(("general", "row_sum", "triangular", "strict")))
-    if shape == "row_sum" and n:
-        scale = draw(st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(5, 3))))
-        return NonnegMatrix(draw(row_stochastic(n, scale)))
-    cut = {"general": n, "triangular": 1, "strict": 0}.get(shape, n)
-    return NonnegMatrix([[draw(entries) if j < i + cut else 0 for j in range(n)] for i in range(n)])
 
 
 QUERY_WIDTHS = (F(2), F(1), F(1, 3), F(1, 10), F(1, 1000), F(1, 10**6))
