@@ -41,7 +41,7 @@ from .spectral import (
     spectral_radius_class,
     exists_positive_subinvariant_vector,
 )
-from .tables import analyze_table, check_canonical_candidate
+from .tables import DEFAULT_SUBSET_CAP, analyze_table, check_canonical_candidate
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -49,7 +49,6 @@ EXIT_PRECONDITION = 3
 EXIT_RESOURCE_CAP = 4
 
 DEFAULT_WIDTH = "1/1000000"
-DEFAULT_SUBSET_CAP = 12
 
 
 def _load_json(text: str, origin: str) -> Any:

@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from ._records import field, record
-from .spectral import PreconditionError
+from .spectral import PreconditionError, _reach
 
 INFINITE_WEIGHT = math.inf
 
@@ -107,36 +107,17 @@ def ramification_function(portrait: CriticalPortrait) -> dict[str, Weight]:
     least fixpoint of lcm propagation.
     """
     points = portrait.points
-    image = {p.label: p.image for p in points}
-    local = {p.label: p.local_degree for p in points}
     marked = [p.label for p in points if p.marked]
 
-    # every forward orbit of the functional graph ends in a cycle; cycles
-    # through a point of degree >= 2 force infinite weight on the cycle
-    infinite: set[str] = set()
-    state: dict[str, int] = {}
-    for start in image:
-        if start in state:
-            continue
-        path = []
-        cur = start
-        while cur not in state:
-            state[cur] = 1
-            path.append(cur)
-            cur = image[cur]
-        if state[cur] == 1:  # found a new cycle, rooted at cur
-            cycle = path[path.index(cur) :]
-            if any(local[c] >= 2 for c in cycle):
-                infinite.update(cycle)
-        for lbl in path:
-            state[lbl] = 2
-
-    weights: dict[str, Weight] = {}
-    for p in points:
-        if p.label in infinite:
-            weights[p.label] = INFINITE_WEIGHT
-        else:
-            weights[p.label] = 1
+    # point k is on a cycle iff it reaches itself, and then what it reaches
+    # is its cycle; a cycle through a critical point forces infinite weight
+    pos = {p.label: k for k, p in enumerate(points)}
+    reach = _reach([1 << pos[p.image] for p in points])
+    critical = sum(1 << k for k, p in enumerate(points) if p.local_degree >= 2)
+    weights: dict[str, Weight] = {
+        p.label: INFINITE_WEIGHT if reach[k] >> k & 1 and reach[k] & critical else 1
+        for k, p in enumerate(points)
+    }
 
     fibers = {lbl: portrait.fiber(lbl) for lbl in marked}
     for _ in range(len(points) + 1):

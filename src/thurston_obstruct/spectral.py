@@ -156,13 +156,6 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _restrict(adj: Sequence[int], indices: Sequence[int]) -> tuple[int, ...]:
-    """Support rows of the principal submatrix on ``indices``, renumbered from 0."""
-    return tuple(
-        sum(1 << a for a, j in enumerate(indices) if adj[i] >> j & 1) for i in indices
-    )
-
-
 def _reach(adj: Sequence[int]) -> list[int]:
     """Transitive closure of support rows: bit j of row i iff a nonempty path leads from i to j.
 
@@ -199,12 +192,6 @@ def _condense(reach: Sequence[int]) -> BlockStructure:
         block_sizes=tuple(len(block) for block in blocks),
         blocks_irreducible=tuple(bool(reach[b[0]] >> b[0] & 1) for b in blocks),
     )
-
-
-def _irreducible_support(adj: Sequence[int]) -> bool:
-    """Irreducibility from support rows: every vertex reaches every vertex."""
-    full = (1 << len(adj)) - 1
-    return bool(adj) and all(r == full for r in _reach(adj))
 
 
 def scc_partition(m: NonnegMatrix) -> BlockStructure:
@@ -425,6 +412,8 @@ def _block_tag(rows, block: Sequence[int]) -> SpectralTag:
     rho(B_k) >= 1, and since B is irreducible its proper principal
     submatrices have strictly smaller rho, so rho(B) > 1; otherwise the
     sign of det C decides.  A 1x1 zero block has C = [L] and is below 1.
+    ``BELOW_ONE`` (all k minors positive) is exact for any nonnegative
+    block, reducible or not; only the split of the rest needs irreducibility.
     """
     c = _eye_minus(*_cleared(rows, block))
     if _bareiss(c) < len(c) - 1:

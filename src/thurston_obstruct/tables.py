@@ -28,9 +28,7 @@ from .spectral import (
     SpectralTag,
     _bits,
     _block_tag,
-    _irreducible_support,
     _reach,
-    _restrict,
     below_one_closed_indices,
     exists_positive_subinvariant_vector,
     spectral_profile,
@@ -43,6 +41,9 @@ from .spectral import (
 INESSENTIAL = "inessential"
 UNTRACKED = "untracked"
 _RESERVED = (INESSENTIAL, UNTRACKED)
+
+#: Default ``subset_cap`` of the minimal search and the canonical check.
+DEFAULT_SUBSET_CAP = 12
 
 
 @record
@@ -276,7 +277,9 @@ class MinimalObstructionSearch:
     subset_cap: int
 
 
-def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> MinimalObstructionSearch:
+def find_minimal_obstructions(
+    table: CurveTable, subset_cap: int = DEFAULT_SUBSET_CAP
+) -> MinimalObstructionSearch:
     """All multicurves that are obstructions with no smaller obstruction inside.
 
     Only subsets of fully tracked classes are searched, up to ``subset_cap``
@@ -291,27 +294,33 @@ def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> Minima
     extension sets (Wernicke, IEEE/ACM TCBB 3(4), 2006) over the undirected
     neighbourhoods reach each connected subset once, one size at a time, so
     all smaller hits are known when a subset is reached: a hit is not
-    extended, and a subset containing one is not visited.  Each visited
-    subset is tested on that matrix: irreducibility on its support rows,
-    the tag on its entries.  Hits are listed by size, then in
-    ``itertools.combinations`` order of the tracked classes.
+    extended, and a subset containing one is not visited.
+
+    A visited subset whose members each have a successor and a predecessor
+    inside it (necessary for irreducibility) is a hit when ``_block_tag``
+    says it is not ``BELOW_ONE``, a verdict exact for any nonnegative block
+    (the leading principal minors of the Z-matrix I - B are all positive iff
+    it is a nonsingular M-matrix, i.e. rho(B) < 1; Berman & Plemmons, ch. 6).
+    Every hit is irreducible: were a reached S reducible with rho(S) >= 1,
+    the strongly connected block of S carrying rho(S) would be a smaller
+    connected subset of the same component within the cap, so it, or a hit
+    inside it, was found first and S was never reached.  Hits are listed by
+    size, then in ``itertools.combinations`` order of the tracked classes.
     """
     if subset_cap < 1:
         raise PreconditionError("subset cap must be at least 1")
     tracked = [c.id for c in table.classes if all(x.target != UNTRACKED for x in c.pullback)]
     matrix = thurston_matrix(table, tracked)
     profile = spectral_profile(matrix)
-    local = profile.support  # support digraph on the tracked classes
+    succ = profile.support  # support digraph on the tracked classes
+    pred = [sum(1 << u for u, row in enumerate(succ) if row >> v & 1) for v in range(len(succ))]
     limit = min(subset_cap, len(tracked))
     hits: list[tuple[int, ...]] = []  # positions in ``tracked``
     for comp, tag in zip(profile.structure.blocks(), profile.block_tags):
         if tag is SpectralTag.BELOW_ONE:
             continue
         members = sum(1 << v for v in comp)
-        nbr = {v: local[v] & members & ~(1 << v) for v in comp}
-        for u in comp:
-            for v in _bits(local[u] & members & ~(1 << u)):
-                nbr[v] |= 1 << u
+        nbr = {v: (succ[v] | pred[v]) & members & ~(1 << v) for v in comp}
         # ESU nodes of one size: the subset, its extension set, the subset
         # with its neighbours, and the classes after the subset's first one
         level = []
@@ -323,11 +332,11 @@ def find_minimal_obstructions(table: CurveTable, subset_cap: int = 12) -> Minima
             grow = []
             for sub, ext, closed, later in level:
                 idx = list(_bits(sub))
-                if _irreducible_support(_restrict(local, idx)) and (
+                if all(succ[v] & sub and pred[v] & sub for v in idx) and (
                     _block_tag(matrix.rows, idx) is not SpectralTag.BELOW_ONE
                 ):
                     found.append(sub)
-                    hits.append(tuple(_bits(sub)))
+                    hits.append(tuple(idx))
                 else:
                     grow.append((sub, ext, closed, later))
             if size == limit:
@@ -370,7 +379,7 @@ class ObstructionReport:
 def analyze_table(
     table: CurveTable,
     curves: Optional[Sequence[str]] = None,
-    subset_cap: int = 12,
+    subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> ObstructionReport:
     """Assemble every verdict the table supports about one multicurve."""
     order = curve_order(table, curves)
@@ -508,7 +517,7 @@ def check_canonical_candidate(
     table: CurveTable,
     curves: Sequence[str],
     decomposition: Sequence[DecompositionComponent],
-    subset_cap: int = 12,
+    subset_cap: int = DEFAULT_SUBSET_CAP,
 ) -> CanonicalCandidateReport:
     """Check a candidate multicurve against the canonical-obstruction criteria.
 

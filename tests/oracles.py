@@ -12,7 +12,7 @@ import dataclasses
 import itertools
 import json
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Any, Optional, Sequence
 
 from thurston_obstruct import (
@@ -27,7 +27,7 @@ from thurston_obstruct import (
     thurston_matrix,
 )
 from thurston_obstruct import orbifold, slopes, spectral, tables
-from thurston_obstruct.spectral import _block_tag, _restrict, cyclic_classes
+from thurston_obstruct.spectral import cyclic_classes
 from thurston_obstruct.polynomials import Poly, _primitive, degree, derivative, poly
 
 ZERO = Fraction(0)
@@ -258,7 +258,7 @@ def minimal_obstructions_by_exhaustion(m: NonnegMatrix) -> list[tuple[int, ...]]
     obstructions = []
     for mask in range(1, 1 << n):
         subset = tuple(i for i in range(n) if mask >> i & 1)
-        if spectral_radius_class(m.submatrix(list(subset))).tag is not SpectralTag.BELOW_ONE:
+        if sturm_tag(m.submatrix(list(subset))) is not SpectralTag.BELOW_ONE:
             obstructions.append((mask, subset))
     minimal = []
     for mask, subset in obstructions:
@@ -478,8 +478,8 @@ def minimal_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> Minim
 
     Subsets come by size, in ``itertools.combinations`` order; a subset
     containing an earlier hit is skipped, and the rest are tested on the
-    full matrix: irreducibility on their support rows (one block of
-    ``scc_blocks_by_dfs``, flagged irreducible), the tag on their entries.
+    full matrix's principal submatrix: irreducibility on its support (one
+    block of ``scc_blocks_by_dfs``, flagged irreducible), then ``sturm_tag``.
     """
     if subset_cap < 1:
         raise PreconditionError("subset cap must be at least 1")
@@ -489,7 +489,6 @@ def minimal_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> Minim
         if all(comp.target != UNTRACKED for comp in c.pullback)
     ]
     full = thurston_matrix(table, None)
-    support = full.support()
     ids = table.class_ids()
     pos = {cid: k for k, cid in enumerate(ids)}
     found: list[tuple[str, ...]] = []
@@ -500,10 +499,10 @@ def minimal_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> Minim
             combo_set = frozenset(combo)
             if any(f <= combo_set for f in found_sets):
                 continue
-            idx = [pos[c] for c in combo]
-            if scc_blocks_by_dfs(_restrict(support, idx))[1] != (True,):
+            sub = full.submatrix([pos[c] for c in combo])
+            if scc_blocks_by_dfs(sub.support())[1] != (True,):
                 continue
-            if _block_tag(full.rows, idx) is not SpectralTag.BELOW_ONE:
+            if sturm_tag(sub) is not SpectralTag.BELOW_ONE:
                 found.append(combo)
                 found_sets.append(combo_set)
     return MinimalObstructionSearch(
@@ -546,6 +545,42 @@ def levy_cycles_by_path_search(table: CurveTable) -> tuple[tuple[str, ...], ...]
                     stack.append((w, path + (w,)))
     cycles.sort(key=lambda cyc: (len(cyc), tuple(pos[c] for c in cyc)))
     return tuple(cycles)
+
+
+# ---------------------------------------------------------------------------
+# orbifold oracles
+
+
+def ramification_by_backward_paths(portrait: orbifold.CriticalPortrait) -> dict[str, Any]:
+    """Ramification weights without a fixpoint or a transitive closure.
+
+    A point is on a cycle when it appears among its first n images, and is
+    infinite when that cycle holds a point of local degree >= 2.  Any other
+    marked point's weight is the lcm, over the simple backward paths of
+    listed points starting at it, of the product of their local degrees
+    (the start excluded); an unmarked point's weight is 1.
+    """
+    by_label = {p.label: p for p in portrait.points}
+    weights: dict[str, Any] = {}
+
+    def path_lcm(path: tuple[str, ...], product: int) -> int:
+        value = product
+        for pre in portrait.points:
+            if pre.image == path[-1] and pre.label not in path:
+                value = lcm(value, path_lcm(path + (pre.label,), product * pre.local_degree))
+        return value
+
+    for p in portrait.points:
+        orbit = [p.image]
+        while len(orbit) < len(by_label):
+            orbit.append(by_label[orbit[-1]].image)
+        if p.label in orbit:
+            cycle = orbit[: orbit.index(p.label) + 1]
+            if any(by_label[c].local_degree >= 2 for c in cycle):
+                weights[p.label] = orbifold.INFINITE_WEIGHT
+                continue
+        weights[p.label] = path_lcm((p.label,), 1) if p.marked else 1
+    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,9 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from oracles import ramification_by_backward_paths
 from thurston_obstruct import (
     INFINITE_WEIGHT,
     PARABOLIC_SIGNATURES,
@@ -64,6 +66,31 @@ def test_ramification_four_fixed():
     for lbl in ("a", "b", "c", "d"):
         assert ram[lbl] == 2
         assert ram[lbl + "_pre"] == 1
+
+
+@st.composite
+def portraits(draw):
+    """Random portraits of 1-8 points; draws that fail validation are rejected."""
+    n = draw(st.integers(1, 8))
+    points = tuple(
+        PortraitPoint(
+            str(k),
+            draw(st.sampled_from([True, True, True, False])),
+            str(draw(st.integers(0, n - 1))),
+            draw(st.sampled_from([1, 1, 1, 2, 3])),
+        )
+        for k in range(n)
+    )
+    try:
+        return CriticalPortrait(draw(st.integers(2, 6)), points)
+    except PreconditionError:
+        assume(False)
+
+
+@given(portraits())
+@settings(max_examples=300, deadline=None)
+def test_ramification_matches_backward_paths(portrait):
+    assert ramification_function(portrait) == ramification_by_backward_paths(portrait)
 
 
 def test_euler_characteristic_values():

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from oracles import (
     DeflatingRootIsolator,
@@ -48,7 +48,6 @@ from thurston_obstruct.spectral import (
     _bool_mul,
     _cleared,
     _eye_minus,
-    _irreducible_support,
     _leading_root_isolator,
     cyclic_classes,
     spectral_profile,
@@ -290,20 +289,6 @@ def test_scc_blocks_match_dfs_oracle(m):
     assert bs.blocks() == blocks
     assert bs.blocks_irreducible == irreducible
     assert is_irreducible(m) == (irreducible == (True,))
-
-
-@given(
-    st.integers(0, 12).flatmap(
-        lambda n: st.lists(st.integers(0, 2**n - 1), min_size=n, max_size=n)
-    )
-)
-@example([])
-@example([0])
-@example([1])
-@settings(max_examples=300, deadline=None)
-def test_irreducible_support_matches_dfs_oracle(adj):
-    blocks, irreducible = scc_blocks_by_dfs(adj)
-    assert _irreducible_support(adj) == (len(blocks) == 1 and irreducible[0])
 
 
 @given(matrices())

@@ -307,8 +307,8 @@ def test_minimal_search_skips_a_block_below_one(monkeypatch):
     # complete on 12 classes with every entry 1/16: rho is 3/4
     table = _indexed_table(12, lambda i: [(16, k) for k in range(12)], 192)
     calls = []
-    real = tables._irreducible_support
-    monkeypatch.setattr(tables, "_irreducible_support", lambda adj: calls.append(adj) or real(adj))
+    real = tables._block_tag
+    monkeypatch.setattr(tables, "_block_tag", lambda rows, idx: calls.append(idx) or real(rows, idx))
     assert find_minimal_obstructions(table, 12) == MinimalObstructionSearch((), False, 12)
     assert calls == []
 
