@@ -215,7 +215,7 @@ def parse_rational(value: Any, where: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    return str(Fraction(value))
+    return str(value)  # an int prints as Fraction(value) does
 
 
 def format_weight(w) -> Any:

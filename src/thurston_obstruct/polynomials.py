@@ -181,16 +181,16 @@ class LargestRootIsolator:
     An immutable value built once per polynomial: the Sturm sequence of
     its squarefree part (one integer remainder sequence, see
     ``sturm_chain`` and ``squarefree_part``), the sign variations ``v_inf``
-    of the chain's leading coefficients, and the start bracket.  With
-    zeros dropped, the sign variations at x minus ``v_inf`` count the
-    distinct real roots in (x, +inf) for every rational x, a root or not
-    (Sturm), so each bisection step evaluates the chain once.  Every query
-    bisects from the start bracket, so answers never depend on earlier
-    queries.  The caller must supply rational bounds lo < hi such that the
-    largest real root lies in (lo, hi] and p(lo) != 0.
+    of the chain's leading coefficients, the start bracket, and the number
+    ``above_lo`` of distinct roots above its lower end.  With zeros
+    dropped, the sign variations at x minus ``v_inf`` count the distinct
+    real roots in (x, +inf) for every rational x, a root or not (Sturm).
+    Every query bisects from the start bracket, so answers never depend on
+    earlier queries.  The caller must supply rational bounds lo < hi such
+    that the largest real root lies in (lo, hi] and p(lo) != 0.
     """
 
-    __slots__ = ("chain", "v_inf", "lo", "hi")
+    __slots__ = ("chain", "v_inf", "lo", "hi", "above_lo")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
         if degree(p) < 1:
@@ -199,10 +199,10 @@ class LargestRootIsolator:
         self.v_inf = _variations([1 if q[-1] > 0 else -1 for q in self.chain])
         self.lo = lo
         self.hi = hi
-        lo_is_root, above_lo = self._probe(lo)
+        lo_is_root, self.above_lo = self._probe(lo)
         if lo_is_root:
             raise ValueError("lower bound must not be a root")
-        if above_lo <= self._probe(hi)[1]:
+        if self.above_lo <= self._probe(hi)[1]:
             raise ValueError("no real root in the given range")
 
     def _probe(self, x: Fraction) -> tuple[bool, int]:
@@ -215,14 +215,21 @@ class LargestRootIsolator:
 
     def _bisect(self, done) -> tuple[Fraction, Fraction]:
         """Bisect the start bracket until ``done(lo, hi)``; exact roots snap to points."""
-        lo, hi = self.lo, self.hi
+        lo, hi, above = self.lo, self.hi, self.above_lo
         if self._is_largest_root(hi):
             return (hi, hi)
+        top, lead = self.chain[:1], 1 if self.chain[0][-1] > 0 else -1
         while not done(lo, hi):
             mid = (lo + hi) / 2
-            is_root, above = self._probe(mid)
-            if above:
-                lo = mid
+            if above == 1:
+                # the largest root alone is above lo, simple in the squarefree chain[0],
+                # which has the sign of its leading coefficient above it and the other below
+                sign = _signs_at(top, mid)[0]
+                is_root, count = sign == 0, int(sign == -lead)
+            else:
+                is_root, count = self._probe(mid)
+            if count:
+                lo, above = mid, count
             elif is_root:
                 return (mid, mid)
             else:

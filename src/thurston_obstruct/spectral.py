@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._records import record
@@ -26,80 +28,90 @@ class PreconditionError(ValueError):
 def _as_fraction(value) -> Fraction:
     if isinstance(value, float):
         raise TypeError("floating-point matrix entries are not accepted")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class NonnegMatrix:
-    """Immutable square matrix of nonnegative rationals.
+    """Immutable square matrix of nonnegative rationals, stored as ``(scale, ints)``.
 
-    The spectral profile, the leading-root isolator and the cyclic
-    structure are pure functions of the entries; each is computed on first
-    use and kept on the matrix, so every question about one matrix shares
-    one transitive closure of the support, one set of block tags, one
+    ``ints`` is L*M for L = ``scale``, with gcd(L, every entry) = 1: L is the
+    lcm of the reduced denominators, one pair per matrix.  The ``Fraction``
+    ``rows``, the spectral profile, the leading-root isolator and the cyclic
+    structure are built on first use and kept, so every question about one
+    matrix shares one closure of the support, one set of block tags, one
     characteristic polynomial and one boolean-power loop.
     """
 
-    __slots__ = ("rows", "n", "_profile", "_isolator", "_cyclic")
+    __slots__ = ("scale", "ints", "n", "_rows", "_profile", "_isolator", "_cyclic")
 
     def __init__(self, rows: Iterable[Iterable]):
         mat = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
-        n = len(mat)
         for row in mat:
-            if len(row) != n:
+            if len(row) != len(mat):
                 raise ValueError("matrix must be square")
             for x in row:
                 if x < 0:
                     raise ValueError("matrix entries must be nonnegative")
-        object.__setattr__(self, "rows", mat)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "_profile", None)
-        object.__setattr__(self, "_isolator", None)
-        object.__setattr__(self, "_cyclic", None)
+        scale = lcm(*(x.denominator for row in mat for x in row))
+        ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in mat)
+        self._fill(scale, ints, mat)
+
+    @classmethod
+    def _from_ints(cls, scale: int, ints: Sequence[Sequence[int]]) -> "NonnegMatrix":
+        """The matrix A / L from L > 0 and a nonnegative integer matrix A, unchecked."""
+        g = gcd(scale, *(x for row in ints for x in row))
+        m = object.__new__(cls)
+        m._fill(scale // g, tuple(tuple(x // g for x in row) for row in ints), None)
+        return m
+
+    def _fill(self, scale, ints, rows) -> None:
+        for name, value in zip(self.__slots__, (scale, ints, len(ints), rows, None, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("NonnegMatrix is immutable")
 
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as ``Fraction`` rows, for reports and ``repr``."""
+        if self._rows is None:
+            rows = tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.ints)
+            object.__setattr__(self, "_rows", rows)
+        return self._rows
+
     def __eq__(self, other) -> bool:
-        return isinstance(other, NonnegMatrix) and self.rows == other.rows
+        same = isinstance(other, NonnegMatrix) and self.scale == other.scale
+        return same and self.ints == other.ints
 
     def __hash__(self) -> int:
-        return hash(self.rows)
+        return hash((self.scale, self.ints))
 
     def __repr__(self) -> str:
         return f"NonnegMatrix({[[str(x) for x in row] for row in self.rows]})"
 
     def pow(self, k: int) -> "NonnegMatrix":
-        """M**k by repeated squaring of L*M from k's leading bit, divided by L**k."""
+        """M**k: (L*M)**k by repeated squaring from k's leading bit, over L**k."""
         if k < 0:
             raise ValueError("negative power")
-        scale, base = _cleared(self.rows, range(self.n))
-        power = base if k else [[int(i == j) for j in range(self.n)] for i in range(self.n)]
+        power = self.ints if k else [[int(i == j) for j in range(self.n)] for i in range(self.n)]
         for bit in bin(k)[3:]:
             power = _int_mul(power, power)
             if bit == "1":
-                power = _int_mul(power, base)
-        den = scale**k
-        return NonnegMatrix([[Fraction(x, den) for x in row] for row in power])
+                power = _int_mul(power, self.ints)
+        return NonnegMatrix._from_ints(self.scale**k, power)
 
     def submatrix(self, indices: Sequence[int]) -> "NonnegMatrix":
-        return NonnegMatrix([[self.rows[i][j] for j in indices] for i in indices])
+        return NonnegMatrix._from_ints(*_cleared(self, indices))
 
     def is_positive(self) -> bool:
-        return all(x > 0 for row in self.rows for x in row)
+        return all(x > 0 for row in self.ints for x in row)
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self.rows)
+        return tuple(Fraction(sum(row), self.scale) for row in self.ints)
 
     def support(self) -> tuple[int, ...]:
         """Row bitmasks of the support digraph (edge i -> j iff entry > 0)."""
-        out = []
-        for row in self.rows:
-            bits = 0
-            for j, x in enumerate(row):
-                if x > 0:
-                    bits |= 1 << j
-            out.append(bits)
-        return tuple(out)
+        return tuple(sum(1 << j for j, x in enumerate(row) if x) for row in self.ints)
 
 
 class SpectralTag(enum.Enum):
@@ -136,12 +148,8 @@ class BlockStructure:
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Original-index groups, in permuted order."""
-        out = []
-        pos = 0
-        for size in self.block_sizes:
-            out.append(self.permutation[pos : pos + size])
-            pos += size
-        return tuple(out)
+        ends = accumulate(self.block_sizes)
+        return tuple(self.permutation[end - k : end] for k, end in zip(self.block_sizes, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +301,7 @@ def power_positive_exponent(m: NonnegMatrix, cap: Optional[int] = None) -> Optio
 
 def _int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def _bool_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
@@ -311,16 +319,17 @@ def _bool_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 # characteristic polynomial and the exact trichotomy
 
 
-def _cleared(rows, indices: Sequence[int]) -> tuple[int, list[list[int]]]:
-    """``(L, L*B)`` for the principal submatrix B on ``indices``.
+def _cleared(m: NonnegMatrix, indices: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """``(L, L*B)`` for the principal submatrix B on ``indices``, L the lcm of its denominators.
 
-    L is the lcm of B's entry denominators, so L*B is an integer matrix.
+    That lcm is K / g for K = ``m.scale`` and g = gcd(K, B's entries of ``m.ints``).
     """
-    scale = lcm(*(rows[i][j].denominator for i in indices for j in indices))
-    return scale, [
-        [rows[i][j].numerator * (scale // rows[i][j].denominator) for j in indices]
-        for i in indices
-    ]
+    ints = m.ints
+    sub = [[ints[i][j] for j in indices] for i in indices]
+    g = gcd(m.scale, *(x for row in sub for x in row))
+    if g > 1:
+        sub = [[x // g for x in row] for row in sub]
+    return m.scale // g, sub
 
 
 def charpoly(m: NonnegMatrix) -> Poly:
@@ -331,28 +340,22 @@ def charpoly(m: NonnegMatrix) -> Poly:
     entry denominators.  With det(yI - A) = sum_k c_k y^k, the coefficient
     of x^k in det(xI - M) is c_k / L^(n-k).  O(n^4) integer operations.
     """
-    n = m.n
-    scale, a = _cleared(m.rows, range(n))
+    scale, a = m.scale, m.ints
     # det(yI - A_r) of the leading r x r block, highest degree first
     vect = [1]
-    for r in range(n):
+    for r in range(m.n):
         row, col = a[r][:r], [a[i][r] for i in range(r)]
         # first column of the Toeplitz factor: 1, -a_rr, -R C, -R M C, ...
         toeplitz = [1, -a[r][r]]
         for k in range(r):
             if k:
-                col = [sum(x * y for x, y in zip(a[i], col)) for i in range(r)]
-            toeplitz.append(-sum(x * y for x, y in zip(row, col)))
+                col = [sum(map(mul, a[i], col)) for i in range(r)]
+            toeplitz.append(-sum(map(mul, row, col)))
         vect = [
             sum(toeplitz[i - j] * vect[j] for j in range(min(i, r) + 1))
             for i in range(r + 2)
         ]
-    coeffs = []
-    power = 1
-    for c in vect:
-        coeffs.append(Fraction(c, power))
-        power *= scale
-    return poly(reversed(coeffs))
+    return poly(reversed([Fraction(c, scale**k) for k, c in enumerate(vect)]))
 
 
 def _eye_minus(scale: int, b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -399,7 +402,7 @@ def _back_substitute(c: Sequence[Sequence[int]], m: int) -> list[int]:
     return z
 
 
-def _block_tag(rows, block: Sequence[int]) -> SpectralTag:
+def _block_tag(m: NonnegMatrix, block: Sequence[int]) -> SpectralTag:
     """Leading eigenvalue of the principal submatrix on one SCC block against 1.
 
     ``_bareiss`` on the integer Z-matrix C = L*I - L*B yields the leading
@@ -415,7 +418,7 @@ def _block_tag(rows, block: Sequence[int]) -> SpectralTag:
     ``BELOW_ONE`` (all k minors positive) is exact for any nonnegative
     block, reducible or not; only the split of the rest needs irreducibility.
     """
-    c = _eye_minus(*_cleared(rows, block))
+    c = _eye_minus(*_cleared(m, block))
     if _bareiss(c) < len(c) - 1:
         return SpectralTag.ABOVE_ONE
     det = c[-1][-1]
@@ -451,12 +454,10 @@ def spectral_profile(m: NonnegMatrix) -> SpectralProfile:
         reach = _reach(support)
         structure = _condense(reach)
         blocks = structure.blocks()
-        tags = tuple(_block_tag(m.rows, block) for block in blocks)
+        tags = tuple(_block_tag(m, block) for block in blocks)
         # a block is closed below 1 when nothing it reaches lies in a block at or above 1
-        high = sum(
-            1 << v for block, tag in zip(blocks, tags) if tag is not SpectralTag.BELOW_ONE
-            for v in block
-        )
+        above = (b for b, t in zip(blocks, tags) if t is not SpectralTag.BELOW_ONE)
+        high = sum(1 << v for b in above for v in b)
         closed = tuple(not (reach[b[0]] | 1 << b[0]) & high for b in blocks)
         overall = max(tags, key=_TAG_ORDER.index, default=SpectralTag.BELOW_ONE)
         profile = SpectralProfile(support, structure, tags, closed, overall)
@@ -560,7 +561,7 @@ def imprimitive_block_decomposition(m: NonnegMatrix) -> ImprimitiveDecomposition
     With ``(h, classes, j)`` the cyclic structure, the exponent is h*j: j is
     the least power of m**h whose class blocks are all positive, while every
     block between two classes stays zero.  Only that one power is computed
-    in rationals, and its support is checked exactly against the class
+    in integers, and its support is checked exactly against the class
     pattern before the blocks are cut out of it.
     """
     h, classes, j = _cyclic_structure(m)
@@ -593,9 +594,7 @@ def below_one_closed_indices(m: NonnegMatrix) -> tuple[int, ...]:
     return tuple(sorted(i for block, below in closed if below for i in block))
 
 
-def exists_positive_subinvariant_vector(
-    m: NonnegMatrix,
-) -> Optional[tuple[Fraction, ...]]:
+def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fraction, ...]]:
     """Positive rational v with M v >= v componentwise, or None when impossible.
 
     Existence is equivalent to: no reordering of indices exposes a leading
@@ -605,10 +604,10 @@ def exists_positive_subinvariant_vector(
     certificate from the ``_bareiss`` elimination of C = L*I - L*B that
     decides its tag, in integers until one division per block:
 
-    - below 1, C gets the cleared inflow from the blocks assigned before
-      as an extra column, and back substitution solves (I - B) x = inflow;
-      x > 0, since the block is strongly connected (or a single fed
-      vertex) and some inflow is positive;
+    - below 1, C gets the inflow from the blocks assigned before, summed
+      over the integer rows ``m.ints``, as an extra column, and back
+      substitution solves (I - B) x = inflow; x > 0, since the block is
+      strongly connected (or a single fed vertex) and some inflow is positive;
     - at or above 1, the elimination stops at p with the leading p x p
       block of C a nonsingular M-matrix and the next leading minor <= 0.
       So x = (y, 1, 0, ..., 0) with (I - B_p) y = B[:p, p] has y >= 0 and
@@ -622,22 +621,22 @@ def exists_positive_subinvariant_vector(
     profile = spectral_profile(m)
     if n == 0 or any(profile.closed_below):
         return None
-    rows = m.rows
+    ints = m.ints
     vec = [Fraction(0)] * n
     # support edges point to earlier blocks, which are assigned first
     for block, tag in zip(profile.structure.blocks(), profile.block_tags):
-        scale, b = _cleared(rows, block)
+        scale, b = _cleared(m, block)
         c = _eye_minus(scale, b)
         if tag is SpectralTag.BELOW_ONE:
-            inflow = [
-                scale * sum((rows[i][j] * vec[j] for j in range(n)), Fraction(0)) for i in block
-            ]
+            # the integer rows give m.scale * inflow, m.scale // scale times the
+            # scale * inflow that C's column stands for; den takes that factor out
+            inflow = [sum(a * vec[j] for j, a in enumerate(ints[i]) if a) for i in block]
             den = lcm(*(f.denominator for f in inflow))
             for row, f in zip(c, inflow):
                 row.append(-f.numerator * (den // f.denominator))
             _bareiss(c)
             z = _back_substitute(c, len(block))
-            den *= z.pop()
+            den *= z.pop() * (m.scale // scale)
         else:
             p = _bareiss(c)
             z = _back_substitute(c, p) + [0] * (len(block) - 1 - p)
@@ -645,12 +644,11 @@ def exists_positive_subinvariant_vector(
             for _ in range(len(block) - 1):
                 if all(z):
                     break
-                z = [sum(y * w for y, w in zip(row, z)) for row in b]
+                z = [sum(map(mul, row, z)) for row in b]
         for i, value in zip(block, z):
             vec[i] = Fraction(value, den)
-    result = tuple(map(Fraction, _primitive(vec)))
-    # exact self-check: the certificate is part of the public contract
-    mv = [sum((m.rows[i][j] * result[j] for j in range(n)), Fraction(0)) for i in range(n)]
-    if not all(val > 0 for val in result) or not all(a >= b for a, b in zip(mv, result)):
+    cert = _primitive(vec)
+    # exact self-check, as the certificate is public: M v >= v iff (L*M) v >= L v
+    if any(x <= 0 or sum(map(mul, row, cert)) < m.scale * x for row, x in zip(ints, cert)):
         raise AssertionError("subinvariant certificate failed verification")
-    return result
+    return tuple(map(Fraction, cert))

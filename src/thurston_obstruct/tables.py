@@ -17,6 +17,7 @@ verdicts unknown.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence, Union
 
 from ._records import record
@@ -144,14 +145,14 @@ def thurston_matrix(table: CurveTable, curves: Optional[Sequence[str]] = None) -
     """
     order = curve_order(table, curves)
     index = {cid: k for k, cid in enumerate(order)}
-    n = len(order)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for j, cid in enumerate(order):
-        for comp in table.row(cid).pullback:
-            i = index.get(comp.target)
-            if i is not None:
-                rows[i][j] += Fraction(1, comp.degree)
-    return NonnegMatrix(rows)
+    pullbacks = [table.row(cid).pullback for cid in order]
+    scale = lcm(*(comp.degree for pb in pullbacks for comp in pb if comp.target in index))
+    ints = [[0] * len(order) for _ in order]
+    for j, pb in enumerate(pullbacks):
+        for comp in pb:
+            if comp.target in index:
+                ints[index[comp.target]][j] += scale // comp.degree
+    return NonnegMatrix._from_ints(scale, ints)
 
 
 def is_invariant(table: CurveTable, curves: Sequence[str]) -> Optional[bool]:
@@ -178,13 +179,7 @@ def is_completely_invariant(table: CurveTable, curves: Sequence[str]) -> Optiona
     if inv is not True:
         return inv
     order = curve_order(table, curves)
-    members = set(order)
-    hit = set()
-    for cid in order:
-        for comp in table.row(cid).pullback:
-            if comp.target in members:
-                hit.add(comp.target)
-    return members == hit
+    return set(order) <= {comp.target for cid in order for comp in table.row(cid).pullback}
 
 
 @record
@@ -333,7 +328,7 @@ def find_minimal_obstructions(
             for sub, ext, closed, later in level:
                 idx = list(_bits(sub))
                 if all(succ[v] & sub and pred[v] & sub for v in idx) and (
-                    _block_tag(matrix.rows, idx) is not SpectralTag.BELOW_ONE
+                    _block_tag(matrix, idx) is not SpectralTag.BELOW_ONE
                 ):
                     found.append(sub)
                     hits.append(tuple(idx))

@@ -28,7 +28,15 @@ from thurston_obstruct import (
 )
 from thurston_obstruct import orbifold, slopes, spectral, tables
 from thurston_obstruct.spectral import cyclic_classes
-from thurston_obstruct.polynomials import Poly, _primitive, degree, derivative, poly
+from thurston_obstruct.polynomials import (
+    LargestRootIsolator,
+    Poly,
+    _primitive,
+    degree,
+    derivative,
+    poly,
+    simplest_rational_between,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -227,6 +235,18 @@ def matrix_powers_by_fraction_products(m: NonnegMatrix, k_max: int) -> list[list
     return powers
 
 
+def cleared_by_lcm(rows, indices: Sequence[int]) -> tuple[int, list[list[int]]]:
+    """``(L, L*B)`` for the principal submatrix B on ``indices`` of Fraction rows.
+
+    L is the lcm of B's entry denominators, so L*B is an integer matrix.
+    """
+    scale = lcm(*(rows[i][j].denominator for i in indices for j in indices))
+    return scale, [
+        [rows[i][j].numerator * (scale // rows[i][j].denominator) for j in indices]
+        for i in indices
+    ]
+
+
 def power_positive_exponent_by_rational_powers(m: NonnegMatrix, cap: int) -> Optional[int]:
     """Smallest k <= cap whose Fraction power m**k is entrywise positive, or None."""
     powers = matrix_powers_by_fraction_products(m, cap)
@@ -409,8 +429,59 @@ def subinvariant_by_fraction_solves(m: NonnegMatrix) -> Optional[tuple[Fraction,
     return tuple(map(Fraction, _primitive(vec)))
 
 
+def subinvariant_by_fraction_inflow(m: NonnegMatrix) -> Optional[tuple[Fraction, ...]]:
+    """The library's per-block certificate with each inflow summed over the
+    Fraction rows and each block cleared by its own lcm of denominators."""
+    n = m.n
+    profile = spectral.spectral_profile(m)
+    if n == 0 or any(profile.closed_below):
+        return None
+    rows = m.rows
+    vec = [Fraction(0)] * n
+    for block, tag in zip(profile.structure.blocks(), profile.block_tags):
+        scale, b = cleared_by_lcm(rows, block)
+        c = spectral._eye_minus(scale, b)
+        if tag is SpectralTag.BELOW_ONE:
+            inflow = [
+                scale * sum((rows[i][j] * vec[j] for j in range(n)), Fraction(0)) for i in block
+            ]
+            den = lcm(*(f.denominator for f in inflow))
+            for row, f in zip(c, inflow):
+                row.append(-f.numerator * (den // f.denominator))
+            spectral._bareiss(c)
+            z = spectral._back_substitute(c, len(block))
+            den *= z.pop()
+        else:
+            p = spectral._bareiss(c)
+            z = spectral._back_substitute(c, p) + [0] * (len(block) - 1 - p)
+            den = z[p]
+            for _ in range(len(block) - 1):
+                if all(z):
+                    break
+                z = [sum(y * w for y, w in zip(row, z)) for row in b]
+        for i, value in zip(block, z):
+            vec[i] = Fraction(value, den)
+    return tuple(map(Fraction, _primitive(vec)))
+
+
 # ---------------------------------------------------------------------------
 # curve-table oracles
+
+
+def thurston_matrix_by_fraction_sums(
+    table: CurveTable, curves: Optional[Sequence[str]] = None
+) -> list[list[Fraction]]:
+    """Rows of the Thurston matrix, each entry a sum of Fractions 1/degree."""
+    order = tables.curve_order(table, curves)
+    index = {cid: k for k, cid in enumerate(order)}
+    n = len(order)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for j, cid in enumerate(order):
+        for comp in table.row(cid).pullback:
+            i = index.get(comp.target)
+            if i is not None:
+                rows[i][j] += Fraction(1, comp.degree)
+    return rows
 
 
 def simple_obstructions_by_subsets(table: CurveTable, subset_cap: int) -> list[tuple[str, ...]]:
@@ -851,6 +922,31 @@ class FractionRootIsolator:
         if not self.lo <= point <= self.hi and self.probe(self.hi) != (True, 0):
             return (self.lo, self.hi)
         return self._bisect(lambda lo, hi: not lo <= point <= hi)
+
+
+class FullChainIsolator(LargestRootIsolator):
+    """``LargestRootIsolator`` with every bisection step probed by the whole
+    Sturm chain, root counts above the midpoint included."""
+
+    __slots__ = ()
+
+    def _bisect(self, done) -> tuple[Fraction, Fraction]:
+        lo, hi = self.lo, self.hi
+        if self._is_largest_root(hi):
+            return (hi, hi)
+        while not done(lo, hi):
+            mid = (lo + hi) / 2
+            is_root, above = self._probe(mid)
+            if above:
+                lo = mid
+            elif is_root:
+                return (mid, mid)
+            else:
+                hi = mid
+        cand = simplest_rational_between(lo, hi)
+        if lo < cand and self._is_largest_root(cand):
+            return (cand, cand)
+        return (lo, hi)
 
 
 #: Every frozen record class of the package (built by ``_records.record``).

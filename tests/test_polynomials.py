@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
+    FullChainIsolator,
     cauchy_root_bound,
     divmod_poly,
     evaluate,
@@ -212,6 +213,24 @@ def test_isolator_probes_match_fraction_sturm_oracle(case, points):
         above = roots_strictly_above(p, x)
         assert iso._probe(x) == (is_root, above), x
         assert (is_root, above) == (x in rational_roots, sum(_above(r, x) for r in roots))
+
+
+BISECTION_WIDTHS = (F(4), F(1), F(1, 7), F(1, 1000), F(1, 10**9))
+
+
+@given(factored_polynomials(), st.lists(small_rationals, max_size=6))
+@settings(max_examples=150, deadline=None)
+def test_sign_only_bisection_matches_the_full_chain_route(case, points):
+    # several distinct roots and repeated factors: the full-chain phase runs
+    # before the single-sign one, and both routes see the same midpoints
+    p, _ = case
+    bound = cauchy_root_bound(p)
+    iso, oracle = LargestRootIsolator(p, -bound, bound), FullChainIsolator(p, -bound, bound)
+    for width in BISECTION_WIDTHS:
+        assert iso.refine_to_width(width) == oracle.refine_to_width(width), width
+    for x in points + [-bound, F(0), bound]:
+        if not iso._is_largest_root(x):  # the root itself cannot be separated from
+            assert iso.refine_until_separated_from(x) == oracle.refine_until_separated_from(x), x
 
 
 @given(factored_polynomials())

@@ -9,6 +9,7 @@ from oracles import (
     DeflatingRootIsolator,
     FractionRootIsolator,
     charpoly_faddeev_leverrier,
+    cleared_by_lcm,
     decomposition_exponent_by_rational_powers,
     determinant_by_elimination,
     evaluate,
@@ -20,6 +21,7 @@ from oracles import (
     scc_blocks_by_dfs,
     simple_by_exhaustion,
     sturm_tag,
+    subinvariant_by_fraction_inflow,
     subinvariant_by_fraction_solves,
 )
 from thurston_obstruct import (
@@ -563,7 +565,10 @@ def test_integer_chain_brackets_match_fraction_route(m):
 @settings(max_examples=80, deadline=None)
 def test_pow_matches_fraction_products(m, k_max):
     for k, expected in enumerate(matrix_powers_by_fraction_products(m, k_max)):
-        assert [list(row) for row in m.pow(k).rows] == expected
+        power = m.pow(k)
+        assert [list(row) for row in power.rows] == expected
+        # the integer route reaches the canonical pair of the Fraction entries
+        assert (power.scale, power.ints) == _stored(NonnegMatrix(expected))
 
 
 def test_pow_edge_cases():
@@ -572,6 +577,62 @@ def test_pow_edge_cases():
     assert m.pow(0) == NonnegMatrix([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         m.pow(-1)
+
+
+# ---------------------------------------------------------------------------
+# the stored form (L, L*M)
+
+
+def _stored(m):
+    return m.scale, m.ints
+
+
+shared_factor_entries = st.fractions(min_value=0, max_value=3, max_denominator=12)
+
+
+@st.composite
+def shared_factor_matrices(draw, max_n=6):
+    """Entries over denominators up to 12, so principal submatrices often
+    have a smaller lcm of denominators than the whole matrix."""
+    n = draw(st.integers(0, max_n))
+    return NonnegMatrix([[draw(shared_factor_entries) for _ in range(n)] for _ in range(n)])
+
+
+@given(shared_factor_matrices(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_cleared_matches_the_lcm_route_on_principal_submatrices(m, data):
+    scale, ints = cleared_by_lcm(m.rows, range(m.n))
+    assert _stored(m) == (scale, tuple(map(tuple, ints)))
+    indices = data.draw(st.lists(st.integers(0, max(m.n - 1, 0)), unique=True, max_size=m.n))
+    scale, ints = cleared_by_lcm(m.rows, indices)
+    assert _cleared(m, indices) == (scale, ints)
+    sub = m.submatrix(indices)
+    assert _stored(sub) == (scale, tuple(map(tuple, ints)))
+    assert sub == NonnegMatrix([[m.rows[i][j] for j in indices] for i in indices])
+
+
+def test_equal_spellings_give_one_stored_form():
+    spellings = [
+        [["2/4", "3/6"], ["6/4", 0]],
+        [[F(1, 2), F(1, 2)], [F(3, 2), 0]],
+        [["1/2", "1/2"], ["3/2", "0"]],
+    ]
+    ms = [NonnegMatrix(rows) for rows in spellings]
+    assert ms[0] == ms[1] == ms[2] and len({hash(m) for m in ms}) == 1
+    assert all(_stored(m) == (2, ((1, 1), (3, 0))) for m in ms)
+    assert ms[0].rows == ((F(1, 2), F(1, 2)), (F(3, 2), F(0)))
+    assert repr(ms[0]) == "NonnegMatrix([['1/2', '1/2'], ['3/2', '0']])"
+    assert NonnegMatrix([[0, 0], [0, 0]]).scale == NonnegMatrix([]).scale == 1
+
+
+def test_stored_form_is_immutable():
+    m = NonnegMatrix([[F(1, 2), 1], [0, F(1, 3)]])
+    for name in ("scale", "ints", "n", "rows", "_rows", "_profile"):
+        with pytest.raises(AttributeError):
+            setattr(m, name, None)
+    with pytest.raises(TypeError):
+        m.ints[0][0] = 5  # tuples all the way down
+    assert _stored(m) == (6, ((3, 6), (0, 2)))
 
 
 mostly_positive = st.sampled_from(ENTRY_POOL[2:])
@@ -739,7 +800,7 @@ def test_back_substitution_matches_fraction_solve_on_m_matrices(case):
 @settings(max_examples=150, deadline=None)
 def test_back_substitution_matches_fraction_kernel_at_one(rows):
     k = len(rows)
-    c = _eye_minus(*_cleared(rows, range(k)))
+    c = _eye_minus(*_cleared(NonnegMatrix(rows), range(k)))
     assert _bareiss(c) == k - 1 and c[-1][-1] == 0
     z = _back_substitute(c, k - 1)
     eye_minus = [[(1 if i == j else 0) - rows[i][j] for j in range(k)] for i in range(k)]
@@ -752,7 +813,7 @@ def _growth_steps(m, block) -> int:
     Checks on the way that the start vector is (y, 1, 0, ..., 0) with
     y >= 0 and B x >= x, equal on the rows before the stopping pivot.
     """
-    c = _eye_minus(*_cleared(m.rows, block))
+    c = _eye_minus(*_cleared(m, block))
     p = _bareiss(c)
     z = _back_substitute(c, p)
     x = [F(v, z[p]) for v in z] + [F(0)] * (len(block) - 1 - p)
@@ -771,6 +832,13 @@ def _growth_steps(m, block) -> int:
 def test_certificate_exists_exactly_when_the_fraction_route_finds_one(m):
     v = exists_positive_subinvariant_vector(m)
     assert (v is None) == (subinvariant_by_fraction_solves(m) is None)
+
+
+@given(st.one_of(spectral_matrices, shared_factor_matrices()))
+@settings(max_examples=150, deadline=None)
+def test_certificate_matches_the_fraction_inflow_route(m):
+    # the inflow from the integer rows gives every block the same vector
+    assert exists_positive_subinvariant_vector(m) == subinvariant_by_fraction_inflow(m)
 
 
 @given(spectral_matrices)
@@ -847,9 +915,9 @@ def test_submatrix_eigenvalue_strictly_smaller():
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix must be square"):
         NonnegMatrix([[1, 2]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="matrix entries must be nonnegative"):
         NonnegMatrix([[-1]])
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="floating-point matrix entries are not accepted"):
         NonnegMatrix([[0.5]])

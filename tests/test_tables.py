@@ -11,6 +11,7 @@ from oracles import (
     minimal_obstructions_by_subsets,
     simple_by_exhaustion,
     simple_obstructions_by_subsets,
+    thurston_matrix_by_fraction_sums,
 )
 from thurston_obstruct import (
     INESSENTIAL,
@@ -19,6 +20,7 @@ from thurston_obstruct import (
     CurveTable,
     DecompositionComponent,
     MinimalObstructionSearch,
+    NonnegMatrix,
     PreconditionError,
     PullbackComponent,
     Return2222,
@@ -246,6 +248,37 @@ def curve_tables(draw, max_classes=11):
             target = draw(st.sampled_from(ids + [cid, INESSENTIAL, UNTRACKED]))
             rows[cid].append(PullbackComponent(d, target))
     return CurveTable(degree, tuple(CurveClass(cid, tuple(rows[cid])) for cid in ids))
+
+
+@st.composite
+def shared_factor_tables(draw, max_classes=6):
+    """Map degree 12, 24 or 36 and component degrees among its divisors, so
+    the degrees of one row or one matrix share factors."""
+    ids = [f"c{i}" for i in range(draw(st.integers(1, max_classes)))]
+    map_degree = draw(st.sampled_from((12, 24, 36)))
+    divisors = [d for d in range(1, map_degree + 1) if map_degree % d == 0]
+    rows = []
+    for cid in ids:
+        budget, row = map_degree, []
+        for _ in range(draw(st.integers(0, 5))):
+            d = draw(st.sampled_from([d for d in divisors if d <= budget] or [0]))
+            if not d:
+                break
+            budget -= d
+            row.append(PullbackComponent(d, draw(st.sampled_from(ids + [INESSENTIAL, UNTRACKED]))))
+        rows.append(CurveClass(cid, tuple(row)))
+    return CurveTable(map_degree, tuple(rows))
+
+
+@given(shared_factor_tables(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_thurston_matrix_matches_fraction_sums(table, data):
+    ids = table.class_ids()
+    curves = data.draw(st.none() | st.lists(st.sampled_from(ids), unique=True), label="curves")
+    m = thurston_matrix(table, curves)
+    expected = NonnegMatrix(thurston_matrix_by_fraction_sums(table, curves))
+    assert (m.scale, m.ints) == (expected.scale, expected.ints)
+    assert m.rows == expected.rows
 
 
 @given(curve_tables(), st.data())
