@@ -13,6 +13,7 @@ and leaves the mathematics to the domain constructors.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import re
@@ -77,52 +78,51 @@ def _echo(value: Any) -> str:
 
 _SCHEMA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "schemas")
 
-_files: dict[str, dict] = {}  # schema file name -> parsed file, loaded on first use
-_targets: dict[tuple[str, str], tuple[Any, str]] = {}  # ($ref, file) -> (schema, its file)
-
 _TYPES = {  # schema type -> (Python type, what an error message calls it)
     "object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string"),
     "integer": (int, "an integer"), "boolean": (bool, "a boolean"), "null": (type(None), "null"),
 }
 
 
-def _resolve(ref: str, base: str) -> tuple[Any, str]:
-    """The schema that ``ref`` names when read in the file ``base``, and its file."""
-    target = _targets.get((ref, base))
-    if target is None:
-        name, _, pointer = ref.partition("#")
-        name = name or base
-        node = _files.get(name)
-        if node is None:
-            with open(os.path.join(_SCHEMA_DIR, name), encoding="utf-8") as f:
-                node = _files[name] = json.load(f)
-        for part in pointer.split("/")[1:]:
-            node = node[part.replace("~1", "/").replace("~0", "~")]
-        target = _targets[ref, base] = (node, name)
-    return target
+@functools.cache
+def _schema(ref: str) -> Any:
+    """The schema that ``ref`` (a file name and an optional JSON pointer) names.
+
+    Its ``$ref`` nodes, which have no other keyword and form no cycle, are
+    replaced by their targets, each built once; every caller shares the tree.
+    """
+    name, _, pointer = ref.partition("#")
+    with open(os.path.join(_SCHEMA_DIR, name), encoding="utf-8") as f:
+        node = json.load(f)
+    for part in pointer.split("/")[1:]:
+        node = node[part]
+    return _inline(node, name)
 
 
-def _join(where: str, key: str) -> str:
-    return f"{where}.{key}" if where else key
+def _inline(node: Any, name: str) -> Any:
+    """``node`` of the file ``name`` with each ``$ref`` node replaced by its target."""
+    if isinstance(node, dict):
+        ref = node.get("$ref")
+        if ref is not None:
+            return _schema(name + ref if ref.startswith("#") else ref)
+        return {key: _inline(sub, name) for key, sub in node.items()}
+    return [_inline(sub, name) for sub in node] if isinstance(node, list) else node
 
 
-def _check(value: Any, schema: dict, base: str, where: str) -> Optional[tuple[str, str]]:
+def _check(value: Any, schema: dict) -> Optional[tuple[list, str]]:
     """The ``(path, message)`` of the first failure of ``value``, or None.
 
-    Failures are returned, not raised: ``oneOf`` tries every branch, and an
-    exception per failed branch (one per string entry of a matrix) would
-    cost more than the rest of the validation.
+    ``path`` holds the keys and indices down to the failure, innermost
+    first, each appended on the way back up.  Failures are returned, not
+    raised: ``oneOf`` tries every branch, and an exception per failed branch
+    (one per string entry of a matrix) would cost more than the validation.
     """
-    if "$ref" in schema:
-        error = _check(value, *_resolve(schema["$ref"], base), where)
-        if error is not None:
-            return error
     branches = schema.get("oneOf")
     if branches is not None:
-        errors = [_check(value, branch, base, where) for branch in branches]
+        errors = [_check(value, branch) for branch in branches]
         errors = [e for e in errors if e is not None]
         if len(errors) < len(branches) - 1:
-            return where, "matches more than one allowed form"
+            return [], "matches more than one allowed form"
         if len(errors) == len(branches):
             paths = [path for path, _ in errors]
             if paths.count(paths[0]) == len(paths):
@@ -130,57 +130,56 @@ def _check(value: Any, schema: dict, base: str, where: str) -> Optional[tuple[st
             # the branch that got furthest into the value; of equally deep
             # failures, the one fewest branches share (the others failed on
             # a discriminating field such as "kind")
-            return max(errors, key=lambda e: (e[0].count(".") + e[0].count("["), -paths.count(e[0])))
+            return max(errors, key=lambda e: (len(e[0]), -paths.count(e[0])))
     kind = schema.get("type")
     if kind is not None:
-        kinds = (kind,) if isinstance(kind, str) else kind
-        for k in kinds:
-            # "integer" is stricter than jsonschema, which takes 1.0: floats
-            # never enter the program; and a boolean is not a number
-            if isinstance(value, _TYPES[k][0]) and not (k == "integer" and isinstance(value, bool)):
-                break
-        else:
-            return where, "expected " + " or ".join(_TYPES[k][1] for k in kinds)
+        cls, name = _TYPES[kind]
+        # "integer" is stricter than jsonschema, which takes 1.0: floats
+        # never enter the program; and a boolean is not a number
+        if not isinstance(value, cls) or (kind == "integer" and isinstance(value, bool)):
+            return [], "expected " + name
     if "const" in schema:
         const = schema["const"]
         if value != const or type(value) is not type(const):
-            return where, f"expected {const!r}, got {_echo(value)}"
+            return [], f"expected {const!r}, got {_echo(value)}"
     if isinstance(value, str):
         if len(value) < schema.get("minLength", 0):
-            return where, f"expected at least {schema['minLength']} character(s)"
+            return [], f"expected at least {schema['minLength']} character(s)"
         pattern = schema.get("pattern")
         # the whole string, as ECMA-262's `$` requires: Python's `$` also
         # matches before a final newline, so re.search would take "1/2\n"
         if pattern is not None and re.fullmatch(pattern, value) is None:
-            return where, f"expected a string matching {pattern}"
+            return [], f"expected a string matching {pattern}"
     elif isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
-            return where, f"expected at least {schema['minItems']} entries"
+            return [], f"expected at least {schema['minItems']} entries"
         if len(value) > schema.get("maxItems", len(value)):
-            return where, f"expected at most {schema['maxItems']} entries"
+            return [], f"expected at most {schema['maxItems']} entries"
         items = schema.get("items")
         if items is not None:
             for i, item in enumerate(value):
-                error = _check(item, items, base, f"{where}[{i}]")
+                error = _check(item, items)
                 if error is not None:
+                    error[0].append(i)
                     return error
     elif isinstance(value, dict):
         properties = schema.get("properties", {})
         for key, sub in properties.items():
             if key in value:
-                error = _check(value[key], sub, base, _join(where, key))
+                error = _check(value[key], sub)
                 if error is not None:
+                    error[0].append(key)
                     return error
         if schema.get("additionalProperties", True) is False:
             for key in value:
                 if key not in properties:
-                    return _join(where, key), "unknown field"
+                    return [str(key)], "unknown field"  # an int in a path is a list index
         for key in schema.get("required", ()):
             if key not in value:
-                return _join(where, key), "missing field"
+                return [key], "missing field"
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         if value < schema.get("minimum", value):
-            return where, f"expected at least {schema['minimum']}"
+            return [], f"expected at least {schema['minimum']}"
     return None
 
 
@@ -191,10 +190,12 @@ def validate(value: Any, ref: str, where: str = "") -> None:
     (``table.schema.json#/$defs/tableFields``); ``where`` is the field
     path of ``value``, the prefix of every path in the message.
     """
-    error = _check(value, *_resolve(ref, ""), where)
+    error = _check(value, _schema(ref))
     if error is not None:
         path, message = error
-        raise _fail(path or "input", message)
+        for key in reversed(path):
+            where = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}" if where else key
+        raise _fail(where or "input", message)
 
 
 # ---------------------------------------------------------------------------
@@ -426,10 +427,7 @@ def canonical_to_doc(
 
 
 def spectral_to_doc(sc: SpectralClass) -> dict:
-    return {
-        "class": sc.tag.value,
-        "interval": [format_rational(sc.lo), format_rational(sc.hi)],
-    }
+    return {"class": sc.tag.value, "interval": interval_to_doc((sc.lo, sc.hi))}
 
 
 def interval_to_doc(interval: tuple[Fraction, Fraction]) -> list[str]:

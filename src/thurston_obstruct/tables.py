@@ -285,11 +285,10 @@ def find_minimal_obstructions(
     is connected there.  The components and their tags come from the
     spectral profile of the tracked classes' matrix.  Since rho only grows
     from a principal submatrix to the whole, a component below 1 holds no
-    obstruction and is skipped unvisited.  Inside each other component, ESU
-    extension sets (Wernicke, IEEE/ACM TCBB 3(4), 2006) over the undirected
-    neighbourhoods reach each connected subset once, one size at a time, so
-    all smaller hits are known when a subset is reached: a hit is not
-    extended, and a subset containing one is not visited.
+    obstruction and is skipped unvisited.  Inside each other component, the
+    connected subsets grow one size at a time, each by one undirected
+    neighbour, so all smaller hits are known when a subset is reached: a hit
+    is not extended, and a subset containing one is not visited.
 
     A visited subset whose members each have a successor and a predecessor
     inside it (necessary for irreducibility) is a hit when ``_block_tag``
@@ -316,36 +315,27 @@ def find_minimal_obstructions(
             continue
         members = sum(1 << v for v in comp)
         nbr = {v: (succ[v] | pred[v]) & members & ~(1 << v) for v in comp}
-        # ESU nodes of one size: the subset, its extension set, the subset
-        # with its neighbours, and the classes after the subset's first one
-        level = []
-        for v in comp:
-            later = members & ~((2 << v) - 1)
-            level.append((1 << v, nbr[v] & later, nbr[v] | 1 << v, later))
+        level = {1 << v: nbr[v] for v in comp}  # subset -> its neighbours' mask
         found: list[int] = []
         for size in range(1, limit + 1):
-            grow = []
-            for sub, ext, closed, later in level:
+            grow: dict[int, int] = {}
+            for sub, near in level.items():
+                if any(f & sub == f for f in found):
+                    continue  # holds a smaller hit, all of which are known by now
                 idx = list(_bits(sub))
                 if all(succ[v] & sub and pred[v] & sub for v in idx) and (
                     _block_tag(matrix, idx) is not SpectralTag.BELOW_ONE
                 ):
                     found.append(sub)
                     hits.append(tuple(idx))
-                else:
-                    grow.append((sub, ext, closed, later))
-            if size == limit:
-                break
-            # every hit of this size or smaller is known: drop their supersets
-            level = []
-            for sub, ext, closed, later in grow:
-                while ext:
-                    w = ext & -ext
-                    ext ^= w
-                    if any(f & (sub | w) == f for f in found):
-                        continue
-                    near = nbr[w.bit_length() - 1]
-                    level.append((sub | w, ext | (near & ~closed & later), closed | near, later))
+                elif size < limit:
+                    out = near & ~sub
+                    while out:
+                        w = out & -out
+                        out ^= w
+                        if sub | w not in grow:
+                            grow[sub | w] = near | nbr[w.bit_length() - 1]
+            level = grow
     # no hit contains another, since no superset of a hit is visited
     hits.sort(key=lambda h: (len(h), h))
     return MinimalObstructionSearch(

@@ -11,6 +11,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import json
+import os
+import re
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Any, Optional, Sequence
@@ -27,6 +29,7 @@ from thurston_obstruct import (
     thurston_matrix,
 )
 from thurston_obstruct import orbifold, slopes, spectral, tables
+from thurston_obstruct.documents import _echo
 from thurston_obstruct.spectral import cyclic_classes
 from thurston_obstruct.polynomials import (
     LargestRootIsolator,
@@ -1001,3 +1004,125 @@ def dataclass_twin(cls: type) -> type:
 def dumps_by_json(doc: Any) -> str:
     """The report bytes through the standard library's indenting encoder."""
     return json.dumps(doc, sort_keys=True, indent=2, ensure_ascii=False) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# the shipped schemas, interpreted with a ``$ref`` lookup at every node and
+# the field path built as a string on the way down
+
+_SCHEMA_DIR = os.path.join(os.path.dirname(os.path.abspath(spectral.__file__)), "schemas")
+
+_files: dict[str, dict] = {}  # schema file name -> parsed file, loaded on first use
+_targets: dict[tuple[str, str], tuple[Any, str]] = {}  # ($ref, file) -> (schema, its file)
+
+_TYPES = {  # schema type -> (Python type, what an error message calls it)
+    "object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string"),
+    "integer": (int, "an integer"), "boolean": (bool, "a boolean"), "null": (type(None), "null"),
+}
+
+
+def _resolve(ref: str, base: str) -> tuple[Any, str]:
+    """The schema that ``ref`` names when read in the file ``base``, and its file."""
+    target = _targets.get((ref, base))
+    if target is None:
+        name, _, pointer = ref.partition("#")
+        name = name or base
+        node = _files.get(name)
+        if node is None:
+            with open(os.path.join(_SCHEMA_DIR, name), encoding="utf-8") as f:
+                node = _files[name] = json.load(f)
+        for part in pointer.split("/")[1:]:
+            node = node[part.replace("~1", "/").replace("~0", "~")]
+        target = _targets[ref, base] = (node, name)
+    return target
+
+
+def _join(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _check(value: Any, schema: dict, base: str, where: str) -> Optional[tuple[str, str]]:
+    """The ``(path, message)`` of the first failure of ``value``, or None.
+
+    Failures are returned, not raised: ``oneOf`` tries every branch, and an
+    exception per failed branch (one per string entry of a matrix) would
+    cost more than the rest of the validation.
+    """
+    if "$ref" in schema:
+        error = _check(value, *_resolve(schema["$ref"], base), where)
+        if error is not None:
+            return error
+    branches = schema.get("oneOf")
+    if branches is not None:
+        errors = [_check(value, branch, base, where) for branch in branches]
+        errors = [e for e in errors if e is not None]
+        if len(errors) < len(branches) - 1:
+            return where, "matches more than one allowed form"
+        if len(errors) == len(branches):
+            paths = [path for path, _ in errors]
+            if paths.count(paths[0]) == len(paths):
+                return paths[0], schema.get("description", errors[0][1])
+            # the branch that got furthest into the value; of equally deep
+            # failures, the one fewest branches share (the others failed on
+            # a discriminating field such as "kind")
+            return max(errors, key=lambda e: (e[0].count(".") + e[0].count("["), -paths.count(e[0])))
+    kind = schema.get("type")
+    if kind is not None:
+        kinds = (kind,) if isinstance(kind, str) else kind
+        for k in kinds:
+            # "integer" is stricter than jsonschema, which takes 1.0: floats
+            # never enter the program; and a boolean is not a number
+            if isinstance(value, _TYPES[k][0]) and not (k == "integer" and isinstance(value, bool)):
+                break
+        else:
+            return where, "expected " + " or ".join(_TYPES[k][1] for k in kinds)
+    if "const" in schema:
+        const = schema["const"]
+        if value != const or type(value) is not type(const):
+            return where, f"expected {const!r}, got {_echo(value)}"
+    if isinstance(value, str):
+        if len(value) < schema.get("minLength", 0):
+            return where, f"expected at least {schema['minLength']} character(s)"
+        pattern = schema.get("pattern")
+        # the whole string, as ECMA-262's `$` requires: Python's `$` also
+        # matches before a final newline, so re.search would take "1/2\n"
+        if pattern is not None and re.fullmatch(pattern, value) is None:
+            return where, f"expected a string matching {pattern}"
+    elif isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return where, f"expected at least {schema['minItems']} entries"
+        if len(value) > schema.get("maxItems", len(value)):
+            return where, f"expected at most {schema['maxItems']} entries"
+        items = schema.get("items")
+        if items is not None:
+            for i, item in enumerate(value):
+                error = _check(item, items, base, f"{where}[{i}]")
+                if error is not None:
+                    return error
+    elif isinstance(value, dict):
+        properties = schema.get("properties", {})
+        for key, sub in properties.items():
+            if key in value:
+                error = _check(value[key], sub, base, _join(where, key))
+                if error is not None:
+                    return error
+        if schema.get("additionalProperties", True) is False:
+            for key in value:
+                if key not in properties:
+                    return _join(where, key), "unknown field"
+        for key in schema.get("required", ()):
+            if key not in value:
+                return _join(where, key), "missing field"
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        if value < schema.get("minimum", value):
+            return where, f"expected at least {schema['minimum']}"
+    return None
+
+
+def validation_error_by_interpreter(value: Any, ref: str, where: str = "") -> Optional[str]:
+    """The ``InputFormatError`` message of ``documents.validate(value, ref, where)``, or None."""
+    error = _check(value, *_resolve(ref, ""), where)
+    if error is None:
+        return None
+    path, message = error
+    return f"{path or 'input'}: {message}"

@@ -9,10 +9,11 @@ from pathlib import Path
 import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import dumps_by_json
+from oracles import dumps_by_json, validation_error_by_interpreter
 from referencing import Registry, Resource
 
 import thurston_obstruct
+from thurston_obstruct import documents
 from thurston_obstruct import (
     CurveClass,
     CurveTable,
@@ -41,6 +42,7 @@ from thurston_obstruct.documents import (
     rational_rows_from_doc,
     table_from_doc,
     table_to_doc,
+    validate,
 )
 
 F = Fraction
@@ -239,6 +241,63 @@ def test_input_schemas_use_only_implemented_keywords(name):
             assert isinstance(target, dict)
 
 
+#: every schema reference the decoders validate against
+VALIDATED_REFS = sorted(set(re.findall(r'validate\(\w+, "([^"]+)"', Path(documents.__file__).read_text())))
+
+
+def _target(ref: str, file: str) -> tuple[str, str]:
+    name, _, pointer = ref.partition("#")
+    return name or file, pointer
+
+
+def _node(file: str, pointer: str):
+    node = SCHEMAS[file]
+    for part in pointer.split("/")[1:]:
+        node = node[part]
+    return node
+
+
+def _reached(schema: dict, file: str, open_refs: tuple = ()):
+    """Each ``(subschema, file)`` a validation from ``schema`` visits, through its ``$ref``s."""
+    yield schema, file
+    if "$ref" in schema:
+        target = _target(schema["$ref"], file)
+        assert target not in open_refs, f"$ref cycle: {open_refs + (target,)}"
+        yield from _reached(_node(*target), target[0], open_refs + (target,))
+    for key, sub in schema.items():
+        if key == "properties":
+            for child in sub.values():
+                yield from _reached(child, file, open_refs)
+        elif key == "items":
+            yield from _reached(sub, file, open_refs)
+        elif key == "oneOf":
+            for child in sub:
+                yield from _reached(child, file, open_refs)
+
+
+def _refs_left(node) -> bool:
+    if isinstance(node, dict):
+        return "$ref" in node or any(_refs_left(sub) for sub in node.values())
+    return isinstance(node, list) and any(_refs_left(sub) for sub in node)
+
+
+def test_input_schemas_have_the_shapes_the_validator_relies_on():
+    # each $ref node stands alone, so the validator replaces it by its target
+    for name in INPUT_SCHEMAS:
+        for schema in _subschemas(SCHEMAS[name]):
+            assert "$ref" not in schema or set(schema) == {"$ref"}, schema
+            list(_reached(schema, name))  # no $ref cycle from any node
+    # the validator knows a `type` only as one string
+    assert {ref.partition("#")[0] for ref in VALIDATED_REFS} == set(INPUT_SCHEMAS)
+    for ref in VALIDATED_REFS:
+        name, _, pointer = ref.partition("#")
+        for schema, _ in _reached(_node(name, pointer), name):
+            assert isinstance(schema.get("type", ""), str), (ref, schema)
+        assert not _refs_left(documents._schema(ref)), ref
+    # the one list-valued type, reached only from the report schema
+    assert SCHEMAS["common.schema.json"]["$defs"]["tristate"]["type"] == ["boolean", "null"]
+
+
 PORTRAIT = {
     "schema": "thurston-obstruct/portrait/1",
     "degree": 2,
@@ -395,6 +454,56 @@ def test_decoders_accept_what_jsonschema_accepts(case):
         assert accepted, doc
     else:
         assert accepted, doc
+
+
+def _validation_error(value, ref, where=""):
+    try:
+        validate(value, ref, where)
+    except InputFormatError as exc:
+        return str(exc)
+    return None
+
+
+def test_validator_matches_the_interpreter_on_valid_documents():
+    for doc, schema, _, _ in VALID.values():
+        assert _validation_error(doc, schema) is None
+        assert validation_error_by_interpreter(doc, schema) is None
+
+
+@settings(max_examples=400, deadline=None)
+@given(mutated_documents())
+def test_validator_matches_the_interpreter_on_mutated_documents(case):
+    kind, doc = case
+    schema = VALID[kind][1]
+    assert _validation_error(doc, schema) == validation_error_by_interpreter(doc, schema)
+
+
+_ENTRIES = st.one_of(REPLACEMENTS, st.integers(-3, 3), st.sampled_from(["-3/4", "10/3", "2/0", "1/-2"]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.sampled_from(["rationalMatrix", "intMatrix2", "rational"]),
+    st.one_of(_ENTRIES, st.lists(st.one_of(_ENTRIES, st.lists(_ENTRIES, max_size=3)), max_size=3)),
+    st.sampled_from(["", "matrix", "--width"]),
+)
+def test_validator_matches_the_interpreter_on_bare_matrices_and_rationals(name, value, where):
+    ref = f"common.schema.json#/$defs/{name}"
+    assert _validation_error(value, ref, where) == validation_error_by_interpreter(value, ref, where)
+
+
+def test_one_of_takes_the_failure_with_the_most_path_keys_not_characters():
+    # the dots of the key "a.b.c" once counted as three levels of depth
+    doc = copy.deepcopy(CANONICAL)
+    doc["decomposition"][0]["first_return"] = {"a.b.c": 1, "matrix": [[1, 2], [3]]}
+    message = "decomposition[0].first_return.matrix[1]: expected at least 2 entries"
+    with pytest.raises(InputFormatError) as exc:
+        canonical_from_doc(doc)
+    assert str(exc.value) == message
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["canonical", json.dumps(doc)]) == 2
+    assert err.getvalue() == f"error: {message}\n"
 
 
 _REPORT_TEXT = st.text(
