@@ -71,7 +71,9 @@ def _load_inline_matrix(text: str, origin: str) -> Any:
     except InputFormatError as exc:
         if not isinstance(exc.__cause__, json.JSONDecodeError):
             raise
-        rewritten = re.sub(r"(-?\d+)\s*/\s*(\d+)", r'"\1/\2"', text)
+        # a whole JSON string matches first and stays as it is: '[["1/2",1/3]]'
+        unquoted = r'"(?:[^"\\]|\\.)*"|(-?\d+)\s*/\s*(\d+)'
+        rewritten = re.sub(unquoted, lambda m: m[0] if m[1] is None else f'"{m[1]}/{m[2]}"', text)
         try:
             return _load_json(rewritten, origin)
         except InputFormatError:
@@ -108,11 +110,11 @@ def _run_orbifold(portrait: CriticalPortrait, options: dict) -> tuple[dict, int]
     return docs.signature_to_doc(classify_orbifold(portrait)), EXIT_OK
 
 
-def _run_matrix(rows: list, options: dict) -> tuple[dict, int]:
-    try:
-        matrix = NonnegMatrix(rows)
-    except ValueError as exc:
-        raise PreconditionError(str(exc)) from exc
+def _run_matrix(decoded: tuple, options: dict) -> tuple[dict, int]:
+    scale, ints = decoded
+    if min(map(min, ints), default=0) < 0:
+        raise PreconditionError("matrix entries must be nonnegative")
+    matrix = NonnegMatrix._from_ints(scale, ints)
     width = docs.parse_rational(options["width"], "options.width")
     # the matrix keeps its spectral profile and root isolator, so the calls
     # below share one SCC pass and one characteristic polynomial

@@ -18,7 +18,8 @@ import json
 import os
 import re
 from fractions import Fraction
-from typing import Any, Optional, Sequence
+from math import gcd, inf, lcm
+from typing import Any, Callable, Optional, Sequence
 
 from .orbifold import INFINITE_WEIGHT, CriticalPortrait, OrbifoldSignature, PortraitPoint
 from .slopes import (
@@ -78,9 +79,10 @@ def _echo(value: Any) -> str:
 
 _SCHEMA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "schemas")
 
-_TYPES = {  # schema type -> (Python type, what an error message calls it)
-    "object": (dict, "an object"), "array": (list, "an array"), "string": (str, "a string"),
-    "integer": (int, "an integer"), "boolean": (bool, "a boolean"), "null": (type(None), "null"),
+_TYPES = {  # schema type -> (Python type, the message of a value of another type)
+    "object": (dict, "expected an object"), "array": (list, "expected an array"),
+    "string": (str, "expected a string"), "integer": (int, "expected an integer"),
+    "boolean": (bool, "expected a boolean"), "null": (type(None), "expected null"),
 }
 
 
@@ -109,78 +111,88 @@ def _inline(node: Any, name: str) -> Any:
     return [_inline(sub, name) for sub in node] if isinstance(node, list) else node
 
 
-def _check(value: Any, schema: dict) -> Optional[tuple[list, str]]:
-    """The ``(path, message)`` of the first failure of ``value``, or None.
+_checkers: dict[int, Callable] = {}  # id of a node of a _schema tree -> its checker
 
-    ``path`` holds the keys and indices down to the failure, innermost
-    first, each appended on the way back up.  Failures are returned, not
-    raised: ``oneOf`` tries every branch, and an exception per failed branch
-    (one per string entry of a matrix) would cost more than the validation.
+
+def _checker(schema: dict) -> Callable[[Any], Optional[tuple[list, str]]]:
+    """``schema`` compiled on first use into a function of a value: its first failure or None.
+
+    A failure is ``(path, message)``, ``path`` holding the keys and indices
+    down to the failing value, innermost first, each appended on the way
+    back up.  Failures are returned, not raised: ``oneOf`` tries every
+    branch, and an exception per failed branch would cost more than the
+    validation.  A shared node, such as every matrix entry's ``rational``,
+    is compiled once.
     """
-    branches = schema.get("oneOf")
-    if branches is not None:
-        errors = [_check(value, branch) for branch in branches]
-        errors = [e for e in errors if e is not None]
-        if len(errors) < len(branches) - 1:
-            return [], "matches more than one allowed form"
-        if len(errors) == len(branches):
-            paths = [path for path, _ in errors]
-            if paths.count(paths[0]) == len(paths):
-                return paths[0], schema.get("description", errors[0][1])
-            # the branch that got furthest into the value; of equally deep
-            # failures, the one fewest branches share (the others failed on
-            # a discriminating field such as "kind")
-            return max(errors, key=lambda e: (len(e[0]), -paths.count(e[0])))
-    kind = schema.get("type")
-    if kind is not None:
-        cls, name = _TYPES[kind]
-        # "integer" is stricter than jsonschema, which takes 1.0: floats
-        # never enter the program; and a boolean is not a number
-        if not isinstance(value, cls) or (kind == "integer" and isinstance(value, bool)):
-            return [], "expected " + name
-    if "const" in schema:
-        const = schema["const"]
-        if value != const or type(value) is not type(const):
+    if id(schema) in _checkers:
+        return _checkers[id(schema)]
+    get = schema.get
+    branches = [_checker(branch) for branch in get("oneOf", ())]
+    # "integer" is stricter than jsonschema, which takes 1.0: floats never
+    # enter the program; and a boolean is not a number
+    cls, expected = _TYPES[get("type")] if "type" in schema else (object, "")
+    strict, has_const, const = get("type") == "integer", "const" in schema, get("const")
+    # the whole string, as ECMA-262's `$` requires: Python's `$` also
+    # matches before a final newline, so re.search would take "1/2\n"
+    pattern = get("pattern")
+    fullmatch = re.compile(pattern).fullmatch if pattern is not None else None
+    min_length, min_items, max_items = get("minLength", 0), get("minItems", 0), get("maxItems", inf)
+    items = _checker(schema["items"]) if "items" in schema else None
+    properties = {key: _checker(sub) for key, sub in get("properties", {}).items()}
+    closed = get("additionalProperties", True) is False
+    required, minimum = get("required", ()), get("minimum", -inf)
+
+    def check(value: Any) -> Optional[tuple[list, str]]:
+        if branches:
+            errors = [branch(value) for branch in branches]
+            passed = errors.count(None)
+            if passed > 1:
+                return [], "matches more than one allowed form"
+            if not passed:
+                paths = [path for path, _ in errors]
+                if paths.count(paths[0]) == len(paths):
+                    return paths[0], get("description", errors[0][1])
+                # the branch that got furthest into the value; of equally deep
+                # failures, the one fewest branches share (the others failed on
+                # a discriminating field such as "kind")
+                return max(errors, key=lambda e: (len(e[0]), -paths.count(e[0])))
+        if not isinstance(value, cls) or (strict and isinstance(value, bool)):
+            return [], expected
+        if has_const and (value != const or type(value) is not type(const)):
             return [], f"expected {const!r}, got {_echo(value)}"
-    if isinstance(value, str):
-        if len(value) < schema.get("minLength", 0):
-            return [], f"expected at least {schema['minLength']} character(s)"
-        pattern = schema.get("pattern")
-        # the whole string, as ECMA-262's `$` requires: Python's `$` also
-        # matches before a final newline, so re.search would take "1/2\n"
-        if pattern is not None and re.fullmatch(pattern, value) is None:
-            return [], f"expected a string matching {pattern}"
-    elif isinstance(value, list):
-        if len(value) < schema.get("minItems", 0):
-            return [], f"expected at least {schema['minItems']} entries"
-        if len(value) > schema.get("maxItems", len(value)):
-            return [], f"expected at most {schema['maxItems']} entries"
-        items = schema.get("items")
-        if items is not None:
-            for i, item in enumerate(value):
-                error = _check(item, items)
+        if isinstance(value, str):
+            if len(value) < min_length:
+                return [], f"expected at least {min_length} character(s)"
+            if fullmatch is not None and fullmatch(value) is None:
+                return [], f"expected a string matching {pattern}"
+        elif isinstance(value, list):
+            if len(value) < min_items:
+                return [], f"expected at least {min_items} entries"
+            if len(value) > max_items:
+                return [], f"expected at most {max_items} entries"
+            for i, error in enumerate(map(items, value) if items else ()):
                 if error is not None:
                     error[0].append(i)
                     return error
-    elif isinstance(value, dict):
-        properties = schema.get("properties", {})
-        for key, sub in properties.items():
-            if key in value:
-                error = _check(value[key], sub)
-                if error is not None:
-                    error[0].append(key)
-                    return error
-        if schema.get("additionalProperties", True) is False:
-            for key in value:
-                if key not in properties:
-                    return [str(key)], "unknown field"  # an int in a path is a list index
-        for key in schema.get("required", ()):
-            if key not in value:
-                return [key], "missing field"
-    elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        if value < schema.get("minimum", value):
-            return [], f"expected at least {schema['minimum']}"
-    return None
+        elif isinstance(value, dict):
+            for key, sub in properties.items():
+                if key in value:
+                    error = sub(value[key])
+                    if error is not None:
+                        error[0].append(key)
+                        return error
+            if closed:
+                for key in value:
+                    if key not in properties:
+                        return [str(key)], "unknown field"  # an int in a path is a list index
+            for key in required:
+                if key not in value:
+                    return [key], "missing field"
+        elif isinstance(value, (int, float)) and not isinstance(value, bool) and value < minimum:
+            return [], f"expected at least {minimum}"
+        return None
+
+    return _checkers.setdefault(id(schema), check)
 
 
 def validate(value: Any, ref: str, where: str = "") -> None:
@@ -190,7 +202,7 @@ def validate(value: Any, ref: str, where: str = "") -> None:
     (``table.schema.json#/$defs/tableFields``); ``where`` is the field
     path of ``value``, the prefix of every path in the message.
     """
-    error = _check(value, _schema(ref))
+    error = _checker(_schema(ref))(value)
     if error is not None:
         path, message = error
         for key in reversed(path):
@@ -202,17 +214,21 @@ def validate(value: Any, ref: str, where: str = "") -> None:
 # scalars
 
 
-def _fraction(value: Any, where: str) -> Fraction:
-    """A schema-valid rational; ``p/0`` is the one form the pattern lets through."""
+def _ratio(value: Any, where: str, *index: int) -> tuple[int, int]:
+    """The schema-valid rational at ``where[i][j]...`` as a reduced ``(p, q)``, q > 0."""
+    num, _, den = value.partition("/") if isinstance(value, str) else (value, "", "")
     try:
-        return Fraction(value)
-    except (ValueError, ZeroDivisionError) as exc:  # zero denominator, or too many digits
+        p, q = int(num), int(den or 1)
+        g = gcd(p, q) if q else 0
+        return p // g, q // g
+    except (ValueError, ZeroDivisionError) as exc:  # the pattern takes p/0 and too many digits
+        where += "".join(f"[{i}]" for i in index)
         raise _fail(where, f"invalid rational {_echo(value)}") from exc
 
 
 def parse_rational(value: Any, where: str) -> Fraction:
     validate(value, "common.schema.json#/$defs/rational", where)
-    return _fraction(value, where)
+    return Fraction(*_ratio(value, where))
 
 
 def format_rational(value: Fraction) -> str:
@@ -227,21 +243,19 @@ def format_weight(w) -> Any:
 # matrices
 
 
-def _square_rows(value: list, where: str) -> list[list[Fraction]]:
-    rows = [
-        [_fraction(x, f"{where}[{i}][{j}]") for j, x in enumerate(row)]
-        for i, row in enumerate(value)
-    ]
-    n = len(rows)
+def _square_ints(value: list, where: str) -> tuple[int, list[list[int]]]:
+    """``(L, L*M)`` of the schema-valid matrix M, L the lcm of its reduced denominators."""
+    rows = [[_ratio(x, where, i, j) for j, x in enumerate(row)] for i, row in enumerate(value)]
     for i, row in enumerate(rows):
-        if len(row) != n:
-            raise _fail(f"{where}[{i}]", f"expected {n} entries for a square matrix")
-    return rows
+        if len(row) != len(rows):
+            raise _fail(f"{where}[{i}]", f"expected {len(rows)} entries for a square matrix")
+    scale = lcm(*(q for row in rows for _, q in row))
+    return scale, [[p * (scale // q) for p, q in row] for row in rows]
 
 
-def rational_rows_from_doc(value: Any, where: str) -> list[list[Fraction]]:
+def rational_rows_from_doc(value: Any, where: str) -> tuple[int, list[list[int]]]:
     validate(value, "common.schema.json#/$defs/rationalMatrix", where)
-    return _square_rows(value, where)
+    return _square_ints(value, where)
 
 
 def int_matrix2_from_doc(value: Any, where: str) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -249,12 +263,12 @@ def int_matrix2_from_doc(value: Any, where: str) -> tuple[tuple[int, int], tuple
     return tuple(map(tuple, value))
 
 
-def matrix_from_doc(value: Any) -> list[list[Fraction]]:
-    """Rows of a ``matrix`` input: a matrix document or a bare array."""
+def matrix_from_doc(value: Any) -> tuple[int, list[list[int]]]:
+    """``(L, L*M)`` of a ``matrix`` input M, a matrix document or a bare array; M may be negative."""
     if not isinstance(value, dict):
         return rational_rows_from_doc(value, "matrix")
     validate(value, "matrix.schema.json")  # covers the entries: no second pass over them
-    return _square_rows(value["matrix"], "matrix")
+    return _square_ints(value["matrix"], "matrix")
 
 
 def action_from_doc(value: Any) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -265,12 +279,14 @@ def action_from_doc(value: Any) -> tuple[tuple[int, int], tuple[int, int]]:
     return tuple(map(tuple, value["matrix"]))
 
 
-def matrix_to_doc(rows: Sequence[Sequence[Fraction]]) -> list[list[str]]:
-    return [[format_rational(x) for x in row] for row in rows]
+def matrix_to_doc(scale: int, ints: Sequence[Sequence[int]]) -> list[list[str]]:
+    """The entries x/L of ``ints`` over L = ``scale`` as ``format_rational`` writes them."""
+    return [[f"{x // g}/{scale // g}" if (g := gcd(x, scale)) != scale else str(x // g) for x in row]
+            for row in ints]
 
 
-def matrix_input_to_doc(rows: Sequence[Sequence[Fraction]]) -> dict:
-    return {"schema": MATRIX_SCHEMA, "matrix": matrix_to_doc(rows)}
+def matrix_input_to_doc(matrix: tuple[int, Sequence[Sequence[int]]]) -> dict:
+    return {"schema": MATRIX_SCHEMA, "matrix": matrix_to_doc(*matrix)}
 
 
 def action_input_to_doc(action: tuple[tuple[int, int], tuple[int, int]]) -> dict:
@@ -447,7 +463,7 @@ def imprimitive_to_doc(dec: ImprimitiveDecomposition) -> dict:
         "exponent": dec.exponent,
         "permutation": list(dec.permutation),
         "block_sizes": list(dec.block_sizes),
-        "blocks": [matrix_to_doc(b.rows) for b in dec.blocks],
+        "blocks": [matrix_to_doc(b.scale, b.ints) for b in dec.blocks],
     }
 
 
@@ -500,7 +516,7 @@ def table_report_to_doc(report: ObstructionReport) -> dict:
     cert = report.simple_certificate
     return {
         "curves": list(report.curve_order),
-        "matrix": matrix_to_doc(report.matrix.rows),
+        "matrix": matrix_to_doc(report.matrix.scale, report.matrix.ints),
         "spectral": spectral_to_doc(report.spectral),
         "is_obstruction": report.is_obstruction,
         "invariant": report.invariant,  # true / false / null (unknown)

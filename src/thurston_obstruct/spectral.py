@@ -494,7 +494,7 @@ def _leading_root_isolator(m: NonnegMatrix) -> LargestRootIsolator:
 
 
 def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Rational bracket of width <= ``width`` around the leading eigenvalue.
+    """Rational bracket of width <= ``width`` (at least 2^-4096) around the leading eigenvalue.
 
     Successive calls with shrinking widths always return overlapping
     intervals, since every result contains the eigenvalue itself.
@@ -502,6 +502,8 @@ def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fract
     width = Fraction(width)
     if width <= 0:
         raise PreconditionError("width must be positive")
+    if width < Fraction(1, 2**4096):  # the bisection's cost grows with the square of its digits
+        raise PreconditionError("width must be at least 2^-4096")
     if m.n == 0:
         return (Fraction(0), Fraction(0))
     return _leading_root_isolator(m).refine_to_width(width)

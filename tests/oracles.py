@@ -1126,3 +1126,41 @@ def validation_error_by_interpreter(value: Any, ref: str, where: str = "") -> Op
         return None
     path, message = error
     return f"{path or 'input'}: {message}"
+
+
+# ---------------------------------------------------------------------------
+# a ``matrix`` input decoded through ``Fraction`` rows
+
+
+def matrix_input_by_fractions(value: Any) -> tuple[int, Any]:
+    """What ``matrix`` makes of the input ``value`` before its analysis.
+
+    Validated by the interpreter above, each entry parsed by
+    ``Fraction(str)``, the rows checked square, the matrix built by
+    ``NonnegMatrix(rows)`` and echoed by ``str(Fraction)``.  Returns
+    ``(2 or 3, the error message)`` for a rejected input and
+    ``(0, (scale, ints, echoed rows))`` for an accepted one.
+    """
+    if isinstance(value, dict):
+        error = validation_error_by_interpreter(value, "matrix.schema.json")
+    else:
+        error = validation_error_by_interpreter(value, "common.schema.json#/$defs/rationalMatrix", "matrix")
+    if error is not None:
+        return 2, error
+    entries = value["matrix"] if isinstance(value, dict) else value
+    rows = []
+    for i, row in enumerate(entries):
+        rows.append([])
+        for j, x in enumerate(row):
+            try:
+                rows[-1].append(Fraction(x))
+            except (ValueError, ZeroDivisionError):
+                return 2, f"matrix[{i}][{j}]: invalid rational {_echo(x)}"
+    for i, row in enumerate(rows):
+        if len(row) != len(rows):
+            return 2, f"matrix[{i}]: expected {len(rows)} entries for a square matrix"
+    try:
+        m = NonnegMatrix(rows)
+    except ValueError as exc:
+        return 3, str(exc)
+    return 0, (m.scale, m.ints, [[str(x) for x in row] for row in rows])

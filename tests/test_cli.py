@@ -364,6 +364,53 @@ def test_golden_ratio_bracket_at_width_ten_to_minus_1000():
     assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1  # x^2 - x - 1 changes sign
 
 
+@pytest.mark.parametrize(
+    "width, matrix",
+    [(f"1/{2**4097}", "[[1,1],[1,0]]"), ("1/1" + "0" * 4000, "[[1,2,0,1],[0,1,3,0],[2,0,1,1],[1,1,0,2]]")],
+    ids=["two_to_the_minus_4097", "ten_to_the_minus_4000"],
+)
+def test_width_below_the_floor_exits_3_at_once(width, matrix):
+    # a width of 1/10^4000 took about 10 s on this 4x4 matrix before the floor
+    env = dict(os.environ, PYTHONPATH=str(SCHEMA_DIR.parents[1]))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "thurston_obstruct.cli", "matrix", "--width", width, matrix],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert time.perf_counter() - start < 5
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: width must be at least 2^-4096\n"
+
+
+def test_inline_shorthand_leaves_json_strings_alone(capsys):
+    # only bare fractions are quoted: one inside a string is not quoted a
+    # second time, also after a string that ends in an escaped backslash
+    report, code = run_json(capsys, ["matrix", '[["1/2",1/3],[0,1]]'])
+    assert code == 0
+    assert report["request"]["input"]["matrix"] == [["1/2", "1/3"], ["0", "1"]]
+    assert main(["matrix", "--matrix", '[[1/2,"-1/4"],["2/4", 3 / 6]]']) == 3
+    assert capsys.readouterr().err == "error: matrix entries must be nonnegative\n"
+    assert main(["matrix", r'[["\\", "1/2"], [1/3, 0]]']) == 2
+    assert capsys.readouterr().err.startswith("error: matrix[0][0]: Exact rational")
+
+
+def test_reports_write_matrices_from_integers(capsys, monkeypatch):
+    # the echoed input, the imprimitive blocks and the table matrix are
+    # written from (scale, ints): no report builds Fraction rows
+    def refuse(m):
+        raise AssertionError("Fraction rows built")
+
+    monkeypatch.setattr(NonnegMatrix, "rows", property(refuse))
+    report, code = run_json(capsys, ["matrix", "--check-simple", '[["0","4/6"],["3/2",0]]'])
+    assert code == 0
+    assert report["request"]["input"]["matrix"] == [["0", "2/3"], ["3/2", "0"]]
+    assert report["result"]["imprimitive_decomposition"]["blocks"] == [[["1"]], [["1"]]]
+    report, code = run_json(capsys, ["table", json.dumps(LEVY_TABLE_DOC)])
+    assert code == 0
+    assert report["result"]["matrix"] == [["0", "1"], ["1", "0"]]
+
+
 def test_check_simple_just_above_one_reports_a_verified_certificate():
     # rho - 1 is about 1e-4: the certificate takes no power series in rho
     rows = [["1/2", "2501/10000"], [1, "1/2"]]

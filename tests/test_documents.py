@@ -8,8 +8,8 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given, settings, strategies as st
-from oracles import dumps_by_json, validation_error_by_interpreter
+from hypothesis import example, given, settings, strategies as st
+from oracles import dumps_by_json, matrix_input_by_fractions, validation_error_by_interpreter
 from referencing import Registry, Resource
 
 import thurston_obstruct
@@ -18,6 +18,7 @@ from thurston_obstruct import (
     CurveClass,
     CurveTable,
     DecompositionComponent,
+    NonnegMatrix,
     PreconditionError,
     PullbackComponent,
     Return2222,
@@ -504,6 +505,70 @@ def test_one_of_takes_the_failure_with_the_most_path_keys_not_characters():
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(["canonical", json.dumps(doc)]) == 2
     assert err.getvalue() == f"error: {message}\n"
+
+
+#: accepted spellings of nonnegative rationals, with leading zeros, signed zeros and common factors
+_MATRIX_ENTRIES = st.one_of(
+    st.sampled_from(["007/014", "-0", "0/5", "-00/7", "12/8", "3", "0"]),
+    st.integers(0, 6),
+    st.builds(lambda zeros, p, q: f"{'0' * zeros}{p}/{q}", st.integers(0, 2), st.integers(0, 30), st.integers(1, 12)),
+)
+#: negative entries (exit 3), zero denominators and forms the schema rejects (exit 2)
+_REJECTED_ENTRIES = st.sampled_from(["-3/4", -1, "-7", "1/0", "0/0", "-00/0", 1.5, "1/-2", "+1", "1/2 "])
+
+
+@st.composite
+def matrix_inputs(draw):
+    """A matrix input, bare or in a document, with up to two rejected entries or one entry short."""
+    n = draw(st.integers(0, 4))
+    rows = [draw(st.lists(_MATRIX_ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2])) if n else 0):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(_REJECTED_ENTRIES)
+    if n and draw(st.integers(0, 4)) == 0:
+        rows[draw(st.integers(0, n - 1))].pop()
+    return {"schema": "thurston-obstruct/matrix/1", "matrix": rows} if draw(st.booleans()) else rows
+
+
+def _matrix_outcome(value) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["matrix", "--format", "json", json.dumps(value)])
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(matrix_inputs())
+@example([["007/014", "-0"], ["0/5", 1]])
+@example([["-3/4", 0], [0, 1]])
+@example([[1, "9" * 4300], [0, 1]])  # accepted: the int-string limit is 4300 digits
+@example({"schema": "thurston-obstruct/matrix/1", "matrix": [[1, "9" * 4301], [0, 1]]})
+@example([[1, "1/" + "7" * 4301], [0, 1]])
+@example([[1, "1/0"], [0, 1]])
+@example([[1, "-3/4"], [0]])  # not square and negative: exit 2 before the sign check's 3
+@example([[1], [2, "1/0"]])  # a later row's bad entry is named before an earlier row's length
+def test_matrix_decoding_matches_the_fraction_route(value):
+    code, expected = matrix_input_by_fractions(value)
+    got, out, err = _matrix_outcome(value)
+    assert got == code, err
+    if code:
+        assert (out, err) == ("", f"error: {expected}\n")
+        return
+    scale, ints, echo = expected
+    assert err == ""
+    assert json.loads(out)["request"]["input"]["matrix"] == echo
+    m = NonnegMatrix._from_ints(*matrix_from_doc(value))
+    assert (m.scale, m.ints) == (scale, ints)
+
+
+def test_matrix_decoding_without_fractions():
+    # a decoded matrix is (L, L*M) over the lcm L of the reduced denominators,
+    # negative entries included: only the analysis refuses them
+    assert matrix_from_doc([["007/014", "-0"], ["0/5", 1]]) == (2, [[1, 0], [0, 2]])
+    assert matrix_from_doc([["-3/4", "5/6"], [2, "-0/9"]]) == (12, [[-9, 10], [24, 0]])
+    assert documents.matrix_to_doc(12, [[-9, 10], [24, 0]]) == [["-3/4", "5/6"], ["2", "0"]]
+    assert parse_rational("-0", "x") == 0 and parse_rational("6/4", "x") == F(3, 2)
+    with pytest.raises(InputFormatError, match=r"^x: invalid rational '0/0'$"):
+        parse_rational("0/0", "x")
 
 
 _REPORT_TEXT = st.text(

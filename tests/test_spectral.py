@@ -223,6 +223,19 @@ def test_interval_examples():
     assert lo <= F(3, 2) <= hi
 
 
+def test_interval_width_floor_is_two_to_the_minus_4096():
+    # the bisection's cost grows with the square of the width's digits
+    floor = F(1, 2**4096)
+    golden = NonnegMatrix([[1, 1], [1, 0]])
+    lo, hi = leading_eigenvalue_interval(golden, floor)
+    assert 0 < hi - lo <= floor
+    assert lo * lo - lo - 1 < 0 < hi * hi - hi - 1
+    for m in (golden, NonnegMatrix([])):
+        for width in (F(1, 2**4096 + 1), F(1, 10**4000)):
+            with pytest.raises(PreconditionError, match=r"^width must be at least 2\^-4096$"):
+                leading_eigenvalue_interval(m, width)
+
+
 @given(matrices())
 @settings(max_examples=60, deadline=None)
 def test_tag_consistent_with_intervals(m):
