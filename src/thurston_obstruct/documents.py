@@ -130,7 +130,7 @@ def _checker(schema: dict) -> Callable[[Any], Optional[tuple[list, str]]]:
     branches = [_checker(branch) for branch in get("oneOf", ())]
     # "integer" is stricter than jsonschema, which takes 1.0: floats never
     # enter the program; and a boolean is not a number
-    cls, expected = _TYPES[get("type")] if "type" in schema else (object, "")
+    cls, expected = _TYPES.get(get("type"), (object, ""))
     strict, has_const, const = get("type") == "integer", "const" in schema, get("const")
     # the whole string, as ECMA-262's `$` requires: Python's `$` also
     # matches before a final newline, so re.search would take "1/2\n"
@@ -142,7 +142,7 @@ def _checker(schema: dict) -> Callable[[Any], Optional[tuple[list, str]]]:
     closed = get("additionalProperties", True) is False
     required, minimum = get("required", ()), get("minimum", -inf)
 
-    def check(value: Any) -> Optional[tuple[list, str]]:
+    def check(value):
         if branches:
             errors = [branch(value) for branch in branches]
             passed = errors.count(None)
