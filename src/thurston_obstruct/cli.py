@@ -413,6 +413,12 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (InputFormatError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT if isinstance(exc, InputFormatError) else EXIT_PRECONDITION
+    except ValueError as exc:  # a report integer past the interpreter's int-string limit
+        if "integer string conversion" not in str(exc):
+            raise
+        limit = sys.get_int_max_str_digits()
+        print(f"error: the report needs an integer of more than {limit} digits", file=sys.stderr)
+        return EXIT_PRECONDITION
     sys.stdout.write(docs.dumps(report) if args.format == "json" else render_text(report))
     return code
 

@@ -2,12 +2,19 @@
 
 Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  ``charpoly``
-hands over rational (``Fraction``) coefficients; ``sturm_chain`` clears
-them once, and from there on everything runs over the integers: one
-primitive pseudo-remainder sequence per polynomial (Collins 1967; Brown &
-Traub 1971) serves both as the Sturm chain and, through its last element
-gcd(p, p'), as the squarefree reduction, and each sign test at a rational
-a/b is the sign of the integer b^deg q(a/b).  All verdicts are exact.
+hands over rational (``Fraction``) coefficients; ``LargestRootIsolator``
+clears them once, and from there on everything runs over the integers:
+its Fourier sequence is the primitive integer p and its successive
+derivatives, and each sign test at a rational a/b is the sign of the
+integer b^deg q(a/b).  The signs of p, p', ..., p^(n) at x are those of
+the Taylor coefficients of p(x + t), so their sign variations bound the
+real roots above x (Descartes' rule of signs; Budan-Fourier; Collins &
+Akritas, SYMSAC 1976).  All verdicts are exact.
+
+``sturm_chain`` (one primitive pseudo-remainder sequence, Collins 1967;
+Brown & Traub 1971), ``squarefree_part`` and ``count_roots_between`` run
+on no program path; they stay because ``bench/spans.py`` traces them by
+name.
 """
 
 from __future__ import annotations
@@ -176,39 +183,45 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 class LargestRootIsolator:
-    """Exact bisection for the largest real root of a polynomial.
+    """Exact bisection for the largest real root rho of a polynomial p.
 
-    An immutable value built once per polynomial: the Sturm sequence of
-    its squarefree part (one integer remainder sequence, see
-    ``sturm_chain`` and ``squarefree_part``), the sign variations ``v_inf``
-    of the chain's leading coefficients, the start bracket, and the number
-    ``above_lo`` of distinct roots above its lower end.  With zeros
-    dropped, the sign variations at x minus ``v_inf`` count the distinct
-    real roots in (x, +inf) for every rational x, a root or not (Sturm).
+    The contract: every complex root of p has real part at most rho, as
+    every eigenvalue z of a nonnegative matrix has (Perron-Frobenius:
+    Re z <= |z| <= rho).  An immutable value built once per polynomial:
+    the Fourier sequence p, p', ..., p^(n) of the primitive integer p, the
+    start bracket, and the sign variations ``above_lo`` of the sequence at
+    its lower end.  With zeros dropped, the variations V(x) at x are those
+    of the Taylor coefficients of p(x + t) = c * prod (t + x - r) *
+    prod ((t + x - a)^2 + b^2) over the real roots r and the complex pairs
+    a +- bi.  For x >= rho every factor but c has nonnegative coefficients,
+    so V(x) = 0, and p(x) = 0 exactly when x = rho; for x < rho, p(x + t) has
+    the positive root rho - x, so V(x) >= 1, and V(x) = 1 means rho is
+    simple and the only real root above x (Descartes' rule of signs).
     Every query bisects from the start bracket, so answers never depend on
     earlier queries.  The caller must supply rational bounds lo < hi such
-    that the largest real root lies in (lo, hi] and p(lo) != 0.
+    that rho lies in (lo, hi] and p(lo) != 0.
     """
 
-    __slots__ = ("chain", "v_inf", "lo", "hi", "above_lo")
+    __slots__ = ("chain", "lo", "hi", "above_lo")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
         if degree(p) < 1:
             raise ValueError("need a nonconstant polynomial")
-        self.chain = squarefree_part(sturm_chain(p))
-        self.v_inf = _variations([1 if q[-1] > 0 else -1 for q in self.chain])
+        self.chain = [_primitive(p)]
+        while len(self.chain[-1]) > 1:
+            self.chain.append(derivative(self.chain[-1]))
         self.lo = lo
         self.hi = hi
         lo_is_root, self.above_lo = self._probe(lo)
         if lo_is_root:
             raise ValueError("lower bound must not be a root")
-        if self.above_lo <= self._probe(hi)[1]:
+        if self.above_lo <= self._probe(hi)[1]:  # Budan-Fourier: no root in (lo, hi]
             raise ValueError("no real root in the given range")
 
     def _probe(self, x: Fraction) -> tuple[bool, int]:
-        """Whether x is a root, and the number of distinct roots in (x, +inf)."""
+        """Whether x is a root, and V(x), positive exactly when rho lies above x."""
         signs = _signs_at(self.chain, x)
-        return signs[0] == 0, _variations(signs) - self.v_inf
+        return signs[0] == 0, _variations(signs)
 
     def _is_largest_root(self, x: Fraction) -> bool:
         return self._probe(x) == (True, 0)
@@ -222,8 +235,8 @@ class LargestRootIsolator:
         while not done(lo, hi):
             mid = (lo + hi) / 2
             if above == 1:
-                # the largest root alone is above lo, simple in the squarefree chain[0],
-                # which has the sign of its leading coefficient above it and the other below
+                # V(lo) = 1: rho alone is above lo, and simple, so p has the sign of
+                # its leading coefficient above rho and the other sign in (lo, rho)
                 sign = _signs_at(top, mid)[0]
                 is_root, count = sign == 0, int(sign == -lead)
             else:

@@ -481,11 +481,11 @@ def spectral_tag(m: NonnegMatrix) -> SpectralTag:
 def _leading_root_isolator(m: NonnegMatrix) -> LargestRootIsolator:
     """The isolator for the leading eigenvalue of a nonempty matrix.
 
-    The leading eigenvalue is the largest real root of the characteristic
-    polynomial; every eigenvalue has modulus at most the maximal row sum,
-    which gives the starting bracket (-rs-1, rs].  The isolator is an
-    immutable value built once per matrix; each query bisects from that
-    start whatever was asked before.
+    The leading eigenvalue rho is the largest real root of the characteristic
+    polynomial, and every eigenvalue z has Re z <= |z| <= rho <= rs, rs the
+    maximal row sum (Perron-Frobenius): the isolator's contract holds, with
+    start bracket (-rs-1, rs].  Built once per matrix and immutable; each
+    query bisects from that start whatever was asked before.
     """
     if m._isolator is None:
         rs = max(m.row_sums(), default=Fraction(0))
@@ -514,9 +514,9 @@ def spectral_radius_class(m: NonnegMatrix) -> SpectralClass:
 
     The tag comes from ``spectral_tag`` (M-matrix leading minors, Berman &
     Plemmons ch. 6, by Bareiss elimination).  The bracket is only printed:
-    it is [1, 1] in the exact case, and otherwise Sturm bisection of the
-    characteristic polynomial from (-rs-1, rs], rs the largest row sum,
-    shrinks it until it lies strictly on the tag's side of 1.
+    it is [1, 1] in the exact case, and otherwise bisection from (-rs-1, rs],
+    rs the largest row sum, by the signs of the characteristic polynomial and
+    its derivatives, shrinks it until it lies strictly on the tag's side of 1.
     """
     one = Fraction(1)
     if m.n == 0:

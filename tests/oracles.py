@@ -32,13 +32,11 @@ from thurston_obstruct import orbifold, slopes, spectral, tables
 from thurston_obstruct.documents import _echo
 from thurston_obstruct.spectral import cyclic_classes
 from thurston_obstruct.polynomials import (
-    LargestRootIsolator,
     Poly,
     _primitive,
     degree,
     derivative,
     poly,
-    simplest_rational_between,
 )
 
 ZERO = Fraction(0)
@@ -829,8 +827,9 @@ class DeflatingRootIsolator:
     """Mutable bisection for the largest real root: two chain evaluations
     per step, and a second Sturm chain of the deflated polynomial whenever
     a midpoint is a root.  Refines its own state, so one instance answers
-    one query.  Same contract as ``LargestRootIsolator``: the largest real
-    root lies in (lo, hi] and p(lo) != 0.
+    one query.  The bracket contract of ``LargestRootIsolator``, the
+    largest real root in (lo, hi] and p(lo) != 0, but for any polynomial:
+    Sturm counts need no bound on the real parts of the complex roots.
     """
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
@@ -886,8 +885,9 @@ class FractionRootIsolator:
     """The largest-root isolator over Fractions: squarefree part by a gcd
     Euclid, a second Euclid for its Sturm chain, and Horner over Fractions
     at every probe.  Immutable, one chain evaluation per bisection step,
-    and the contract of ``LargestRootIsolator``: the largest real root lies
-    in (lo, hi] and p(lo) != 0.
+    and the midpoints and snap of ``LargestRootIsolator``.  Its bracket
+    contract, the largest real root in (lo, hi] and p(lo) != 0, but for any
+    polynomial, like ``DeflatingRootIsolator``.
     """
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
@@ -925,31 +925,6 @@ class FractionRootIsolator:
         if not self.lo <= point <= self.hi and self.probe(self.hi) != (True, 0):
             return (self.lo, self.hi)
         return self._bisect(lambda lo, hi: not lo <= point <= hi)
-
-
-class FullChainIsolator(LargestRootIsolator):
-    """``LargestRootIsolator`` with every bisection step probed by the whole
-    Sturm chain, root counts above the midpoint included."""
-
-    __slots__ = ()
-
-    def _bisect(self, done) -> tuple[Fraction, Fraction]:
-        lo, hi = self.lo, self.hi
-        if self._is_largest_root(hi):
-            return (hi, hi)
-        while not done(lo, hi):
-            mid = (lo + hi) / 2
-            is_root, above = self._probe(mid)
-            if above:
-                lo = mid
-            elif is_root:
-                return (mid, mid)
-            else:
-                hi = mid
-        cand = simplest_rational_between(lo, hi)
-        if lo < cand and self._is_largest_root(cand):
-            return (cand, cand)
-        return (lo, hi)
 
 
 #: Every frozen record class of the package (built by ``_records.record``).

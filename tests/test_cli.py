@@ -11,7 +11,7 @@ import pytest
 from referencing import Registry, Resource
 
 import thurston_obstruct
-from thurston_obstruct import NonnegMatrix, charpoly
+from thurston_obstruct import NonnegMatrix, charpoly, polynomials
 from thurston_obstruct.cli import DEFAULT_SUBSET_CAP, DEFAULT_WIDTH, _build_parser, main, run_request
 from thurston_obstruct.documents import dumps
 from thurston_obstruct.polynomials import LargestRootIsolator
@@ -384,6 +384,22 @@ def test_width_below_the_floor_exits_3_at_once(width, matrix):
     assert proc.stderr == "error: width must be at least 2^-4096\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_report_integer_past_the_digit_limit_exits_3(fmt):
+    # the imprimitive block holds the square of a 4300-digit entry: 8600
+    # digits, past the interpreter's int-string limit, so no report is written
+    big = "9" * 4300
+    env = dict(os.environ, PYTHONPATH=str(SCHEMA_DIR.parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "thurston_obstruct.cli", "matrix", "--format", fmt,
+         json.dumps([[0, big], [big, 0]])],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the report needs an integer of more than 4300 digits\n"
+
+
 def test_inline_shorthand_leaves_json_strings_alone(capsys):
     # only bare fractions are quoted: one inside a string is not quoted a
     # second time, also after a string that ends in an escaped backslash
@@ -410,6 +426,28 @@ def test_reports_write_matrices_from_integers(capsys, monkeypatch):
     report, code = run_json(capsys, ["table", json.dumps(LEVY_TABLE_DOC)])
     assert code == 0
     assert report["result"]["matrix"] == [["0", "1"], ["1", "0"]]
+
+
+def test_matrix_reports_build_no_sturm_chain(capsys, monkeypatch):
+    # the brackets come from the Fourier sequence of p: no request builds a
+    # Sturm chain, a pseudo-remainder or a squarefree part
+    def refuse(*args):
+        raise AssertionError("Sturm route taken")
+
+    for name in ("sturm_chain", "squarefree_part", "_pseudo_remainder"):
+        monkeypatch.setattr(polynomials, name, refuse)
+    # a double root, complex eigenvalues of modulus rho (index 3), and rho = 1
+    cases = [
+        ("[[2,0],[0,2]]", "above_one"),
+        ("[[0,1,0],[0,0,2],[3,0,0]]", "above_one"),
+        ('[["1/2","1/2"],["1/3","2/3"]]', "exactly_one"),
+    ]
+    for rows, tag in cases:
+        report, code = run_json(capsys, ["matrix", "--check-simple", rows])
+        assert code == 0
+        assert report["result"]["spectral"]["class"] == tag
+    report, code = run_json(capsys, ["table", json.dumps(LEVY_TABLE_DOC)])
+    assert code == 0
 
 
 def test_check_simple_just_above_one_reports_a_verified_certificate():

@@ -1,10 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from oracles import (
-    FullChainIsolator,
+    FractionRootIsolator,
     cauchy_root_bound,
     divmod_poly,
     evaluate,
@@ -157,26 +158,40 @@ small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 
 @st.composite
-def factored_polynomials(draw):
+def factored_polynomials(draw, perron=False):
     """c * prod (x - r)^k * prod q^k with q irreducible quadratics, and the
-    distinct real roots as ("rational", r) or ("sqrt", s, sign) for +-sqrt(s).
+    roots with their multiplicities: ("rational", r), ("sqrt", s, sign) for
+    +-sqrt(s), and ("complex", a) for a pair with real part a.
 
     Repeated factors make gcd(p, p') nontrivial; at least one real root.
+    With ``perron``, every complex pair has real part at most the largest
+    rational root, so at most the largest real root, equal to it included:
+    the contract of ``LargestRootIsolator``, which every characteristic
+    polynomial of a nonnegative matrix meets.
     """
-    factors, roots = [], set()
+    factors, roots = [], Counter()
     for _ in range(draw(st.integers(1, 4))):
-        r = draw(small_rationals)
-        factors += [poly([-r, 1])] * draw(st.integers(1, 3))
-        roots.add(("rational", r))
+        r, k = draw(small_rationals), draw(st.integers(1, 3))
+        factors += [poly([-r, 1])] * k
+        roots[("rational", r)] += k
+    top = max(r[1] for r in roots)
     for _ in range(draw(st.integers(0, 2))):
+        k = draw(st.integers(1, 2))
         if draw(st.booleans()):
             s = draw(st.sampled_from([2, 3, 5, 6, 7]))  # x^2 - s, real and irrational roots
-            factors += [poly([-s, 0, 1])] * draw(st.integers(1, 2))
-            roots |= {("sqrt", s, 1), ("sqrt", s, -1)}
+            factors += [poly([-s, 0, 1])] * k
+            roots[("sqrt", s, 1)] += k
+            roots[("sqrt", s, -1)] += k
+        elif perron:
+            a = top - draw(st.sampled_from([F(0), F(1, 2), F(1), F(3)]))
+            s = draw(st.sampled_from([F(1, 4), F(1), F(3)]))  # (x - a)^2 + s
+            factors += [poly([a * a + s, -2 * a, 1])] * k
+            roots[("complex", a)] += k
         else:
             b = draw(st.integers(-3, 3))
             c = draw(st.integers(b * b // 4 + 1, 6))  # b^2 < 4c: no real roots
-            factors += [poly([c, b, 1])] * draw(st.integers(1, 2))
+            factors += [poly([c, b, 1])] * k
+            roots[("complex", F(-b, 2))] += k
     p = poly([draw(small_rationals.filter(bool))])
     for q in factors:
         p = mul(p, q)
@@ -184,8 +199,9 @@ def factored_polynomials(draw):
 
 
 def _above(root, x: Fraction) -> bool:
-    if root[0] == "rational":
-        return root[1] > x
+    """Whether a real root lies above x; a complex pair never does."""
+    if root[0] != "sqrt":
+        return root[0] == "rational" and root[1] > x
     _, s, sign = root
     return x < 0 or x * x < s if sign > 0 else x < 0 and x * x > s
 
@@ -201,31 +217,41 @@ def _positive_multiple(q, r) -> bool:
     )
 
 
-@given(factored_polynomials(), st.lists(small_rationals, max_size=6))
+@given(factored_polynomials(perron=True), st.lists(small_rationals, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_isolator_probes_match_fraction_sturm_oracle(case, points):
+    # the sign variations V(x) of the Fourier sequence against the Sturm
+    # count over Fractions, at the rational roots and the complex pairs'
+    # real parts too
     p, roots = case
     bound = cauchy_root_bound(p)
     iso = LargestRootIsolator(p, -bound, bound)
     rational_roots = [r[1] for r in roots if r[0] == "rational"]
-    for x in points + rational_roots + [-bound, bound]:
-        is_root = evaluate(p, x) == 0
-        above = roots_strictly_above(p, x)
-        assert iso._probe(x) == (is_root, above), x
-        assert (is_root, above) == (x in rational_roots, sum(_above(r, x) for r in roots))
+    real_parts = [r[1] for r in roots if r[0] == "complex"]
+    for x in points + rational_roots + real_parts + [-bound, bound]:
+        is_root, variations = iso._probe(x)
+        above = sum(k for r, k in roots.items() if _above(r, x))  # with multiplicity
+        assert is_root == (evaluate(p, x) == 0) == (x in rational_roots), x
+        # V(x) > 0 exactly when the largest real root lies above x
+        assert (variations > 0) == (roots_strictly_above(p, x) > 0) == (above > 0), x
+        # Descartes on p(x + t): V(x) exceeds the roots above x by an even number,
+        # so V(x) = 1 only when exactly one root, counted with multiplicity, is above x
+        assert variations >= above and (variations - above) % 2 == 0, x
+        assert variations != 1 or above == 1, x
 
 
 BISECTION_WIDTHS = (F(4), F(1), F(1, 7), F(1, 1000), F(1, 10**9))
 
 
-@given(factored_polynomials(), st.lists(small_rationals, max_size=6))
+@given(factored_polynomials(perron=True), st.lists(small_rationals, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_sign_only_bisection_matches_the_full_chain_route(case, points):
-    # several distinct roots and repeated factors: the full-chain phase runs
-    # before the single-sign one, and both routes see the same midpoints
+    # several distinct roots and repeated factors: the full-sequence phase runs
+    # before the single-sign one, and the Sturm chain over Fractions probes
+    # every step of the same midpoints
     p, _ = case
     bound = cauchy_root_bound(p)
-    iso, oracle = LargestRootIsolator(p, -bound, bound), FullChainIsolator(p, -bound, bound)
+    iso, oracle = LargestRootIsolator(p, -bound, bound), FractionRootIsolator(p, -bound, bound)
     for width in BISECTION_WIDTHS:
         assert iso.refine_to_width(width) == oracle.refine_to_width(width), width
     for x in points + [-bound, F(0), bound]:

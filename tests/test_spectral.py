@@ -63,8 +63,8 @@ entries = st.sampled_from(ENTRY_POOL)
 
 
 @st.composite
-def matrices(draw, max_n=5):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def matrices(draw, max_n=5, min_n=1, entries=entries):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     rows = [[draw(entries) for _ in range(n)] for _ in range(n)]
     return NonnegMatrix(rows)
 
@@ -553,17 +553,40 @@ def repeated_block_matrices(draw, max_n=4):
     )
 
 
+@st.composite
+def imprimitive_matrices(draw):
+    """Irreducible with imprimitivity index h, 2 <= h <= 6: every entry from
+    one cyclic class (of 1 or 2 vertices) into the next is positive, the
+    rest 0, so rho * e^(2 pi i k/h) are all eigenvalues, complex but +-rho."""
+    sizes = draw(st.lists(st.integers(1, 2), min_size=2, max_size=6))
+    cls_of = [c for c, size in enumerate(sizes) for _ in range(size)]
+    h, n = len(sizes), len(cls_of)
+    return NonnegMatrix(
+        [[draw(st.sampled_from(ENTRY_POOL[3:])) if cls_of[j] == (cls_of[i] + 1) % h else 0
+          for j in range(n)] for i in range(n)]
+    )
+
+
+#: entries a/b with 1 <= a <= 4 and 1 <= b <= 5: entrywise positive matrices,
+#: whose characteristic polynomials have hundreds of bits per coefficient
+dense_entries = st.builds(F, st.integers(1, 4), st.integers(1, 5))
+
+
 @given(
     st.one_of(
         repeated_block_matrices(),
         st.integers(1, 7).flatmap(row_stochastic).map(NonnegMatrix),
         matrices(max_n=7),
+        imprimitive_matrices(),
+        matrices(min_n=12, max_n=20, entries=dense_entries),
     )
 )
 @settings(max_examples=120, deadline=None)
 def test_integer_chain_brackets_match_fraction_route(m):
-    # the integer remainder sequence against Euclid, Sturm chain and Horner
-    # over Fractions, on repeated eigenvalues, rho = 1 and general matrices
+    # the Fourier sequence of the integer characteristic polynomial against
+    # the Sturm chain of its squarefree part over Fractions, on repeated
+    # eigenvalues, rho = 1, general matrices, imprimitive ones (complex
+    # eigenvalues of modulus rho) and dense ones up to 20x20
     cp = charpoly(m)
     rs = max(m.row_sums())
     iso, oracle = _leading_root_isolator(m), FractionRootIsolator(cp, -rs - 1, rs)
