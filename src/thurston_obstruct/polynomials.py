@@ -11,10 +11,9 @@ the Taylor coefficients of p(x + t), so their sign variations bound the
 real roots above x (Descartes' rule of signs; Budan-Fourier; Collins &
 Akritas, SYMSAC 1976).  All verdicts are exact.
 
-``sturm_chain`` (one primitive pseudo-remainder sequence, Collins 1967;
-Brown & Traub 1971), ``squarefree_part`` and ``count_roots_between`` run
-on no program path; they stay because ``bench/spans.py`` traces them by
-name.
+``sturm_chain``, ``squarefree_part`` and ``count_roots_between`` are
+stubs that raise: the Sturm route is only the bracket oracle in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -51,77 +50,6 @@ def _primitive(p) -> tuple[int, ...]:
     return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def _pseudo_remainder(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """A positive multiple of the remainder of a by b, over the integers.
-
-    Each elimination step scales the running remainder by |lc(b)| (over
-    the gcd of the two leading coefficients), never by a negative number.
-    """
-    rem = list(a)
-    db, lb = len(b) - 1, b[-1]
-    while len(rem) > db:
-        lr = rem.pop()
-        if lr:
-            g = gcd(lb, lr)
-            c, f = abs(lb) // g, (lr if lb > 0 else -lr) // g
-            shift = len(rem) - db
-            rem = [c * x for x in rem]
-            for i, y in enumerate(b[:-1]):
-                rem[shift + i] -= f * y
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return tuple(rem)
-
-
-def sturm_chain(p: Poly) -> list[tuple[int, ...]]:
-    """Sturm sequence of p by primitive pseudo-remainders.
-
-    The chain is p, p', then the negated remainders, each element a
-    positive integer multiple of the Sturm remainder over the rationals,
-    so every sign variation count is that of the classical chain.  The
-    last element is gcd(p, p') up to a constant: a nonzero constant
-    exactly when p is squarefree.
-    """
-    a = _primitive(p)
-    chain = [a]
-    b = derivative(a)
-    while b:
-        b = _primitive(b)
-        chain.append(b)
-        a, b = b, tuple(-c for c in _pseudo_remainder(a, b))
-    return chain
-
-
-def _exact_quotient(p: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
-    # g is primitive and divides p, so the quotient is integral (Gauss)
-    rem, quot = list(p), []
-    while len(rem) >= len(g) and not rem[-1] % g[-1]:
-        f = rem.pop() // g[-1]
-        shift = len(rem) - len(g) + 1
-        for i, y in enumerate(g[:-1]):
-            rem[shift + i] -= f * y
-        quot.append(f)
-    if any(rem):
-        raise ArithmeticError("squarefree division left a remainder")
-    return tuple(reversed(quot))
-
-
-def squarefree_part(chain: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """The chain of ``sturm_chain(p)`` divided exactly by its last element.
-
-    Every element is a multiple of g = gcd(p, p'), and the quotients form
-    a Sturm sequence of the squarefree part p/g: each is a positive
-    multiple of the element over g, and the first is the squarefree part
-    itself up to a positive constant.
-    """
-    g = chain[-1]
-    if len(g) <= 1:
-        return chain
-    if g[-1] < 0:
-        g = tuple(-c for c in g)
-    return [_exact_quotient(q, g) for q in chain]
-
-
 def _variations(signs: list[int]) -> int:
     seq = [s for s in signs if s != 0]
     return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
@@ -130,7 +58,9 @@ def _variations(signs: list[int]) -> int:
 def _signs_at(chain: list[tuple[int, ...]], x: Fraction) -> list[int]:
     """Signs of the chain at x = a/b, b > 0, as signs of b^deg q(a/b)."""
     a, b = x.numerator, x.denominator
-    powers = [b**k for k in range(len(chain[0]))]
+    powers = [1]
+    for _ in range(len(chain[0]) - 1):
+        powers.append(powers[-1] * b)
     signs = []
     for q in chain:
         d = len(q) - 1
@@ -141,18 +71,18 @@ def _signs_at(chain: list[tuple[int, ...]], x: Fraction) -> list[int]:
     return signs
 
 
-def count_roots_between(chain: list[tuple[int, ...]], a: Fraction, b: Fraction) -> int:
-    """Number of distinct real roots of the chain's polynomial in (a, b).
+# The Sturm route is the bracket oracle in tests/oracles.py; bench/spans.py looks
+# these three names up with getattr, so they stay as stubs no program path calls.
+def sturm_chain(p):
+    raise NotImplementedError("see sturm_chain_by_division in tests/oracles.py")
 
-    Requires a < b and that neither endpoint is a root, so the open
-    interval count is unambiguous.
-    """
-    if not (a < b):
-        raise ValueError("need a < b")
-    at_a, at_b = _signs_at(chain, a), _signs_at(chain, b)
-    if at_a[0] == 0 or at_b[0] == 0:
-        raise ValueError("endpoints must not be roots")
-    return _variations(at_a) - _variations(at_b)
+
+def squarefree_part(chain):
+    raise NotImplementedError("see squarefree_part_by_gcd in tests/oracles.py")
+
+
+def count_roots_between(chain, a, b):
+    raise NotImplementedError("see count_roots_by_evaluation in tests/oracles.py")
 
 
 def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
@@ -262,11 +192,13 @@ class LargestRootIsolator:
     def refine_until_separated_from(self, point: Fraction) -> tuple[Fraction, Fraction]:
         """A bracket whose closure excludes ``point``.
 
-        The caller must know the root differs from ``point``; the loop then
-        terminates because bisection converges to the root.  A start bracket
-        that already excludes ``point`` is returned as it is, unless its upper
-        end is the root.
+        A start bracket that already excludes ``point`` is returned as it is,
+        unless its upper end is the root.  Raises ``ValueError`` when ``point``
+        is the root itself, which no bracket excludes; otherwise bisection
+        converges to the root and so ends.
         """
         if not self.lo <= point <= self.hi and not self._is_largest_root(self.hi):
             return (self.lo, self.hi)
+        if self._is_largest_root(point):
+            raise ValueError("point is the largest root")
         return self._bisect(lambda lo, hi: not lo <= point <= hi)

@@ -430,11 +430,11 @@ def test_reports_write_matrices_from_integers(capsys, monkeypatch):
 
 def test_matrix_reports_build_no_sturm_chain(capsys, monkeypatch):
     # the brackets come from the Fourier sequence of p: no request builds a
-    # Sturm chain, a pseudo-remainder or a squarefree part
+    # Sturm chain, a squarefree part or a Sturm root count
     def refuse(*args):
         raise AssertionError("Sturm route taken")
 
-    for name in ("sturm_chain", "squarefree_part", "_pseudo_remainder"):
+    for name in ("sturm_chain", "squarefree_part", "count_roots_between"):
         monkeypatch.setattr(polynomials, name, refuse)
     # a double root, complex eigenvalues of modulus rho (index 3), and rho = 1
     cases = [

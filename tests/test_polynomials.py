@@ -13,18 +13,11 @@ from oracles import (
     mul,
     roots_strictly_above,
     simplest_rational_by_recursion,
-    squarefree_part_by_gcd,
-    sturm_chain_by_division,
 )
 from thurston_obstruct.polynomials import (
     LargestRootIsolator,
-    _pseudo_remainder,
-    count_roots_between,
-    derivative,
     poly,
     simplest_rational_between,
-    squarefree_part,
-    sturm_chain,
 )
 
 F = Fraction
@@ -43,32 +36,6 @@ def test_gcd_of_shared_factor():
     p = mul(shared, poly([F(1), F(1)]))
     q = mul(shared, poly([F(3), F(0), F(1)]))
     assert gcd_poly(p, q) == shared
-
-
-def test_squarefree_strips_multiplicity():
-    p = mul(poly([F(-1), F(1)]), mul(poly([F(-1), F(1)]), poly([F(-5), F(1)])))
-    sf = squarefree_part(sturm_chain(p))[0]
-    assert evaluate(sf, F(1)) == 0
-    assert evaluate(sf, F(5)) == 0
-    assert evaluate(derivative(sf), F(1)) != 0
-
-
-def test_sturm_counts_roots_of_quadratic():
-    p = poly([F(-2), F(0), F(1)])  # x^2 - 2
-    chain = sturm_chain(p)
-    assert count_roots_between(chain, F(0), F(2)) == 1
-    assert count_roots_between(chain, F(-2), F(2)) == 2
-    assert count_roots_between(chain, F(3), F(4)) == 0
-
-
-@given(st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40))
-def test_sturm_agrees_with_synthetic_roots(a, b, c):
-    # polynomial with known integer roots a, b, c
-    p = mul(mul(poly([F(-a), F(1)]), poly([F(-b), F(1)])), poly([F(-c), F(1)]))
-    chain = squarefree_part(sturm_chain(p))
-    lo, hi = F(-50), F(50)
-    expected = len({r for r in (a, b, c) if lo < r < hi})
-    assert count_roots_between(chain, lo, hi) == expected
 
 
 def test_isolator_finds_sqrt2():
@@ -139,35 +106,23 @@ def test_simplest_rational_between_consecutive_fibonacci_ratios():
     assert simplest_rational_between(-max(ratios), -min(ratios)) == -expected
 
 
-def test_squarefree_part_rejects_a_chain_its_last_element_does_not_divide():
-    with pytest.raises(ArithmeticError):
-        squarefree_part([(1, 0, 1), (1, 1)])  # x^2 + 1 over x + 1
-
-
-def test_count_roots_rejects_root_endpoints():
-    p = poly([F(-1), F(0), F(1)])
-    chain = sturm_chain(p)
-    with pytest.raises(ValueError):
-        count_roots_between(chain, F(1), F(2))
-
-
 # ---------------------------------------------------------------------------
-# the integer remainder sequence against the Fraction route
+# the Fourier-sequence isolator against the Sturm route over Fractions
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 
 
 @st.composite
-def factored_polynomials(draw, perron=False):
+def factored_polynomials(draw):
     """c * prod (x - r)^k * prod q^k with q irreducible quadratics, and the
     roots with their multiplicities: ("rational", r), ("sqrt", s, sign) for
     +-sqrt(s), and ("complex", a) for a pair with real part a.
 
     Repeated factors make gcd(p, p') nontrivial; at least one real root.
-    With ``perron``, every complex pair has real part at most the largest
-    rational root, so at most the largest real root, equal to it included:
-    the contract of ``LargestRootIsolator``, which every characteristic
-    polynomial of a nonnegative matrix meets.
+    Every complex pair has real part at most the largest rational root, so
+    at most the largest real root, equal to it included: the contract of
+    ``LargestRootIsolator``, which every characteristic polynomial of a
+    nonnegative matrix meets.
     """
     factors, roots = [], Counter()
     for _ in range(draw(st.integers(1, 4))):
@@ -182,16 +137,11 @@ def factored_polynomials(draw, perron=False):
             factors += [poly([-s, 0, 1])] * k
             roots[("sqrt", s, 1)] += k
             roots[("sqrt", s, -1)] += k
-        elif perron:
+        else:
             a = top - draw(st.sampled_from([F(0), F(1, 2), F(1), F(3)]))
             s = draw(st.sampled_from([F(1, 4), F(1), F(3)]))  # (x - a)^2 + s
             factors += [poly([a * a + s, -2 * a, 1])] * k
             roots[("complex", a)] += k
-        else:
-            b = draw(st.integers(-3, 3))
-            c = draw(st.integers(b * b // 4 + 1, 6))  # b^2 < 4c: no real roots
-            factors += [poly([c, b, 1])] * k
-            roots[("complex", F(-b, 2))] += k
     p = poly([draw(small_rationals.filter(bool))])
     for q in factors:
         p = mul(p, q)
@@ -206,18 +156,7 @@ def _above(root, x: Fraction) -> bool:
     return x < 0 or x * x < s if sign > 0 else x < 0 and x * x > s
 
 
-def _positive_multiple(q, r) -> bool:
-    """q = c * r for some rational c > 0."""
-    if not r:
-        return not q
-    return (
-        len(q) == len(r)
-        and (q[-1] > 0) == (r[-1] > 0)
-        and all(a * r[-1] == b * q[-1] for a, b in zip(q, r))
-    )
-
-
-@given(factored_polynomials(perron=True), st.lists(small_rationals, max_size=6))
+@given(factored_polynomials(), st.lists(small_rationals, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_isolator_probes_match_fraction_sturm_oracle(case, points):
     # the sign variations V(x) of the Fourier sequence against the Sturm
@@ -243,7 +182,7 @@ def test_isolator_probes_match_fraction_sturm_oracle(case, points):
 BISECTION_WIDTHS = (F(4), F(1), F(1, 7), F(1, 1000), F(1, 10**9))
 
 
-@given(factored_polynomials(perron=True), st.lists(small_rationals, max_size=6))
+@given(factored_polynomials(), st.lists(small_rationals, max_size=6))
 @settings(max_examples=150, deadline=None)
 def test_sign_only_bisection_matches_the_full_chain_route(case, points):
     # several distinct roots and repeated factors: the full-sequence phase runs
@@ -255,29 +194,8 @@ def test_sign_only_bisection_matches_the_full_chain_route(case, points):
     for width in BISECTION_WIDTHS:
         assert iso.refine_to_width(width) == oracle.refine_to_width(width), width
     for x in points + [-bound, F(0), bound]:
-        if not iso._is_largest_root(x):  # the root itself cannot be separated from
+        if oracle.probe(x) == (True, 0):  # the root itself cannot be separated from
+            with pytest.raises(ValueError):
+                iso.refine_until_separated_from(x)
+        else:
             assert iso.refine_until_separated_from(x) == oracle.refine_until_separated_from(x), x
-
-
-@given(factored_polynomials())
-@settings(max_examples=150, deadline=None)
-def test_chain_is_a_positive_multiple_of_the_fraction_chain(case):
-    p, _ = case
-    chain = sturm_chain(p)
-    oracle = sturm_chain_by_division(p)
-    assert len(chain) == len(oracle)
-    assert all(_positive_multiple(q, r) for q, r in zip(chain, oracle))
-    # the last element is gcd(p, p') up to a constant of either sign, and
-    # dividing by it reaches the squarefree part
-    g = gcd_poly(p, poly(derivative(p)))
-    assert _positive_multiple(chain[-1], g) or _positive_multiple(tuple(-c for c in chain[-1]), g)
-    assert _positive_multiple(squarefree_part(chain)[0], squarefree_part_by_gcd(p))
-
-
-integer_polys = st.lists(st.integers(-30, 30), max_size=8).map(poly)
-
-
-@given(integer_polys, integer_polys.filter(bool))
-def test_pseudo_remainder_is_a_positive_multiple_of_the_fraction_remainder(a, b):
-    prem = _pseudo_remainder(tuple(map(int, a)), tuple(map(int, b)))
-    assert _positive_multiple(prem, divmod_poly(a, b)[1])

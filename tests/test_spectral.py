@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -24,6 +28,7 @@ from oracles import (
     subinvariant_by_fraction_inflow,
     subinvariant_by_fraction_solves,
 )
+import thurston_obstruct
 from thurston_obstruct import (
     NonnegMatrix,
     PreconditionError,
@@ -514,6 +519,28 @@ def test_brackets_near_one_match_fresh_isolators():
     assert spectral_radius_class(other) == spectral
 
 
+def test_separating_rho_from_itself_raises_instead_of_bisecting_forever():
+    # rho = 1 lies in the start bracket (-7/3, 4/3] and is never a midpoint, so
+    # no bisection step can exclude it; a fresh process, so that a loop fails
+    src = Path(thurston_obstruct.__file__).parents[1]
+    code = (
+        "from fractions import Fraction as F\n"
+        "from thurston_obstruct import NonnegMatrix\n"
+        "from thurston_obstruct.spectral import _leading_root_isolator\n"
+        "iso = _leading_root_isolator(NonnegMatrix([[F(1, 3), 1], [F(2, 3), 0]]))\n"
+        "try:\n"
+        "    print(iso.refine_until_separated_from(F(1)))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=10,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "point is the largest root\n"
+
+
 QUERY_WIDTHS = (F(2), F(1), F(1, 3), F(1, 10), F(1, 1000), F(1, 10**6))
 QUERY_POINTS = (F(-1), F(0), F(1, 3), F(1, 2), F(1), F(3, 2), F(2), F(7, 3))
 
@@ -593,7 +620,10 @@ def test_integer_chain_brackets_match_fraction_route(m):
     for width in QUERY_WIDTHS:
         assert iso.refine_to_width(width) == oracle.refine_to_width(width), width
     for x in QUERY_POINTS:
-        if not oracle.probe(x) == (True, 0):  # rho itself cannot be separated from
+        if oracle.probe(x) == (True, 0):  # rho itself cannot be separated from
+            with pytest.raises(ValueError):
+                iso.refine_until_separated_from(x)
+        else:
             assert iso.refine_until_separated_from(x) == oracle.refine_until_separated_from(x), x
 
 
