@@ -117,22 +117,25 @@ class LargestRootIsolator:
 
     The contract: every complex root of p has real part at most rho, as
     every eigenvalue z of a nonnegative matrix has (Perron-Frobenius:
-    Re z <= |z| <= rho).  An immutable value built once per polynomial:
-    the Fourier sequence p, p', ..., p^(n) of the primitive integer p, the
-    start bracket, and the sign variations ``above_lo`` of the sequence at
-    its lower end.  With zeros dropped, the variations V(x) at x are those
-    of the Taylor coefficients of p(x + t) = c * prod (t + x - r) *
-    prod ((t + x - a)^2 + b^2) over the real roots r and the complex pairs
-    a +- bi.  For x >= rho every factor but c has nonnegative coefficients,
-    so V(x) = 0, and p(x) = 0 exactly when x = rho; for x < rho, p(x + t) has
-    the positive root rho - x, so V(x) >= 1, and V(x) = 1 means rho is
-    simple and the only real root above x (Descartes' rule of signs).
-    Every query bisects from the start bracket, so answers never depend on
-    earlier queries.  The caller must supply rational bounds lo < hi such
-    that rho lies in (lo, hi] and p(lo) != 0.
+    Re z <= |z| <= rho).  Built once per polynomial: the Fourier sequence
+    p, p', ..., p^(n) of the primitive integer p and the start bracket.
+    With zeros dropped, the variations V(x) at x are those of the Taylor
+    coefficients of p(x + t) = c * prod (t + x - r) * prod ((t + x - a)^2
+    + b^2) over the real roots r and the complex pairs a +- bi.  For
+    x >= rho every factor but c has nonnegative coefficients, so V(x) = 0,
+    and p(x) = 0 exactly when x = rho; for x < rho, p(x + t) has the
+    positive root rho - x, so V(x) >= 1, and V(x) = 1 means rho is simple
+    and the only real root above x (Descartes' rule of signs).  Every query
+    walks the one bisection path from the start bracket, whose states
+    ``(lo, hi, V(lo))``, or ``(rho, rho, 0)`` once a midpoint is rho, are
+    kept in a tuple only ever replaced whole by a longer one: a query probes
+    only past what earlier ones walked, threads that race on one isolator
+    can at most repeat steps, and no answer depends on the order of
+    queries.  The caller must supply rational bounds lo < hi such that rho
+    lies in (lo, hi] and p(lo) != 0.
     """
 
-    __slots__ = ("chain", "lo", "hi", "above_lo")
+    __slots__ = ("chain", "lo", "hi", "_path")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
         if degree(p) < 1:
@@ -142,11 +145,13 @@ class LargestRootIsolator:
             self.chain.append(derivative(self.chain[-1]))
         self.lo = lo
         self.hi = hi
-        lo_is_root, self.above_lo = self._probe(lo)
+        lo_is_root, above_lo = self._probe(lo)
         if lo_is_root:
             raise ValueError("lower bound must not be a root")
-        if self.above_lo <= self._probe(hi)[1]:  # Budan-Fourier: no root in (lo, hi]
+        at_hi = self._probe(hi)
+        if above_lo <= at_hi[1]:  # Budan-Fourier: no root in (lo, hi]
             raise ValueError("no real root in the given range")
+        self._path = ((hi, hi, 0) if at_hi == (True, 0) else (lo, hi, above_lo),)
 
     def _probe(self, x: Fraction) -> tuple[bool, int]:
         """Whether x is a root, and V(x), positive exactly when rho lies above x."""
@@ -154,29 +159,35 @@ class LargestRootIsolator:
         return signs[0] == 0, _variations(signs)
 
     def _is_largest_root(self, x: Fraction) -> bool:
-        return self._probe(x) == (True, 0)
+        # rho lies in the closure of every state of the path, and is its last one's once hit
+        lo, hi, _ = self._path[-1]
+        return lo <= x <= hi and (lo == hi or self._probe(x) == (True, 0))
+
+    def _step(self, lo: Fraction, hi: Fraction, above: int) -> tuple[Fraction, Fraction, int]:
+        """The path's state after ``(lo, hi, above)``: one probe at the midpoint."""
+        mid = (lo + hi) / 2
+        if above == 1:
+            # V(lo) = 1: rho alone is above lo, and simple, so p has the sign of
+            # its leading coefficient above rho and the other sign in (lo, rho)
+            sign = _signs_at(self.chain[:1], mid)[0]
+            is_root, count = sign == 0, int(sign == (-1 if self.chain[0][-1] > 0 else 1))
+        else:
+            is_root, count = self._probe(mid)
+        if count:
+            return (mid, hi, count)
+        return (mid, mid, 0) if is_root else (lo, mid, above)
 
     def _bisect(self, done) -> tuple[Fraction, Fraction]:
-        """Bisect the start bracket until ``done(lo, hi)``; exact roots snap to points."""
-        lo, hi, above = self.lo, self.hi, self.above_lo
-        if self._is_largest_root(hi):
-            return (hi, hi)
-        top, lead = self.chain[:1], 1 if self.chain[0][-1] > 0 else -1
-        while not done(lo, hi):
-            mid = (lo + hi) / 2
-            if above == 1:
-                # V(lo) = 1: rho alone is above lo, and simple, so p has the sign of
-                # its leading coefficient above rho and the other sign in (lo, rho)
-                sign = _signs_at(top, mid)[0]
-                is_root, count = sign == 0, int(sign == -lead)
-            else:
-                is_root, count = self._probe(mid)
-            if count:
-                lo, above = mid, count
-            elif is_root:
-                return (mid, mid)
-            else:
-                hi = mid
+        """Walk the path to its first state with ``done(lo, hi)``; exact roots snap to points."""
+        path, k = list(self._path), 0
+        lo, hi, above = path[0]
+        while lo < hi and not done(lo, hi):
+            k += 1
+            if k == len(path):
+                path.append(self._step(lo, hi, above))
+            lo, hi, above = path[k]
+        if len(path) > len(self._path):
+            self._path = tuple(path)
         # snap to the simplest rational in the bracket if it is the root itself
         cand = simplest_rational_between(lo, hi)
         if lo < cand and self._is_largest_root(cand):
@@ -197,7 +208,7 @@ class LargestRootIsolator:
         is the root itself, which no bracket excludes; otherwise bisection
         converges to the root and so ends.
         """
-        if not self.lo <= point <= self.hi and not self._is_largest_root(self.hi):
+        if not self.lo <= point <= self.hi and self._path[0][0] < self._path[0][1]:
             return (self.lo, self.hi)
         if self._is_largest_root(point):
             raise ValueError("point is the largest root")

@@ -358,11 +358,6 @@ def charpoly(m: NonnegMatrix) -> Poly:
     return poly(reversed([Fraction(c, scale**k) for k, c in enumerate(vect)]))
 
 
-def _eye_minus(scale: int, b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The integer Z-matrix L*I - L*B from ``_cleared``'s ``(L, L*B)``."""
-    return [[(scale if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(b)]
-
-
 def _bareiss(c: list[list[int]]) -> int:
     """Fraction-free elimination of the k rows of ``c`` (any width), in place.
 
@@ -370,7 +365,8 @@ def _bareiss(c: list[list[int]]) -> int:
     divides exactly.  It stops at the first of pivots 0..k-2 that is not
     positive and returns its index p, or k-1 when there is none; for each
     row i <= p, ``c[i][j]``, j >= i, is then the minor on rows 0..i and
-    columns 0..i-1, j, so ``c[i][i]`` is the leading (i+1)-minor.
+    columns 0..i-1, j, so ``c[i][i]`` is the leading (i+1)-minor, and
+    ``c[i][q]``, q < i, keeps the multiplier of step q for row i.
     """
     k = len(c)
     prev = 1
@@ -402,11 +398,14 @@ def _back_substitute(c: Sequence[Sequence[int]], m: int) -> list[int]:
     return z
 
 
-def _block_tag(m: NonnegMatrix, block: Sequence[int]) -> SpectralTag:
-    """Leading eigenvalue of the principal submatrix on one SCC block against 1.
+def _eliminate(m: NonnegMatrix, block: Sequence[int]) -> tuple:
+    """``(tag, p, g, c)``: one SCC block's leading eigenvalue against 1, by ``_bareiss``.
 
-    ``_bareiss`` on the integer Z-matrix C = L*I - L*B yields the leading
-    principal minors of C.  Minors 1..k-1 positive make I - B_(k-1) a
+    Row i of the integer Z-matrix C = K*I - K*B (K = ``m.scale``, B the
+    principal submatrix on ``block``) is divided by its gcd g_i, which
+    keeps rows with their own denominators small and divides each leading
+    minor by a positive factor; ``_bareiss`` stops at p and leaves those
+    minors in ``c``.  Minors 1..k-1 positive make I - B_(k-1) a
     nonsingular M-matrix, i.e. rho(B_(k-1)) < 1 (Berman & Plemmons,
     Nonnegative Matrices in the Mathematical Sciences, ch. 6).  For t above
     rho(B_(k-1)), det(tI - B_k) has the sign of a Schur complement that
@@ -414,17 +413,23 @@ def _block_tag(m: NonnegMatrix, block: Sequence[int]) -> SpectralTag:
     eigenvalue >= 1.  Hence a minor <= 0 before the last means
     rho(B_k) >= 1, and since B is irreducible its proper principal
     submatrices have strictly smaller rho, so rho(B) > 1; otherwise the
-    sign of det C decides.  A 1x1 zero block has C = [L] and is below 1.
+    sign of det C decides.  A 1x1 zero block has C = [K] and is below 1.
     ``BELOW_ONE`` (all k minors positive) is exact for any nonnegative
     block, reducible or not; only the split of the rest needs irreducibility.
     """
-    c = _eye_minus(*_cleared(m, block))
-    if _bareiss(c) < len(c) - 1:
-        return SpectralTag.ABOVE_ONE
-    det = c[-1][-1]
-    if det > 0:
-        return SpectralTag.BELOW_ONE
-    return SpectralTag.EXACTLY_ONE if det == 0 else SpectralTag.ABOVE_ONE
+    scale, ints = m.scale, m.ints
+    rows = [[(scale if i == j else 0) - ints[i][j] for j in block] for i in block]
+    gcds = [gcd(*row) or 1 for row in rows]
+    c = [[x // g for x in row] if g > 1 else row for row, g in zip(rows, gcds)]
+    p = _bareiss(c)
+    det = c[-1][-1] if p == len(c) - 1 else -1
+    tag = _TAG_ORDER[0 if det > 0 else 1 if det == 0 else 2]
+    return tag, p, gcds, c
+
+
+def _block_tag(m: NonnegMatrix, block: Sequence[int]) -> SpectralTag:
+    """``_eliminate``'s tag, also the minimal-obstruction search's test of each subset."""
+    return _eliminate(m, block)[0]
 
 
 @record
@@ -433,7 +438,8 @@ class SpectralProfile:
 
     ``closed_below[b]`` says that block ``b`` of ``structure`` and every
     block reachable from it are below 1.  ``tag`` is the largest block tag,
-    the trichotomy of rho(M).
+    the trichotomy of rho(M).  ``eliminations[b]`` is ``_eliminate``'s
+    ``(tag, p, g, c)`` for block ``b`` as tuples, kept for the certificate.
     """
 
     support: tuple[int, ...]
@@ -441,6 +447,7 @@ class SpectralProfile:
     block_tags: tuple[SpectralTag, ...]
     closed_below: tuple[bool, ...]
     tag: SpectralTag
+    eliminations: tuple[tuple, ...]
 
     @property
     def irreducible(self) -> bool:
@@ -454,13 +461,17 @@ def spectral_profile(m: NonnegMatrix) -> SpectralProfile:
         reach = _reach(support)
         structure = _condense(reach)
         blocks = structure.blocks()
-        tags = tuple(_block_tag(m, block) for block in blocks)
+        eliminations = tuple(
+            (tag, p, tuple(g), tuple(map(tuple, c)))
+            for tag, p, g, c in (_eliminate(m, block) for block in blocks)
+        )
+        tags = tuple(e[0] for e in eliminations)
         # a block is closed below 1 when nothing it reaches lies in a block at or above 1
         above = (b for b, t in zip(blocks, tags) if t is not SpectralTag.BELOW_ONE)
         high = sum(1 << v for b in above for v in b)
         closed = tuple(not (reach[b[0]] | 1 << b[0]) & high for b in blocks)
         overall = max(tags, key=_TAG_ORDER.index, default=SpectralTag.BELOW_ONE)
-        profile = SpectralProfile(support, structure, tags, closed, overall)
+        profile = SpectralProfile(support, structure, tags, closed, overall, eliminations)
         object.__setattr__(m, "_profile", profile)
     return m._profile
 
@@ -484,8 +495,8 @@ def _leading_root_isolator(m: NonnegMatrix) -> LargestRootIsolator:
     The leading eigenvalue rho is the largest real root of the characteristic
     polynomial, and every eigenvalue z has Re z <= |z| <= rho <= rs, rs the
     maximal row sum (Perron-Frobenius): the isolator's contract holds, with
-    start bracket (-rs-1, rs].  Built once per matrix and immutable; each
-    query bisects from that start whatever was asked before.
+    start bracket (-rs-1, rs].  Built once per matrix that needs a bracket;
+    both kinds of query walk its one bisection path from that start.
     """
     if m._isolator is None:
         rs = max(m.row_sums(), default=Fraction(0))
@@ -497,7 +508,10 @@ def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fract
     """Rational bracket of width <= ``width`` (at least 2^-4096) around the leading eigenvalue.
 
     Successive calls with shrinking widths always return overlapping
-    intervals, since every result contains the eigenvalue itself.
+    intervals, since every result contains the eigenvalue itself.  At
+    rho = 1 a width below 1 needs no characteristic polynomial: 1 is the
+    only integer in a bisection bracket that narrow, so a midpoint or the
+    final snap to the simplest rational lands on it.
     """
     width = Fraction(width)
     if width <= 0:
@@ -506,6 +520,8 @@ def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fract
         raise PreconditionError("width must be at least 2^-4096")
     if m.n == 0:
         return (Fraction(0), Fraction(0))
+    if width < 1 and spectral_tag(m) is SpectralTag.EXACTLY_ONE:
+        return (Fraction(1), Fraction(1))
     return _leading_root_isolator(m).refine_to_width(width)
 
 
@@ -603,11 +619,12 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
     principal block, closed under support edges, whose leading eigenvalue
     is below 1 (the matrix as a whole counts as such a block).  The profile
     answers that.  Each block B of the condensation gets its part of the
-    certificate from the ``_bareiss`` elimination of C = L*I - L*B that
-    decides its tag, in integers until one division per block:
+    certificate from the profile's elimination of C (``_eliminate``) that
+    decided its tag, in integers until one division per block:
 
-    - below 1, C gets the inflow from the blocks assigned before, summed
-      over the integer rows ``m.ints``, as an extra column, and back
+    - below 1, the inflow from the blocks assigned before, summed over the
+      integer rows ``m.ints`` and over C's row gcds, goes through C's
+      stored multipliers in O(k^2) as an extra column, and back
       substitution solves (I - B) x = inflow; x > 0, since the block is
       strongly connected (or a single fed vertex) and some inflow is positive;
     - at or above 1, the elimination stops at p with the leading p x p
@@ -616,8 +633,8 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
       B x >= x: rows 0..p-1 are equal and row p exceeds by minus the Schur
       complement of that minor.  The step x <- B x keeps B x >= x, and as
       B x >= x it adds the predecessors of the support to it; B is
-      irreducible, so x is positive within k - 1 steps.  At exactly 1,
-      p = k - 1 and x is the Perron vector with x_last = 1.
+      irreducible, so x is positive within k - 1 steps (on ``_cleared``'s
+      L*B).  At exactly 1, p = k - 1 and x is the Perron vector with x_last = 1.
     """
     n = m.n
     profile = spectral_profile(m)
@@ -626,24 +643,25 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
     ints = m.ints
     vec = [Fraction(0)] * n
     # support edges point to earlier blocks, which are assigned first
-    for block, tag in zip(profile.structure.blocks(), profile.block_tags):
-        scale, b = _cleared(m, block)
-        c = _eye_minus(scale, b)
+    for block, (tag, p, gcds, c) in zip(profile.structure.blocks(), profile.eliminations):
+        k = len(block)
         if tag is SpectralTag.BELOW_ONE:
-            # the integer rows give m.scale * inflow, m.scale // scale times the
-            # scale * inflow that C's column stands for; den takes that factor out
-            inflow = [sum(a * vec[j] for j, a in enumerate(ints[i]) if a) for i in block]
+            # row i of K*(I - B) x = K*inflow over g_i, times den to clear it
+            inflow = [Fraction(sum(a * vec[j] for j, a in enumerate(ints[i]) if a), g)
+                      for i, g in zip(block, gcds)]
             den = lcm(*(f.denominator for f in inflow))
-            for row, f in zip(c, inflow):
-                row.append(-f.numerator * (den // f.denominator))
-            _bareiss(c)
-            z = _back_substitute(c, len(block))
-            den *= z.pop() * (m.scale // scale)
+            col = [-f.numerator * (den // f.denominator) for f in inflow]
+            for q in range(k - 1):  # Bareiss's step q on the extra column
+                pivot, prev = c[q][q], c[q - 1][q - 1] if q else 1
+                col[q + 1 :] = [(x * pivot - c[i][q] * col[q]) // prev
+                                for i, x in enumerate(col[q + 1 :], q + 1)]
+            z = _back_substitute([row + (x,) for row, x in zip(c, col)], k)
+            den *= z.pop()
         else:
-            p = _bareiss(c)
-            z = _back_substitute(c, p) + [0] * (len(block) - 1 - p)
+            z = _back_substitute(c, p) + [0] * (k - 1 - p)
             den = z[p]
-            for _ in range(len(block) - 1):
+            b = _cleared(m, block)[1]
+            for _ in range(k - 1):
                 if all(z):
                     break
                 z = [sum(map(mul, row, z)) for row in b]

@@ -430,6 +430,11 @@ def subinvariant_by_fraction_solves(m: NonnegMatrix) -> Optional[tuple[Fraction,
     return tuple(map(Fraction, _primitive(vec)))
 
 
+def eye_minus_cleared(scale: int, b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The integer Z-matrix L*I - L*B from ``_cleared``'s ``(L, L*B)``."""
+    return [[(scale if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(b)]
+
+
 def subinvariant_by_fraction_inflow(m: NonnegMatrix) -> Optional[tuple[Fraction, ...]]:
     """The library's per-block certificate with each inflow summed over the
     Fraction rows and each block cleared by its own lcm of denominators."""
@@ -441,7 +446,7 @@ def subinvariant_by_fraction_inflow(m: NonnegMatrix) -> Optional[tuple[Fraction,
     vec = [Fraction(0)] * n
     for block, tag in zip(profile.structure.blocks(), profile.block_tags):
         scale, b = cleared_by_lcm(rows, block)
-        c = spectral._eye_minus(scale, b)
+        c = eye_minus_cleared(scale, b)
         if tag is SpectralTag.BELOW_ONE:
             inflow = [
                 scale * sum((rows[i][j] * vec[j] for j in range(n)), Fraction(0)) for i in block
@@ -924,6 +929,8 @@ class FractionRootIsolator:
     def refine_until_separated_from(self, point: Fraction) -> tuple[Fraction, Fraction]:
         if not self.lo <= point <= self.hi and self.probe(self.hi) != (True, 0):
             return (self.lo, self.hi)
+        if self.probe(point) == (True, 0):  # no bracket excludes rho itself
+            raise ValueError("point is the largest root")
         return self._bisect(lambda lo, hi: not lo <= point <= hi)
 
 

@@ -11,7 +11,7 @@ import pytest
 from referencing import Registry, Resource
 
 import thurston_obstruct
-from thurston_obstruct import NonnegMatrix, charpoly, polynomials
+from thurston_obstruct import NonnegMatrix, charpoly, polynomials, spectral
 from thurston_obstruct.cli import DEFAULT_SUBSET_CAP, DEFAULT_WIDTH, _build_parser, main, run_request
 from thurston_obstruct.documents import dumps
 from thurston_obstruct.polynomials import LargestRootIsolator
@@ -448,6 +448,31 @@ def test_matrix_reports_build_no_sturm_chain(capsys, monkeypatch):
         assert report["result"]["spectral"]["class"] == tag
     report, code = run_json(capsys, ["table", json.dumps(LEVY_TABLE_DOC)])
     assert code == 0
+
+
+def test_exact_one_matrix_reports_build_no_characteristic_polynomial(capsys, monkeypatch):
+    # at rho = 1 both brackets are [1, 1] below width 1 without bisection: no
+    # request builds charpoly, and a width of 1 or more still bisects
+    def refuse(*args):
+        raise AssertionError("characteristic polynomial built")
+
+    monkeypatch.setattr(spectral, "charpoly", refuse)
+    cases = [
+        '[["1/2","1/2"],["1/3","2/3"]]',
+        "[[0,1],[1,0]]",
+        # reducible: the stochastic block on 0, 1 feeds nothing, the block on 2 is below 1
+        '[["1/2","1/2",0],["1/3","2/3",0],["1/4",0,"1/2"]]',
+    ]
+    for rows in cases:
+        for width in ([], ["--width", "1/2"]):
+            report, code = run_json(capsys, ["matrix", "--check-simple", *width, rows])
+            assert code == 0
+            result = report["result"]
+            assert result["spectral"] == {"class": "exactly_one", "interval": ["1", "1"]}
+            assert result["leading_interval"] == ["1", "1"]
+            assert result["simple"]["exists"]
+        with pytest.raises(AssertionError, match="characteristic polynomial built"):
+            main(["matrix", "--width", "1", rows])
 
 
 def test_check_simple_just_above_one_reports_a_verified_certificate():

@@ -2,9 +2,11 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -17,6 +19,7 @@ from oracles import (
     decomposition_exponent_by_rational_powers,
     determinant_by_elimination,
     evaluate,
+    eye_minus_cleared,
     imprimitivity_by_cycles,
     kernel_vector,
     matrix_powers_by_fraction_products,
@@ -48,13 +51,15 @@ from thurston_obstruct import (
     spectral_tag,
     wielandt_bound,
 )
+from thurston_obstruct import polynomials
+from thurston_obstruct import spectral as spectral_module
 from thurston_obstruct.polynomials import LargestRootIsolator
 from thurston_obstruct.spectral import (
     _back_substitute,
     _bareiss,
+    _block_tag,
     _bool_mul,
     _cleared,
-    _eye_minus,
     _leading_root_isolator,
     cyclic_classes,
     spectral_profile,
@@ -75,11 +80,12 @@ def matrices(draw, max_n=5, min_n=1, entries=entries):
 
 
 @st.composite
-def row_stochastic(draw, n, scale=F(1)):
-    """Rows summing to ``scale``: the leading eigenvalue is exactly ``scale``."""
+def row_stochastic(draw, n, scale=F(1), high=3):
+    """Rows summing to ``scale``: the leading eigenvalue is exactly ``scale``.
+    Weights up to ``high`` give each row a denominator of its own."""
     rows = []
     for _ in range(n):
-        weights = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(any))
+        weights = draw(st.lists(st.integers(0, high), min_size=n, max_size=n).filter(any))
         total = sum(weights)
         rows.append([scale * F(w, total) for w in weights])
     return rows
@@ -627,6 +633,185 @@ def test_integer_chain_brackets_match_fraction_route(m):
             assert iso.refine_until_separated_from(x) == oracle.refine_until_separated_from(x), x
 
 
+def test_the_fraction_oracle_raises_when_separating_rho_from_itself():
+    # the oracle's own bisection would never exclude rho = 1, which is never a
+    # midpoint of (-7/3, 4/3]; a fresh process, so that a loop fails
+    src = Path(thurston_obstruct.__file__).parents[1]
+    code = (
+        "from fractions import Fraction as F\n"
+        "from oracles import FractionRootIsolator\n"
+        "from thurston_obstruct import NonnegMatrix, charpoly\n"
+        "p = charpoly(NonnegMatrix([[F(1, 3), 1], [F(2, 3), 0]]))\n"
+        "try:\n"
+        "    print(FractionRootIsolator(p, F(-7, 3), F(4, 3)).refine_until_separated_from(F(1)))\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+    )
+    path = os.pathsep.join([str(src), str(Path(__file__).parent)])
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "point is the largest root\n"
+
+
+# ---------------------------------------------------------------------------
+# rho = 1, the row-scaled elimination and the shared bisection path
+
+
+@st.composite
+def row_denominator_matrices(draw, scales=(F(1), F(9, 10), F(1, 2), F(3, 2)), top=None):
+    """Block lower triangular, then permuted.  Each diagonal block is
+    row-stochastic over weights up to 997, times a scale (the first block's
+    is ``top`` when given), and each row feeds the blocks before it over a
+    denominator of its own, so the lcm of the whole matrix is huge."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(sizes)
+    rows, start = [], 0
+    for size in sizes:
+        scale = top if top is not None and not start else draw(st.sampled_from(scales))
+        for row in draw(row_stochastic(size, scale, high=997)):
+            den = draw(st.integers(2, 10**4))
+            feed = [F(draw(st.integers(0, 3)), den) for _ in range(start)]
+            rows.append(feed + row + [F(0)] * (n - start - size))
+        start += size
+    perm = draw(st.permutations(range(n)))
+    return NonnegMatrix([[rows[i][j] for j in perm] for i in perm])
+
+
+exact_one_matrices = st.one_of(
+    st.integers(1, 7).flatmap(row_stochastic).map(NonnegMatrix),
+    st.integers(1, 7).flatmap(lambda n: row_stochastic(n, high=997)).map(NonnegMatrix),
+    row_denominator_matrices(scales=(F(1), F(9, 10), F(1, 2)), top=F(1)),
+)
+
+
+@given(exact_one_matrices)
+@settings(max_examples=80, deadline=None)
+def test_interval_at_exactly_one_matches_fresh_isolators_at_every_width(m):
+    # below width 1 the bracket is [1, 1] without a characteristic polynomial;
+    # widths 2 and 1 still bisect
+    assert spectral_tag(m) is SpectralTag.EXACTLY_ONE
+    rs = max(m.row_sums())
+    for width in QUERY_WIDTHS:
+        fresh = LargestRootIsolator(charpoly(m), -rs - 1, rs)
+        assert leading_eigenvalue_interval(m, width) == fresh.refine_to_width(width), width
+    other = NonnegMatrix(m.rows)
+    assert leading_eigenvalue_interval(other, F(1, 3)) == (F(1), F(1))
+    assert other._isolator is None
+
+
+@given(row_denominator_matrices(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_row_scaled_tags_match_the_sturm_oracle_on_row_denominators(m, data):
+    profile = spectral_profile(m)
+    assert profile.tag is sturm_tag(m)
+    for block, tag in zip(profile.structure.blocks(), profile.block_tags):
+        assert tag is sturm_tag(m.submatrix(list(block)))
+    # the minimal search's test on any subset: below 1 is exact, irreducible or not
+    subset = data.draw(st.lists(st.integers(0, m.n - 1), min_size=1, unique=True))
+    below = sturm_tag(m.submatrix(subset)) is SpectralTag.BELOW_ONE
+    assert (_block_tag(m, subset) is SpectralTag.BELOW_ONE) == below
+
+
+@given(row_denominator_matrices())
+@settings(max_examples=60, deadline=None)
+def test_certificates_on_row_denominators_match_both_fraction_routes(m):
+    v = exists_positive_subinvariant_vector(m)
+    assert v == subinvariant_by_fraction_inflow(m)
+    if SpectralTag.ABOVE_ONE in spectral_profile(m).block_tags:
+        assert (v is None) == (subinvariant_by_fraction_solves(m) is None)
+    else:
+        assert v == subinvariant_by_fraction_solves(m)
+
+
+@given(st.one_of(spectral_matrices, row_denominator_matrices()))
+@settings(max_examples=80, deadline=None)
+def test_certificate_runs_no_elimination_once_the_profile_exists(m):
+    expected = subinvariant_by_fraction_inflow(m)  # builds the profile
+    refuse = AssertionError("_bareiss called")
+    with mock.patch.object(spectral_module, "_bareiss", side_effect=refuse):
+        assert exists_positive_subinvariant_vector(m) == expected
+
+
+def _fresh_isolator(m):
+    rs = max(m.row_sums())
+    return LargestRootIsolator(charpoly(m), -rs - 1, rs)
+
+
+def _counted(query):
+    """The query's answer and the number of ``_signs_at`` calls it made."""
+    with mock.patch.object(polynomials, "_signs_at", wraps=polynomials._signs_at) as signs:
+        answer = query()
+    return answer, signs.call_count
+
+
+def test_separation_after_a_width_query_reuses_the_walked_path():
+    one = F(1)
+    # rho = sqrt(2): the width query walks past the bracket (11/8, 2] that
+    # excludes 1, so the separation asked next probes nothing
+    m = NonnegMatrix([[0, 1], [2, 0]])
+    iso = _leading_root_isolator(m)
+    iso.refine_to_width(F(1, 10**6))
+    separated, calls = _counted(lambda: iso.refine_until_separated_from(one))
+    assert calls == 0
+    assert separated == (F(11, 8), F(2)) == _fresh_isolator(m).refine_until_separated_from(one)
+    # rho within 2^-30 of 1: the separation walks on past the width query's
+    # path, and probes only beyond it
+    m = NonnegMatrix([[0, 1], [1 + F(1, 2**31), 0]])
+    iso = _leading_root_isolator(m)
+    iso.refine_to_width(F(1, 1000))
+    separated, calls = _counted(lambda: iso.refine_until_separated_from(one))
+    fresh = _fresh_isolator(m)
+    expected, fresh_calls = _counted(lambda: fresh.refine_until_separated_from(one))
+    assert separated == expected
+    assert 0 < calls < fresh_calls
+
+
+def _answer(query):
+    try:
+        return query()
+    except ValueError as exc:  # rho itself cannot be separated from
+        return str(exc)
+
+
+def test_racing_queries_on_one_isolator_match_fresh_isolators():
+    # two threads share each fresh matrix's isolator, one asking for a width
+    # and one for the separation from 1, with thread switches every microsecond
+    rng = random.Random(20)
+    queries = {
+        "width": lambda iso: iso.refine_to_width(F(1, 10**9)),
+        "point": lambda iso: iso.refine_until_separated_from(F(1)),
+    }
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for trial in range(30):
+            n = rng.randint(2, 9)
+            rows = [[F(rng.randint(0, 4), rng.randint(1, 5)) * (rng.random() < 0.6)
+                     for _ in range(n)] for _ in range(n)]
+            if trial % 3 == 0:  # rho = 1
+                rows = [[x / sum(row) for x in row] if any(row) else row for row in rows]
+            iso = _leading_root_isolator(NonnegMatrix(rows))
+            barrier, answers = threading.Barrier(2), {}
+
+            def ask(kind):
+                barrier.wait()
+                answers[kind] = _answer(lambda: queries[kind](iso))
+
+            threads = [threading.Thread(target=ask, args=(kind,)) for kind in queries]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+            for kind, query in queries.items():
+                fresh = _fresh_isolator(NonnegMatrix(rows))
+                assert answers[kind] == _answer(lambda: query(fresh)), (rows, kind)
+    finally:
+        sys.setswitchinterval(interval)
+
+
 @given(shaped_matrices(min_n=0), st.integers(0, 40))
 @settings(max_examples=80, deadline=None)
 def test_pow_matches_fraction_products(m, k_max):
@@ -866,7 +1051,7 @@ def test_back_substitution_matches_fraction_solve_on_m_matrices(case):
 @settings(max_examples=150, deadline=None)
 def test_back_substitution_matches_fraction_kernel_at_one(rows):
     k = len(rows)
-    c = _eye_minus(*_cleared(NonnegMatrix(rows), range(k)))
+    c = eye_minus_cleared(*_cleared(NonnegMatrix(rows), range(k)))
     assert _bareiss(c) == k - 1 and c[-1][-1] == 0
     z = _back_substitute(c, k - 1)
     eye_minus = [[(1 if i == j else 0) - rows[i][j] for j in range(k)] for i in range(k)]
@@ -879,7 +1064,7 @@ def _growth_steps(m, block) -> int:
     Checks on the way that the start vector is (y, 1, 0, ..., 0) with
     y >= 0 and B x >= x, equal on the rows before the stopping pivot.
     """
-    c = _eye_minus(*_cleared(m, block))
+    c = eye_minus_cleared(*_cleared(m, block))
     p = _bareiss(c)
     z = _back_substitute(c, p)
     x = [F(v, z[p]) for v in z] + [F(0)] * (len(block) - 1 - p)
