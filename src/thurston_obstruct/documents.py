@@ -128,6 +128,18 @@ def _checker(schema: dict) -> Callable[[Any], Optional[tuple[list, str]]]:
         return _checkers[id(schema)]
     get = schema.get
     branches = [_checker(branch) for branch in get("oneOf", ())]
+    # branches of pairwise different types: a value of one of the JSON classes
+    # can pass only the branch of its class, and every other branch fails on
+    # its type, so only that one runs (-1 where no branch takes the class)
+    kinds = [branch.get("type") for branch in get("oneOf", ())]
+    by_class = None
+    if branches and len(set(kinds)) == len(kinds) and all(
+        kind in _TYPES and "oneOf" not in branch for kind, branch in zip(kinds, schema["oneOf"])
+    ):
+        by_class = dict.fromkeys((dict, list, str, int, bool, float, type(None)), -1)
+        by_class.update({_TYPES[kind][0]: i for i, kind in enumerate(kinds)})
+        first_expected = _TYPES[kinds[0]][1]
+        bare = schema.keys() <= {"oneOf", "description"}  # nothing to check past the branch
     # "integer" is stricter than jsonschema, which takes 1.0: floats never
     # enter the program; and a boolean is not a number
     cls, expected = _TYPES.get(get("type"), (object, ""))
@@ -143,7 +155,18 @@ def _checker(schema: dict) -> Callable[[Any], Optional[tuple[list, str]]]:
     required, minimum = get("required", ()), get("minimum", -inf)
 
     def check(value):
-        if branches:
+        i = by_class.get(type(value)) if by_class else None
+        if i is not None:
+            error = branches[i](value) if i >= 0 else ([], first_expected)
+            if error is not None:
+                # as below: the branches fail at the value itself unless this one got deeper
+                path, message = error
+                if path and len(branches) > 1:
+                    return error
+                return path, get("description", message if i <= 0 else first_expected)
+            if bare:
+                return None
+        elif branches:
             errors = [branch(value) for branch in branches]
             passed = errors.count(None)
             if passed > 1:

@@ -2,14 +2,19 @@
 
 Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  ``charpoly``
-hands over rational (``Fraction``) coefficients; ``LargestRootIsolator``
-clears them once, and from there on everything runs over the integers:
-its Fourier sequence is the primitive integer p and its successive
-derivatives, and each sign test at a rational a/b is the sign of the
-integer b^deg q(a/b).  The signs of p, p', ..., p^(n) at x are those of
-the Taylor coefficients of p(x + t), so their sign variations bound the
-real roots above x (Descartes' rule of signs; Budan-Fourier; Collins &
-Akritas, SYMSAC 1976).  All verdicts are exact.
+hands over rational (``Fraction``) coefficients.  ``LargestRootIsolator``
+clears them once and maps its start bracket [lo, hi] onto [0, 1]: one
+Taylor shift gives the primitive integer q(t) = c p(lo + (hi - lo) t),
+c > 0, as in the unit-interval step of Descartes-method isolators
+(Collins & Akritas, SYMSAC 1976; von zur Gathen & Gerhard, ISSAC 1997).
+From there on everything runs over the integers.  The Fourier sequence is
+q and its successive derivatives, whose signs at t are those of p, p',
+..., p^(n) at x = lo + (hi - lo) t, and so those of the Taylor
+coefficients of p(x + s): their sign variations bound the real roots
+above x (Descartes' rule of signs; Budan-Fourier).  Bisection probes only
+t = m / 2^k, where each sign is that of the integer 2^(k deg) q(m / 2^k),
+Horner's rule with shifts; a ``Fraction`` is built only for a returned
+bracket and for the snap to an exact root.  All verdicts are exact.
 
 ``sturm_chain``, ``squarefree_part`` and ``count_roots_between`` are
 stubs that raise: the Sturm route is only the bracket oracle in
@@ -50,25 +55,55 @@ def _primitive(p) -> tuple[int, ...]:
     return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def _variations(signs: list[int]) -> int:
-    seq = [s for s in signs if s != 0]
-    return sum(1 for a, b in zip(seq, seq[1:]) if a * b < 0)
+def _root_and_variations(values: list[int]) -> tuple[bool, int]:
+    """Whether the first value is 0, and the sign variations of the nonzero ones."""
+    seq = [v > 0 for v in values if v]
+    return values[0] == 0, sum(x != y for x, y in zip(seq, seq[1:]))
 
 
-def _signs_at(chain: list[tuple[int, ...]], x: Fraction) -> list[int]:
-    """Signs of the chain at x = a/b, b > 0, as signs of b^deg q(a/b)."""
-    a, b = x.numerator, x.denominator
-    powers = [1]
-    for _ in range(len(chain[0]) - 1):
-        powers.append(powers[-1] * b)
-    signs = []
-    for q in chain:
-        d = len(q) - 1
-        acc = q[d]
-        for i in range(d - 1, -1, -1):
-            acc = acc * a + q[i] * powers[d - i]
-        signs.append((acc > 0) - (acc < 0))
-    return signs
+def _value(q: tuple[int, ...], a: int, b: int) -> int:
+    """b^deg q(a/b) for b > 0: Horner's rule with a running power of b."""
+    acc, power = q[-1], 1
+    for c in q[-2::-1]:
+        power *= b
+        acc = acc * a + c * power
+    return acc
+
+
+def _dyadic_value(q: tuple[int, ...], m: int, shift: int) -> int:
+    """2^(shift deg q) q(m / 2^shift): Horner's rule with the powers of 2 as shifts."""
+    acc, s = q[-1], 0
+    for c in q[-2::-1]:
+        s += shift
+        acc = acc * m + (c << s)
+    return acc
+
+
+def _frame(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
+    """Integers (A, E, B), B > 0, with x = (A + E t) / B taking t in [0, 1] onto [lo, hi]."""
+    width = hi - lo
+    den = lcm(lo.denominator, width.denominator)
+    return lo.numerator * (den // lo.denominator), width.numerator * (den // width.denominator), den
+
+
+def _on_unit_interval(p: Poly, frame: tuple[int, int, int]) -> tuple[int, ...]:
+    """The primitive integer q with q(t) = c p((A + E t) / B) for one c > 0.
+
+    B^d p((A + y) / B) = r(A + y) for the integer r(z) = sum p_i B^(d-i) z^i:
+    one Taylor shift by the integer A, in d(d+1)/2 multiply-adds (Horner's
+    scheme; von zur Gathen & Gerhard, ISSAC 1997), then y = E t.
+    """
+    a, e, b = frame
+    ints = _primitive(p)
+    d = len(ints) - 1
+    r = [c * b ** (d - i) for i, c in enumerate(ints)]
+    for i in range(d):
+        acc = r[d]
+        for j in range(d - 1, i - 1, -1):
+            acc = r[j] = r[j] + a * acc
+    q = [c * e**i for i, c in enumerate(r)]
+    g = gcd(*q)
+    return tuple(c // g for c in q)
 
 
 # The Sturm route is the bracket oracle in tests/oracles.py; bench/spans.py looks
@@ -117,80 +152,109 @@ class LargestRootIsolator:
 
     The contract: every complex root of p has real part at most rho, as
     every eigenvalue z of a nonnegative matrix has (Perron-Frobenius:
-    Re z <= |z| <= rho).  Built once per polynomial: the Fourier sequence
-    p, p', ..., p^(n) of the primitive integer p and the start bracket.
-    With zeros dropped, the variations V(x) at x are those of the Taylor
-    coefficients of p(x + t) = c * prod (t + x - r) * prod ((t + x - a)^2
-    + b^2) over the real roots r and the complex pairs a +- bi.  For
-    x >= rho every factor but c has nonnegative coefficients, so V(x) = 0,
-    and p(x) = 0 exactly when x = rho; for x < rho, p(x + t) has the
-    positive root rho - x, so V(x) >= 1, and V(x) = 1 means rho is simple
-    and the only real root above x (Descartes' rule of signs).  Every query
-    walks the one bisection path from the start bracket, whose states
-    ``(lo, hi, V(lo))``, or ``(rho, rho, 0)`` once a midpoint is rho, are
-    kept in a tuple only ever replaced whole by a longer one: a query probes
+    Re z <= |z| <= rho).  Built once per polynomial: the integer q of
+    ``_on_unit_interval``, a positive multiple of p(lo + (hi - lo) t), whose
+    largest real root lies in (0, 1], and its Fourier sequence q, q', ...,
+    q^(n).  Each q^(j)(t) is a positive multiple of p^(j)(x) at
+    x = lo + (hi - lo) t, so the sign variations V at t are those of p, p',
+    ..., p^(n) at x, which are those of the Taylor coefficients of
+    p(x + s) = c * prod (s + x - r) * prod ((s + x - a)^2 + b^2) over the
+    real roots r and the complex pairs a +- bi.  For x >= rho every factor
+    but c has nonnegative coefficients, so V(x) = 0, and p(x) = 0 exactly
+    when x = rho; for x < rho, p(x + s) has the positive root rho - x, so
+    V(x) >= 1, and V(x) = 1 means rho is simple and the only real root
+    above x (Descartes' rule of signs).
+
+    Every query walks the one bisection path from the start bracket.  Its
+    state at level s is ``(k, V(k / 2^s))`` for the cell
+    (k / 2^s, (k + 1) / 2^s] of t, or ``(k, 0)`` for the point k / 2^s once
+    a midpoint is rho, so a probe needs integers only.  The states are kept
+    in a tuple only ever replaced whole by a longer one: a query probes
     only past what earlier ones walked, threads that race on one isolator
     can at most repeat steps, and no answer depends on the order of
     queries.  The caller must supply rational bounds lo < hi such that rho
     lies in (lo, hi] and p(lo) != 0.
     """
 
-    __slots__ = ("chain", "lo", "hi", "_path")
+    __slots__ = ("chain", "lo", "hi", "_frame", "_path")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
         if degree(p) < 1:
             raise ValueError("need a nonconstant polynomial")
-        self.chain = [_primitive(p)]
+        if not lo < hi:
+            raise ValueError("no real root in the given range")
+        self._frame = _frame(lo, hi)
+        self.chain = [_on_unit_interval(p, self._frame)]
         while len(self.chain[-1]) > 1:
             self.chain.append(derivative(self.chain[-1]))
         self.lo = lo
         self.hi = hi
-        lo_is_root, above_lo = self._probe(lo)
+        # at t = 0 and t = 1, q^(j) is j! times its coefficient of t^j and the sum of its coefficients
+        lo_is_root, above_lo = _root_and_variations([q[0] for q in self.chain])
         if lo_is_root:
             raise ValueError("lower bound must not be a root")
-        at_hi = self._probe(hi)
+        at_hi = _root_and_variations([sum(q) for q in self.chain])
         if above_lo <= at_hi[1]:  # Budan-Fourier: no root in (lo, hi]
             raise ValueError("no real root in the given range")
-        self._path = ((hi, hi, 0) if at_hi == (True, 0) else (lo, hi, above_lo),)
+        self._path = ((1, 0) if at_hi == (True, 0) else (0, above_lo),)
+
+    def _t(self, x: Fraction) -> tuple[int, int]:
+        """t = (B x - A) / E of x, as a numerator and a positive denominator, unreduced."""
+        a, e, b = self._frame
+        return b * x.numerator - a * x.denominator, e * x.denominator
+
+    def _x(self, k: int, level: int) -> Fraction:
+        a, e, b = self._frame
+        return Fraction((a << level) + e * k, b << level)
+
+    def _probe_at(self, a: int, b: int) -> tuple[bool, int]:
+        return _root_and_variations([_value(q, a, b) for q in self.chain])
 
     def _probe(self, x: Fraction) -> tuple[bool, int]:
         """Whether x is a root, and V(x), positive exactly when rho lies above x."""
-        signs = _signs_at(self.chain, x)
-        return signs[0] == 0, _variations(signs)
+        return self._probe_at(*self._t(x))
 
-    def _is_largest_root(self, x: Fraction) -> bool:
+    def _is_largest_root(self, a: int, b: int) -> bool:
+        """Whether t = a/b is rho: q alone first, the whole sequence only at a root of q."""
         # rho lies in the closure of every state of the path, and is its last one's once hit
-        lo, hi, _ = self._path[-1]
-        return lo <= x <= hi and (lo == hi or self._probe(x) == (True, 0))
+        k, above = self._path[-1]
+        at = a << (len(self._path) - 1)
+        if not above:
+            return at == k * b
+        if not k * b <= at <= (k + 1) * b or _value(self.chain[0], a, b):
+            return False
+        return self._probe_at(a, b)[1] == 0
 
-    def _step(self, lo: Fraction, hi: Fraction, above: int) -> tuple[Fraction, Fraction, int]:
-        """The path's state after ``(lo, hi, above)``: one probe at the midpoint."""
-        mid = (lo + hi) / 2
+    def _step(self, level: int, k: int, above: int) -> tuple[int, int]:
+        """The path's state after ``(k, above)`` at ``level``: one probe at the midpoint."""
+        mid, shift = 2 * k + 1, level + 1
         if above == 1:
-            # V(lo) = 1: rho alone is above lo, and simple, so p has the sign of
-            # its leading coefficient above rho and the other sign in (lo, rho)
-            sign = _signs_at(self.chain[:1], mid)[0]
-            is_root, count = sign == 0, int(sign == (-1 if self.chain[0][-1] > 0 else 1))
+            # V = 1 at the cell's lower end: rho alone is above it, and simple, so q has
+            # the sign of its leading coefficient above rho and the other sign below
+            value = _dyadic_value(self.chain[0], mid, shift)
+            is_root, count = value == 0, int(value < 0 if self.chain[0][-1] > 0 else value > 0)
         else:
-            is_root, count = self._probe(mid)
+            is_root, count = _root_and_variations([_dyadic_value(q, mid, shift) for q in self.chain])
         if count:
-            return (mid, hi, count)
-        return (mid, mid, 0) if is_root else (lo, mid, above)
+            return (mid, count)
+        return (mid, 0) if is_root else (2 * k, above)
 
     def _bisect(self, done) -> tuple[Fraction, Fraction]:
-        """Walk the path to its first state with ``done(lo, hi)``; exact roots snap to points."""
-        path, k = list(self._path), 0
-        lo, hi, above = path[0]
-        while lo < hi and not done(lo, hi):
-            k += 1
-            if k == len(path):
-                path.append(self._step(lo, hi, above))
-            lo, hi, above = path[k]
+        """Walk the path to its first state with ``done(level, k)``; exact roots snap to points."""
+        path, level = list(self._path), 0
+        k, above = path[0]
+        while above and not done(level, k):
+            level += 1
+            if level == len(path):
+                path.append(self._step(level - 1, k, above))
+            k, above = path[level]
         if len(path) > len(self._path):
             self._path = tuple(path)
+        lo = self._x(k, level)
+        hi = self._x(k + 1, level) if above else lo
         # snap to the simplest rational in the bracket if it is the root itself
         cand = simplest_rational_between(lo, hi)
-        if lo < cand and self._is_largest_root(cand):
+        if lo < cand and self._is_largest_root(*self._t(cand)):
             return (cand, cand)
         return (lo, hi)
 
@@ -198,7 +262,11 @@ class LargestRootIsolator:
         """A bracket of width at most ``width``; exact roots snap to points."""
         if width <= 0:
             raise ValueError("width must be positive")
-        return self._bisect(lambda lo, hi: hi - lo <= width)
+        # the least level whose cells, E / (B 2^level) wide, are at most ``width``
+        _, e, b = self._frame
+        width = Fraction(width)
+        stop = (-(-e * width.denominator // (b * width.numerator)) - 1).bit_length()
+        return self._bisect(lambda level, k: level >= stop)
 
     def refine_until_separated_from(self, point: Fraction) -> tuple[Fraction, Fraction]:
         """A bracket whose closure excludes ``point``.
@@ -208,8 +276,9 @@ class LargestRootIsolator:
         is the root itself, which no bracket excludes; otherwise bisection
         converges to the root and so ends.
         """
-        if not self.lo <= point <= self.hi and self._path[0][0] < self._path[0][1]:
+        if not self.lo <= point <= self.hi and self._path[0][1]:
             return (self.lo, self.hi)
-        if self._is_largest_root(point):
+        a, b = self._t(point)
+        if self._is_largest_root(a, b):
             raise ValueError("point is the largest root")
-        return self._bisect(lambda lo, hi: not lo <= point <= hi)
+        return self._bisect(lambda level, k: not k * b <= a << level <= (k + 1) * b)

@@ -580,7 +580,8 @@ def imprimitive_block_decomposition(m: NonnegMatrix) -> ImprimitiveDecomposition
     the least power of m**h whose class blocks are all positive, while every
     block between two classes stays zero.  Only that one power is computed
     in integers, and its support is checked exactly against the class
-    pattern before the blocks are cut out of it.
+    pattern before the blocks are cut out of it; for h = 1 the one block
+    is that power itself, already reduced.
     """
     h, classes, j = _cyclic_structure(m)
     k = h * j
@@ -592,7 +593,7 @@ def imprimitive_block_decomposition(m: NonnegMatrix) -> ImprimitiveDecomposition
         exponent=k,
         permutation=tuple(v for cls in classes for v in cls),
         block_sizes=tuple(len(cls) for cls in classes),
-        blocks=tuple(mk.submatrix(cls) for cls in classes),
+        blocks=(mk,) if h == 1 else tuple(mk.submatrix(cls) for cls in classes),
     )
 
 

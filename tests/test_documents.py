@@ -9,6 +9,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
+import oracles
 from oracles import dumps_by_json, matrix_input_by_fractions, validation_error_by_interpreter
 from referencing import Registry, Resource
 
@@ -488,9 +489,40 @@ _ENTRIES = st.one_of(REPLACEMENTS, st.integers(-3, 3), st.sampled_from(["-3/4", 
     st.one_of(_ENTRIES, st.lists(st.one_of(_ENTRIES, st.lists(_ENTRIES, max_size=3)), max_size=3)),
     st.sampled_from(["", "matrix", "--width"]),
 )
+# values of no branch's type, and values that fail inside the string branch
+@example("rational", True, "--width")
+@example("rational", 1.5, "")
+@example("rational", None, "matrix")
+@example("rational", [1], "")
+@example("rational", "1/2\n", "--width")
+@example("rational", "0.5", "")
+@example("rationalMatrix", [[True, "0.5"], [None, 1.5]], "matrix")
 def test_validator_matches_the_interpreter_on_bare_matrices_and_rationals(name, value, where):
     ref = f"common.schema.json#/$defs/{name}"
     assert _validation_error(value, ref, where) == validation_error_by_interpreter(value, ref, where)
+
+
+#: oneOf nodes with typed branches, kept alive for the checkers cached by id: ``rational``
+#: without its description, a branch that fails deeper than the value, and one branch alone
+#: with and without a description
+_TYPED_ONE_OF = (
+    {"oneOf": [{"type": "integer"}, {"type": "string", "pattern": "^-?[0-9]+(/[0-9]+)?$"}]},
+    {"oneOf": [{"type": "string", "minLength": 2}, {"type": "array", "items": {"type": "integer"}}]},
+    {"type": "array", "items": {"oneOf": [{"type": "integer", "minimum": 2}]}},
+    {"description": "a list of integers", "oneOf": [{"type": "array", "items": {"type": "integer"}}]},
+)
+
+
+@pytest.mark.parametrize("schema", _TYPED_ONE_OF)
+@pytest.mark.parametrize("value", [True, 1.5, None, 1, 0, "1/2", "1/2\n", "0.5", "", [], [1, "x"], [[1]], {}])
+def test_typed_one_of_matches_the_interpreter_with_or_without_a_description(schema, value):
+    error = documents._checker(schema)(value)
+    if error is not None:
+        where = ""
+        for key in reversed(error[0]):
+            where = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}" if where else key
+        error = (where, error[1])
+    assert error == oracles._check(value, schema, "", "")
 
 
 def test_one_of_takes_the_failure_with_the_most_path_keys_not_characters():

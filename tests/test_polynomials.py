@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,9 @@ from oracles import (
 )
 from thurston_obstruct.polynomials import (
     LargestRootIsolator,
+    _frame,
+    _on_unit_interval,
+    degree,
     poly,
     simplest_rational_between,
 )
@@ -179,7 +183,7 @@ def test_isolator_probes_match_fraction_sturm_oracle(case, points):
         assert variations != 1 or above == 1, x
 
 
-BISECTION_WIDTHS = (F(4), F(1), F(1, 7), F(1, 1000), F(1, 10**9))
+BISECTION_WIDTHS = (F(4), F(1), F(1, 7), F(1, 1000), F(1, 10**9), F(1, 10**60), F(1, 2**200))
 
 
 @given(factored_polynomials(), st.lists(small_rationals, max_size=6))
@@ -188,14 +192,35 @@ def test_sign_only_bisection_matches_the_full_chain_route(case, points):
     # several distinct roots and repeated factors: the full-sequence phase runs
     # before the single-sign one, and the Sturm chain over Fractions probes
     # every step of the same midpoints
-    p, _ = case
+    p, roots = case
     bound = cauchy_root_bound(p)
     iso, oracle = LargestRootIsolator(p, -bound, bound), FractionRootIsolator(p, -bound, bound)
     for width in BISECTION_WIDTHS:
         assert iso.refine_to_width(width) == oracle.refine_to_width(width), width
-    for x in points + [-bound, F(0), bound]:
+    # 10^-50 off a root: about 170 halvings before the bracket excludes the point
+    near = [r[1] + d for r in roots if r[0] == "rational" for d in (F(1, 10**50), -F(1, 10**50))]
+    for x in points + near + [-bound, F(0), bound]:
         if oracle.probe(x) == (True, 0):  # the root itself cannot be separated from
             with pytest.raises(ValueError):
                 iso.refine_until_separated_from(x)
         else:
             assert iso.refine_until_separated_from(x) == oracle.refine_until_separated_from(x), x
+
+
+@given(
+    factored_polynomials(),
+    st.fractions(min_value=-8, max_value=8, max_denominator=10**6),
+    st.fractions(min_value=0, max_value=20, max_denominator=10**6).filter(lambda x: x > 0),
+    st.lists(st.fractions(min_value=-2, max_value=3, max_denominator=10**9), min_size=1, max_size=6),
+)
+@settings(max_examples=150, deadline=None)
+def test_unit_interval_polynomial_is_a_positive_multiple_of_p(case, lo, width, ts):
+    # q(t) = c * p(lo + width * t) with one c > 0, read off the leading coefficients,
+    # and q primitive: the isolator's probes take the signs of p and its derivatives
+    p, _ = case
+    q = _on_unit_interval(p, _frame(lo, lo + width))
+    assert len(q) == len(p) and all(type(c) is int for c in q) and gcd(*q) == 1
+    c = q[-1] / (p[-1] * width ** degree(p))
+    assert c > 0
+    for t in ts + [F(0), F(1)]:
+        assert evaluate(poly(q), t) == c * evaluate(p, lo + width * t), t

@@ -425,6 +425,23 @@ def test_imprimitive_decomposition_examples():
     assert len(fib.blocks) == 1 and fib.blocks[0].is_positive()
 
 
+def test_primitive_decomposition_is_the_power_itself():
+    # h = 1: the one block is the reduced power, with no submatrix copied out of it
+    rng = random.Random(7)
+    refuse, seen = AssertionError("submatrix called"), 0
+    for _ in range(20):
+        m = _random_irreducible(rng, rng.randint(1, 6), values=(0, 1, 2, F(1, 2)))
+        if not is_primitive(m):
+            continue
+        seen += 1
+        k = power_positive_exponent(m)
+        with mock.patch.object(NonnegMatrix, "submatrix", side_effect=refuse):
+            dec = imprimitive_block_decomposition(m)
+        assert (dec.exponent, dec.permutation, dec.block_sizes) == (k, tuple(range(m.n)), (m.n,))
+        assert dec.blocks == (m.pow(k).submatrix(range(m.n)),)
+    assert seen >= 10
+
+
 def test_imprimitive_decomposition_rejects_reducible():
     with pytest.raises(PreconditionError):
         imprimitive_block_decomposition(NonnegMatrix([[1, 0], [1, 1]]))
@@ -741,10 +758,10 @@ def _fresh_isolator(m):
 
 
 def _counted(query):
-    """The query's answer and the number of ``_signs_at`` calls it made."""
-    with mock.patch.object(polynomials, "_signs_at", wraps=polynomials._signs_at) as signs:
+    """The query's answer and the number of dyadic probe evaluations it made."""
+    with mock.patch.object(polynomials, "_dyadic_value", wraps=polynomials._dyadic_value) as probes:
         answer = query()
-    return answer, signs.call_count
+    return answer, probes.call_count
 
 
 def test_separation_after_a_width_query_reuses_the_walked_path():
