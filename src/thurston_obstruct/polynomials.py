@@ -3,18 +3,18 @@
 Polynomials are tuples of coefficients, lowest degree first, with no
 trailing zeros; the zero polynomial is the empty tuple.  ``charpoly``
 hands over rational (``Fraction``) coefficients.  ``LargestRootIsolator``
-clears them once and maps its start bracket [lo, hi] onto [0, 1]: one
-Taylor shift gives the primitive integer q(t) = c p(lo + (hi - lo) t),
-c > 0, as in the unit-interval step of Descartes-method isolators
-(Collins & Akritas, SYMSAC 1976; von zur Gathen & Gerhard, ISSAC 1997).
-From there on everything runs over the integers.  The Fourier sequence is
-q and its successive derivatives, whose signs at t are those of p, p',
-..., p^(n) at x = lo + (hi - lo) t, and so those of the Taylor
-coefficients of p(x + s): their sign variations bound the real roots
-above x (Descartes' rule of signs; Budan-Fourier).  Bisection probes only
-t = m / 2^k, where each sign is that of the integer 2^(k deg) q(m / 2^k),
-Horner's rule with shifts; a ``Fraction`` is built only for a returned
-bracket and for the snap to an exact root.  All verdicts are exact.
+clears them once and maps its start bracket [lo, hi] onto [0, 1], as in
+the unit-interval step of Descartes-method isolators (Collins & Akritas,
+SYMSAC 1976): the primitive integer q(t) = c p(lo + (hi - lo) t), c > 0,
+is the one polynomial it keeps, and from there on everything runs over
+the integers.  One Taylor shift, ``_taylor``, builds q and decides every
+probe that needs more than q's sign: the Taylor coefficients of q at t
+have the signs of q, q', ..., q^(n) at t, so of p, p', ..., p^(n) at
+x = lo + (hi - lo) t, and their sign variations bound the real roots above
+x (Descartes' rule of signs; Budan-Fourier).  Bisection probes only
+t = m / 2^k; where q's sign alone decides, it is that of the integer
+2^(k deg) q(m / 2^k), Horner's rule with shifts.  A ``Fraction`` is built only for a returned bracket
+and for the snap to an exact root.  All verdicts are exact.
 
 ``sturm_chain``, ``squarefree_part`` and ``count_roots_between`` are
 stubs that raise: the Sturm route is only the bracket oracle in
@@ -37,13 +37,11 @@ def poly(coeffs) -> Poly:
     return tuple(cs)
 
 
-def degree(p) -> int:
-    """Degree, with the zero polynomial at -1."""
-    return len(p) - 1
-
-
-def derivative(p):
-    return tuple(i * c for i, c in enumerate(p) if i)
+def _as_fraction(value, what: str) -> Fraction:
+    """``value`` as a ``Fraction``; a float, which carries no exact rational, raises ``TypeError``."""
+    if isinstance(value, float):
+        raise TypeError(f"floating-point {what} are not accepted")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def _primitive(p) -> tuple[int, ...]:
@@ -86,22 +84,28 @@ def _frame(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
     return lo.numerator * (den // lo.denominator), width.numerator * (den // width.denominator), den
 
 
-def _on_unit_interval(p: Poly, frame: tuple[int, int, int]) -> tuple[int, ...]:
-    """The primitive integer q with q(t) = c p((A + E t) / B) for one c > 0.
+def _taylor(q: tuple[int, ...], a: int, b: int) -> list[int]:
+    """The coefficients of b^d q((a + y) / b) in y for b > 0, lowest first.
 
-    B^d p((A + y) / B) = r(A + y) for the integer r(z) = sum p_i B^(d-i) z^i:
-    one Taylor shift by the integer A, in d(d+1)/2 multiply-adds (Horner's
-    scheme; von zur Gathen & Gerhard, ISSAC 1997), then y = E t.
+    b^d q((a + y) / b) = r(a + y) for the integer r(z) = sum q_i b^(d-i) z^i:
+    one Taylor shift by the integer a, in d(d+1)/2 multiply-adds (Horner's
+    scheme; von zur Gathen & Gerhard, ISSAC 1997).  Coefficient j is
+    b^(d-j) q^(j)(a/b) / j!, so it has the sign of q^(j) at a/b.
     """
-    a, e, b = frame
-    ints = _primitive(p)
-    d = len(ints) - 1
-    r = [c * b ** (d - i) for i, c in enumerate(ints)]
+    d = len(q) - 1
+    z = (b & -b).bit_length() - 1  # b = odd 2^z: a bisection midpoint's b = 2^z scales by shifts alone
+    r = [c * (b >> z) ** (d - i) << z * (d - i) for i, c in enumerate(q)]
     for i in range(d):
         acc = r[d]
         for j in range(d - 1, i - 1, -1):
             acc = r[j] = r[j] + a * acc
-    q = [c * e**i for i, c in enumerate(r)]
+    return r
+
+
+def _on_unit_interval(p: Poly, frame: tuple[int, int, int]) -> tuple[int, ...]:
+    """The primitive integer q with q(t) = c p((A + E t) / B) for one c > 0: y = E t in ``_taylor``."""
+    a, e, b = frame
+    q = [c * e**i for i, c in enumerate(_taylor(_primitive(p), a, b))]
     g = gcd(*q)
     return tuple(c // g for c in q)
 
@@ -152,12 +156,11 @@ class LargestRootIsolator:
 
     The contract: every complex root of p has real part at most rho, as
     every eigenvalue z of a nonnegative matrix has (Perron-Frobenius:
-    Re z <= |z| <= rho).  Built once per polynomial: the integer q of
-    ``_on_unit_interval``, a positive multiple of p(lo + (hi - lo) t), whose
-    largest real root lies in (0, 1], and its Fourier sequence q, q', ...,
-    q^(n).  Each q^(j)(t) is a positive multiple of p^(j)(x) at
-    x = lo + (hi - lo) t, so the sign variations V at t are those of p, p',
-    ..., p^(n) at x, which are those of the Taylor coefficients of
+    Re z <= |z| <= rho).  Built once per polynomial, it keeps one integer
+    polynomial: the q of ``_on_unit_interval``, a positive multiple of
+    p(lo + (hi - lo) t), whose largest real root lies in (0, 1].  V at t
+    counts the sign variations of the Taylor coefficients of q(t + y),
+    positive multiples of those of p(x + s) at x = lo + (hi - lo) t, where
     p(x + s) = c * prod (s + x - r) * prod ((s + x - a)^2 + b^2) over the
     real roots r and the complex pairs a +- bi.  For x >= rho every factor
     but c has nonnegative coefficients, so V(x) = 0, and p(x) = 0 exactly
@@ -176,24 +179,20 @@ class LargestRootIsolator:
     lies in (lo, hi] and p(lo) != 0.
     """
 
-    __slots__ = ("chain", "lo", "hi", "_frame", "_path")
+    __slots__ = ("q", "lo", "hi", "_frame", "_path")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
-        if degree(p) < 1:
+        if len(p) < 2:
             raise ValueError("need a nonconstant polynomial")
         if not lo < hi:
             raise ValueError("no real root in the given range")
         self._frame = _frame(lo, hi)
-        self.chain = [_on_unit_interval(p, self._frame)]
-        while len(self.chain[-1]) > 1:
-            self.chain.append(derivative(self.chain[-1]))
-        self.lo = lo
-        self.hi = hi
-        # at t = 0 and t = 1, q^(j) is j! times its coefficient of t^j and the sum of its coefficients
-        lo_is_root, above_lo = _root_and_variations([q[0] for q in self.chain])
+        self.q = _on_unit_interval(p, self._frame)
+        self.lo, self.hi = lo, hi
+        lo_is_root, above_lo = _root_and_variations(list(self.q))
         if lo_is_root:
             raise ValueError("lower bound must not be a root")
-        at_hi = _root_and_variations([sum(q) for q in self.chain])
+        at_hi = self._probe_at(1, 1)
         if above_lo <= at_hi[1]:  # Budan-Fourier: no root in (lo, hi]
             raise ValueError("no real root in the given range")
         self._path = ((1, 0) if at_hi == (True, 0) else (0, above_lo),)
@@ -208,20 +207,17 @@ class LargestRootIsolator:
         return Fraction((a << level) + e * k, b << level)
 
     def _probe_at(self, a: int, b: int) -> tuple[bool, int]:
-        return _root_and_variations([_value(q, a, b) for q in self.chain])
-
-    def _probe(self, x: Fraction) -> tuple[bool, int]:
-        """Whether x is a root, and V(x), positive exactly when rho lies above x."""
-        return self._probe_at(*self._t(x))
+        """Whether t = a/b is a root of q, and V there, positive exactly when rho lies above."""
+        return _root_and_variations(_taylor(self.q, a, b))
 
     def _is_largest_root(self, a: int, b: int) -> bool:
-        """Whether t = a/b is rho: q alone first, the whole sequence only at a root of q."""
+        """Whether t = a/b is rho: q alone first, every sign only at a root of q."""
         # rho lies in the closure of every state of the path, and is its last one's once hit
         k, above = self._path[-1]
         at = a << (len(self._path) - 1)
         if not above:
             return at == k * b
-        if not k * b <= at <= (k + 1) * b or _value(self.chain[0], a, b):
+        if not k * b <= at <= (k + 1) * b or _value(self.q, a, b):
             return False
         return self._probe_at(a, b)[1] == 0
 
@@ -231,10 +227,10 @@ class LargestRootIsolator:
         if above == 1:
             # V = 1 at the cell's lower end: rho alone is above it, and simple, so q has
             # the sign of its leading coefficient above rho and the other sign below
-            value = _dyadic_value(self.chain[0], mid, shift)
-            is_root, count = value == 0, int(value < 0 if self.chain[0][-1] > 0 else value > 0)
+            value = _dyadic_value(self.q, mid, shift)
+            is_root, count = value == 0, int(value < 0 if self.q[-1] > 0 else value > 0)
         else:
-            is_root, count = _root_and_variations([_dyadic_value(q, mid, shift) for q in self.chain])
+            is_root, count = self._probe_at(mid, 1 << shift)
         if count:
             return (mid, count)
         return (mid, 0) if is_root else (2 * k, above)
@@ -259,12 +255,12 @@ class LargestRootIsolator:
         return (lo, hi)
 
     def refine_to_width(self, width: Fraction) -> tuple[Fraction, Fraction]:
-        """A bracket of width at most ``width``; exact roots snap to points."""
+        """A bracket of width at most ``width``; exact roots snap to points.  A float raises ``TypeError``."""
+        width = _as_fraction(width, "widths")
         if width <= 0:
             raise ValueError("width must be positive")
         # the least level whose cells, E / (B 2^level) wide, are at most ``width``
         _, e, b = self._frame
-        width = Fraction(width)
         stop = (-(-e * width.denominator // (b * width.numerator)) - 1).bit_length()
         return self._bisect(lambda level, k: level >= stop)
 
@@ -274,8 +270,9 @@ class LargestRootIsolator:
         A start bracket that already excludes ``point`` is returned as it is,
         unless its upper end is the root.  Raises ``ValueError`` when ``point``
         is the root itself, which no bracket excludes; otherwise bisection
-        converges to the root and so ends.
+        converges to the root and so ends.  A float raises ``TypeError``.
         """
+        point = _as_fraction(point, "points")
         if not self.lo <= point <= self.hi and self._path[0][1]:
             return (self.lo, self.hi)
         a, b = self._t(point)

@@ -18,17 +18,11 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._records import record
-from .polynomials import LargestRootIsolator, Poly, _primitive, poly
+from .polynomials import LargestRootIsolator, Poly, _as_fraction, _primitive, poly
 
 
 class PreconditionError(ValueError):
     """An operation was invoked outside its documented domain."""
-
-
-def _as_fraction(value) -> Fraction:
-    if isinstance(value, float):
-        raise TypeError("floating-point matrix entries are not accepted")
-    return value if type(value) is Fraction else Fraction(value)
 
 
 class NonnegMatrix:
@@ -45,7 +39,7 @@ class NonnegMatrix:
     __slots__ = ("scale", "ints", "n", "_rows", "_profile", "_isolator", "_cyclic")
 
     def __init__(self, rows: Iterable[Iterable]):
-        mat = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
+        mat = tuple(tuple(_as_fraction(x, "matrix entries") for x in row) for row in rows)
         for row in mat:
             if len(row) != len(mat):
                 raise ValueError("matrix must be square")
@@ -511,9 +505,10 @@ def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fract
     intervals, since every result contains the eigenvalue itself.  At
     rho = 1 a width below 1 needs no characteristic polynomial: 1 is the
     only integer in a bisection bracket that narrow, so a midpoint or the
-    final snap to the simplest rational lands on it.
+    final snap to the simplest rational lands on it.  A float width raises
+    ``TypeError``, as a float matrix entry does.
     """
-    width = Fraction(width)
+    width = _as_fraction(width, "widths")
     if width <= 0:
         raise PreconditionError("width must be positive")
     if width < Fraction(1, 2**4096):  # the bisection's cost grows with the square of its digits
@@ -531,8 +526,10 @@ def spectral_radius_class(m: NonnegMatrix) -> SpectralClass:
     The tag comes from ``spectral_tag`` (M-matrix leading minors, Berman &
     Plemmons ch. 6, by Bareiss elimination).  The bracket is only printed:
     it is [1, 1] in the exact case, and otherwise bisection from (-rs-1, rs],
-    rs the largest row sum, by the signs of the characteristic polynomial and
-    its derivatives, shrinks it until it lies strictly on the tag's side of 1.
+    rs the largest row sum, shrinks it until it lies strictly on the tag's
+    side of 1.  Each probe takes the signs of the characteristic polynomial
+    and its derivatives from its Taylor coefficients at the probed point
+    (see ``polynomials``).
     """
     one = Fraction(1)
     if m.n == 0:

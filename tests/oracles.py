@@ -31,13 +31,7 @@ from thurston_obstruct import (
 from thurston_obstruct import orbifold, slopes, spectral, tables
 from thurston_obstruct.documents import _echo
 from thurston_obstruct.spectral import cyclic_classes
-from thurston_obstruct.polynomials import (
-    Poly,
-    _primitive,
-    degree,
-    derivative,
-    poly,
-)
+from thurston_obstruct.polynomials import Poly, _primitive, poly
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -687,6 +681,15 @@ def mul(p: Poly, q: Poly) -> Poly:
     return poly(out)
 
 
+def degree(p: Poly) -> int:
+    """Degree, with the zero polynomial at -1."""
+    return len(p) - 1
+
+
+def derivative(p: Poly) -> Poly:
+    return tuple(i * c for i, c in enumerate(p) if i)
+
+
 def scale(p: Poly, c: Fraction) -> Poly:
     if c == 0:
         return ()
@@ -783,6 +786,29 @@ def _variations_of(positive: list[bool]) -> int:
 
 def _sign_variations(chain: list[Poly], x: Fraction) -> int:
     return _variations_of([v > 0 for v in (evaluate(q, x) for q in chain) if v != 0])
+
+
+def fourier_sign_count(q: Poly, t: Fraction) -> tuple[bool, int]:
+    """Whether t is a root of q, and the sign variations of q, q', ..., q^(n) at t, zeros dropped.
+
+    The derivative chain evaluated member by member over Fractions: the
+    route the isolator's one Taylor shift per probe replaced.
+    """
+    chain = [q]
+    while len(chain[-1]) > 1:
+        chain.append(derivative(chain[-1]))
+    values = [evaluate(f, t) for f in chain]
+    return values[0] == 0, _variations_of([v > 0 for v in values if v])
+
+
+def _homogeneous_value(q: tuple[int, ...], x: Fraction) -> int:
+    """b^deg q(a/b) for an integer polynomial q and x = a/b, b > 0, by Horner's rule."""
+    a, b = x.numerator, x.denominator
+    acc, power = q[-1], 1
+    for c in q[-2::-1]:
+        power *= b
+        acc = acc * a + c * power
+    return acc
 
 
 def count_roots_by_evaluation(chain: list[Poly], a: Fraction, b: Fraction) -> int:
@@ -887,23 +913,28 @@ class DeflatingRootIsolator:
 
 
 class FractionRootIsolator:
-    """The largest-root isolator over Fractions: squarefree part by a gcd
-    Euclid, a second Euclid for its Sturm chain, and Horner over Fractions
-    at every probe.  Immutable, one chain evaluation per bisection step,
-    and the midpoints and snap of ``LargestRootIsolator``.  Its bracket
-    contract, the largest real root in (lo, hi] and p(lo) != 0, but for any
-    polynomial, like ``DeflatingRootIsolator``.
+    """The largest-root isolator with a Sturm chain over Fractions:
+    squarefree part by a gcd Euclid, a second Euclid for its Sturm chain,
+    whose members are integer-valued after ``primitive_fractions``, and at
+    every probe x = a/b the sign of each integer b^deg q(a/b).  Immutable,
+    one chain evaluation per bisection step, and the midpoints and snap of
+    ``LargestRootIsolator``.  Its bracket contract, the largest real root
+    in (lo, hi] and p(lo) != 0, but for any polynomial, like
+    ``DeflatingRootIsolator``.
     """
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
-        self.chain = sturm_chain_by_division(squarefree_part_by_gcd(p))
+        chain = sturm_chain_by_division(squarefree_part_by_gcd(p))
+        assert all(c.denominator == 1 for q in chain for c in q)
+        self.chain = [tuple(c.numerator for c in q) for q in chain]
         self.v_inf = _variations_of([q[-1] > 0 for q in self.chain])
         self.lo, self.hi = lo, hi
         assert self.probe(lo)[0] is False and self.probe(lo)[1] > self.probe(hi)[1]
 
     def probe(self, x: Fraction) -> tuple[bool, int]:
         """Whether x is a root, and the number of distinct roots in (x, +inf)."""
-        return evaluate(self.chain[0], x) == 0, _sign_variations(self.chain, x) - self.v_inf
+        values = [_homogeneous_value(q, x) for q in self.chain]
+        return values[0] == 0, _variations_of([v > 0 for v in values if v]) - self.v_inf
 
     def _bisect(self, done) -> tuple[Fraction, Fraction]:
         lo, hi = self.lo, self.hi

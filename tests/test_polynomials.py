@@ -8,8 +8,10 @@ from hypothesis import given, settings, strategies as st
 from oracles import (
     FractionRootIsolator,
     cauchy_root_bound,
+    degree,
     divmod_poly,
     evaluate,
+    fourier_sign_count,
     gcd_poly,
     mul,
     roots_strictly_above,
@@ -19,7 +21,6 @@ from thurston_obstruct.polynomials import (
     LargestRootIsolator,
     _frame,
     _on_unit_interval,
-    degree,
     poly,
     simplest_rational_between,
 )
@@ -67,6 +68,16 @@ def test_isolator_separates_from_point():
     iso = LargestRootIsolator(p, F(-3), F(3))
     lo, hi = iso.refine_until_separated_from(F(1))
     assert lo > 1
+
+
+def test_isolator_refuses_float_widths_and_points():
+    # a float carries no exact rational: 0.1 would be read as 3602879701896397/2^55
+    iso = LargestRootIsolator(poly([F(-2), F(0), F(1)]), F(-3), F(3))
+    with pytest.raises(TypeError, match="^floating-point widths are not accepted$"):
+        iso.refine_to_width(0.1)
+    with pytest.raises(TypeError, match="^floating-point points are not accepted$"):
+        iso.refine_until_separated_from(0.5)
+    assert iso.refine_until_separated_from(1) == iso.refine_until_separated_from(F(1))
 
 
 def test_simplest_rational():
@@ -160,19 +171,32 @@ def _above(root, x: Fraction) -> bool:
     return x < 0 or x * x < s if sign > 0 else x < 0 and x * x > s
 
 
-@given(factored_polynomials(), st.lists(small_rationals, max_size=6))
+@given(
+    factored_polynomials(),
+    st.lists(small_rationals, max_size=6),
+    st.lists(st.tuples(st.integers(0, 2**80), st.integers(0, 80)), max_size=4),
+)
 @settings(max_examples=150, deadline=None)
-def test_isolator_probes_match_fraction_sturm_oracle(case, points):
-    # the sign variations V(x) of the Fourier sequence against the Sturm
+def test_isolator_probes_match_fraction_sturm_oracle(case, points, dyadic):
+    # the sign variations V(x) of one Taylor shift of q against the Sturm
     # count over Fractions, at the rational roots and the complex pairs'
-    # real parts too
+    # real parts too, and against q's derivative chain evaluated member by member
     p, roots = case
     bound = cauchy_root_bound(p)
     iso = LargestRootIsolator(p, -bound, bound)
+    # t = 0 and t = 1 as the constructor reads them: q's own coefficients, and one shift
+    at_lo, at_hi = fourier_sign_count(iso.q, F(0)), fourier_sign_count(iso.q, F(1))
+    assert iso._path == ((1, 0) if at_hi == (True, 0) else (0, at_lo[1]),)
     rational_roots = [r[1] for r in roots if r[0] == "rational"]
     real_parts = [r[1] for r in roots if r[0] == "complex"]
-    for x in points + rational_roots + real_parts + [-bound, bound]:
-        is_root, variations = iso._probe(x)
+    probes = [(x, iso._t(x)) for x in points + rational_roots + real_parts + [-bound, bound]]
+    # bisection midpoints t = mid / 2^(s+1), with the integers the multi-sign step passes
+    for m, s in dyadic:
+        mid = 2 * (m % (1 << s)) + 1
+        probes.append((-bound + 2 * bound * F(mid, 2 << s), (mid, 2 << s)))
+    for x, (a, b) in probes:
+        is_root, variations = iso._probe_at(a, b)
+        assert (is_root, variations) == fourier_sign_count(iso.q, F(a, b)), x
         above = sum(k for r, k in roots.items() if _above(r, x))  # with multiplicity
         assert is_root == (evaluate(p, x) == 0) == (x in rational_roots), x
         # V(x) > 0 exactly when the largest real root lies above x

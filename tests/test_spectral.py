@@ -1,3 +1,4 @@
+import contextlib
 import os
 import random
 import subprocess
@@ -245,6 +246,13 @@ def test_interval_width_floor_is_two_to_the_minus_4096():
         for width in (F(1, 2**4096 + 1), F(1, 10**4000)):
             with pytest.raises(PreconditionError, match=r"^width must be at least 2\^-4096$"):
                 leading_eigenvalue_interval(m, width)
+
+
+def test_float_widths_are_refused_like_float_entries():
+    # before the early answers too: an empty matrix, and rho = 1 decided by the tag
+    for m in (NonnegMatrix([[1, 1], [1, 0]]), NonnegMatrix([]), NonnegMatrix([[1]])):
+        with pytest.raises(TypeError, match="^floating-point widths are not accepted$"):
+            leading_eigenvalue_interval(m, 0.1)
 
 
 @given(matrices())
@@ -758,10 +766,14 @@ def _fresh_isolator(m):
 
 
 def _counted(query):
-    """The query's answer and the number of dyadic probe evaluations it made."""
-    with mock.patch.object(polynomials, "_dyadic_value", wraps=polynomials._dyadic_value) as probes:
+    """The query's answer and the number of probe evaluations it made, by every probe routine."""
+    with contextlib.ExitStack() as stack:
+        probes = [
+            stack.enter_context(mock.patch.object(polynomials, name, wraps=getattr(polynomials, name)))
+            for name in ("_dyadic_value", "_taylor", "_value")
+        ]
         answer = query()
-    return answer, probes.call_count
+    return answer, sum(probe.call_count for probe in probes)
 
 
 def test_separation_after_a_width_query_reuses_the_walked_path():
