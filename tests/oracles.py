@@ -797,8 +797,7 @@ def fourier_sign_count(q: Poly, t: Fraction) -> tuple[bool, int]:
     chain = [q]
     while len(chain[-1]) > 1:
         chain.append(derivative(chain[-1]))
-    values = [evaluate(f, t) for f in chain]
-    return values[0] == 0, _variations_of([v > 0 for v in values if v])
+    return evaluate(q, t) == 0, _sign_variations(chain, t)
 
 
 def _homogeneous_value(q: tuple[int, ...], x: Fraction) -> int:
