@@ -169,17 +169,18 @@ class LargestRootIsolator:
     above x (Descartes' rule of signs).
 
     Every query walks the one bisection path from the start bracket.  Its
-    state at level s is ``(k, V(k / 2^s))`` for the cell
-    (k / 2^s, (k + 1) / 2^s] of t, or ``(k, 0)`` for the point k / 2^s once
-    a midpoint is rho, so a probe needs integers only.  The states are kept
-    in a tuple only ever replaced whole by a longer one: a query probes
-    only past what earlier ones walked, threads that race on one isolator
-    can at most repeat steps, and no answer depends on the order of
-    queries.  The caller must supply rational bounds lo < hi such that rho
-    lies in (lo, hi] and p(lo) != 0.
+    state at level s is ``(s, k, V(k / 2^s))`` for the cell
+    (k / 2^s, (k + 1) / 2^s] of t, or ``(s, k, 0)`` for the point k / 2^s
+    once a midpoint is rho, so a probe needs integers only.  The cells are
+    nested, so the deepest state walked is the one kept: the cell at a
+    shallower level l is k >> (s - l).  It is only ever replaced whole by a
+    deeper one: a query probes only past what earlier ones walked, threads
+    that race on one isolator can at most repeat steps, and no answer
+    depends on the order of queries.  The caller must supply rational
+    bounds lo < hi such that rho lies in (lo, hi] and p(lo) != 0.
     """
 
-    __slots__ = ("q", "lo", "hi", "_frame", "_path")
+    __slots__ = ("q", "lo", "hi", "_frame", "_deepest")
 
     def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
         if len(p) < 2:
@@ -195,7 +196,7 @@ class LargestRootIsolator:
         at_hi = self._probe_at(1, 1)
         if above_lo <= at_hi[1]:  # Budan-Fourier: no root in (lo, hi]
             raise ValueError("no real root in the given range")
-        self._path = ((1, 0) if at_hi == (True, 0) else (0, above_lo),)
+        self._deepest = (0, 1, 0) if at_hi == (True, 0) else (0, 0, above_lo)
 
     def _t(self, x: Fraction) -> tuple[int, int]:
         """t = (B x - A) / E of x, as a numerator and a positive denominator, unreduced."""
@@ -212,14 +213,7 @@ class LargestRootIsolator:
 
     def _is_largest_root(self, a: int, b: int) -> bool:
         """Whether t = a/b is rho: q alone first, every sign only at a root of q."""
-        # rho lies in the closure of every state of the path, and is its last one's once hit
-        k, above = self._path[-1]
-        at = a << (len(self._path) - 1)
-        if not above:
-            return at == k * b
-        if not k * b <= at <= (k + 1) * b or _value(self.q, a, b):
-            return False
-        return self._probe_at(a, b)[1] == 0
+        return not _value(self.q, a, b) and self._probe_at(a, b)[1] == 0
 
     def _step(self, level: int, k: int, above: int) -> tuple[int, int]:
         """The path's state after ``(k, above)`` at ``level``: one probe at the midpoint."""
@@ -236,16 +230,19 @@ class LargestRootIsolator:
         return (mid, 0) if is_root else (2 * k, above)
 
     def _bisect(self, done) -> tuple[Fraction, Fraction]:
-        """Walk the path to its first state with ``done(level, k)``; exact roots snap to points."""
-        path, level = list(self._path), 0
-        k, above = path[0]
+        """Walk the path to its first state with ``done(level, k)``; exact roots snap to points.
+
+        Shallower cells are read off the kept state by a shift; only deeper levels are probed.
+        """
+        deepest, k, above = self._deepest
+        level = next((s for s in range(deepest) if done(s, k >> deepest - s)), deepest)
+        if level < deepest:
+            k, above = k >> deepest - level, True
         while above and not done(level, k):
+            k, above = self._step(level, k, above)
             level += 1
-            if level == len(path):
-                path.append(self._step(level - 1, k, above))
-            k, above = path[level]
-        if len(path) > len(self._path):
-            self._path = tuple(path)
+        if level > self._deepest[0]:
+            self._deepest = (level, k, above)
         lo = self._x(k, level)
         hi = self._x(k + 1, level) if above else lo
         # snap to the simplest rational in the bracket if it is the root itself
@@ -273,7 +270,8 @@ class LargestRootIsolator:
         converges to the root and so ends.  A float raises ``TypeError``.
         """
         point = _as_fraction(point, "points")
-        if not self.lo <= point <= self.hi and self._path[0][1]:
+        level, _, above = self._deepest
+        if not self.lo <= point <= self.hi and (level or above):  # the start state is a cell
             return (self.lo, self.hi)
         a, b = self._t(point)
         if self._is_largest_root(a, b):

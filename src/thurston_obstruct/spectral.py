@@ -33,7 +33,7 @@ class NonnegMatrix:
     ``rows``, the spectral profile, the leading-root isolator and the cyclic
     structure are built on first use and kept, so every question about one
     matrix shares one closure of the support, one set of block tags, one
-    characteristic polynomial and one boolean-power loop.
+    characteristic polynomial and one doubling over boolean powers.
     """
 
     __slots__ = ("scale", "ints", "n", "_rows", "_profile", "_isolator", "_cyclic")
@@ -95,7 +95,8 @@ class NonnegMatrix:
         return NonnegMatrix._from_ints(self.scale**k, power)
 
     def submatrix(self, indices: Sequence[int]) -> "NonnegMatrix":
-        return NonnegMatrix._from_ints(*_cleared(self, indices))
+        ints = self.ints
+        return NonnegMatrix._from_ints(self.scale, [[ints[i][j] for j in indices] for i in indices])
 
     def is_positive(self) -> bool:
         return all(x > 0 for row in self.ints for x in row)
@@ -224,9 +225,12 @@ def _cyclic_structure(m: NonnegMatrix) -> tuple[int, tuple[tuple[int, ...], ...]
     lengths, and the cyclic classes are the levels modulo h.  M maps each
     class into the next, so every class block of M**h is primitive and
     every other block of it is zero (Berman & Plemmons, ch. 2).  j is the
-    least power of M**h whose support is exactly the class pattern, found
-    by one loop over boolean powers within the Wielandt bound; for h = 1 it
-    is the first positive power of M.
+    least power of A = M**h whose support is exactly the class pattern; for
+    h = 1 it is the first positive power of M.  Once a power of A has that
+    support, every later one has it too (each row of A meets its class), so
+    j is found by doubling: square A until the pattern shows, within the
+    Wielandt bound, then fix the bits of j - 1 from the highest down by
+    products of the squares, about 2 log2 j boolean products in all.
     """
     if m._cyclic is None:
         if not is_irreducible(m):
@@ -250,11 +254,18 @@ def _cyclic_structure(m: NonnegMatrix) -> tuple[int, tuple[tuple[int, ...], ...]
         step = adj
         for _ in range(h - 1):
             step = _bool_mul(step, adj)
-        power, j = step, 1
-        while power != pattern:
-            if j == wielandt_bound(n):  # pragma: no cover - class blocks of M**h are primitive
+        squares = [step]  # the supports of A**(2**i) for A = M**h
+        while squares[-1] != pattern:
+            if 1 << len(squares) - 1 >= wielandt_bound(n):  # pragma: no cover - A's blocks are primitive
                 raise AssertionError("a class block of M**h is not primitive")
-            power, j = _bool_mul(power, step), j + 1
+            squares.append(_bool_mul(squares[-1], squares[-1]))
+        # j - 1, the greatest power of A whose support is not the pattern, bit by bit from the
+        # top: power is the support of A**(j - 1), and None stands for A**0
+        power, j = None, 1
+        for i in range(len(squares) - 2, -1, -1):
+            below = squares[i] if power is None else _bool_mul(power, squares[i])
+            if below != pattern:
+                power, j = below, j + (1 << i)
         object.__setattr__(m, "_cyclic", (h, classes, j))
     return m._cyclic
 
@@ -311,19 +322,6 @@ def _bool_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 
 # ---------------------------------------------------------------------------
 # characteristic polynomial and the exact trichotomy
-
-
-def _cleared(m: NonnegMatrix, indices: Sequence[int]) -> tuple[int, list[list[int]]]:
-    """``(L, L*B)`` for the principal submatrix B on ``indices``, L the lcm of its denominators.
-
-    That lcm is K / g for K = ``m.scale`` and g = gcd(K, B's entries of ``m.ints``).
-    """
-    ints = m.ints
-    sub = [[ints[i][j] for j in indices] for i in indices]
-    g = gcd(m.scale, *(x for row in sub for x in row))
-    if g > 1:
-        sub = [[x // g for x in row] for row in sub]
-    return m.scale // g, sub
 
 
 def charpoly(m: NonnegMatrix) -> Poly:
@@ -631,8 +629,9 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
       B x >= x: rows 0..p-1 are equal and row p exceeds by minus the Schur
       complement of that minor.  The step x <- B x keeps B x >= x, and as
       B x >= x it adds the predecessors of the support to it; B is
-      irreducible, so x is positive within k - 1 steps (on ``_cleared``'s
-      L*B).  At exactly 1, p = k - 1 and x is the Perron vector with x_last = 1.
+      irreducible, so x is positive within k - 1 steps (on the reduced L*B
+      that ``m.submatrix(block)`` stores).  At exactly 1, p = k - 1 and x is
+      the Perron vector with x_last = 1.
     """
     n = m.n
     profile = spectral_profile(m)
@@ -658,7 +657,7 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
         else:
             z = _back_substitute(c, p) + [0] * (k - 1 - p)
             den = z[p]
-            b = _cleared(m, block)[1]
+            b = m.submatrix(block).ints
             for _ in range(k - 1):
                 if all(z):
                     break

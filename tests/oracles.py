@@ -220,6 +220,51 @@ def imprimitivity_by_cycles(m: NonnegMatrix) -> int:
     return h
 
 
+def cyclic_structure_by_single_steps(m: NonnegMatrix) -> tuple[int, tuple[tuple[int, ...], ...], int]:
+    """``(h, classes, j)`` of an irreducible matrix by one boolean power of M**h at a time.
+
+    h is the gcd of level(u) + 1 - level(v) over support edges u -> v for
+    BFS levels from vertex 0, the classes are the levels modulo h, and j is
+    the first power of M**h whose support is the class pattern, found by
+    multiplying the supports one step at a time up to the Wielandt bound.
+    """
+    n, adj = m.n, m.support()
+    level = {0: 0}
+    queue = [0]
+    for u in queue:
+        for v in range(n):
+            if adj[u] >> v & 1 and v not in level:
+                level[v] = level[u] + 1
+                queue.append(v)
+    assert len(level) == n, "not irreducible"
+    h = 0
+    for u in range(n):
+        for v in range(n):
+            if adj[u] >> v & 1:
+                h = gcd(h, abs(level[u] + 1 - level[v]))
+    classes = tuple(tuple(v for v in range(n) if level[v] % h == c) for c in range(h))
+    pattern = [sum(1 << w for w in range(n) if level[w] % h == level[v] % h) for v in range(n)]
+
+    def product(a, b):  # row i of the support of AB: the rows of b that row i of a selects
+        out = []
+        for row in a:
+            acc = 0
+            for k in range(n):
+                if row >> k & 1:
+                    acc |= b[k]
+            out.append(acc)
+        return out
+
+    step = list(adj)
+    for _ in range(h - 1):
+        step = product(step, adj)
+    power, j = step, 1
+    while power != pattern:
+        assert j < (n - 1) ** 2 + 1, "a class block of M**h is not primitive"
+        power, j = product(power, step), j + 1
+    return h, classes, j
+
+
 def matrix_powers_by_fraction_products(m: NonnegMatrix, k_max: int) -> list[list[list[Fraction]]]:
     """Rows of m**0, m**1, ..., m**k_max, each one Fraction product from the last."""
     power = [[Fraction(int(i == j)) for j in range(m.n)] for i in range(m.n)]
@@ -425,7 +470,7 @@ def subinvariant_by_fraction_solves(m: NonnegMatrix) -> Optional[tuple[Fraction,
 
 
 def eye_minus_cleared(scale: int, b: Sequence[Sequence[int]]) -> list[list[int]]:
-    """The integer Z-matrix L*I - L*B from ``_cleared``'s ``(L, L*B)``."""
+    """The integer Z-matrix L*I - L*B from a submatrix's stored ``(L, L*B)``."""
     return [[(scale if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(b)]
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from oracles import (
     FractionRootIsolator,
+    _homogeneous_value,
     cauchy_root_bound,
     degree,
     divmod_poly,
@@ -19,8 +20,10 @@ from oracles import (
 )
 from thurston_obstruct.polynomials import (
     LargestRootIsolator,
+    _dyadic_value,
     _frame,
     _on_unit_interval,
+    _value,
     poly,
     simplest_rational_between,
 )
@@ -186,15 +189,20 @@ def test_isolator_probes_match_fraction_sturm_oracle(case, points, dyadic):
     iso = LargestRootIsolator(p, -bound, bound)
     # t = 0 and t = 1 as the constructor reads them: q's own coefficients, and one shift
     at_lo, at_hi = fourier_sign_count(iso.q, F(0)), fourier_sign_count(iso.q, F(1))
-    assert iso._path == ((1, 0) if at_hi == (True, 0) else (0, at_lo[1]),)
+    assert iso._deepest == ((0, 1, 0) if at_hi == (True, 0) else (0, 0, at_lo[1]))
     rational_roots = [r[1] for r in roots if r[0] == "rational"]
     real_parts = [r[1] for r in roots if r[0] == "complex"]
     probes = [(x, iso._t(x)) for x in points + rational_roots + real_parts + [-bound, bound]]
-    # bisection midpoints t = mid / 2^(s+1), with the integers the multi-sign step passes
+    # bisection midpoints t = mid / 2^(s+1), with the integers the multi-sign step passes;
+    # there the shifted Horner value of the single-sign step is the general one
     for m, s in dyadic:
         mid = 2 * (m % (1 << s)) + 1
         probes.append((-bound + 2 * bound * F(mid, 2 << s), (mid, 2 << s)))
+        assert _dyadic_value(iso.q, mid, s + 1) == _value(iso.q, mid, 2 << s)
     for x, (a, b) in probes:
+        # b^deg q(a/b) for the unreduced a/b: g^deg times its value at the reduced one
+        g = b // F(a, b).denominator
+        assert _value(iso.q, a, b) == g ** (len(iso.q) - 1) * _homogeneous_value(iso.q, F(a, b)), x
         is_root, variations = iso._probe_at(a, b)
         assert (is_root, variations) == fourier_sign_count(iso.q, F(a, b)), x
         above = sum(k for r, k in roots.items() if _above(r, x))  # with multiplicity

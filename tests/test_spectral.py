@@ -1,4 +1,3 @@
-import contextlib
 import os
 import random
 import subprocess
@@ -17,6 +16,7 @@ from oracles import (
     FractionRootIsolator,
     charpoly_faddeev_leverrier,
     cleared_by_lcm,
+    cyclic_structure_by_single_steps,
     decomposition_exponent_by_rational_powers,
     determinant_by_elimination,
     evaluate,
@@ -52,7 +52,6 @@ from thurston_obstruct import (
     spectral_tag,
     wielandt_bound,
 )
-from thurston_obstruct import polynomials
 from thurston_obstruct import spectral as spectral_module
 from thurston_obstruct.polynomials import LargestRootIsolator
 from thurston_obstruct.spectral import (
@@ -60,7 +59,7 @@ from thurston_obstruct.spectral import (
     _bareiss,
     _block_tag,
     _bool_mul,
-    _cleared,
+    _cyclic_structure,
     _leading_root_isolator,
     cyclic_classes,
     spectral_profile,
@@ -765,37 +764,34 @@ def _fresh_isolator(m):
     return LargestRootIsolator(charpoly(m), -rs - 1, rs)
 
 
-def _counted(query):
-    """The query's answer and the number of probe evaluations it made, by every probe routine."""
-    with contextlib.ExitStack() as stack:
-        probes = [
-            stack.enter_context(mock.patch.object(polynomials, name, wraps=getattr(polynomials, name)))
-            for name in ("_dyadic_value", "_taylor", "_value")
-        ]
+def _stepped(query):
+    """The query's answer and the number of bisection steps it took."""
+    step = LargestRootIsolator._step
+    with mock.patch.object(LargestRootIsolator, "_step", autospec=True, side_effect=step) as steps:
         answer = query()
-    return answer, sum(probe.call_count for probe in probes)
+    return answer, steps.call_count
 
 
 def test_separation_after_a_width_query_reuses_the_walked_path():
     one = F(1)
     # rho = sqrt(2): the width query walks past the bracket (11/8, 2] that
-    # excludes 1, so the separation asked next probes nothing
+    # excludes 1, so the separation asked next takes no step
     m = NonnegMatrix([[0, 1], [2, 0]])
     iso = _leading_root_isolator(m)
     iso.refine_to_width(F(1, 10**6))
-    separated, calls = _counted(lambda: iso.refine_until_separated_from(one))
-    assert calls == 0
+    separated, steps = _stepped(lambda: iso.refine_until_separated_from(one))
+    assert steps == 0
     assert separated == (F(11, 8), F(2)) == _fresh_isolator(m).refine_until_separated_from(one)
     # rho within 2^-30 of 1: the separation walks on past the width query's
-    # path, and probes only beyond it
+    # depth, and steps only beyond it
     m = NonnegMatrix([[0, 1], [1 + F(1, 2**31), 0]])
     iso = _leading_root_isolator(m)
     iso.refine_to_width(F(1, 1000))
-    separated, calls = _counted(lambda: iso.refine_until_separated_from(one))
+    separated, steps = _stepped(lambda: iso.refine_until_separated_from(one))
     fresh = _fresh_isolator(m)
-    expected, fresh_calls = _counted(lambda: fresh.refine_until_separated_from(one))
+    expected, fresh_steps = _stepped(lambda: fresh.refine_until_separated_from(one))
     assert separated == expected
-    assert 0 < calls < fresh_calls
+    assert 0 < steps < fresh_steps
 
 
 def _answer(query):
@@ -839,6 +835,49 @@ def test_racing_queries_on_one_isolator_match_fresh_isolators():
                 assert answers[kind] == _answer(lambda: query(fresh)), (rows, kind)
     finally:
         sys.setswitchinterval(interval)
+
+
+# (p, lo, hi): sqrt 2, the golden ratio, rho within 2^-32 of 1, rho = 3 at
+# t = 1/2 and at the upper end, and rho = 1 at t = 1/2
+ISOLATOR_CASES = (
+    (charpoly(NonnegMatrix([[0, 1], [2, 0]])), F(-3), F(2)),
+    (charpoly(NonnegMatrix([[1, 1], [1, 0]])), F(-3), F(2)),
+    (charpoly(NonnegMatrix([[0, 1], [1 + F(1, 2**31), 0]])), F(-3), F(2)),
+    (charpoly(NonnegMatrix([[2, 1], [1, 2]])), F(-5), F(11)),
+    (charpoly(NonnegMatrix([[2, 1], [1, 2]])), F(-4), F(3)),
+    (charpoly(NonnegMatrix([[F(2, 3), F(1, 3)], [F(1, 3), F(2, 3)]])), F(-1), F(3)),
+)
+
+isolator_queries = st.lists(
+    st.one_of(
+        st.integers(0, 301).map(lambda e: ("width", F(2, 2**e))),  # 2 down to 2^-300
+        st.sampled_from([("point", F(1)), ("point", F(3))]),
+        st.fractions(min_value=-6, max_value=12, max_denominator=64).map(lambda x: ("point", x)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def _ask(iso, kind, x):
+    if kind == "width":
+        return iso.refine_to_width(x)
+    return _answer(lambda: iso.refine_until_separated_from(x))
+
+
+@given(st.sampled_from(ISOLATOR_CASES), isolator_queries)
+@settings(max_examples=150, deadline=None)
+def test_query_sequences_on_one_isolator_match_fresh_isolators(case, queries):
+    # any order, repeats included: each answer is a fresh isolator's, and the
+    # one state kept is the deepest any of those fresh walks reached
+    iso = LargestRootIsolator(*case)
+    deepest = iso._deepest
+    for kind, x in queries:
+        fresh = LargestRootIsolator(*case)
+        assert _ask(iso, kind, x) == _ask(fresh, kind, x), (kind, x)
+        if fresh._deepest[0] > deepest[0]:
+            deepest = fresh._deepest
+        assert iso._deepest == deepest, (kind, x)
 
 
 @given(shaped_matrices(min_n=0), st.integers(0, 40))
@@ -885,7 +924,6 @@ def test_cleared_matches_the_lcm_route_on_principal_submatrices(m, data):
     assert _stored(m) == (scale, tuple(map(tuple, ints)))
     indices = data.draw(st.lists(st.integers(0, max(m.n - 1, 0)), unique=True, max_size=m.n))
     scale, ints = cleared_by_lcm(m.rows, indices)
-    assert _cleared(m, indices) == (scale, ints)
     sub = m.submatrix(indices)
     assert _stored(sub) == (scale, tuple(map(tuple, ints)))
     assert sub == NonnegMatrix([[m.rows[i][j] for j in indices] for i in indices])
@@ -995,6 +1033,59 @@ def test_non_primitive_matrices_get_no_positive_power_search(monkeypatch):
     assert len(products) == 2
 
 
+@st.composite
+def irreducible_class_matrices(draw, max_n=12):
+    """Supports with edges only from each of h classes into the next, every
+    vertex on one closed walk through the classes in turn: irreducible, with
+    an imprimitivity index that h divides."""
+    h = draw(st.integers(1, 5))
+    sizes = [draw(st.integers(1, min(4, max_n // h))) for _ in range(h)]
+    order = draw(st.permutations(range(sum(sizes))))
+    cls, start = [], 0
+    for size in sizes:
+        cls.append(order[start : start + size])
+        start += size
+    n = len(order)
+    rows = [[0] * n for _ in range(n)]
+    walk = [cls[c][r % len(cls[c])] for r in range(max(sizes)) for c in range(h)]
+    for u, v in zip(walk, walk[1:] + walk[:1]):
+        rows[u][v] = 1
+    for c in range(h):
+        for u in cls[c]:
+            for v in cls[(c + 1) % h]:
+                rows[u][v] |= draw(st.booleans())
+    return NonnegMatrix(rows)
+
+
+def _wielandt(n):
+    """Ones on the superdiagonal and in columns 0 and 1 of the last row: primitive, exponent (n-1)^2 + 1."""
+    return NonnegMatrix([[int(j == i + 1 or (i == n - 1 and j < 2)) for j in range(n)] for i in range(n)])
+
+
+@given(st.one_of(cyclic_pattern_matrices(), irreducible_class_matrices(), st.integers(2, 40).map(_wielandt)))
+@settings(max_examples=150, deadline=None)
+def test_cyclic_structure_by_doubling_matches_single_steps(m):
+    if not is_irreducible(m):
+        with pytest.raises(PreconditionError):
+            _cyclic_structure(m)
+    else:
+        assert _cyclic_structure(m) == cyclic_structure_by_single_steps(m)
+
+
+def test_cyclic_structure_of_the_80x80_wielandt_matrix_is_quick(monkeypatch):
+    # the exponent is the Wielandt bound 6242 and 6241 = 2^12 + 2145: 13 squarings reach
+    # A^(2^13), then 12 products fix the bits of 6241 below 2^12, instead of 6241 products
+    products = []
+    monkeypatch.setattr(
+        "thurston_obstruct.spectral._bool_mul", lambda a, b: products.append(1) or _bool_mul(a, b)
+    )
+    m = _wielandt(80)
+    start = time.perf_counter()
+    assert _cyclic_structure(m) == (1, (tuple(range(80)),), wielandt_bound(80))
+    assert time.perf_counter() - start < 1.0
+    assert wielandt_bound(80) == 6242 and len(products) == 25
+
+
 def test_start_bracket_that_excludes_one_is_returned_unsnapped():
     # nilpotent with row sums below 1: the start bracket (-3/2, 1/2] already
     # excludes 1, and its upper end 1/2 is not the root 0
@@ -1080,7 +1171,8 @@ def test_back_substitution_matches_fraction_solve_on_m_matrices(case):
 @settings(max_examples=150, deadline=None)
 def test_back_substitution_matches_fraction_kernel_at_one(rows):
     k = len(rows)
-    c = eye_minus_cleared(*_cleared(NonnegMatrix(rows), range(k)))
+    m = NonnegMatrix(rows)
+    c = eye_minus_cleared(m.scale, m.ints)
     assert _bareiss(c) == k - 1 and c[-1][-1] == 0
     z = _back_substitute(c, k - 1)
     eye_minus = [[(1 if i == j else 0) - rows[i][j] for j in range(k)] for i in range(k)]
@@ -1093,7 +1185,8 @@ def _growth_steps(m, block) -> int:
     Checks on the way that the start vector is (y, 1, 0, ..., 0) with
     y >= 0 and B x >= x, equal on the rows before the stopping pivot.
     """
-    c = eye_minus_cleared(*_cleared(m, block))
+    sub = m.submatrix(block)
+    c = eye_minus_cleared(sub.scale, sub.ints)
     p = _bareiss(c)
     z = _back_substitute(c, p)
     x = [F(v, z[p]) for v in z] + [F(0)] * (len(block) - 1 - p)
