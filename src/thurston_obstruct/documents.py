@@ -87,47 +87,37 @@ _TYPES = {  # schema type -> (Python type, the message of a value of another typ
 
 
 @functools.cache
-def _schema(ref: str) -> Any:
-    """The schema that ``ref`` (a file name and an optional JSON pointer) names.
+def _compiled(ref: str) -> Callable[[Any], Optional[tuple[list, str]]]:
+    """The checker of the schema that ``ref`` (a file name and an optional JSON pointer) names.
 
-    Its ``$ref`` nodes, which have no other keyword and form no cycle, are
-    replaced by their targets, each built once; every caller shares the tree.
+    The node is read straight from its file and compiled once per ``ref``:
+    every ``$ref`` to the same target, such as each matrix entry's
+    ``rational``, shares this one checker.
     """
     name, _, pointer = ref.partition("#")
     with open(os.path.join(_SCHEMA_DIR, name), encoding="utf-8") as f:
         node = json.load(f)
     for part in pointer.split("/")[1:]:
         node = node[part]
-    return _inline(node, name)
+    return _checker(node, name)
 
 
-def _inline(node: Any, name: str) -> Any:
-    """``node`` of the file ``name`` with each ``$ref`` node replaced by its target."""
-    if isinstance(node, dict):
-        ref = node.get("$ref")
-        if ref is not None:
-            return _schema(name + ref if ref.startswith("#") else ref)
-        return {key: _inline(sub, name) for key, sub in node.items()}
-    return [_inline(sub, name) for sub in node] if isinstance(node, list) else node
+def _checker(schema: dict, name: str) -> Callable[[Any], Optional[tuple[list, str]]]:
+    """``schema``, a node of the schema file ``name``, compiled into a function of a value.
 
-
-_checkers: dict[int, Callable] = {}  # id of a node of a _schema tree -> its checker
-
-
-def _checker(schema: dict) -> Callable[[Any], Optional[tuple[list, str]]]:
-    """``schema`` compiled on first use into a function of a value: its first failure or None.
-
-    A failure is ``(path, message)``, ``path`` holding the keys and indices
-    down to the failing value, innermost first, each appended on the way
-    back up.  Failures are returned, not raised: ``oneOf`` tries every
-    branch, and an exception per failed branch would cost more than the
-    validation.  A shared node, such as every matrix entry's ``rational``,
-    is compiled once.
+    The function returns the value's first failure or None.  A failure is
+    ``(path, message)``, ``path`` holding the keys and indices down to the
+    failing value, innermost first, each appended on the way back up.
+    Failures are returned, not raised: ``oneOf`` tries every branch, and an
+    exception per failed branch would cost more than the validation.  A
+    ``$ref`` node, which has no other keyword and is part of no cycle, is
+    the checker ``_compiled`` makes of its target.
     """
-    if id(schema) in _checkers:
-        return _checkers[id(schema)]
     get = schema.get
-    branches = [_checker(branch) for branch in get("oneOf", ())]
+    ref = get("$ref")
+    if ref is not None:
+        return _compiled(name + ref if ref.startswith("#") else ref)
+    branches = [_checker(branch, name) for branch in get("oneOf", ())]
     # branches of pairwise different types: a value of one of the JSON classes
     # can pass only the branch of its class, and every other branch fails on
     # its type, so only that one runs (-1 where no branch takes the class)
@@ -149,8 +139,8 @@ def _checker(schema: dict) -> Callable[[Any], Optional[tuple[list, str]]]:
     pattern = get("pattern")
     fullmatch = re.compile(pattern).fullmatch if pattern is not None else None
     min_length, min_items, max_items = get("minLength", 0), get("minItems", 0), get("maxItems", inf)
-    items = _checker(schema["items"]) if "items" in schema else None
-    properties = {key: _checker(sub) for key, sub in get("properties", {}).items()}
+    items = _checker(schema["items"], name) if "items" in schema else None
+    properties = {key: _checker(sub, name) for key, sub in get("properties", {}).items()}
     closed = get("additionalProperties", True) is False
     required, minimum = get("required", ()), get("minimum", -inf)
 
@@ -215,17 +205,18 @@ def _checker(schema: dict) -> Callable[[Any], Optional[tuple[list, str]]]:
             return [], f"expected at least {minimum}"
         return None
 
-    return _checkers.setdefault(id(schema), check)
+    return check
 
 
 def validate(value: Any, ref: str, where: str = "") -> None:
     """Raise ``InputFormatError`` unless ``value`` satisfies the schema ``ref``.
 
     ``ref`` is a schema file name, optionally with a JSON pointer
-    (``table.schema.json#/$defs/tableFields``); ``where`` is the field
-    path of ``value``, the prefix of every path in the message.
+    (``table.schema.json#/$defs/tableFields``), compiled on its first
+    use; ``where`` is the field path of ``value``, the prefix of every path
+    in the message.
     """
-    error = _checker(_schema(ref))(value)
+    error = _compiled(ref)(value)
     if error is not None:
         path, message = error
         for key in reversed(path):

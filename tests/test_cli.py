@@ -8,11 +8,19 @@ from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 from referencing import Registry, Resource
 
 import thurston_obstruct
 from thurston_obstruct import NonnegMatrix, charpoly, polynomials, spectral
-from thurston_obstruct.cli import DEFAULT_SUBSET_CAP, DEFAULT_WIDTH, _build_parser, main, run_request
+from thurston_obstruct.cli import (
+    DEFAULT_SUBSET_CAP,
+    DEFAULT_WIDTH,
+    _build_parser,
+    _load_inline_matrix,
+    main,
+    run_request,
+)
 from thurston_obstruct.documents import dumps
 from thurston_obstruct.polynomials import LargestRootIsolator
 
@@ -410,6 +418,28 @@ def test_inline_shorthand_leaves_json_strings_alone(capsys):
     assert capsys.readouterr().err == "error: matrix entries must be nonnegative\n"
     assert main(["matrix", r'[["\\", "1/2"], [1/3, 0]]']) == 2
     assert capsys.readouterr().err.startswith("error: matrix[0][0]: Exact rational")
+
+
+_SPACES = st.sampled_from(["", " ", "  "])
+#: (shorthand text, the same entry in JSON): an integer, a bare p/q with or without
+#: spaces around the slash, and a JSON string, which may hold a slash, quotes or backslashes
+_SHORTHAND_ENTRIES = st.one_of(
+    st.integers(-99, 99).map(lambda x: (str(x), str(x))),
+    st.builds(
+        lambda p, q, before, after: (f"{p}{before}/{after}{q}", json.dumps(f"{p}/{q}")),
+        st.integers(-99, 99), st.integers(0, 99), _SPACES, _SPACES,
+    ),
+    st.text("0123456789/- \\\"", max_size=6).map(lambda text: (json.dumps(text),) * 2),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.lists(_SHORTHAND_ENTRIES, max_size=4), max_size=4), _SPACES)
+def test_inline_shorthand_reads_as_json_with_every_fraction_quoted(rows, space):
+    def matrix(which):
+        return "[" + f",{space}".join("[" + f",{space}".join(e[which] for e in row) + "]" for row in rows) + "]"
+
+    assert _load_inline_matrix(matrix(0), "argument") == json.loads(matrix(1))
 
 
 def test_reports_write_matrices_from_integers(capsys, monkeypatch):
