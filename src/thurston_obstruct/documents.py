@@ -102,6 +102,16 @@ def _compiled(ref: str) -> Callable[[Any], Optional[tuple[list, str]]]:
     return _checker(node, name)
 
 
+#: the keywords that the closure of each node type tests (None: an untyped node)
+_KEYWORDS = {
+    "string": "type minLength pattern const", "array": "type minItems maxItems items",
+    "object": "type properties additionalProperties required", "integer": "type minimum",
+    "boolean": "type const", "null": "type const", None: "const",
+}
+#: the keywords any node may state besides its type's
+_ANY_NODE = "oneOf description title $schema $id $defs"
+
+
 def _checker(schema: dict, name: str) -> Callable[[Any], Optional[tuple[list, str]]]:
     """``schema``, a node of the schema file ``name``, compiled into a function of a value.
 
@@ -111,74 +121,47 @@ def _checker(schema: dict, name: str) -> Callable[[Any], Optional[tuple[list, st
     Failures are returned, not raised: ``oneOf`` tries every branch, and an
     exception per failed branch would cost more than the validation.  A
     ``$ref`` node, which has no other keyword and is part of no cycle, is
-    the checker ``_compiled`` makes of its target.
+    the checker ``_compiled`` makes of its target.  Any other node becomes
+    a closure of its type that tests only the keywords the node states (an
+    absent keyword's default, such as a ``minLength`` of 0, fails no
+    value), wrapped in its ``oneOf`` if it has one: ``_KEYWORDS`` lists the
+    keywords of each type's closure, and any other keyword raises
+    ``ValueError`` here rather than pass unchecked.
     """
-    get = schema.get
-    ref = get("$ref")
-    if ref is not None:
+    ref = schema.get("$ref")
+    if ref is not None and len(schema) == 1:
         return _compiled(name + ref if ref.startswith("#") else ref)
-    branches = [_checker(branch, name) for branch in get("oneOf", ())]
-    # branches of pairwise different types: a value of one of the JSON classes
-    # can pass only the branch of its class, and every other branch fails on
-    # its type, so only that one runs (-1 where no branch takes the class)
-    kinds = [branch.get("type") for branch in get("oneOf", ())]
-    by_class = None
-    if branches and len(set(kinds)) == len(kinds) and all(
-        kind in _TYPES and "oneOf" not in branch for kind, branch in zip(kinds, schema["oneOf"])
-    ):
-        by_class = dict.fromkeys((dict, list, str, int, bool, float, type(None)), -1)
-        by_class.update({_TYPES[kind][0]: i for i, kind in enumerate(kinds)})
-        first_expected = _TYPES[kinds[0]][1]
-        bare = schema.keys() <= {"oneOf", "description"}  # nothing to check past the branch
-    # "integer" is stricter than jsonschema, which takes 1.0: floats never
-    # enter the program; and a boolean is not a number
-    cls, expected = _TYPES.get(get("type"), (object, ""))
-    strict, has_const, const = get("type") == "integer", "const" in schema, get("const")
-    # the whole string, as ECMA-262's `$` requires: Python's `$` also
-    # matches before a final newline, so re.search would take "1/2\n"
-    pattern = get("pattern")
-    fullmatch = re.compile(pattern).fullmatch if pattern is not None else None
-    min_length, min_items, max_items = get("minLength", 0), get("minItems", 0), get("maxItems", inf)
-    items = _checker(schema["items"], name) if "items" in schema else None
-    properties = {key: _checker(sub, name) for key, sub in get("properties", {}).items()}
-    closed = get("additionalProperties", True) is False
-    required, minimum = get("required", ()), get("minimum", -inf)
+    kind = schema.get("type")
+    # a list of types, like an unknown one, leaves "type" itself untested
+    stated = _KEYWORDS.get(kind if isinstance(kind, str) else None, "")
+    untested = set(schema).difference(_ANY_NODE.split(), stated.split())
+    if untested:
+        raise ValueError(f"{name}: no test of {sorted(untested)} on a node of type {kind!r}")
+    cls, expected = _TYPES.get(kind, (object, ""))
+    has_const, const = "const" in schema, schema.get("const")
+    if kind == "string":
+        # the whole string, as ECMA-262's `$` requires: Python's `$` also
+        # matches before a final newline, so re.search would take "1/2\n"
+        pattern = schema.get("pattern")
+        fullmatch = re.compile(pattern).fullmatch if pattern is not None else None
+        min_length = schema.get("minLength", 0)
 
-    def check(value):
-        i = by_class.get(type(value)) if by_class else None
-        if i is not None:
-            error = branches[i](value) if i >= 0 else ([], first_expected)
-            if error is not None:
-                # as below: the branches fail at the value itself unless this one got deeper
-                path, message = error
-                if path and len(branches) > 1:
-                    return error
-                return path, get("description", message if i <= 0 else first_expected)
-            if bare:
-                return None
-        elif branches:
-            errors = [branch(value) for branch in branches]
-            passed = errors.count(None)
-            if passed > 1:
-                return [], "matches more than one allowed form"
-            if not passed:
-                paths = [path for path, _ in errors]
-                if paths.count(paths[0]) == len(paths):
-                    return paths[0], get("description", errors[0][1])
-                # the branch that got furthest into the value; of equally deep
-                # failures, the one fewest branches share (the others failed on
-                # a discriminating field such as "kind")
-                return max(errors, key=lambda e: (len(e[0]), -paths.count(e[0])))
-        if not isinstance(value, cls) or (strict and isinstance(value, bool)):
-            return [], expected
-        if has_const and (value != const or type(value) is not type(const)):
-            return [], f"expected {const!r}, got {_echo(value)}"
-        if isinstance(value, str):
+        def own(value):
+            if not isinstance(value, str):
+                return [], expected
+            if has_const and (value != const or type(value) is not type(const)):
+                return [], f"expected {const!r}, got {_echo(value)}"
             if len(value) < min_length:
                 return [], f"expected at least {min_length} character(s)"
-            if fullmatch is not None and fullmatch(value) is None:
+            if fullmatch and not fullmatch(value):
                 return [], f"expected a string matching {pattern}"
-        elif isinstance(value, list):
+    elif kind == "array":
+        min_items, max_items = schema.get("minItems", 0), schema.get("maxItems", inf)
+        items = _checker(schema["items"], name) if "items" in schema else None
+
+        def own(value):
+            if not isinstance(value, list):
+                return [], expected
             if len(value) < min_items:
                 return [], f"expected at least {min_items} entries"
             if len(value) > max_items:
@@ -187,7 +170,14 @@ def _checker(schema: dict, name: str) -> Callable[[Any], Optional[tuple[list, st
                 if error is not None:
                     error[0].append(i)
                     return error
-        elif isinstance(value, dict):
+    elif kind == "object":
+        properties = {key: _checker(sub, name) for key, sub in schema.get("properties", {}).items()}
+        closed = schema.get("additionalProperties", True) is False
+        required = schema.get("required", ())
+
+        def own(value):
+            if not isinstance(value, dict):
+                return [], expected
             for key, sub in properties.items():
                 if key in value:
                     error = sub(value[key])
@@ -201,9 +191,65 @@ def _checker(schema: dict, name: str) -> Callable[[Any], Optional[tuple[list, st
             for key in required:
                 if key not in value:
                     return [key], "missing field"
-        elif isinstance(value, (int, float)) and not isinstance(value, bool) and value < minimum:
-            return [], f"expected at least {minimum}"
-        return None
+    elif kind == "integer":
+        minimum = schema.get("minimum", -inf)
+
+        def own(value):
+            # stricter than jsonschema, which takes 1.0: floats never enter
+            # the program; and a boolean is not a number
+            if not isinstance(value, int) or isinstance(value, bool):
+                return [], expected
+            if value < minimum:
+                return [], f"expected at least {minimum}"
+    else:  # boolean, null or untyped
+
+        def own(value):
+            if not isinstance(value, cls):
+                return [], expected
+            if has_const and (value != const or type(value) is not type(const)):
+                return [], f"expected {const!r}, got {_echo(value)}"
+    if "oneOf" not in schema:
+        return own
+    if kind is None and not has_const:
+        own = None  # nothing to check past the branch
+    branches = [_checker(branch, name) for branch in schema["oneOf"]]
+    # branches of pairwise different types: a value of one of the JSON classes
+    # can pass only the branch of its class, and every other branch fails on
+    # its type, so only that one runs (-1 where no branch takes the class)
+    kinds = [branch.get("type") for branch in schema["oneOf"]]
+    by_class = None
+    if branches and len(set(kinds)) == len(kinds) and all(
+        branch_type in _TYPES and "oneOf" not in branch
+        for branch_type, branch in zip(kinds, schema["oneOf"])
+    ):
+        by_class = dict.fromkeys((dict, list, str, int, bool, float, type(None)), -1)
+        by_class.update({_TYPES[branch_type][0]: i for i, branch_type in enumerate(kinds)})
+        first_expected = _TYPES[kinds[0]][1]
+
+    def check(value):
+        i = by_class.get(type(value)) if by_class else None
+        if i is not None:
+            error = branches[i](value) if i >= 0 else ([], first_expected)
+            if error is not None:
+                # as below: the branches fail at the value itself unless this one got deeper
+                path, message = error
+                if path and len(branches) > 1:
+                    return error
+                return path, schema.get("description", message if i <= 0 else first_expected)
+        elif branches:
+            errors = [branch(value) for branch in branches]
+            passed = errors.count(None)
+            if passed > 1:
+                return [], "matches more than one allowed form"
+            if not passed:
+                paths = [path for path, _ in errors]
+                if paths.count(paths[0]) == len(paths):
+                    return paths[0], schema.get("description", errors[0][1])
+                # the branch that got furthest into the value; of equally deep
+                # failures, the one fewest branches share (the others failed on
+                # a discriminating field such as "kind")
+                return max(errors, key=lambda e: (len(e[0]), -paths.count(e[0])))
+        return own(value) if own else None
 
     return check
 
@@ -564,6 +610,63 @@ def canonical_report_to_doc(report: CanonicalCandidateReport) -> dict:
     }
 
 
+_encode = json.encoder.encode_basestring  # json's C string encoder; raises TypeError on a non-str
+
+
+def _write(value: Any, newline: str, write: Callable[[str], None]) -> None:
+    """``write`` each piece of ``value``, ``newline`` starting each of its lines past the first.
+
+    A container writes its ``str`` and ``int`` members (by exact type)
+    itself and recurses only for the others, so a subclass such as an
+    ``IntEnum`` member takes the ``isinstance`` route as ``json`` does.  A
+    module function, not a closure of ``dumps``: a closure that calls
+    itself is a reference cycle, which would hold the buffer until the
+    garbage collector runs.
+    """
+    if isinstance(value, str):
+        return write(_encode(value))
+    if value is None:
+        return write("null")
+    if value is True or value is False:
+        return write("true" if value else "false")
+    if isinstance(value, int):
+        return write(int.__repr__(value))
+    inner = newline + "  "
+    comma = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            return write("{}")
+        sep = "{" + inner
+        for key in sorted(value):
+            item = value[key]
+            kind = type(item)
+            if kind is str:
+                write(f"{sep}{_encode(key)}: {_encode(item)}")
+            elif kind is int:
+                write(f"{sep}{_encode(key)}: {item!r}")
+            else:
+                write(f"{sep}{_encode(key)}: ")
+                _write(item, inner, write)
+            sep = comma
+        return write(newline + "}")
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return write("[]")
+        sep = "[" + inner
+        for item in value:
+            kind = type(item)
+            if kind is str:
+                write(f"{sep}{_encode(item)}")
+            elif kind is int:
+                write(f"{sep}{item!r}")
+            else:
+                write(sep)
+                _write(item, inner, write)
+            sep = comma
+        return write(newline + "]")
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def dumps(doc: Any) -> str:
     """Canonical serialization: sorted keys, two-space indent, trailing newline.
 
@@ -572,30 +675,10 @@ def dumps(doc: Any) -> str:
     indenting encoder: a report holds only dicts with ``str`` keys, lists
     (tuples are written as lists), strings, ints, booleans and ``None``, and
     anything else raises ``TypeError``.  Strings go through ``json``'s C
-    string encoder.
+    string encoder.  Every piece is appended to one buffer (``_write``),
+    joined once at the end.
     """
-    encode = json.encoder.encode_basestring  # raises TypeError on a key that is not a str
-
-    def node(value: Any, newline: str) -> str:
-        if isinstance(value, str):
-            return encode(value)
-        if value is None:
-            return "null"
-        if value is True or value is False:
-            return "true" if value else "false"
-        if isinstance(value, int):
-            return int.__repr__(value)
-        inner = newline + "  "
-        if isinstance(value, dict):
-            if not value:
-                return "{}"
-            items = [encode(key) + ": " + node(value[key], inner) for key in sorted(value)]
-            return "{" + inner + ("," + inner).join(items) + newline + "}"
-        if isinstance(value, (list, tuple)):
-            if not value:
-                return "[]"
-            items = [node(item, inner) for item in value]
-            return "[" + inner + ("," + inner).join(items) + newline + "]"
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-    return node(doc, "\n") + "\n"
+    out = []
+    _write(doc, "\n", out.append)
+    out.append("\n")
+    return "".join(out)

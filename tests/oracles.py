@@ -1119,10 +1119,14 @@ def _check(value: Any, schema: dict, base: str, where: str) -> Optional[tuple[st
             paths = [path for path, _ in errors]
             if paths.count(paths[0]) == len(paths):
                 return paths[0], schema.get("description", errors[0][1])
-            # the branch that got furthest into the value; of equally deep
-            # failures, the one fewest branches share (the others failed on
-            # a discriminating field such as "kind")
-            return max(errors, key=lambda e: (e[0].count(".") + e[0].count("["), -paths.count(e[0])))
+            # the branch that got furthest into the value, counting a path's
+            # keys and indices (a first key, at an empty `where`, has no dot);
+            # of equally deep failures, the one fewest branches share (the
+            # others failed on a discriminating field such as "kind")
+            def depth(path: str) -> int:
+                return path.count(".") + path.count("[") + (path[:1] not in ("", "["))
+
+            return max(errors, key=lambda e: (depth(e[0]), -paths.count(e[0])))
     kind = schema.get("type")
     if kind is not None:
         kinds = (kind,) if isinstance(kind, str) else kind

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import enum
 import io
 import json
 import re
@@ -532,16 +533,131 @@ _TYPED_ONE_OF = (
 )
 
 
-@pytest.mark.parametrize("schema", _TYPED_ONE_OF)
-@pytest.mark.parametrize("value", [True, 1.5, None, 1, 0, "1/2", "1/2\n", "0.5", "", [], [1, "x"], [[1]], {}])
-def test_typed_one_of_matches_the_interpreter_with_or_without_a_description(schema, value):
+def _node_error(schema, value):
+    """``_checker(schema, "")`` on ``value``, its path written as ``validate`` writes it."""
     error = documents._checker(schema, "")(value)
     if error is not None:
         where = ""
         for key in reversed(error[0]):
             where = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}" if where else key
         error = (where, error[1])
-    assert error == oracles._check(value, schema, "", "")
+    return error
+
+
+@pytest.mark.parametrize("schema", _TYPED_ONE_OF)
+@pytest.mark.parametrize("value", [True, 1.5, None, 1, 0, "1/2", "1/2\n", "0.5", "", [], [1, "x"], [[1]], {}])
+def test_typed_one_of_matches_the_interpreter_with_or_without_a_description(schema, value):
+    assert _node_error(schema, value) == oracles._check(value, schema, "", "")
+
+
+_RATIONAL_PATTERN = "^-?[0-9]+(/[0-9]+)?$"
+#: leaf nodes for the items, properties and oneOf branches of a drawn node
+_LEAF_NODES = st.sampled_from([
+    {"type": "integer"}, {"type": "integer", "minimum": 2}, {"type": "string"},
+    {"type": "string", "minLength": 2}, {"type": "string", "pattern": _RATIONAL_PATTERN},
+    {"type": "boolean"}, {"type": "null"}, {"const": "inf"},
+    {"type": "array", "items": {"type": "integer"}}, {"type": "object", "required": ["a"]},
+    {"description": "anything"},
+])
+#: each keyword a node of each type may state, with its values
+_NODE_KEYWORDS = {
+    None: {"const": st.sampled_from(["inf", 1, True, None, [1], {}])},
+    "string": {
+        "minLength": st.integers(0, 3), "pattern": st.sampled_from([_RATIONAL_PATTERN, "^x*$", "inf"]),
+        "const": st.sampled_from(["inf", "1/2", "", 1]),
+    },
+    "array": {"minItems": st.integers(0, 3), "maxItems": st.integers(0, 3), "items": _LEAF_NODES},
+    "object": {
+        "properties": st.dictionaries(st.sampled_from("abc"), _LEAF_NODES, max_size=3),
+        "additionalProperties": st.just(False),
+        "required": st.lists(st.sampled_from("abcd"), max_size=3, unique=True),
+    },
+    "integer": {"minimum": st.integers(-2, 3)},
+    "boolean": {"const": st.booleans()},
+    "null": {"const": st.none()},
+}
+
+
+#: values of the seven JSON classes, nested two deep, and the near misses of the stricter checks
+_NODE_VALUES = st.one_of(
+    st.sampled_from([True, False, 1.0, 0.5, "1/2\n", "1/2", "inf", "", None, 0, 1, 2, -3, 10**30]),
+    st.recursive(
+        st.one_of(
+            st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False), st.text("ab1/", max_size=3)
+        ),
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4), st.dictionaries(st.sampled_from("abcd"), inner, max_size=4)
+        ),
+        max_leaves=6,
+    ),
+)
+_SHORT_STRINGS = st.one_of(
+    st.sampled_from(["", "x", "xx", "inf", "1/2", "1/2\n", "-3"]), st.text("x1/", max_size=4)
+)
+#: values of a node type's own class, so that most get past the type test to the keywords
+_VALUES_OF = {
+    "string": _SHORT_STRINGS,
+    "integer": st.one_of(st.integers(-3, 5), st.just(True)),
+    "array": st.lists(st.one_of(st.integers(-1, 3), _SHORT_STRINGS, st.just(True)), max_size=4),
+    "object": st.dictionaries(
+        st.sampled_from("abcd"),
+        st.one_of(st.integers(-1, 3), _SHORT_STRINGS, st.just([1]), st.just({})),
+        max_size=4,
+    ),
+}
+
+
+@st.composite
+def single_nodes(draw):
+    """A schema node of any type, with any of its keywords, a ``oneOf`` and a ``description``; and a value."""
+    kind = draw(st.sampled_from(sorted(_NODE_KEYWORDS, key=str)))
+    node = {} if kind is None else {"type": kind}
+    for keyword, values in _NODE_KEYWORDS[kind].items():
+        if draw(st.booleans()):
+            node[keyword] = draw(values)
+    if draw(st.booleans()):
+        # typed branches, of pairwise different types (dispatched by class) or not
+        node["oneOf"] = draw(st.lists(_LEAF_NODES, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        node["description"] = "the node's description"
+    return node, draw(_VALUES_OF.get(kind, _NODE_VALUES) if draw(st.integers(0, 3)) else _NODE_VALUES)
+
+
+@settings(max_examples=600, deadline=None)
+@given(single_nodes())
+@example(({"type": "string", "const": "inf", "minLength": 3}, "in"))
+@example(({"type": "array", "maxItems": 1, "items": {"type": "integer"}}, [1, True]))
+@example(({"type": "integer", "minimum": 2, "oneOf": [{"type": "integer"}, {"type": "string"}]}, 1))
+@example(({"type": "integer", "minimum": 2, "oneOf": [{"type": "integer"}, {"type": "string"}],
+           "description": "an integer"}, True))
+@example(({"type": "integer", "minimum": 2, "oneOf": [{"type": "integer", "minimum": 3}]}, 2))
+@example(({"type": "string", "pattern": _RATIONAL_PATTERN}, "1/2\n"))
+# a branch that fails one key into the value, under an empty path prefix
+@example(({"oneOf": [{"type": "integer"}, {"type": "object", "required": ["a"]}]}, {}))
+def test_single_nodes_match_the_interpreter(case):
+    schema, value = case
+    assert _node_error(schema, value) == oracles._check(value, schema, "", "")
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [
+        {"minLength": 1},  # untyped: only const is tested
+        {"description": "an untyped closure", "additionalProperties": False},
+        {"type": "string", "minimum": 1},
+        {"type": "integer", "const": 1},
+        {"type": "object", "items": {"type": "integer"}},
+        {"type": "number"},
+        {"type": ["boolean", "null"]},
+        {"enum": ["a", "b"]},
+        {"$ref": "#/$defs/rational", "description": "a $ref with another keyword"},
+        {"type": "array", "items": {"type": "string", "maxItems": 1}},
+        {"oneOf": [{"type": "integer"}, {"type": "object", "pattern": "x"}]},
+    ],
+)
+def test_checker_refuses_keywords_its_closure_would_not_test(schema):
+    with pytest.raises(ValueError, match="^: no test of "):
+        documents._checker(schema, "")
 
 
 def test_one_of_takes_the_failure_with_the_most_path_keys_not_characters():
@@ -626,6 +742,17 @@ _REPORT_TEXT = st.text(
     st.one_of(st.sampled_from(' \\"\x00\x01\x1f\x7f\u2028é€😀\n\t'), st.characters()),
     max_size=6,
 )
+
+
+class _Level(enum.IntEnum):
+    LOW = -1
+    HIGH = 2**70
+
+
+class _Label(str):
+    """A ``str`` subclass: ``dumps`` writes its characters, as ``json.dumps`` does."""
+
+
 _REPORT_SCALARS = st.one_of(
     st.none(),
     st.booleans(),
@@ -634,6 +761,9 @@ _REPORT_SCALARS = st.one_of(
     st.integers(min_value=2**64, max_value=2**200),
     st.integers(max_value=-(2**64)),
     _REPORT_TEXT,
+    # subclasses miss the writer's exact-type path and take the isinstance route
+    st.sampled_from(_Level),
+    _REPORT_TEXT.map(_Label),
 )
 _REPORT_DOCS = st.recursive(
     _REPORT_SCALARS,
@@ -658,9 +788,11 @@ def test_dumps_matches_the_json_encoder_on_edge_documents():
         "empty": [[], {}, (), [[]], {"": {}}],
         "flags": [True, False, None, 0, 1],
         "big": [2**64, -(2**64) - 1, 10**400],
-        "tuple": (1, ("a", (None,))),
+        "tuple": (1, ("a", (None,)), (True, False, None)),
+        "members": {"t": True, "f": False, "n": None, "level": _Level.HIGH, _Label("key"): _Label("é")},
+        "subclasses": [_Level.LOW, _Label("\x01"), (_Level.HIGH, _Label(""))],
     }
-    for doc in (edge, [], {}, (), "", 0, True, None, [edge, edge]):
+    for doc in (edge, [], {}, (), "", 0, True, None, [edge, edge], _Level.LOW, _Label("x")):
         assert dumps(doc) == dumps_by_json(doc)
 
 
