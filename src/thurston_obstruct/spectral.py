@@ -18,7 +18,7 @@ from operator import mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._records import record
-from .polynomials import LargestRootIsolator, Poly, _as_fraction, _primitive, poly
+from .polynomials import LargestRootIsolator, Poly, _as_fraction, _primitive
 
 
 class PreconditionError(ValueError):
@@ -217,13 +217,32 @@ def is_irreducible(m: NonnegMatrix) -> bool:
     return spectral_profile(m).irreducible
 
 
+def _period(adj: Sequence[int], vertices: Sequence[int]) -> tuple[int, tuple[tuple[int, ...], ...], list]:
+    """``(h, classes, level)`` of the strongly connected support on ``vertices``, in increasing order.
+
+    One BFS from the first vertex gives levels (-1 outside); h, the gcd of level(u) + 1 - level(v)
+    over support edges u -> v inside, is that of all cycle lengths; classes are levels modulo h.
+    """
+    inside = sum(1 << v for v in vertices)
+    level, queue = [-1] * len(adj), [vertices[0]]
+    level[vertices[0]] = 0
+    for v in queue:
+        for w in _bits(adj[v] & inside):
+            if level[w] < 0:
+                level[w] = level[v] + 1
+                queue.append(w)
+    h = 0
+    for u in vertices:
+        for v in _bits(adj[u] & inside):
+            h = gcd(h, level[u] + 1 - level[v])
+    return h, tuple(tuple(v for v in vertices if level[v] % h == c) for c in range(h)), level
+
+
 def _cyclic_structure(m: NonnegMatrix) -> tuple[int, tuple[tuple[int, ...], ...], int]:
     """``(h, classes, j)`` of an irreducible matrix, built once and kept on it.
 
-    One BFS from vertex 0 gives levels; h is the gcd over support edges
-    u -> v of level(u) + 1 - level(v), which is the gcd of all cycle
-    lengths, and the cyclic classes are the levels modulo h.  M maps each
-    class into the next, so every class block of M**h is primitive and
+    ``_period`` gives h and the classes, so vertex 0 is in class 0.  M maps
+    each class into the next, so every class block of M**h is primitive and
     every other block of it is zero (Berman & Plemmons, ch. 2).  j is the
     least power of A = M**h whose support is exactly the class pattern; for
     h = 1 it is the first positive power of M.  Once a power of A has that
@@ -237,18 +256,7 @@ def _cyclic_structure(m: NonnegMatrix) -> tuple[int, tuple[tuple[int, ...], ...]
             raise PreconditionError("cyclic structure requires an irreducible matrix")
         n = m.n
         adj = spectral_profile(m).support
-        level = [0] + [-1] * (n - 1)
-        queue = [0]
-        for v in queue:
-            for w in _bits(adj[v]):
-                if level[w] == -1:
-                    level[w] = level[v] + 1
-                    queue.append(w)
-        h = 0
-        for u in range(n):
-            for v in _bits(adj[u]):
-                h = gcd(h, abs(level[u] + 1 - level[v]))
-        classes = tuple(tuple(v for v in range(n) if level[v] % h == c) for c in range(h))
+        h, classes, level = _period(adj, range(n))
         masks = [sum(1 << v for v in cls) for cls in classes]
         pattern = tuple(masks[depth % h] for depth in level)
         step = adj
@@ -324,30 +332,62 @@ def _bool_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
 # characteristic polynomial and the exact trichotomy
 
 
-def charpoly(m: NonnegMatrix) -> Poly:
-    """Monic characteristic polynomial det(xI - M), exact over the rationals.
+def _class_product(ints: Sequence[Sequence[int]], classes: Sequence[Sequence[int]], c: int) -> list[list[int]]:
+    """L^h times the block of M**h on class c (A = L*M): A's blocks between classes, around the cycle."""
+    h = len(classes)
+    prod = [[ints[i][j] for j in classes[(c + 1) % h]] for i in classes[c]]
+    for step in range(c + 1, c + h):
+        src, dst = classes[step % h], classes[(step + 1) % h]
+        prod = _int_mul(prod, [[ints[i][j] for j in dst] for i in src])
+    return prod
 
-    Berkowitz's division-free algorithm (S. J. Berkowitz, Inform. Process.
-    Lett. 18, 1984) runs on the integer matrix A = L*M, L the lcm of the
-    entry denominators.  With det(yI - A) = sum_k c_k y^k, the coefficient
-    of x^k in det(xI - M) is c_k / L^(n-k).  O(n^4) integer operations.
-    """
-    scale, a = m.scale, m.ints
-    # det(yI - A_r) of the leading r x r block, highest degree first
+
+def _berkowitz(a: Sequence[Sequence[int]]) -> list[int]:
+    """det(yI - A), highest degree first, by Berkowitz's division-free algorithm in O(n^4)."""
+    # det(yI - A_r) of the leading r x r block
     vect = [1]
-    for r in range(m.n):
-        row, col = a[r][:r], [a[i][r] for i in range(r)]
+    for r in range(len(a)):
+        rows, row, col = [ai[:r] for ai in a[:r]], a[r][:r], [ai[r] for ai in a[:r]]
         # first column of the Toeplitz factor: 1, -a_rr, -R C, -R M C, ...
         toeplitz = [1, -a[r][r]]
         for k in range(r):
             if k:
-                col = [sum(map(mul, a[i], col)) for i in range(r)]
+                col = [sum(map(mul, ai, col)) for ai in rows]
             toeplitz.append(-sum(map(mul, row, col)))
-        vect = [
-            sum(toeplitz[i - j] * vect[j] for j in range(min(i, r) + 1))
-            for i in range(r + 2)
-        ]
-    return poly(reversed([Fraction(c, scale**k) for k, c in enumerate(vect)]))
+        vect = [sum(map(mul, vect, toeplitz[i::-1])) for i in range(r + 2)]
+    return vect
+
+
+def charpoly(m: NonnegMatrix) -> Poly:
+    """Monic characteristic polynomial det(xI - M), exact over the rationals.
+
+    Built in integers on A = L*M (L the lcm of the entry denominators) from
+    the profile's blocks, which make A block triangular: det(yI - A) is the
+    product over the blocks, a loopless 1x1 block giving y.  A block of n_b
+    vertices, index h (1 with a loop) and smallest cyclic class of size k has
+    y^(n_b - h*k) * det(y^h I - P), P = ``_class_product`` on that class
+    (Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+    ch. 2), and ``_berkowitz`` runs on the k x k matrix P.  With
+    det(yI - A) = sum_k c_k y^k, det(xI - M) has c_k / L^(n-k) at x^k.
+    """
+    profile = spectral_profile(m)
+    # det(yI - A) over the blocks so far, highest degree first
+    vect = [1]
+    for block, irreducible in zip(profile.structure.blocks(), profile.structure.blocks_irreducible):
+        if profile.irreducible:
+            h, classes, _ = _cyclic_structure(m)
+        elif not irreducible or any(m.ints[v][v] for v in block):  # no cycle, or a loop
+            h, classes = 1, (block,)
+        else:
+            h, classes, _ = _period(profile.support, block)
+        c = min(range(h), key=lambda i: len(classes[i]))
+        # times det(y^h I - P), spread to the powers of y^h
+        product = [0] * (len(vect) + len(block))
+        for d, x in enumerate(_berkowitz(_class_product(m.ints, classes, c))):
+            for i, y in enumerate(vect, h * d):
+                product[i] += x * y
+        vect = product
+    return tuple(Fraction(vect[k], m.scale**k) for k in range(m.n, -1, -1))
 
 
 def _bareiss(c: list[list[int]]) -> int:
@@ -571,24 +611,23 @@ def cyclic_classes(m: NonnegMatrix) -> list[list[int]]:
 def imprimitive_block_decomposition(m: NonnegMatrix) -> ImprimitiveDecomposition:
     """Block-diagonal positive decomposition of a power of an irreducible matrix.
 
-    With ``(h, classes, j)`` the cyclic structure, the exponent is h*j: j is
-    the least power of m**h whose class blocks are all positive, while every
-    block between two classes stays zero.  Only that one power is computed
-    in integers, and its support is checked exactly against the class
-    pattern before the blocks are cut out of it; for h = 1 the one block
-    is that power itself, already reduced.
+    With ``(h, classes, j)`` the cyclic structure, the exponent is h*j: j is the least
+    power of m**h whose class blocks are all positive, and m maps each class into the next,
+    so every other block is zero.  The block on class c is P_c**j, P_c = ``_class_product``
+    (m itself for h = 1), with no power of the whole matrix; each is checked positive.
     """
     h, classes, j = _cyclic_structure(m)
-    k = h * j
-    mk = m.pow(k)
-    support = mk.support()
-    if any(support[v] != sum(1 << w for w in cls) for cls in classes for v in cls):
-        raise AssertionError("power does not have the cyclic block pattern")  # pragma: no cover
+    blocks = tuple(
+        (m if h == 1 else NonnegMatrix._from_ints(m.scale**h, _class_product(m.ints, classes, c))).pow(j)
+        for c in range(h)
+    )
+    if not all(block.is_positive() for block in blocks):
+        raise AssertionError("a class block of the power is not positive")  # pragma: no cover
     return ImprimitiveDecomposition(
-        exponent=k,
+        exponent=h * j,
         permutation=tuple(v for cls in classes for v in cls),
         block_sizes=tuple(len(cls) for cls in classes),
-        blocks=(mk,) if h == 1 else tuple(mk.submatrix(cls) for cls in classes),
+        blocks=blocks,
     )
 
 
@@ -629,8 +668,8 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
       B x >= x: rows 0..p-1 are equal and row p exceeds by minus the Schur
       complement of that minor.  The step x <- B x keeps B x >= x, and as
       B x >= x it adds the predecessors of the support to it; B is
-      irreducible, so x is positive within k - 1 steps (on the reduced L*B
-      that ``m.submatrix(block)`` stores).  At exactly 1, p = k - 1 and x is
+      irreducible, so x is positive within k - 1 steps (on ``m.ints`` for one
+      block, else ``m.submatrix(block)``).  At exactly 1, p = k - 1 and x is
       the Perron vector with x_last = 1.
     """
     n = m.n
@@ -657,7 +696,7 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
         else:
             z = _back_substitute(c, p) + [0] * (k - 1 - p)
             den = z[p]
-            b = m.submatrix(block).ints
+            b = ints if len(profile.block_tags) == 1 else m.submatrix(block).ints
             for _ in range(k - 1):
                 if all(z):
                     break

@@ -368,6 +368,46 @@ def charpoly_faddeev_leverrier(m: NonnegMatrix) -> Poly:
     return poly(coeffs)
 
 
+def charpoly_by_whole_berkowitz(m: NonnegMatrix) -> Poly:
+    """det(xI - M) by Berkowitz's division-free algorithm on the whole integer matrix A = L*M.
+
+    With det(yI - A) = sum_k c_k y^k, the coefficient of x^k is c_k / L^(n-k);
+    no block or cyclic structure is used.  O(n^4) integer operations.
+    """
+    scale, a = m.scale, m.ints
+    # det(yI - A_r) of the leading r x r block, highest degree first
+    vect = [1]
+    for r in range(m.n):
+        row, col = a[r][:r], [a[i][r] for i in range(r)]
+        # first column of the Toeplitz factor: 1, -a_rr, -R C, -R M C, ...
+        toeplitz = [1, -a[r][r]]
+        for k in range(r):
+            if k:
+                col = [sum(x * y for x, y in zip(a[i], col)) for i in range(r)]
+            toeplitz.append(-sum(x * y for x, y in zip(row, col)))
+        vect = [sum(toeplitz[i - j] * vect[j] for j in range(min(i, r) + 1)) for i in range(r + 2)]
+    return poly(reversed([Fraction(c, scale**k) for k, c in enumerate(vect)]))
+
+
+def imprimitive_decomposition_by_whole_power(m: NonnegMatrix) -> spectral.ImprimitiveDecomposition:
+    """The decomposition cut out of the whole power M**(h*j).
+
+    ``(h, classes, j)`` come from ``cyclic_structure_by_single_steps``; the
+    power's support is checked against the class pattern before each class
+    block is cut out of it.
+    """
+    h, classes, j = cyclic_structure_by_single_steps(m)
+    power = m.pow(h * j)
+    support = power.support()
+    assert all(support[v] == sum(1 << w for w in cls) for cls in classes for v in cls), "not the class pattern"
+    return spectral.ImprimitiveDecomposition(
+        exponent=h * j,
+        permutation=tuple(v for cls in classes for v in cls),
+        block_sizes=tuple(len(cls) for cls in classes),
+        blocks=tuple(power.submatrix(cls) for cls in classes),
+    )
+
+
 def sturm_tag(m: NonnegMatrix) -> SpectralTag:
     """Leading eigenvalue against 1 by counting real roots of the
     characteristic polynomial above 1 with a Sturm chain.
@@ -1105,28 +1145,31 @@ def _check(value: Any, schema: dict, base: str, where: str) -> Optional[tuple[st
     exception per failed branch (one per string entry of a matrix) would
     cost more than the rest of the validation.
     """
+    error = _failure(value, schema, base, where, 0)
+    return None if error is None else error[:2]
+
+
+def _failure(value: Any, schema: dict, base: str, where: str, depth: int) -> Optional[tuple[str, str, int]]:
+    """``_check``'s ``(path, message)`` and the path's depth: ``depth``, that of ``where``, plus the keys added."""
     if "$ref" in schema:
-        error = _check(value, *_resolve(schema["$ref"], base), where)
+        error = _failure(value, *_resolve(schema["$ref"], base), where, depth)
         if error is not None:
             return error
     branches = schema.get("oneOf")
     if branches is not None:
-        errors = [_check(value, branch, base, where) for branch in branches]
+        errors = [_failure(value, branch, base, where, depth) for branch in branches]
         errors = [e for e in errors if e is not None]
         if len(errors) < len(branches) - 1:
-            return where, "matches more than one allowed form"
+            return where, "matches more than one allowed form", depth
         if len(errors) == len(branches):
-            paths = [path for path, _ in errors]
+            paths = [e[0] for e in errors]
             if paths.count(paths[0]) == len(paths):
-                return paths[0], schema.get("description", errors[0][1])
-            # the branch that got furthest into the value, counting a path's
-            # keys and indices (a first key, at an empty `where`, has no dot);
-            # of equally deep failures, the one fewest branches share (the
-            # others failed on a discriminating field such as "kind")
-            def depth(path: str) -> int:
-                return path.count(".") + path.count("[") + (path[:1] not in ("", "["))
-
-            return max(errors, key=lambda e: (depth(e[0]), -paths.count(e[0])))
+                return paths[0], schema.get("description", errors[0][1]), errors[0][2]
+            # the branch that got furthest into the value, by the keys and
+            # indices of its path, counted as they are appended (a key may hold
+            # a dot); of equally deep failures, the one fewest branches share
+            # (the others failed on a discriminating field such as "kind")
+            return max(errors, key=lambda e: (e[2], -paths.count(e[0])))
     kind = schema.get("type")
     if kind is not None:
         kinds = (kind,) if isinstance(kind, str) else kind
@@ -1136,47 +1179,47 @@ def _check(value: Any, schema: dict, base: str, where: str) -> Optional[tuple[st
             if isinstance(value, _TYPES[k][0]) and not (k == "integer" and isinstance(value, bool)):
                 break
         else:
-            return where, "expected " + " or ".join(_TYPES[k][1] for k in kinds)
+            return where, "expected " + " or ".join(_TYPES[k][1] for k in kinds), depth
     if "const" in schema:
         const = schema["const"]
         if value != const or type(value) is not type(const):
-            return where, f"expected {const!r}, got {_echo(value)}"
+            return where, f"expected {const!r}, got {_echo(value)}", depth
     if isinstance(value, str):
         if len(value) < schema.get("minLength", 0):
-            return where, f"expected at least {schema['minLength']} character(s)"
+            return where, f"expected at least {schema['minLength']} character(s)", depth
         pattern = schema.get("pattern")
         # the whole string, as ECMA-262's `$` requires: Python's `$` also
         # matches before a final newline, so re.search would take "1/2\n"
         if pattern is not None and re.fullmatch(pattern, value) is None:
-            return where, f"expected a string matching {pattern}"
+            return where, f"expected a string matching {pattern}", depth
     elif isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
-            return where, f"expected at least {schema['minItems']} entries"
+            return where, f"expected at least {schema['minItems']} entries", depth
         if len(value) > schema.get("maxItems", len(value)):
-            return where, f"expected at most {schema['maxItems']} entries"
+            return where, f"expected at most {schema['maxItems']} entries", depth
         items = schema.get("items")
         if items is not None:
             for i, item in enumerate(value):
-                error = _check(item, items, base, f"{where}[{i}]")
+                error = _failure(item, items, base, f"{where}[{i}]", depth + 1)
                 if error is not None:
                     return error
     elif isinstance(value, dict):
         properties = schema.get("properties", {})
         for key, sub in properties.items():
             if key in value:
-                error = _check(value[key], sub, base, _join(where, key))
+                error = _failure(value[key], sub, base, _join(where, key), depth + 1)
                 if error is not None:
                     return error
         if schema.get("additionalProperties", True) is False:
             for key in value:
                 if key not in properties:
-                    return _join(where, key), "unknown field"
+                    return _join(where, key), "unknown field", depth + 1
         for key in schema.get("required", ()):
             if key not in value:
-                return _join(where, key), "missing field"
+                return _join(where, key), "missing field", depth + 1
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         if value < schema.get("minimum", value):
-            return where, f"expected at least {schema['minimum']}"
+            return where, f"expected at least {schema['minimum']}", depth
     return None
 
 

@@ -423,7 +423,7 @@ def mutated_documents(draw):
         if how == "drop":
             del node[draw(st.sampled_from(sorted(node)))]
         elif how == "add":
-            key = draw(st.sampled_from(["extra", "local_deg", "multicurv"]))
+            key = draw(st.sampled_from(["extra", "local_deg", "multicurv", "a.b.c", "x.y"]))
             node[key] = draw(REPLACEMENTS)
         elif how == "below":
             doc = _replaced(doc, path, node - draw(st.integers(1, 3)))
@@ -661,13 +661,15 @@ def test_checker_refuses_keywords_its_closure_would_not_test(schema):
 
 
 def test_one_of_takes_the_failure_with_the_most_path_keys_not_characters():
-    # the dots of the key "a.b.c" once counted as three levels of depth
+    # the dots of the key "a.b.c" once counted as three levels of depth, in validate and in the
+    # interpreter oracle
     doc = copy.deepcopy(CANONICAL)
     doc["decomposition"][0]["first_return"] = {"a.b.c": 1, "matrix": [[1, 2], [3]]}
     message = "decomposition[0].first_return.matrix[1]: expected at least 2 entries"
     with pytest.raises(InputFormatError) as exc:
         canonical_from_doc(doc)
     assert str(exc.value) == message
+    assert validation_error_by_interpreter(doc, "canonical.schema.json") == message
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         assert main(["canonical", json.dumps(doc)]) == 2

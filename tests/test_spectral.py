@@ -9,11 +9,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from oracles import (
     DeflatingRootIsolator,
     FractionRootIsolator,
+    charpoly_by_whole_berkowitz,
     charpoly_faddeev_leverrier,
     cleared_by_lcm,
     cyclic_structure_by_single_steps,
@@ -21,6 +22,7 @@ from oracles import (
     determinant_by_elimination,
     evaluate,
     eye_minus_cleared,
+    imprimitive_decomposition_by_whole_power,
     imprimitivity_by_cycles,
     kernel_vector,
     matrix_powers_by_fraction_products,
@@ -58,6 +60,7 @@ from thurston_obstruct.spectral import (
     _back_substitute,
     _bareiss,
     _block_tag,
+    _berkowitz,
     _bool_mul,
     _cyclic_structure,
     _leading_root_isolator,
@@ -1084,6 +1087,90 @@ def test_cyclic_structure_of_the_80x80_wielandt_matrix_is_quick(monkeypatch):
     assert _cyclic_structure(m) == (1, (tuple(range(80)),), wielandt_bound(80))
     assert time.perf_counter() - start < 1.0
     assert wielandt_bound(80) == 6242 and len(products) == 25
+
+
+# ---------------------------------------------------------------------------
+# characteristic polynomial and decomposition from the block and cyclic structure
+
+positive_entries = st.sampled_from(ENTRY_POOL[3:])
+
+
+@st.composite
+def weighted(draw, supports):
+    """A matrix from ``supports`` with every positive entry redrawn from the positive pool."""
+    m = draw(supports)
+    return NonnegMatrix([[draw(positive_entries) if x else 0 for x in row] for row in m.ints])
+
+
+imprimitive_matrices = weighted(irreducible_class_matrices())
+
+
+@st.composite
+def reducible_imprimitive_matrices(draw):
+    """Block lower triangular: irreducible blocks of any index, spectral blocks and loopless 1x1
+    blocks on the diagonal, random entries below it, rows and columns simultaneously permuted."""
+    small = weighted(irreducible_class_matrices(max_n=8)).map(lambda m: [list(row) for row in m.rows])
+    blocks = draw(st.lists(st.one_of(small, st.integers(1, 3).flatmap(spectral_block)), min_size=1, max_size=3))
+    n = sum(map(len, blocks))
+    rows = [[F(0)] * n for _ in range(n)]
+    start = 0
+    for block in blocks:
+        for i, row in enumerate(block):
+            rows[start + i][start : start + len(block)] = row
+            rows[start + i][:start] = [draw(entries) for _ in range(start)]
+        start += len(block)
+    perm = draw(st.permutations(range(n)))
+    return NonnegMatrix([[rows[i][j] for j in perm] for i in perm])
+
+
+@given(st.one_of(mixed_block_matrices(), imprimitive_matrices, reducible_imprimitive_matrices(), shaped_matrices(min_n=0)))
+@example(NonnegMatrix([]))
+@example(NonnegMatrix([[0]]))
+@example(NonnegMatrix([[0, 0, 0], [1, 0, 0], [0, 2, 0]]))
+@settings(max_examples=300, deadline=None)
+def test_charpoly_matches_whole_matrix_berkowitz(m):
+    assert charpoly(m) == charpoly_by_whole_berkowitz(m)
+
+
+@given(st.one_of(imprimitive_matrices, cyclic_pattern_matrices(), matrices()))
+@example(NonnegMatrix([[0]]))
+@settings(max_examples=200, deadline=None)
+def test_decomposition_matches_the_cut_from_the_whole_power(m):
+    if not is_irreducible(m):
+        with pytest.raises(PreconditionError):
+            imprimitive_block_decomposition(m)
+    else:
+        assert imprimitive_block_decomposition(m) == imprimitive_decomposition_by_whole_power(m)
+
+
+def test_berkowitz_runs_on_each_block_and_on_the_smallest_class_only(monkeypatch):
+    sizes = []
+    monkeypatch.setattr(
+        "thurston_obstruct.spectral._berkowitz", lambda a: sizes.append(len(a)) or _berkowitz(a)
+    )
+    # four dense 5-blocks, permuted: one 5 x 5 run per block
+    rng = random.Random(4)
+    rows = [[rng.randint(1, 4) if i // 5 == j // 5 else rng.randint(0, 1) * (j // 5 < i // 5)
+             for j in range(20)] for i in range(20)]
+    perm = list(range(20))
+    rng.shuffle(perm)
+    m = NonnegMatrix([[rows[i][j] for j in perm] for i in perm])
+    assert charpoly(m) == charpoly_by_whole_berkowitz(m) and sizes == [5] * 4
+    # index 3 with classes of 3, 2 and 4 vertices: one run on the 2 x 2 class product
+    sizes.clear()
+    cls = [0, 0, 0, 1, 1, 2, 2, 2, 2]
+    m = NonnegMatrix([[int(cls[j] == (cls[i] + 1) % 3) for j in range(9)] for i in range(9)])
+    assert imprimitivity_index(m) == 3
+    assert charpoly(m) == charpoly_by_whole_berkowitz(m) and sizes == [2]
+    # the same block in a reducible matrix, beside a vertex with a loop that feeds it
+    sizes.clear()
+    m = NonnegMatrix([list(row) + [0] for row in m.ints] + [[1] + [0] * 8 + [3]])
+    assert spectral_profile(m).structure.block_sizes == (9, 1)
+    assert charpoly(m) == charpoly_by_whole_berkowitz(m) and sizes == [2, 1]
+    # the 60 x 60 upper-triangular matrix: sixty 1 x 1 runs
+    sizes.clear()
+    m = NonnegMatrix([[2 if i == j else int(j > i) for j in range(60)] for i in range(60)])
+    assert charpoly(m) == charpoly_by_whole_berkowitz(m) and sizes == [1] * 60
 
 
 def test_start_bracket_that_excludes_one_is_returned_unsnapped():
