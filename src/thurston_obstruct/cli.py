@@ -399,11 +399,25 @@ def _build_parser() -> argparse.ArgumentParser:
         help="declared classes of each torus-quotient inner table that are examined "
         f"(default {DEFAULT_SUBSET_CAP})",
     )
+    parser.subcommands = sub.choices  # each subcommand's own parser, for ``_parse_args``
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argparse's own dispatch, with one pass: a subcommand's arguments go straight to its parser."""
+    parser = _build_parser()
+    sub = parser.subcommands
+    if not argv or argv[0] not in sub:  # no arguments, -h, an unknown command, options first
+        return parser.parse_args(argv)
+    args, rest = sub[argv[0]].parse_known_args(argv[1:])
+    if rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
+    args.command = argv[0]
+    return args
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     # a request's options: every parsed argument but the input and the report format
     skip = ("command", "input", "matrix", "format")
     options = {k: v for k, v in vars(args).items() if k not in skip}

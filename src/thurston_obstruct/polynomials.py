@@ -6,8 +6,8 @@ hands over rational (``Fraction``) coefficients.  ``LargestRootIsolator``
 clears them once and maps its start bracket [lo, hi] onto [0, 1], as in
 the unit-interval step of Descartes-method isolators (Collins & Akritas,
 SYMSAC 1976): the primitive integer q(t) = c p(lo + (hi - lo) t), c > 0,
-is the one polynomial it keeps, and from there on everything runs over
-the integers.  One Taylor shift, ``_taylor``, builds q and decides every
+is the polynomial it keeps for each p it walks, and from there on
+everything runs over the integers.  One Taylor shift, ``_taylor``, builds q and decides every
 probe that needs more than q's sign: the Taylor coefficients of q at t
 have the signs of q, q', ..., q^(n) at t, so of p, p', ..., p^(n) at
 x = lo + (hi - lo) t, and their sign variations bound the real roots above
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from typing import Sequence
 
 Poly = tuple[Fraction, ...]
 
@@ -152,51 +153,56 @@ def simplest_rational_between(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 class LargestRootIsolator:
-    """Exact bisection for the largest real root rho of a polynomial p.
+    """Exact bisection for the largest real root rho of one or more polynomials.
 
-    The contract: every complex root of p has real part at most rho, as
-    every eigenvalue z of a nonnegative matrix has (Perron-Frobenius:
-    Re z <= |z| <= rho).  Built once per polynomial, it keeps one integer
-    polynomial: the q of ``_on_unit_interval``, a positive multiple of
-    p(lo + (hi - lo) t), whose largest real root lies in (0, 1].  V at t
-    counts the sign variations of the Taylor coefficients of q(t + y),
-    positive multiples of those of p(x + s) at x = lo + (hi - lo) t, where
+    The contract: every complex root of each polynomial p has real part at
+    most p's largest real root, as every eigenvalue z of a nonnegative matrix
+    has (Perron-Frobenius: Re z <= |z| <= rho).  Built once, it keeps one
+    integer polynomial per p: the q of ``_on_unit_interval``, a positive
+    multiple of p(lo + (hi - lo) t).  V at t counts the sign variations of
+    the Taylor coefficients of q(t + y), positive multiples of those of
+    p(x + s) at x = lo + (hi - lo) t, where
     p(x + s) = c * prod (s + x - r) * prod ((s + x - a)^2 + b^2) over the
-    real roots r and the complex pairs a +- bi.  For x >= rho every factor
-    but c has nonnegative coefficients, so V(x) = 0, and p(x) = 0 exactly
-    when x = rho; for x < rho, p(x + s) has the positive root rho - x, so
-    V(x) >= 1, and V(x) = 1 means rho is simple and the only real root
-    above x (Descartes' rule of signs).
+    real roots r and the complex pairs a +- bi.  For x at or above p's
+    largest real root r_p every factor but c has nonnegative coefficients,
+    so V(x) = 0, and p(x) = 0 exactly when x = r_p; for x < r_p, p(x + s)
+    has the positive root r_p - x, so V(x) >= 1, and V(x) = 1 means r_p is
+    simple and the only real root above x (Descartes' rule of signs).  rho
+    is the largest r_p: it lies above x exactly when some V(x) > 0, and is x
+    when no V(x) is and some p(x) = 0.  A matrix's rho is the largest over
+    its strongly connected blocks, each with a polynomial of its own.
 
     Every query walks the one bisection path from the start bracket.  Its
-    state at level s is ``(s, k, V(k / 2^s))`` for the cell
-    (k / 2^s, (k + 1) / 2^s] of t, or ``(s, k, 0)`` for the point k / 2^s
-    once a midpoint is rho, so a probe needs integers only.  The cells are
-    nested, so the deepest state walked is the one kept: the cell at a
-    shallower level l is k >> (s - l).  It is only ever replaced whole by a
+    state at level s is ``(s, k, *V(k / 2^s))``, one V per polynomial, for
+    the cell (k / 2^s, (k + 1) / 2^s] of t, or ``(s, k, 0, ...)`` for the
+    point k / 2^s once a midpoint is rho, so a probe needs integers only; a
+    polynomial is probed by its sign alone while its V is 1, and no more
+    once its V is 0.  The cells are nested, so the deepest state walked is
+    the one kept: the cell at a shallower level l is k >> (s - l).  It is only ever replaced whole by a
     deeper one: a query probes only past what earlier ones walked, threads
     that race on one isolator can at most repeat steps, and no answer
     depends on the order of queries.  The caller must supply rational
-    bounds lo < hi such that rho lies in (lo, hi] and p(lo) != 0.
+    bounds lo < hi such that rho lies in (lo, hi] and no p(lo) is 0.
     """
 
-    __slots__ = ("q", "lo", "hi", "_frame", "_deepest")
+    __slots__ = ("qs", "lo", "hi", "_frame", "_deepest")
 
-    def __init__(self, p: Poly, lo: Fraction, hi: Fraction):
-        if len(p) < 2:
+    def __init__(self, p: Poly, lo: Fraction, hi: Fraction, *, more: Sequence = ()):
+        """``p`` and each polynomial of ``more``: rational or integer coefficients, lowest degree first."""
+        if len(p) < 2 or any(len(r) < 2 for r in more):
             raise ValueError("need a nonconstant polynomial")
         if not lo < hi:
             raise ValueError("no real root in the given range")
         self._frame = _frame(lo, hi)
-        self.q = _on_unit_interval(p, self._frame)
+        self.qs = tuple(_on_unit_interval(r, self._frame) for r in (p, *more))
         self.lo, self.hi = lo, hi
-        lo_is_root, above_lo = _root_and_variations(list(self.q))
-        if lo_is_root:
+        roots, at_lo = zip(*(_root_and_variations(list(q)) for q in self.qs))
+        if any(roots):
             raise ValueError("lower bound must not be a root")
-        at_hi = self._probe_at(1, 1)
-        if above_lo <= at_hi[1]:  # Budan-Fourier: no root in (lo, hi]
+        root, *at_hi = self._probe_at(1, 1)
+        if all(v <= w for v, w in zip(at_lo, at_hi)):  # Budan-Fourier: no root in (lo, hi]
             raise ValueError("no real root in the given range")
-        self._deepest = (0, 1, 0) if at_hi == (True, 0) else (0, 0, above_lo)
+        self._deepest = (0, 1, *at_hi) if root and not any(at_hi) else (0, 0, *at_lo)
 
     def _t(self, x: Fraction) -> tuple[int, int]:
         """t = (B x - A) / E of x, as a numerator and a positive denominator, unreduced."""
@@ -207,44 +213,48 @@ class LargestRootIsolator:
         a, e, b = self._frame
         return Fraction((a << level) + e * k, b << level)
 
-    def _probe_at(self, a: int, b: int) -> tuple[bool, int]:
-        """Whether t = a/b is a root of q, and V there, positive exactly when rho lies above."""
-        return _root_and_variations(_taylor(self.q, a, b))
+    def _probe_at(self, a: int, b: int) -> tuple:
+        """Whether t = a/b is a root of some q, then each q's V there: rho lies above when one is positive."""
+        probes = [_root_and_variations(_taylor(q, a, b)) for q in self.qs]
+        return (any(root for root, _ in probes), *(v for _, v in probes))
 
     def _is_largest_root(self, a: int, b: int) -> bool:
-        """Whether t = a/b is rho: q alone first, every sign only at a root of q."""
-        return not _value(self.q, a, b) and self._probe_at(a, b)[1] == 0
+        """Whether t = a/b is rho: the q alone first, every sign only at a root of one of them."""
+        return any(not _value(q, a, b) for q in self.qs) and not any(self._probe_at(a, b)[1:])
 
-    def _step(self, level: int, k: int, above: int) -> tuple[int, int]:
-        """The path's state after ``(k, above)`` at ``level``: one probe at the midpoint."""
+    def _step(self, level: int, k: int, above: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+        """The path's state after ``(k, above)`` at ``level``: one probe of each live q at the midpoint."""
         mid, shift = 2 * k + 1, level + 1
-        if above == 1:
-            # V = 1 at the cell's lower end: rho alone is above it, and simple, so q has
-            # the sign of its leading coefficient above rho and the other sign below
-            value = _dyadic_value(self.q, mid, shift)
-            is_root, count = value == 0, int(value < 0 if self.q[-1] > 0 else value > 0)
-        else:
-            is_root, count = self._probe_at(mid, 1 << shift)
-        if count:
-            return (mid, count)
-        return (mid, 0) if is_root else (2 * k, above)
+        is_root, after = False, []
+        for q, v in zip(self.qs, above):
+            if v == 1:
+                # V = 1 at the cell's lower end: q's largest root alone is above it, and simple,
+                # so q has the sign of its leading coefficient above that root and the other below
+                value = _dyadic_value(q, mid, shift)
+                is_root, v = is_root or not value, int(value < 0 if q[-1] > 0 else value > 0)
+            elif v:
+                root, v = _root_and_variations(_taylor(q, mid, 1 << shift))
+                is_root = is_root or root
+            after.append(v)
+        return (mid, tuple(after)) if is_root or any(after) else (2 * k, above)
 
     def _bisect(self, done) -> tuple[Fraction, Fraction]:
         """Walk the path to its first state with ``done(level, k)``; exact roots snap to points.
 
         Shallower cells are read off the kept state by a shift; only deeper levels are probed.
         """
-        deepest, k, above = self._deepest
+        deepest, k, *above = self._deepest
         level = next((s for s in range(deepest) if done(s, k >> deepest - s)), deepest)
         if level < deepest:
-            k, above = k >> deepest - level, True
-        while above and not done(level, k):
+            k, above = k >> deepest - level, (True,)
+        above = tuple(above)
+        while any(above) and not done(level, k):
             k, above = self._step(level, k, above)
             level += 1
         if level > self._deepest[0]:
-            self._deepest = (level, k, above)
+            self._deepest = (level, k, *above)
         lo = self._x(k, level)
-        hi = self._x(k + 1, level) if above else lo
+        hi = self._x(k + 1, level) if any(above) else lo
         # snap to the simplest rational in the bracket if it is the root itself
         cand = simplest_rational_between(lo, hi)
         if lo < cand and self._is_largest_root(*self._t(cand)):
@@ -270,8 +280,8 @@ class LargestRootIsolator:
         converges to the root and so ends.  A float raises ``TypeError``.
         """
         point = _as_fraction(point, "points")
-        level, _, above = self._deepest
-        if not self.lo <= point <= self.hi and (level or above):  # the start state is a cell
+        level, _, *above = self._deepest
+        if not self.lo <= point <= self.hi and (level or any(above)):  # the start state is a cell
             return (self.lo, self.hi)
         a, b = self._t(point)
         if self._is_largest_root(a, b):

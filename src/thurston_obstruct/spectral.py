@@ -235,6 +235,8 @@ def _period(adj: Sequence[int], vertices: Sequence[int]) -> tuple[int, tuple[tup
     for u in vertices:
         for v in _bits(adj[u] & inside):
             h = gcd(h, level[u] + 1 - level[v])
+        if h == 1:  # no later edge changes it
+            break
     return h, tuple(tuple(v for v in vertices if level[v] % h == c) for c in range(h)), level
 
 
@@ -358,34 +360,42 @@ def _berkowitz(a: Sequence[Sequence[int]]) -> list[int]:
     return vect
 
 
+def _block_charpoly(m: NonnegMatrix, block: Sequence[int]) -> list[int]:
+    """det(yI - A_b) of one block b of the profile (A = L*M), highest degree first."""
+    profile = spectral_profile(m)
+    if profile.irreducible:
+        h, classes, _ = _cyclic_structure(m)
+    elif len(block) == 1 or any(m.ints[v][v] for v in block):  # no cycle, or a loop
+        h, classes = 1, (block,)
+    else:
+        h, classes, _ = _period(profile.support, block)
+    c = min(range(h), key=lambda i: len(classes[i]))
+    # det(y^h I - P), spread to the powers of y^h
+    det, factor = _berkowitz(_class_product(m.ints, classes, c)), [0] * (len(block) + 1)
+    factor[: h * len(det) : h] = det
+    return factor
+
+
 def charpoly(m: NonnegMatrix) -> Poly:
     """Monic characteristic polynomial det(xI - M), exact over the rationals.
 
     Built in integers on A = L*M (L the lcm of the entry denominators) from
     the profile's blocks, which make A block triangular: det(yI - A) is the
-    product over the blocks, a loopless 1x1 block giving y.  A block of n_b
-    vertices, index h (1 with a loop) and smallest cyclic class of size k has
-    y^(n_b - h*k) * det(y^h I - P), P = ``_class_product`` on that class
-    (Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
+    product over the blocks (``_block_charpoly``), a loopless 1x1 block giving y.
+    A block of n_b vertices, index h (1 with a loop) and smallest cyclic class
+    of size k has y^(n_b - h*k) * det(y^h I - P), P = ``_class_product`` on that
+    class (Berman & Plemmons, Nonnegative Matrices in the Mathematical Sciences,
     ch. 2), and ``_berkowitz`` runs on the k x k matrix P.  With
     det(yI - A) = sum_k c_k y^k, det(xI - M) has c_k / L^(n-k) at x^k.
     """
-    profile = spectral_profile(m)
     # det(yI - A) over the blocks so far, highest degree first
     vect = [1]
-    for block, irreducible in zip(profile.structure.blocks(), profile.structure.blocks_irreducible):
-        if profile.irreducible:
-            h, classes, _ = _cyclic_structure(m)
-        elif not irreducible or any(m.ints[v][v] for v in block):  # no cycle, or a loop
-            h, classes = 1, (block,)
-        else:
-            h, classes, _ = _period(profile.support, block)
-        c = min(range(h), key=lambda i: len(classes[i]))
-        # times det(y^h I - P), spread to the powers of y^h
+    for block in spectral_profile(m).structure.blocks():
         product = [0] * (len(vect) + len(block))
-        for d, x in enumerate(_berkowitz(_class_product(m.ints, classes, c))):
-            for i, y in enumerate(vect, h * d):
-                product[i] += x * y
+        for d, x in enumerate(_block_charpoly(m, block)):
+            if x:
+                for i, y in enumerate(vect, d):
+                    product[i] += x * y
         vect = product
     return tuple(Fraction(vect[k], m.scale**k) for k in range(m.n, -1, -1))
 
@@ -450,6 +460,10 @@ def _eliminate(m: NonnegMatrix, block: Sequence[int]) -> tuple:
     block, reducible or not; only the split of the rest needs irreducibility.
     """
     scale, ints = m.scale, m.ints
+    if len(block) == 1:  # C = [d]: read off d alone
+        d = scale - ints[block[0]][block[0]]
+        g = abs(d) or 1
+        return _TAG_ORDER[0 if d > 0 else 1 if d == 0 else 2], 0, [g], [[d // g]]
     rows = [[(scale if i == j else 0) - ints[i][j] for j in block] for i in block]
     gcds = [gcd(*row) or 1 for row in rows]
     c = [[x // g for x in row] if g > 1 else row for row, g in zip(rows, gcds)]
@@ -527,12 +541,29 @@ def _leading_root_isolator(m: NonnegMatrix) -> LargestRootIsolator:
     The leading eigenvalue rho is the largest real root of the characteristic
     polynomial, and every eigenvalue z has Re z <= |z| <= rho <= rs, rs the
     maximal row sum (Perron-Frobenius): the isolator's contract holds, with
-    start bracket (-rs-1, rs].  Built once per matrix that needs a bracket;
-    both kinds of query walk its one bisection path from that start.
+    start bracket (-rs-1, rs].  rho is also the largest rho of the blocks
+    with the matrix's tag, as a block with a lower tag lies below them, and
+    each block's rho is the largest real root of its own polynomial under the
+    same contract.  So the walk gets ``charpoly`` of an irreducible matrix,
+    else det(L x I - A_b) (``_block_charpoly`` at y = L x) of each such block
+    b with several vertices, and L x - a for the largest diagonal entry a of
+    A on those with one.  Built once per matrix that needs a bracket; both
+    kinds of query walk its one bisection path from that start.
     """
     if m._isolator is None:
         rs = max(m.row_sums(), default=Fraction(0))
-        object.__setattr__(m, "_isolator", LargestRootIsolator(charpoly(m), -rs - 1, rs))
+        profile = spectral_profile(m)
+        if profile.irreducible:
+            iso = LargestRootIsolator(charpoly(m), -rs - 1, rs)
+        else:
+            blocks = [b for b, tag in zip(profile.structure.blocks(), profile.block_tags) if tag is profile.tag]
+            # det(L x I - A_b) and L x - a: integer coefficients, lowest degree first
+            polys = [[c * m.scale**k for k, c in enumerate(reversed(_block_charpoly(m, b)))]
+                     for b in blocks if len(b) > 1]
+            ones = [m.ints[b[0]][b[0]] for b in blocks if len(b) == 1]
+            polys += [(-max(ones), m.scale)] if ones else []
+            iso = LargestRootIsolator(polys[0], -rs - 1, rs, more=polys[1:])
+        object.__setattr__(m, "_isolator", iso)
     return m._isolator
 
 

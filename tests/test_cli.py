@@ -482,11 +482,14 @@ def test_matrix_reports_build_no_sturm_chain(capsys, monkeypatch):
 
 def test_exact_one_matrix_reports_build_no_characteristic_polynomial(capsys, monkeypatch):
     # at rho = 1 both brackets are [1, 1] below width 1 without bisection: no
-    # request builds charpoly, and a width of 1 or more still bisects
+    # request builds charpoly or a block's polynomial, and a width of 1 or more
+    # still bisects: on charpoly of an irreducible matrix, and on the polynomial
+    # of the reducible one's stochastic block
     def refuse(*args):
         raise AssertionError("characteristic polynomial built")
 
     monkeypatch.setattr(spectral, "charpoly", refuse)
+    monkeypatch.setattr(spectral, "_block_charpoly", refuse)
     cases = [
         '[["1/2","1/2"],["1/3","2/3"]]',
         "[[0,1],[1,0]]",
@@ -610,6 +613,37 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
         capsys.readouterr()
         assert main(slopes) == 0
         assert capsys.readouterr().out == first
+
+
+# argv whose dispatch differs between argparse's subparser action and the one
+# pass of ``_parse_args``, if it differs anywhere: help, missing and leftover
+# arguments, options before the command, abbreviations, "--" and bad values
+ONE_PASS_ARGV = [
+    [], ["-h"], ["nope"], ["matrix"], ["matrix", "-h"], ["matrix", "[[1]]", "--help"],
+    ["matrix", "--bogus"], ["matrix", "x", "y"], ["matrix", "[[1]]", "extra"],
+    ["--format", "json", "matrix", "[[1]]"], ["matrix", "--form", "json", "[[1]]"],
+    ["matrix", "--width"], ["matrix", "--", "[[1]]"], ["matrix", "-x"], ["matrix", "--check"],
+    ["table", "--subset-cap", "abc", "{}"], ["canonical", "--subset-cap=3", "{}"],
+    ["slopes", "--bound", "x", "[[2,0],[0,2]]"], ["orbifold", "--matrix", "[[1]]"],
+    ["matrix", "--format", "xml", "[[1]]"],
+]
+
+
+def _main_outcome(capsys, argv) -> tuple[str, str, object]:
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+@pytest.mark.parametrize("argv", ONE_PASS_ARGV, ids=lambda argv: " ".join(argv) or "no arguments")
+def test_one_parser_pass_matches_the_full_parser(capsys, monkeypatch, argv):
+    # stdout, stderr and exit code as with the whole parser's subcommand dispatch
+    one_pass = _main_outcome(capsys, argv)
+    monkeypatch.setattr("thurston_obstruct.cli._parse_args", lambda argv: _build_parser().parse_args(argv))
+    assert one_pass == _main_outcome(capsys, argv)
 
 
 def test_uncapped_canonical_report_is_not_truncated(capsys):

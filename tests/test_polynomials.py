@@ -187,8 +187,9 @@ def test_isolator_probes_match_fraction_sturm_oracle(case, points, dyadic):
     p, roots = case
     bound = cauchy_root_bound(p)
     iso = LargestRootIsolator(p, -bound, bound)
+    (q,) = iso.qs  # one polynomial
     # t = 0 and t = 1 as the constructor reads them: q's own coefficients, and one shift
-    at_lo, at_hi = fourier_sign_count(iso.q, F(0)), fourier_sign_count(iso.q, F(1))
+    at_lo, at_hi = fourier_sign_count(q, F(0)), fourier_sign_count(q, F(1))
     assert iso._deepest == ((0, 1, 0) if at_hi == (True, 0) else (0, 0, at_lo[1]))
     rational_roots = [r[1] for r in roots if r[0] == "rational"]
     real_parts = [r[1] for r in roots if r[0] == "complex"]
@@ -198,13 +199,13 @@ def test_isolator_probes_match_fraction_sturm_oracle(case, points, dyadic):
     for m, s in dyadic:
         mid = 2 * (m % (1 << s)) + 1
         probes.append((-bound + 2 * bound * F(mid, 2 << s), (mid, 2 << s)))
-        assert _dyadic_value(iso.q, mid, s + 1) == _value(iso.q, mid, 2 << s)
+        assert _dyadic_value(q, mid, s + 1) == _value(q, mid, 2 << s)
     for x, (a, b) in probes:
         # b^deg q(a/b) for the unreduced a/b: g^deg times its value at the reduced one
         g = b // F(a, b).denominator
-        assert _value(iso.q, a, b) == g ** (len(iso.q) - 1) * _homogeneous_value(iso.q, F(a, b)), x
+        assert _value(q, a, b) == g ** (len(q) - 1) * _homogeneous_value(q, F(a, b)), x
         is_root, variations = iso._probe_at(a, b)
-        assert (is_root, variations) == fourier_sign_count(iso.q, F(a, b)), x
+        assert (is_root, variations) == fourier_sign_count(q, F(a, b)), x
         above = sum(k for r, k in roots.items() if _above(r, x))  # with multiplicity
         assert is_root == (evaluate(p, x) == 0) == (x in rational_roots), x
         # V(x) > 0 exactly when the largest real root lies above x

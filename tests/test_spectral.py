@@ -1132,6 +1132,59 @@ def test_charpoly_matches_whole_matrix_berkowitz(m):
     assert charpoly(m) == charpoly_by_whole_berkowitz(m)
 
 
+@st.composite
+def table_shaped_matrices(draw):
+    """Mostly one-vertex blocks, as in a curve table's Thurston matrix: diagonal
+    entries (equal ones included) over a random strictly lower part, sometimes an
+    entry above the diagonal that closes a 2-cycle, then permuted."""
+    n = draw(st.integers(2, 10))
+    diagonal = st.sampled_from([F(0), F(1, 2), F(1), F(3, 2), F(2)])
+    below = st.sampled_from([F(0), F(0), F(1, 2), F(1)])
+    rows = [[draw(diagonal) if i == j else draw(below) if j < i else F(0) for j in range(n)]
+            for i in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 2))
+        rows[i][i + 1] = draw(st.sampled_from([F(1, 2), F(2)]))
+    perm = draw(st.permutations(range(n)))
+    return NonnegMatrix([[rows[i][j] for j in perm] for i in perm])
+
+
+@given(
+    st.one_of(
+        mixed_block_matrices(),
+        imprimitive_matrices,
+        reducible_imprimitive_matrices(),
+        shaped_matrices(),
+        repeated_block_matrices(),
+        table_shaped_matrices(),
+    )
+)
+@example(NonnegMatrix([[2 if i == j else int(j > i) for j in range(4)] for i in range(4)]))
+@example(NonnegMatrix([[1, 1, 0, 0], [1, 0, 0, 0], [1, 0, 1, 1], [0, 0, 1, 0]]))
+@settings(max_examples=100, deadline=None)
+def test_candidate_block_walk_matches_the_whole_product(m):
+    # rho from the polynomials of the blocks with the matrix's tag, the one-vertex
+    # ones as one L x - a, against the whole characteristic polynomial: brackets at
+    # every width, and separations from every block's own root or bracket ends
+    profile = spectral_profile(m)
+    rs = max(m.row_sums())
+    iso, whole = _leading_root_isolator(m), LargestRootIsolator(charpoly(m), -rs - 1, rs)
+    candidates = [b for b, tag in zip(profile.structure.blocks(), profile.block_tags) if tag is profile.tag]
+    several = sum(len(b) > 1 for b in candidates)
+    assert len(iso.qs) == (1 if profile.irreducible else several + any(len(b) == 1 for b in candidates))
+    floor = 4096 if m.n <= 4 else 300
+    for width in QUERY_WIDTHS + (F(1, 2**64), F(1, 2**floor)):
+        assert iso.refine_to_width(width) == whole.refine_to_width(width), width
+    points = list(QUERY_POINTS)
+    for block in profile.structure.blocks():
+        sub = m.submatrix(block)
+        sub_rs = max(sub.row_sums())
+        points += LargestRootIsolator(charpoly(sub), -sub_rs - 1, sub_rs).refine_to_width(F(1, 2**40))
+    for x in points:
+        assert _answer(lambda: iso.refine_until_separated_from(x)) == \
+            _answer(lambda: whole.refine_until_separated_from(x)), x
+
+
 @given(st.one_of(imprimitive_matrices, cyclic_pattern_matrices(), matrices()))
 @example(NonnegMatrix([[0]]))
 @settings(max_examples=200, deadline=None)
