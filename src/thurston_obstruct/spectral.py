@@ -14,7 +14,7 @@ import enum
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
-from operator import mul
+from operator import lshift, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._records import record
@@ -55,7 +55,10 @@ class NonnegMatrix:
         """The matrix A / L from L > 0 and a nonnegative integer matrix A, unchecked."""
         g = gcd(scale, *(x for row in ints for x in row))
         m = object.__new__(cls)
-        m._fill(scale // g, tuple(tuple(x // g for x in row) for row in ints), None)
+        if g == 1:  # every decoded input and many powers: no division by 1
+            m._fill(scale, tuple(map(tuple, ints)), None)
+        else:
+            m._fill(scale // g, tuple(tuple(x // g for x in row) for row in ints), None)
         return m
 
     def _fill(self, scale, ints, rows) -> None:
@@ -314,7 +317,30 @@ def power_positive_exponent(m: NonnegMatrix, cap: Optional[int] = None) -> Optio
     return k if k <= cap else None
 
 
+_PACK_MIN_DIM, _PACK_MAX_WIDTH = 7, 300  # see _int_mul
+
+
 def _int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The product of two integer matrices whose entries are all nonnegative.
+
+    An m x k by k x n product with m, n >= ``_PACK_MIN_DIM`` packs each row of b into one integer,
+    its entries w bits apart (Kronecker substitution; D. Harvey, J. Symbolic Comput. 44, 2009):
+    row i of the product is then one sum of a[i][t] times packed row t, read back by shift and
+    mask.  w is one bit more than the bit length of max(a) * max(b) * k, which bounds every entry
+    of the product, so no slot carries into the next; a negative entry would borrow from the slot
+    below it.  Smaller products, and slots over ``_PACK_MAX_WIDTH`` bits, take one dot product per
+    entry.  Measured in process (CPython 3.11, x86_64), packing took 1.0-1.25x the dot products'
+    time at n = 5-6, 0.7-1.0x at n = 7 and 0.45-0.8x at n = 8-16 with slots up to 300 bits; with
+    600-bit slots it was about even, and with 1,200-bit ones 1.3-1.5x: a slot is about twice as
+    wide as an entry, so the packed products multiply about twice the bits.
+    """
+    n = len(b[0]) if b else 0
+    if min(len(a), n) >= _PACK_MIN_DIM:
+        w = (max(map(max, a)) * max(map(max, b)) * len(b)).bit_length() + 1
+        if w <= _PACK_MAX_WIDTH:
+            shifts, mask = range(0, n * w, w), (1 << w) - 1
+            packed = [sum(map(lshift, row, shifts)) for row in b]
+            return [list(map(mask.__and__, map(sum(map(mul, row, packed)).__rshift__, shifts))) for row in a]
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
@@ -324,8 +350,10 @@ def _bool_mul(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     out = []
     for row in a:
         acc = 0
-        for j in _bits(row):
-            acc |= b[j]
+        while row:  # the set bits of row, lowest first
+            low = row & -row
+            acc |= b[low.bit_length() - 1]
+            row ^= low
         out.append(acc)
     return tuple(out)
 

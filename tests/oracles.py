@@ -350,6 +350,17 @@ def determinant_by_elimination(rows) -> Fraction:
     return det
 
 
+def int_mul_by_entries(a, b) -> list[list[int]]:
+    """The m x n integer product of an m x k and a k x n matrix, one entry at a time by a triple loop."""
+    m, k, n = len(a), len(b), len(b[0])
+    out = [[0] * n for _ in range(m)]
+    for i in range(m):
+        for j in range(n):
+            for t in range(k):
+                out[i][j] += a[i][t] * b[t][j]
+    return out
+
+
 def _mul(a, b):
     cols = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in cols] for row in a]

@@ -740,6 +740,32 @@ def test_matrix_decoding_without_fractions():
         parse_rational("0/0", "x")
 
 
+@st.composite
+def scaled_ints(draw):
+    """``(L, ints)`` for entries x/L: L = 1, p or p * q, up to 2^300; x of either sign or 0,
+    mostly coprime to L, a multiple of L, or a multiple of its factor p."""
+    p, q = draw(st.integers(1, 2**150)), draw(st.integers(1, 2**150))
+    scale = draw(st.sampled_from([1, p, p * q]))
+    entry = st.one_of(
+        st.integers(-(2**310), 2**310),
+        st.integers(-3, 3).map(scale.__mul__),
+        st.integers(-(2**20), 2**20).map(p.__mul__),
+    )
+    return scale, draw(st.lists(st.lists(entry, min_size=1, max_size=4), min_size=1, max_size=4))
+
+
+_L = 2**150 * (2**150 - 1)
+
+
+@given(scaled_ints())
+@example((1, [[-2, 0, 5]]))
+@example((_L, [[-1, 0, 1, _L, -_L], [3 * _L, 2**150, -7 * 2**150, _L + 1, 1 - _L]]))
+@settings(max_examples=150, deadline=None)
+def test_matrix_to_doc_matches_format_rational(case):
+    scale, ints = case
+    assert documents.matrix_to_doc(scale, ints) == [[format_rational(F(x, scale)) for x in row] for row in ints]
+
+
 _REPORT_TEXT = st.text(
     st.one_of(st.sampled_from(' \\"\x00\x01\x1f\x7f\u2028é€😀\n\t'), st.characters()),
     max_size=6,

@@ -24,6 +24,7 @@ from oracles import (
     eye_minus_cleared,
     imprimitive_decomposition_by_whole_power,
     imprimitivity_by_cycles,
+    int_mul_by_entries,
     kernel_vector,
     matrix_powers_by_fraction_products,
     power_positive_exponent_by_rational_powers,
@@ -63,6 +64,7 @@ from thurston_obstruct.spectral import (
     _berkowitz,
     _bool_mul,
     _cyclic_structure,
+    _int_mul,
     _leading_root_isolator,
     cyclic_classes,
     spectral_profile,
@@ -899,6 +901,49 @@ def test_pow_edge_cases():
     assert m.pow(0) == NonnegMatrix([[1, 0], [0, 1]])
     with pytest.raises(ValueError):
         m.pow(-1)
+
+
+@st.composite
+def int_mul_operands(draw):
+    """An m x k and a k x n nonnegative integer matrix, sides 1-20, entries up to 2^400.
+
+    The sides fall on both sides of ``_PACK_MIN_DIM`` and the entry sizes on both sides of
+    ``_PACK_MAX_WIDTH``; some rows and columns of each factor are zero.
+    """
+    m, k, n = (draw(st.integers(1, 20)) for _ in range(3))
+    top = 2 ** draw(st.sampled_from([0, 1, 8, 40, 140, 150, 160, 400]))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.3, 0.8, 1.0]))
+
+    def factor(rows, cols):
+        out = [[rng.choice((top, rng.randint(0, top))) if rng.random() < density else 0 for _ in range(cols)]
+               for _ in range(rows)]
+        for i in draw(st.sets(st.integers(0, rows - 1), max_size=2)):
+            out[i] = [0] * cols
+        for j in draw(st.sets(st.integers(0, cols - 1), max_size=2)):
+            for row in out:
+                row[j] = 0
+        return out
+
+    return factor(m, k), factor(k, n)
+
+
+_DIM, _WIDTH = spectral_module._PACK_MIN_DIM, spectral_module._PACK_MAX_WIDTH
+# 8 x 8 factors whose bound max(a) * max(b) * 8 is 2^(_WIDTH - 2): slots of exactly _WIDTH bits
+_WIDEST = [[2 ** ((_WIDTH - 5) // 2)] * 8] * 8, [[2 ** (_WIDTH - 5 - (_WIDTH - 5) // 2)] * 8] * 8
+
+
+@given(int_mul_operands())
+@example(_WIDEST)
+@example(([[2 * x for x in row] for row in _WIDEST[0]], _WIDEST[1]))  # one bit wider: dot products
+@example(([[1]] * _DIM, [[1] * _DIM]))  # packed at the least dimension
+@example(([[3] * (_DIM - 1)] * (_DIM - 1), [[5] * (_DIM - 1)] * (_DIM - 1)))  # one less: dot products
+@example(([[2**400] * 20] * 20, [[2**400] * 20] * 20))
+@example(([[0] * 9] * 9, [[2**100] * 9] * 9))
+@settings(max_examples=150, deadline=None)
+def test_int_mul_matches_the_entrywise_product(operands):
+    a, b = operands
+    assert _int_mul(a, b) == int_mul_by_entries(a, b)
 
 
 # ---------------------------------------------------------------------------
