@@ -340,14 +340,9 @@ def action_from_doc(value: Any) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def matrix_to_doc(scale: int, ints: Sequence[Sequence[int]]) -> list[list[str]]:
-    """The entries x/L of ``ints`` over L = ``scale`` as ``format_rational`` writes them.
-
-    L is written once per matrix: an entry coprime to it is ``x/L`` with no division, one that
-    L divides is an integer, and any other is reduced by its gcd with L.
-    """
-    den = str(scale)
-    return [[str(x // g) if (g := gcd(x, scale)) == scale else f"{x}/{den}" if g == 1 else
-             f"{x // g}/{scale // g}" for x in row] for row in ints]
+    """The entries x/L of ``ints`` over L = ``scale`` as ``format_rational`` writes them."""
+    return [[f"{x // g}/{scale // g}" if (g := gcd(x, scale)) != scale else str(x // g) for x in row]
+            for row in ints]
 
 
 def matrix_input_to_doc(matrix: tuple[int, Sequence[Sequence[int]]]) -> dict:

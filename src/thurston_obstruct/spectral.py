@@ -330,9 +330,12 @@ def _int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[lis
     of the product, so no slot carries into the next; a negative entry would borrow from the slot
     below it.  Smaller products, and slots over ``_PACK_MAX_WIDTH`` bits, take one dot product per
     entry.  Measured in process (CPython 3.11, x86_64), packing took 1.0-1.25x the dot products'
-    time at n = 5-6, 0.7-1.0x at n = 7 and 0.45-0.8x at n = 8-16 with slots up to 300 bits; with
-    600-bit slots it was about even, and with 1,200-bit ones 1.3-1.5x: a slot is about twice as
-    wide as an entry, so the packed products multiply about twice the bits.
+    time at n = 5-6, 0.7-1.0x at n = 7 and 0.45-0.8x at n = 8-16 with slots up to 300 bits.  On a
+    16 x 16 matrix, half of it zero, it took 0.66x with 305-bit slots, 1.1x with 605-bit ones and
+    1.9x with 1,205-bit ones: a slot is about twice as wide as an entry, so the packed products
+    multiply about twice the bits.  The benchmark's products have slots of at most 165 bits; the
+    width bound is for inputs of wide entries (a 16 x 16 matrix of 300-bit entries decomposes in
+    0.55x the time it would take packed).
     """
     n = len(b[0]) if b else 0
     if min(len(a), n) >= _PACK_MIN_DIM:
