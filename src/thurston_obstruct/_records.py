@@ -10,19 +10,20 @@ records use:
   instance and leaves the field out of ``==`` and ``hash``;
 - ``__init__`` takes the fields positionally or by keyword and then calls
   ``__post_init__`` when the class defines one;
-- ``==`` holds between instances of the same class with equal compared
-  fields (another class gets ``NotImplemented``), ``hash`` is the hash of
-  the tuple of compared fields, and ``repr`` is ``Name(field=value, ...)``;
+- ``==`` holds between instances of the same class with equal tuples of
+  compared fields (another class gets ``NotImplemented``), ``hash`` is the
+  hash of that tuple, and ``repr`` is ``Name(field=value, ...)``;
 - assigning or deleting any attribute raises ``AttributeError``.
 
 Importing ``dataclasses`` also imports ``inspect``, ``ast``, ``dis`` and
 ``tokenize``, and each of its decorators compiles several functions and
-builds a signature. A command-line run pays that on every request, so each
-record here compiles its four methods from one source string, in one
-``exec``. The methods are the straight-line code ``dataclasses`` writes for
-the same class, so a record costs no more to build than a dataclass: the
-decoders build one ``CurveClass`` per class and one ``PullbackComponent``
-per pullback entry of every table they read.
+builds a signature. A command-line run pays that on every request, and
+``exec``'d source never reaches ``__pycache__``, so each record compiles one
+generated ``__init__``, the straight-line code ``dataclasses`` writes for the
+class: a record costs no more to build than a dataclass, and the decoders
+build one ``PullbackComponent`` per pullback entry of every table they read.
+``==``, ``hash`` and ``repr`` are three shared functions reading the class's
+``_fields`` and ``_compared`` (the fields in ``==`` and ``hash``).
 """
 
 from __future__ import annotations
@@ -52,6 +53,25 @@ def _frozen_delattr(self, name):
     raise AttributeError(f"cannot delete field {name!r}")
 
 
+def _values(obj, names):
+    return tuple([getattr(obj, name) for name in names])
+
+
+def _eq(self, other):
+    if other.__class__ is self.__class__:
+        return _values(self, self._compared) == _values(other, self._compared)
+    return NotImplemented
+
+
+def _hash(self):
+    return hash(_values(self, self._compared))
+
+
+def _repr(self):
+    shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+    return f"{self.__class__.__qualname__}({shown})"
+
+
 def record(cls):
     """Give ``cls`` the methods of a frozen record over its annotated fields."""
     namespace = {"_set": object.__setattr__, "_FACTORY": _FACTORY}
@@ -76,26 +96,11 @@ def record(cls):
         assigns.append(f"  _set(self, {name!r}, {value})")
     if hasattr(cls, "__post_init__"):
         assigns.append("  self.__post_init__()")
-    mine = "".join(f"self.{name}," for name in compared)
-    theirs = "".join(f"other.{name}," for name in compared)
-    shown = ", ".join(f"{name}={{self.{name}!r}}" for name in names)
-    source = "\n".join([
-        f"def __init__({', '.join(params)}):",
-        *(assigns or ["  pass"]),
-        "def __eq__(self, other):",
-        "  if other.__class__ is self.__class__:",
-        f"    return ({mine})==({theirs})",
-        "  return NotImplemented",
-        "def __hash__(self):",
-        f"  return hash(({mine}))",
-        "def __repr__(self):",
-        f"  return self.__class__.__qualname__ + f\"({shown})\"",
-    ])
-    exec(source, namespace)
-    for name in ("__init__", "__eq__", "__hash__", "__repr__"):
-        method = namespace[name]
-        method.__qualname__ = f"{cls.__qualname__}.{name}"
-        setattr(cls, name, method)
+    exec("\n".join([f"def __init__({', '.join(params)}):", *(assigns or ["  pass"])]), namespace)
+    init = namespace["__init__"]
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = init, _eq, _hash, _repr
+    cls._fields, cls._compared = tuple(names), tuple(compared)
     cls.__setattr__ = _frozen_setattr
     cls.__delattr__ = _frozen_delattr
     return cls

@@ -317,7 +317,7 @@ def power_positive_exponent(m: NonnegMatrix, cap: Optional[int] = None) -> Optio
     return k if k <= cap else None
 
 
-_PACK_MIN_DIM, _PACK_MAX_WIDTH = 7, 300  # see _int_mul
+_PACK_MIN_DIM = 7  # see _int_mul
 
 
 def _int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -328,22 +328,16 @@ def _int_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[lis
     row i of the product is then one sum of a[i][t] times packed row t, read back by shift and
     mask.  w is one bit more than the bit length of max(a) * max(b) * k, which bounds every entry
     of the product, so no slot carries into the next; a negative entry would borrow from the slot
-    below it.  Smaller products, and slots over ``_PACK_MAX_WIDTH`` bits, take one dot product per
-    entry.  Measured in process (CPython 3.11, x86_64), packing took 1.0-1.25x the dot products'
-    time at n = 5-6, 0.7-1.0x at n = 7 and 0.45-0.8x at n = 8-16 with slots up to 300 bits.  On a
-    16 x 16 matrix, half of it zero, it took 0.66x with 305-bit slots, 1.1x with 605-bit ones and
-    1.9x with 1,205-bit ones: a slot is about twice as wide as an entry, so the packed products
-    multiply about twice the bits.  The benchmark's products have slots of at most 165 bits; the
-    width bound is for inputs of wide entries (a 16 x 16 matrix of 300-bit entries decomposes in
-    0.55x the time it would take packed).
+    below it.  Smaller products take one dot product per entry.  Measured in process (CPython
+    3.11, x86_64), packing took 1.0-1.25x the dot products' time at n = 5-6, 0.7-1.0x at n = 7 and
+    0.45-0.8x at n = 8-16 with slots up to 300 bits.
     """
     n = len(b[0]) if b else 0
     if min(len(a), n) >= _PACK_MIN_DIM:
         w = (max(map(max, a)) * max(map(max, b)) * len(b)).bit_length() + 1
-        if w <= _PACK_MAX_WIDTH:
-            shifts, mask = range(0, n * w, w), (1 << w) - 1
-            packed = [sum(map(lshift, row, shifts)) for row in b]
-            return [list(map(mask.__and__, map(sum(map(mul, row, packed)).__rshift__, shifts))) for row in a]
+        shifts, mask = range(0, n * w, w), (1 << w) - 1
+        packed = [sum(map(lshift, row, shifts)) for row in b]
+        return [list(map(mask.__and__, map(sum(map(mul, row, packed)).__rshift__, shifts))) for row in a]
     cols = list(zip(*b))
     return [[sum(map(mul, row, col)) for col in cols] for row in a]
 

@@ -907,8 +907,8 @@ def test_pow_edge_cases():
 def int_mul_operands(draw):
     """An m x k and a k x n nonnegative integer matrix, sides 1-20, entries up to 2^400.
 
-    The sides fall on both sides of ``_PACK_MIN_DIM`` and the entry sizes on both sides of
-    ``_PACK_MAX_WIDTH``; some rows and columns of each factor are zero.
+    The sides fall on both sides of ``_PACK_MIN_DIM`` and the slots reach over 800 bits; some
+    rows and columns of each factor are zero.
     """
     m, k, n = (draw(st.integers(1, 20)) for _ in range(3))
     top = 2 ** draw(st.sampled_from([0, 1, 8, 40, 140, 150, 160, 400]))
@@ -928,14 +928,14 @@ def int_mul_operands(draw):
     return factor(m, k), factor(k, n)
 
 
-_DIM, _WIDTH = spectral_module._PACK_MIN_DIM, spectral_module._PACK_MAX_WIDTH
-# 8 x 8 factors whose bound max(a) * max(b) * 8 is 2^(_WIDTH - 2): slots of exactly _WIDTH bits
-_WIDEST = [[2 ** ((_WIDTH - 5) // 2)] * 8] * 8, [[2 ** (_WIDTH - 5 - (_WIDTH - 5) // 2)] * 8] * 8
+_DIM = spectral_module._PACK_MIN_DIM
+# 8 x 8 factors whose bound max(a) * max(b) * 8 is 2^298: slots of exactly 300 bits
+_SLOTS_300 = [[2 ** 147] * 8] * 8, [[2 ** 148] * 8] * 8
 
 
 @given(int_mul_operands())
-@example(_WIDEST)
-@example(([[2 * x for x in row] for row in _WIDEST[0]], _WIDEST[1]))  # one bit wider: dot products
+@example(_SLOTS_300)
+@example(([[2 * x for x in row] for row in _SLOTS_300[0]], _SLOTS_300[1]))  # one bit wider: 301-bit slots
 @example(([[1]] * _DIM, [[1] * _DIM]))  # packed at the least dimension
 @example(([[3] * (_DIM - 1)] * (_DIM - 1), [[5] * (_DIM - 1)] * (_DIM - 1)))  # one less: dot products
 @example(([[2**400] * 20] * 20, [[2**400] * 20] * 20))
