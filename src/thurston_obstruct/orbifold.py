@@ -126,12 +126,9 @@ def ramification_function(portrait: CriticalPortrait) -> dict[str, Weight]:
             if weights[lbl] == INFINITE_WEIGHT:
                 continue
             value: Weight = 1
+            # a preimage on a critical cycle would put lbl on it too: every weight read is finite
             for pre, deg in fibers[lbl]:
-                w = weights[pre]
-                if w == INFINITE_WEIGHT:
-                    value = INFINITE_WEIGHT
-                    break
-                value = math.lcm(value, int(w) * deg)
+                value = math.lcm(value, weights[pre] * deg)
             if value != weights[lbl]:
                 weights[lbl] = value
                 changed = True

@@ -187,14 +187,14 @@ class LargestRootIsolator:
 
     __slots__ = ("qs", "lo", "hi", "_frame", "_deepest")
 
-    def __init__(self, p: Poly, lo: Fraction, hi: Fraction, *, more: Sequence = ()):
-        """``p`` and each polynomial of ``more``: rational or integer coefficients, lowest degree first."""
-        if len(p) < 2 or any(len(r) < 2 for r in more):
+    def __init__(self, polys: Sequence[Poly], lo: Fraction, hi: Fraction):
+        """``polys``: one or more polynomials, rational or integer coefficients, lowest degree first."""
+        if not polys or any(len(p) < 2 for p in polys):
             raise ValueError("need a nonconstant polynomial")
         if not lo < hi:
             raise ValueError("no real root in the given range")
         self._frame = _frame(lo, hi)
-        self.qs = tuple(_on_unit_interval(r, self._frame) for r in (p, *more))
+        self.qs = tuple(_on_unit_interval(p, self._frame) for p in polys)
         self.lo, self.hi = lo, hi
         roots, at_lo = zip(*(_root_and_variations(list(q)) for q in self.qs))
         if any(roots):

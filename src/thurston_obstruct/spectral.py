@@ -30,13 +30,14 @@ class NonnegMatrix:
 
     ``ints`` is L*M for L = ``scale``, with gcd(L, every entry) = 1: L is the
     lcm of the reduced denominators, one pair per matrix.  The ``Fraction``
-    ``rows``, the spectral profile, the leading-root isolator and the cyclic
-    structure are built on first use and kept, so every question about one
-    matrix shares one closure of the support, one set of block tags, one
-    characteristic polynomial and one doubling over boolean powers.
+    ``rows`` are built on each call.  The spectral profile, the leading-root
+    isolator and the cyclic structure are built on first use and kept, so
+    every question about one matrix shares one closure of the support, one
+    set of block tags, one characteristic polynomial and one doubling over
+    boolean powers.
     """
 
-    __slots__ = ("scale", "ints", "n", "_rows", "_profile", "_isolator", "_cyclic")
+    __slots__ = ("scale", "ints", "n", "_profile", "_isolator", "_cyclic")
 
     def __init__(self, rows: Iterable[Iterable]):
         mat = tuple(tuple(_as_fraction(x, "matrix entries") for x in row) for row in rows)
@@ -48,7 +49,7 @@ class NonnegMatrix:
                     raise ValueError("matrix entries must be nonnegative")
         scale = lcm(*(x.denominator for row in mat for x in row))
         ints = tuple(tuple(x.numerator * (scale // x.denominator) for x in row) for row in mat)
-        self._fill(scale, ints, mat)
+        self._fill(scale, ints)
 
     @classmethod
     def _from_ints(cls, scale: int, ints: Sequence[Sequence[int]]) -> "NonnegMatrix":
@@ -56,13 +57,13 @@ class NonnegMatrix:
         g = gcd(scale, *(x for row in ints for x in row))
         m = object.__new__(cls)
         if g == 1:  # every decoded input and many powers: no division by 1
-            m._fill(scale, tuple(map(tuple, ints)), None)
+            m._fill(scale, tuple(map(tuple, ints)))
         else:
-            m._fill(scale // g, tuple(tuple(x // g for x in row) for row in ints), None)
+            m._fill(scale // g, tuple(tuple(x // g for x in row) for row in ints))
         return m
 
-    def _fill(self, scale, ints, rows) -> None:
-        for name, value in zip(self.__slots__, (scale, ints, len(ints), rows, None, None, None)):
+    def _fill(self, scale, ints) -> None:
+        for name, value in zip(self.__slots__, (scale, ints, len(ints), None, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
@@ -71,10 +72,7 @@ class NonnegMatrix:
     @property
     def rows(self) -> tuple[tuple[Fraction, ...], ...]:
         """The entries as ``Fraction`` rows, for reports and ``repr``."""
-        if self._rows is None:
-            rows = tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.ints)
-            object.__setattr__(self, "_rows", rows)
-        return self._rows
+        return tuple(tuple(Fraction(x, self.scale) for x in row) for row in self.ints)
 
     def __eq__(self, other) -> bool:
         same = isinstance(other, NonnegMatrix) and self.scale == other.scale
@@ -296,25 +294,20 @@ def wielandt_bound(n: int) -> int:
     return (n - 1) ** 2 + 1 if n >= 1 else 1
 
 
-def power_positive_exponent(m: NonnegMatrix, cap: Optional[int] = None) -> Optional[int]:
-    """Smallest k <= cap with m**k entrywise positive, or None.
+def power_positive_exponent(m: NonnegMatrix) -> Optional[int]:
+    """Smallest k with m**k entrywise positive, or None if no power is positive.
 
-    The default cap is the Wielandt bound (n-1)^2 + 1, which every
-    primitive matrix meets.  No power of a reducible or imprimitive matrix
-    is positive, so those get None without a search; for a primitive
-    matrix k is the ``j`` of its cyclic structure.  The empty matrix is
-    vacuously positive at k = 1.
+    No power of a reducible or imprimitive matrix is positive, so those get
+    None without a search; for a primitive matrix k is the ``j`` of its
+    cyclic structure, and k never exceeds the Wielandt bound (n-1)^2 + 1
+    (H. Wielandt, Math. Z. 52, 1950).  The empty matrix is vacuously
+    positive at k = 1.
     """
-    if cap is None:
-        cap = wielandt_bound(m.n)
-    if cap < 1:
-        raise PreconditionError("cap must be at least 1")
     if m.n == 0:
         return 1
     if not is_primitive(m):
         return None
-    k = _cyclic_structure(m)[2]
-    return k if k <= cap else None
+    return _cyclic_structure(m)[2]
 
 
 _PACK_MIN_DIM = 7  # see _int_mul
@@ -569,17 +562,18 @@ def _leading_root_isolator(m: NonnegMatrix) -> LargestRootIsolator:
     start bracket (-rs-1, rs].  rho is also the largest rho of the blocks
     with the matrix's tag, as a block with a lower tag lies below them, and
     each block's rho is the largest real root of its own polynomial under the
-    same contract.  So the walk gets ``charpoly`` of an irreducible matrix,
-    else det(L x I - A_b) (``_block_charpoly`` at y = L x) of each such block
-    b with several vertices, and L x - a for the largest diagonal entry a of
-    A on those with one.  Built once per matrix that needs a bracket; both
-    kinds of query walk its one bisection path from that start.
+    same contract.  So the walk gets the one polynomial ``charpoly`` of an
+    irreducible matrix, else det(L x I - A_b) (``_block_charpoly`` at
+    y = L x) of each such block b with several vertices, and L x - a for the
+    largest diagonal entry a of A on those with one.  Built once per matrix
+    that needs a bracket; both kinds of query walk its one bisection path
+    from that start.
     """
     if m._isolator is None:
         rs = max(m.row_sums(), default=Fraction(0))
         profile = spectral_profile(m)
         if profile.irreducible:
-            iso = LargestRootIsolator(charpoly(m), -rs - 1, rs)
+            polys = [charpoly(m)]
         else:
             blocks = [b for b, tag in zip(profile.structure.blocks(), profile.block_tags) if tag is profile.tag]
             # det(L x I - A_b) and L x - a: integer coefficients, lowest degree first
@@ -587,8 +581,7 @@ def _leading_root_isolator(m: NonnegMatrix) -> LargestRootIsolator:
                      for b in blocks if len(b) > 1]
             ones = [m.ints[b[0]][b[0]] for b in blocks if len(b) == 1]
             polys += [(-max(ones), m.scale)] if ones else []
-            iso = LargestRootIsolator(polys[0], -rs - 1, rs, more=polys[1:])
-        object.__setattr__(m, "_isolator", iso)
+        object.__setattr__(m, "_isolator", LargestRootIsolator(polys, -rs - 1, rs))
     return m._isolator
 
 

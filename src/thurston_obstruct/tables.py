@@ -376,8 +376,8 @@ def analyze_table(
         matrix=matrix,
         spectral=spectral,
         is_obstruction=obstruction,
-        invariant=is_invariant(table, order) if order else True,
-        completely_invariant=is_completely_invariant(table, order) if order else True,
+        invariant=is_invariant(table, order),
+        completely_invariant=is_completely_invariant(table, order),
         simple_certificate=exists_positive_subinvariant_vector(matrix),
         simple_core=_outside_below_one_closure(order, matrix) if obstruction else None,
         levy_cycles=find_levy_cycles(table),

@@ -243,7 +243,8 @@ def test_criterion_7_positive_matrix_suite():
         m = _random_irreducible(rng, n, (0, 1))
         if all(m.rows[i][i] == 0 for i in range(n)):
             continue
-        assert power_positive_exponent(m, cap=2 * n - 2) is not None
+        k = power_positive_exponent(m)
+        assert k is not None and k <= 2 * n - 2
         count += 1
 
     # primitive matrices reach a positive power within the Wielandt bound

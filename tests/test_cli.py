@@ -344,7 +344,7 @@ def test_matrix_brackets_near_one_match_fresh_isolators(capsys):
     assert code == 0
 
     def fresh():
-        return LargestRootIsolator(charpoly(m), -2 - eps, 1 + eps)
+        return LargestRootIsolator([charpoly(m)], -2 - eps, 1 + eps)
 
     separated = fresh().refine_until_separated_from(Fraction(1))
     assert report["result"]["spectral"]["interval"] == [str(x) for x in separated]

@@ -48,7 +48,7 @@ def test_gcd_of_shared_factor():
 
 def test_isolator_finds_sqrt2():
     p = poly([F(-2), F(0), F(1)])
-    iso = LargestRootIsolator(p, F(-3), F(3))
+    iso = LargestRootIsolator([p], F(-3), F(3))
     lo, hi = iso.refine_to_width(F(1, 10**6))
     assert hi - lo <= F(1, 10**6)
     assert lo * lo <= 2 <= hi * hi
@@ -56,31 +56,48 @@ def test_isolator_finds_sqrt2():
 
 def test_isolator_snaps_rational_root():
     p = poly([F(-6), F(1), F(1)])  # (x+3)(x-2)
-    iso = LargestRootIsolator(p, F(-10), F(10))
+    iso = LargestRootIsolator([p], F(-10), F(10))
     assert iso.refine_to_width(F(1, 100)) == (F(2), F(2))
 
 
 def test_isolator_root_at_upper_bound():
     p = poly([F(-2), F(1)])
-    iso = LargestRootIsolator(p, F(-3), F(2))
+    iso = LargestRootIsolator([p], F(-3), F(2))
     assert iso.refine_to_width(F(1)) == (F(2), F(2))
 
 
 def test_isolator_separates_from_point():
     p = poly([F(-2), F(0), F(1)])
-    iso = LargestRootIsolator(p, F(-3), F(3))
+    iso = LargestRootIsolator([p], F(-3), F(3))
     lo, hi = iso.refine_until_separated_from(F(1))
     assert lo > 1
 
 
 def test_isolator_refuses_float_widths_and_points():
     # a float carries no exact rational: 0.1 would be read as 3602879701896397/2^55
-    iso = LargestRootIsolator(poly([F(-2), F(0), F(1)]), F(-3), F(3))
+    iso = LargestRootIsolator([poly([F(-2), F(0), F(1)])], F(-3), F(3))
     with pytest.raises(TypeError, match="^floating-point widths are not accepted$"):
         iso.refine_to_width(0.1)
     with pytest.raises(TypeError, match="^floating-point points are not accepted$"):
         iso.refine_until_separated_from(0.5)
     assert iso.refine_until_separated_from(1) == iso.refine_until_separated_from(F(1))
+
+
+@pytest.mark.parametrize(
+    "polys, lo, hi, message",
+    [
+        ([], F(-3), F(3), "need a nonconstant polynomial"),
+        ([poly([F(2)])], F(-3), F(3), "need a nonconstant polynomial"),
+        ([poly([F(-2), F(1)]), poly([F(1)])], F(-3), F(3), "need a nonconstant polynomial"),
+        ([poly([F(-2), F(1)])], F(3), F(3), "no real root in the given range"),
+        ([poly([F(-2), F(1)])], F(3), F(-3), "no real root in the given range"),
+        ([poly([F(-6), F(1), F(1)])], F(-3), F(3), "lower bound must not be a root"),  # (x+3)(x-2)
+        ([poly([F(-2), F(1)])], F(-3), F(1), "no real root in the given range"),  # x - 2 above (-3, 1]
+    ],
+)
+def test_isolator_refuses_brackets_outside_its_contract(polys, lo, hi, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        LargestRootIsolator(polys, lo, hi)
 
 
 def test_simplest_rational():
@@ -186,7 +203,7 @@ def test_isolator_probes_match_fraction_sturm_oracle(case, points, dyadic):
     # real parts too, and against q's derivative chain evaluated member by member
     p, roots = case
     bound = cauchy_root_bound(p)
-    iso = LargestRootIsolator(p, -bound, bound)
+    iso = LargestRootIsolator([p], -bound, bound)
     (q,) = iso.qs  # one polynomial
     # t = 0 and t = 1 as the constructor reads them: q's own coefficients, and one shift
     at_lo, at_hi = fourier_sign_count(q, F(0)), fourier_sign_count(q, F(1))
@@ -227,7 +244,7 @@ def test_sign_only_bisection_matches_the_full_chain_route(case, points):
     # every step of the same midpoints
     p, roots = case
     bound = cauchy_root_bound(p)
-    iso, oracle = LargestRootIsolator(p, -bound, bound), FractionRootIsolator(p, -bound, bound)
+    iso, oracle = LargestRootIsolator([p], -bound, bound), FractionRootIsolator(p, -bound, bound)
     for width in BISECTION_WIDTHS:
         assert iso.refine_to_width(width) == oracle.refine_to_width(width), width
     # 10^-50 off a root: about 170 halvings before the bracket excludes the point

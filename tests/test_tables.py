@@ -545,6 +545,23 @@ def test_candidate_requires_simple_completely_invariant():
     )
     assert not report.accepted
     assert any("invariant" in msg for msg in report.preconditions)
+    # an untracked component in a row: simple, but complete invariance is undecided
+    untracked = CurveTable(
+        map_degree=2,
+        classes=(
+            CurveClass("g1", (PullbackComponent(1, "g2"), PullbackComponent(1, UNTRACKED))),
+            CurveClass("g2", (PullbackComponent(1, "g1"),)),
+        ),
+    )
+    report = check_canonical_candidate(
+        untracked,
+        ["g1", "g2"],
+        (DecompositionComponent(3, ReturnHomeomorphism()),),
+    )
+    assert not report.accepted and report.components == ()
+    assert report.preconditions == (
+        "complete invariance is unknown: rows contain untracked components",
+    )
 
 
 def test_candidate_2222_partition_checks():
@@ -706,8 +723,12 @@ def test_candidate_2222_wrong_marked_count():
 
 
 def test_candidate_requires_decomposition():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="^at least one periodic component descriptor is required$"):
         check_canonical_candidate(levy_two_cycle(), ["g1", "g2"], ())
+    with pytest.raises(PreconditionError, match="^the candidate multicurve is empty$"):
+        check_canonical_candidate(
+            levy_two_cycle(), [], (DecompositionComponent(3, ReturnHomeomorphism()),)
+        )
 
 
 def test_nested_candidates_never_both_accepted():
