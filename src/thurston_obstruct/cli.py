@@ -218,9 +218,7 @@ def run_request(request: dict) -> tuple[dict, int]:
 # text rendering
 
 
-def _render_simple(doc: Optional[dict]) -> str:
-    if doc is None:
-        return "not requested"
+def _render_simple(doc: dict) -> str:
     if doc["exists"]:
         return f"yes, certificate vector [{', '.join(doc['certificate'])}]"
     return "no (no positive subinvariant vector exists)"

@@ -2,9 +2,9 @@
 
 A critical portrait records a finite marked dynamical system: labelled
 points with images and local degrees, marked points flagged.  From it the
-minimal ramification weights are computed by a least-fixpoint iteration,
-and the orbifold is classified as hyperbolic or parabolic through its
-exact Euler characteristic.
+minimal ramification weights are computed by one walk of each point's
+forward orbit, and the orbifold is classified as hyperbolic or parabolic
+through its exact Euler characteristic.
 """
 
 from __future__ import annotations
@@ -101,42 +101,38 @@ class CriticalPortrait:
 def ramification_function(portrait: CriticalPortrait) -> dict[str, Weight]:
     """Minimal ramification weights of the portrait.
 
-    The weight of x must be divisible by weight(y) * deg(y) for every
-    listed preimage y of x.  Points on a forward cycle whose degree
-    product exceeds 1 are forced to infinity; everything else is a finite
-    least fixpoint of lcm propagation.
+    A point on a cycle through a critical point has infinite weight.  Any
+    other point x has the lcm of deg_y f^k, the product of the local
+    degrees of y, f(y), ..., f^(k-1)(y), over every listed y and k >= 1
+    with f^k(y) = x (Douady & Hubbard, Acta Math. 171, 1993).  So each
+    listed point's forward orbit is walked once, folding the running
+    product into every point it reaches, up to the first infinite point.
+    n steps suffice: they cover the orbit's tail and one lap of its cycle,
+    and a finite cycle has local degree 1 throughout, so a further lap
+    adds nothing.  An unmarked point keeps weight 1, since critical values
+    are marked and marked points map to marked points.
     """
     points = portrait.points
-    marked = [p.label for p in points if p.marked]
+    pos = {p.label: k for k, p in enumerate(points)}
+    image = [pos[p.image] for p in points]
 
     # point k is on a cycle iff it reaches itself, and then what it reaches
     # is its cycle; a cycle through a critical point forces infinite weight
-    pos = {p.label: k for k, p in enumerate(points)}
-    reach = _reach([1 << pos[p.image] for p in points])
+    reach = _reach([1 << i for i in image])
     critical = sum(1 << k for k, p in enumerate(points) if p.local_degree >= 2)
-    weights: dict[str, Weight] = {
-        p.label: INFINITE_WEIGHT if reach[k] >> k & 1 and reach[k] & critical else 1
-        for k, p in enumerate(points)
-    }
+    weights: list[Weight] = [
+        INFINITE_WEIGHT if reach[k] >> k & 1 and reach[k] & critical else 1 for k in range(len(points))
+    ]
 
-    fibers = {lbl: portrait.fiber(lbl) for lbl in marked}
-    for _ in range(len(points) + 1):
-        changed = False
-        for lbl in marked:
-            if weights[lbl] == INFINITE_WEIGHT:
-                continue
-            value: Weight = 1
-            # a preimage on a critical cycle would put lbl on it too: every weight read is finite
-            for pre, deg in fibers[lbl]:
-                value = math.lcm(value, weights[pre] * deg)
-            if value != weights[lbl]:
-                weights[lbl] = value
-                changed = True
-        if not changed:
-            break
-    else:  # pragma: no cover - the fixpoint settles within n rounds
-        raise AssertionError("ramification iteration failed to stabilize")
-    return weights
+    for start in range(len(points)):
+        at, product = start, 1
+        for _ in points:
+            product *= points[at].local_degree
+            at = image[at]
+            if weights[at] == INFINITE_WEIGHT:
+                break
+            weights[at] = math.lcm(weights[at], product)
+    return {p.label: w for p, w in zip(points, weights)}
 
 
 def euler_characteristic(weights: Sequence[Weight]) -> Fraction:

@@ -484,7 +484,7 @@ def _eliminate(m: NonnegMatrix, block: Sequence[int]) -> tuple:
         return _TAG_ORDER[0 if d > 0 else 1 if d == 0 else 2], 0, [g], [[d // g]]
     rows = [[(scale if i == j else 0) - ints[i][j] for j in block] for i in block]
     gcds = [gcd(*row) or 1 for row in rows]
-    c = [[x // g for x in row] if g > 1 else row for row, g in zip(rows, gcds)]
+    c = [[x // g for x in row] for row, g in zip(rows, gcds)]
     p = _bareiss(c)
     det = c[-1][-1] if p == len(c) - 1 else -1
     tag = _TAG_ORDER[0 if det > 0 else 1 if det == 0 else 2]

@@ -21,7 +21,7 @@ from thurston_obstruct.cli import (
     main,
     run_request,
 )
-from thurston_obstruct.documents import dumps
+from thurston_obstruct.documents import InputFormatError, dumps
 from thurston_obstruct.polynomials import LargestRootIsolator
 
 SCHEMA_DIR = Path(thurston_obstruct.__file__).parent / "schemas"
@@ -726,6 +726,17 @@ def test_text_rendering_all_commands(capsys):
             ["canonical", json.dumps({**CANONICAL_DOC, "multicurve": ["g1"]})],
             "verdict: Reject",
         ),
+        (["slopes", "--matrix", "[[2,0],[0,2]]"], "eigenvalues: equal integers 2, 2"),
+        (["slopes", "--matrix", "[[1,-1],[1,1]]"], "eigenvalues: non-integer or complex"),
+        (["slopes", "--matrix", "[[1,-1],[1,1]]"], "canonical obstruction: empty"),
+        (
+            ["slopes", "--matrix", "[[2,0],[0,3]]", "--bound", "8"],
+            "search (bound 8): nonempty, slope 1/0, multiplier 3/2",
+        ),
+        (
+            ["matrix", "--check-simple", "--matrix", '[["1/2",0],[1,1]]'],
+            "simple obstruction: no (no positive subinvariant vector exists)",
+        ),
     ]
     for args, expected in cases:
         code = main(args)
@@ -768,6 +779,37 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys, case):
     assert captured.out == ""
     assert captured.err.startswith(f"error: input file {argument!r} cannot be read: ")
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "case, code, message",
+    [
+        ("file and --matrix", 2, "give either an input file or --matrix, not both"),
+        ("missing file", 2, "input file {missing!r} does not exist"),
+        # the rewrite '[["1/2",]]' fails too, at column 9; the first diagnostics are kept
+        ("shorthand still fails", 2, "--matrix: invalid JSON at line 1, column 4: Expecting ',' delimiter"),
+        ("repeated class", 3, "multicurve repeats a class id"),
+    ],
+)
+def test_input_errors_exit_with_their_exact_message(tmp_path, capsys, case, code, message):
+    missing = str(tmp_path / "gone.json")
+    repeated = {**LEVY_TABLE_DOC, "multicurve": ["g1", "g1"]}
+    args = {
+        "file and --matrix": ["matrix", "[[1]]", "--matrix", "[[1]]"],
+        "missing file": ["matrix", missing],
+        "shorthand still fails": ["matrix", "--matrix", "[[1/2,]]"],
+        "repeated class": ["table", json.dumps(repeated)],
+    }[case]
+    assert main(args) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.format(missing=missing)}\n"
+    assert "Traceback" not in captured.err
+
+
+def test_run_request_refuses_an_unknown_command():
+    with pytest.raises(InputFormatError, match="^unknown command 'nope'$"):
+        run_request({"command": "nope", "input": {}, "options": {}})
 
 
 def _edited(doc: dict, edit) -> str:

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from thurston_obstruct import (
     is_2222,
     ramification_function,
 )
+from thurston_obstruct.cli import main
 
 F = Fraction
 INF = INFINITE_WEIGHT
@@ -43,6 +45,19 @@ def basilica_portrait():
     )
 
 
+#: a <-> b unramified, c -> a and d -> c of local degree 2: the weight 4 reaches b only by a lap from a
+LAP_PORTRAIT_DOC = {
+    "schema": "thurston-obstruct/portrait/1",
+    "degree": 3,
+    "points": [
+        {"id": "a", "marked": True, "image": "b", "local_degree": 1},
+        {"id": "b", "marked": True, "image": "a", "local_degree": 1},
+        {"id": "c", "marked": True, "image": "a", "local_degree": 2},
+        {"id": "d", "marked": True, "image": "c", "local_degree": 2},
+    ],
+}
+
+
 def four_fixed_portrait():
     points = []
     for lbl in ("a", "b", "c", "d"):
@@ -59,6 +74,20 @@ def test_ramification_squaring():
 def test_ramification_basilica():
     ram = ramification_function(basilica_portrait())
     assert ram == {"0": INF, "-1": INF, "inf": INF}
+
+
+def test_ramification_travels_around_a_finite_cycle(capsys):
+    points = tuple(
+        PortraitPoint(p["id"], p["marked"], p["image"], p["local_degree"])
+        for p in LAP_PORTRAIT_DOC["points"]
+    )
+    ram = ramification_function(CriticalPortrait(degree=3, points=points))
+    assert ram == {"a": 4, "b": 4, "c": 2, "d": 1}
+    assert main(["orbifold", "--format", "json", json.dumps(LAP_PORTRAIT_DOC)]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["ramification"] == {"a": 4, "b": 4, "c": 2, "d": 1}
+    assert result["weights"] == [2, 4, 4]
+    assert result["class"] == "parabolic"
 
 
 def test_ramification_four_fixed():
@@ -97,6 +126,8 @@ def test_euler_characteristic_values():
     assert euler_characteristic((2, 4, 4)) == 0
     assert euler_characteristic((INF, INF)) == 0
     assert euler_characteristic((2, 3, 7)) == F(-1, 42)
+    with pytest.raises(PreconditionError, match=r"^weights must be integers >= 2 or infinite$"):
+        euler_characteristic((2, 1))
 
 
 def test_classification_examples():

@@ -83,6 +83,12 @@ def test_isolator_refuses_float_widths_and_points():
     assert iso.refine_until_separated_from(1) == iso.refine_until_separated_from(F(1))
 
 
+def test_isolator_refuses_a_width_of_zero():
+    iso = LargestRootIsolator([poly([F(-2), F(0), F(1)])], F(-3), F(3))
+    with pytest.raises(ValueError, match="^width must be positive$"):
+        iso.refine_to_width(0)
+
+
 @pytest.mark.parametrize(
     "polys, lo, hi, message",
     [
@@ -102,6 +108,8 @@ def test_isolator_refuses_brackets_outside_its_contract(polys, lo, hi, message):
 
 def test_simplest_rational():
     assert simplest_rational_between(F(15, 8), F(33, 16)) == 2
+    with pytest.raises(ValueError, match="^empty interval$"):
+        simplest_rational_between(F(1), F(0))
     assert simplest_rational_between(F(3, 2), F(5, 3)) == F(3, 2)
     assert simplest_rational_between(F(-1, 3), F(1, 7)) == 0
     assert simplest_rational_between(F(-7, 2), F(-10, 3)) == F(-7, 2)

@@ -43,6 +43,8 @@ def test_normalize_examples():
         normalize([[1, 0], [0, 1]])
     with pytest.raises(PreconditionError):
         normalize([[0, 1], [1, 0]])  # determinant -1
+    with pytest.raises(PreconditionError, match="^action must be a 2x2 integer matrix$"):
+        normalize([[2, 0], [0, "two"]])
 
 
 def test_pullback_examples():
@@ -90,6 +92,8 @@ def test_orbit_examples():
     assert fixed.slopes == (Slope(1, 0), Slope(1, 0))
     fixed2 = orbit_of_slope(t, Slope.of(0, 1), 5)
     assert fixed2.cycle_start == 0
+    with pytest.raises(PreconditionError, match="^max_steps must be at least 1$"):
+        orbit_of_slope(t, Slope.of(1, 0), 0)
 
 
 def test_orbit_two_cycle():
@@ -127,6 +131,8 @@ def test_enumerate_slopes_deterministic_and_primitive():
     for s in slopes:
         assert gcd(abs(s.p), abs(s.q)) == 1
         assert s.q > 0 or (s.q == 0 and s.p > 0)
+    with pytest.raises(PreconditionError, match="^bound must be at least 1$"):
+        next(enumerate_slopes(0))
 
 
 raw_actions = st.tuples(
