@@ -781,29 +781,33 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys, case):
     assert "Traceback" not in captured.err
 
 
+MISSING_INPUT = str(Path(__file__).parent / "no-such-input.json")
+
+
 @pytest.mark.parametrize(
-    "case, code, message",
+    "args, code, message",
     [
-        ("file and --matrix", 2, "give either an input file or --matrix, not both"),
-        ("missing file", 2, "input file {missing!r} does not exist"),
+        (["matrix", "[[1]]", "--matrix", "[[1]]"], 2, "give either an input file or --matrix, not both"),
+        (["matrix", MISSING_INPUT], 2, f"input file {MISSING_INPUT!r} does not exist"),
         # the rewrite '[["1/2",]]' fails too, at column 9; the first diagnostics are kept
-        ("shorthand still fails", 2, "--matrix: invalid JSON at line 1, column 4: Expecting ',' delimiter"),
-        ("repeated class", 3, "multicurve repeats a class id"),
+        (
+            ["matrix", "--matrix", "[[1/2,]]"],
+            2,
+            "--matrix: invalid JSON at line 1, column 4: Expecting ',' delimiter",
+        ),
+        (
+            ["table", json.dumps({**LEVY_TABLE_DOC, "multicurve": ["g1", "g1"]})],
+            3,
+            "multicurve repeats a class id",
+        ),
     ],
+    ids=["file and --matrix", "missing file", "shorthand still fails", "repeated class"],
 )
-def test_input_errors_exit_with_their_exact_message(tmp_path, capsys, case, code, message):
-    missing = str(tmp_path / "gone.json")
-    repeated = {**LEVY_TABLE_DOC, "multicurve": ["g1", "g1"]}
-    args = {
-        "file and --matrix": ["matrix", "[[1]]", "--matrix", "[[1]]"],
-        "missing file": ["matrix", missing],
-        "shorthand still fails": ["matrix", "--matrix", "[[1/2,]]"],
-        "repeated class": ["table", json.dumps(repeated)],
-    }[case]
+def test_input_errors_exit_with_their_exact_message(capsys, args, code, message):
     assert main(args) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {message.format(missing=missing)}\n"
+    assert captured.err == f"error: {message}\n"
     assert "Traceback" not in captured.err
 
 

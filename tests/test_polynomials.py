@@ -108,11 +108,11 @@ def test_isolator_refuses_brackets_outside_its_contract(polys, lo, hi, message):
 
 def test_simplest_rational():
     assert simplest_rational_between(F(15, 8), F(33, 16)) == 2
-    with pytest.raises(ValueError, match="^empty interval$"):
-        simplest_rational_between(F(1), F(0))
     assert simplest_rational_between(F(3, 2), F(5, 3)) == F(3, 2)
     assert simplest_rational_between(F(-1, 3), F(1, 7)) == 0
     assert simplest_rational_between(F(-7, 2), F(-10, 3)) == F(-7, 2)
+    with pytest.raises(ValueError, match="^empty interval$"):
+        simplest_rational_between(F(1), F(0))
 
 
 @given(
