@@ -12,13 +12,13 @@ Exit codes: 0 completed analysis (whatever the mathematical verdict),
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import re
 import sys
 from pathlib import Path
-from typing import Any, Optional
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any, Optional
 
 from . import documents as docs
 from .documents import InputFormatError
@@ -42,6 +42,9 @@ from .spectral import (
     exists_positive_subinvariant_vector,
 )
 from .tables import DEFAULT_SUBSET_CAP, analyze_table, check_canonical_candidate
+
+if TYPE_CHECKING:  # a plain command line is parsed without argparse
+    import argparse
 
 EXIT_OK = 0
 EXIT_BAD_INPUT = 2
@@ -321,9 +324,45 @@ def render_text(report: dict) -> str:
 # ---------------------------------------------------------------------------
 # argument parsing
 
+_FORMAT = ("--format", "format", ("json", "text"), "text", "report format (default: text)")
+_MATRIX = ("--matrix", "matrix", str, None, "inline JSON matrix, e.g. '[[2,0],[0,3]]'")
+
+#: subcommand -> (its help, its options in help order).  An option is
+#: (flag, dest, kind, default, help), with kind ``bool`` for a flag, ``int``,
+#: ``str`` or a tuple of choices.  ``_build_parser`` builds argparse from this
+#: table, and ``_plain_args`` reads it.
+_SUBCOMMANDS = {
+    "orbifold": ("classify a critical portrait", (_FORMAT,)),
+    "matrix": ("analyze a nonnegative rational matrix", (
+        _MATRIX,
+        _FORMAT,
+        ("--width", "width", str, DEFAULT_WIDTH,
+         f"eigenvalue interval width as p/q (default {DEFAULT_WIDTH})"),
+        ("--check-simple", "check_simple", bool, False, "also search for a positive subinvariant vector"),
+    )),
+    "slopes": ("torus-quotient obstruction decision", (
+        _MATRIX,
+        _FORMAT,
+        ("--bound", "bound", int, None, "also run the bounded slope search"),
+    )),
+    "table": ("analyze a curve table", (
+        _FORMAT,
+        ("--subset-cap", "subset_cap", int, DEFAULT_SUBSET_CAP,
+         f"largest multicurve size searched (default {DEFAULT_SUBSET_CAP})"),
+    )),
+    "canonical": ("check a canonical-obstruction candidate", (
+        _FORMAT,
+        ("--subset-cap", "subset_cap", int, DEFAULT_SUBSET_CAP,
+         "declared classes of each torus-quotient inner table that are examined "
+         f"(default {DEFAULT_SUBSET_CAP})"),
+    )),
+}
+
 
 def _int_argument(text: str) -> int:
     """argparse's ``type=int``, with a rejected value echoed cut, as document fields are."""
+    import argparse
+
     try:
         return int(text)
     except ValueError:
@@ -333,85 +372,75 @@ def _int_argument(text: str) -> int:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later ``main`` call."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="thurston-obstruct",
         description="Exact obstruction-theoretic analyses of branched sphere covers.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, matrix_flag: bool):
-        p.add_argument(
-            "input",
-            nargs="?",
-            help="input document: a file path or inline JSON",
-        )
-        if matrix_flag:
-            p.add_argument("--matrix", help="inline JSON matrix, e.g. '[[2,0],[0,3]]'")
-        p.add_argument(
-            "--format",
-            choices=("json", "text"),
-            default="text",
-            help="report format (default: text)",
-        )
-
-    p_orb = sub.add_parser("orbifold", help="classify a critical portrait")
-    add_common(p_orb, matrix_flag=False)
-
-    p_mat = sub.add_parser("matrix", help="analyze a nonnegative rational matrix")
-    add_common(p_mat, matrix_flag=True)
-    p_mat.add_argument(
-        "--width",
-        default=DEFAULT_WIDTH,
-        help=f"eigenvalue interval width as p/q (default {DEFAULT_WIDTH})",
-    )
-    p_mat.add_argument(
-        "--check-simple",
-        action="store_true",
-        help="also search for a positive subinvariant vector",
-    )
-
-    p_slopes = sub.add_parser("slopes", help="torus-quotient obstruction decision")
-    add_common(p_slopes, matrix_flag=True)
-    p_slopes.add_argument(
-        "--bound",
-        type=_int_argument,
-        default=None,
-        help="also run the bounded slope search",
-    )
-
-    p_table = sub.add_parser("table", help="analyze a curve table")
-    add_common(p_table, matrix_flag=False)
-    p_table.add_argument(
-        "--subset-cap",
-        type=_int_argument,
-        default=DEFAULT_SUBSET_CAP,
-        help=f"largest multicurve size searched (default {DEFAULT_SUBSET_CAP})",
-    )
-
-    p_canon = sub.add_parser("canonical", help="check a canonical-obstruction candidate")
-    add_common(p_canon, matrix_flag=False)
-    p_canon.add_argument(
-        "--subset-cap",
-        type=_int_argument,
-        default=DEFAULT_SUBSET_CAP,
-        help="declared classes of each torus-quotient inner table that are examined "
-        f"(default {DEFAULT_SUBSET_CAP})",
-    )
-    parser.subcommands = sub.choices  # each subcommand's own parser, for ``_parse_args``
+    for command, (command_help, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=command_help)
+        p.add_argument("input", nargs="?", help="input document: a file path or inline JSON")
+        for flag, dest, kind, default, option_help in options:
+            if kind is bool:
+                kinds = {"action": "store_true"}
+            elif kind is int:
+                kinds = {"type": _int_argument}
+            elif kind is str:
+                kinds = {}
+            else:
+                kinds = {"choices": kind}
+            p.add_argument(flag, dest=dest, default=default, help=option_help, **kinds)
     return parser
 
 
-def _parse_args(argv: list[str]) -> argparse.Namespace:
-    """argparse's own dispatch, with one pass: a subcommand's arguments go straight to its parser."""
-    parser = _build_parser()
-    sub = parser.subcommands
-    if not argv or argv[0] not in sub:  # no arguments, -h, an unknown command, options first
-        return parser.parse_args(argv)
-    args, rest = sub[argv[0]].parse_known_args(argv[1:])
-    if rest:
-        parser.error(f"unrecognized arguments: {' '.join(rest)}")
-    args.command = argv[0]
-    return args
+def _plain_args(argv: list[str]) -> Optional[SimpleNamespace]:
+    """The parse of a plain argv, or None for argparse to decide.
+
+    A plain argv is a subcommand followed by that subcommand's exact option
+    strings, each once and with its value, and at most one input; no token
+    but an option string starts with ``-``.  On such an argv argparse's
+    parse is this one.
+    """
+    if not argv or argv[0] not in _SUBCOMMANDS:
+        return None
+    options = {option[0]: option for option in _SUBCOMMANDS[argv[0]][1]}
+    args = {"command": argv[0], "input": None}
+    args.update((dest, default) for _, dest, _, default, _ in options.values())
+    has_input = False
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if has_input:
+                return None
+            args["input"], has_input = token, True
+            continue
+        option = options.pop(token, None)  # popped, so a repeated option is argparse's
+        if option is None:
+            return None
+        _, dest, kind, _, _ = option
+        if kind is bool:
+            args[dest] = True
+            continue
+        value = next(tokens, "-")  # a missing value reads as an option string
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        args[dest] = value
+    return SimpleNamespace(**args)
+
+
+def _parse_args(argv: list[str]) -> Any:
+    """``_plain_args`` on a plain argv; argparse, with its help and errors, on every other."""
+    args = _plain_args(argv)
+    return args if args is not None else _build_parser().parse_args(argv)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

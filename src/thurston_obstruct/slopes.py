@@ -93,9 +93,10 @@ def normalize(rows) -> TorusQuotientMap:
     """
     try:
         (a, b), (c, d) = rows
-        a, b, c, d = int(a), int(b), int(c), int(d)
     except (TypeError, ValueError) as exc:
         raise PreconditionError("action must be a 2x2 integer matrix") from exc
+    if not all(type(x) is int for x in (a, b, c, d)):  # no Fraction, float, str or bool
+        raise PreconditionError("action must be a 2x2 integer matrix")
     det = a * d - b * c
     if det < 2:
         raise PreconditionError(f"determinant must be at least 2, got {det}")

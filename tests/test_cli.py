@@ -16,8 +16,10 @@ from thurston_obstruct import NonnegMatrix, charpoly, polynomials, spectral
 from thurston_obstruct.cli import (
     DEFAULT_SUBSET_CAP,
     DEFAULT_WIDTH,
+    _SUBCOMMANDS,
     _build_parser,
     _load_inline_matrix,
+    _plain_args,
     main,
     run_request,
 )
@@ -615,9 +617,10 @@ def test_parser_is_built_once_and_keeps_no_state_between_calls(capsys):
         assert capsys.readouterr().out == first
 
 
-# argv whose dispatch differs between argparse's subparser action and the one
-# pass of ``_parse_args``, if it differs anywhere: help, missing and leftover
-# arguments, options before the command, abbreviations, "--" and bad values
+# argv that the plain-argv parse must leave to argparse, or read as argparse
+# does: help, missing and leftover arguments, options before the command,
+# abbreviations, "--", repeated options, values that start with "-", empty
+# values and bad values
 ONE_PASS_ARGV = [
     [], ["-h"], ["nope"], ["matrix"], ["matrix", "-h"], ["matrix", "[[1]]", "--help"],
     ["matrix", "--bogus"], ["matrix", "x", "y"], ["matrix", "[[1]]", "extra"],
@@ -626,6 +629,12 @@ ONE_PASS_ARGV = [
     ["table", "--subset-cap", "abc", "{}"], ["canonical", "--subset-cap=3", "{}"],
     ["slopes", "--bound", "x", "[[2,0],[0,2]]"], ["orbifold", "--matrix", "[[1]]"],
     ["matrix", "--format", "xml", "[[1]]"],
+    ["matrix", "--format", "json", "--format", "text", "[[1]]"],
+    ["matrix", "--check-simple", "--check-simple", "[[1]]"],
+    ["slopes", "--bound", "2", "--bound", "3", "[[2,0],[0,3]]"],
+    ["slopes", "--bound", "-3", "[[2,0],[0,3]]"], ["matrix", "--matrix", ""],
+    ["matrix", "--format", "", "[[1]]"], ["matrix", "--width", "1/2", ""],
+    ["slopes", "--matrix", "[[2,0],[0,3]]", "--bound", " 4 "],
 ]
 
 
@@ -640,10 +649,75 @@ def _main_outcome(capsys, argv) -> tuple[str, str, object]:
 
 @pytest.mark.parametrize("argv", ONE_PASS_ARGV, ids=lambda argv: " ".join(argv) or "no arguments")
 def test_one_parser_pass_matches_the_full_parser(capsys, monkeypatch, argv):
-    # stdout, stderr and exit code as with the whole parser's subcommand dispatch
+    # stdout, stderr and exit code as with argparse alone
     one_pass = _main_outcome(capsys, argv)
     monkeypatch.setattr("thurston_obstruct.cli._parse_args", lambda argv: _build_parser().parse_args(argv))
     assert one_pass == _main_outcome(capsys, argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["matrix", "--check-simple", "--format", "json", "--width", "1/1000000", "[[1,1],[1,0]]"],
+        ["matrix", "--matrix", "[[1]]"],
+        ["slopes", "--matrix", "[[2,0],[0,3]]", "--bound", "8"],
+        ["table", "{}", "--subset-cap", "3", "--format", "text"],
+        ["canonical", "--subset-cap", "0", "{}"],
+        ["orbifold", "a b=c"],
+        ["orbifold"],
+    ],
+)
+def test_plain_argv_skip_argparse(argv):
+    args = _plain_args(argv)
+    assert args is not None
+    assert vars(args) == vars(_build_parser().parse_args(argv))
+
+
+OPTION_TOKENS = [
+    "--format", "--matrix", "--width", "--check-simple", "--bound", "--subset-cap",
+    "--form", "--mat", "--check", "--sub", "--bo", "--w",
+    "--format=json", "--bound=3", "--subset-cap=2", "--matrix=[[1]]",
+    "--", "-", "-h", "--help", "-x",
+]
+VALUE_TOKENS = [
+    "-3", "-1.5", "-1/2", "", " ", "a b", "json", "text", "xml", "JSON",
+    "3", " 7 ", "+2", "1_0", "x", "[[1]]", "1/2", "{}",
+]
+
+
+def _own_option(option):
+    """One option of a subcommand, with a value that its kind is more likely to accept than not."""
+    flag, _, kind, _, _ = option
+    if kind is bool:
+        return st.just((flag,))
+    good = {int: ["3", " 7 ", "+2", "1_0"], str: ["[[1]]", "1/2", "a b"]}.get(kind, kind)
+    return st.tuples(st.just(flag), st.sampled_from([*good, *good, *VALUE_TOKENS]))
+
+
+def _argv(command):
+    """The command, its own options with values and inputs, and up to two stray tokens put anywhere."""
+    own = [_own_option(option) for option in _SUBCOMMANDS.get(command, ("", ()))[1]]
+    pieces = st.one_of(*own, st.tuples(st.sampled_from(["[[1]]", "{}", "", "a b", "x=1"])))
+    stray = st.tuples(st.integers(0, 9), st.sampled_from([*_SUBCOMMANDS, "nope", *OPTION_TOKENS, *VALUE_TOKENS]))
+
+    def assemble(drawn):
+        chosen, strays = drawn
+        tokens = [token for piece in chosen for token in piece]
+        for at, token in strays:
+            tokens.insert(at % (len(tokens) + 1), token)
+        return [command, *tokens]
+
+    # each option at most once and one input, so that repeats come from the strays only
+    once = st.lists(pieces, max_size=4, unique_by=lambda piece: piece[0] if piece[0][:1] == "-" else "")
+    return st.tuples(once, st.lists(stray, max_size=2)).map(assemble)
+
+
+@given(st.sampled_from([*_SUBCOMMANDS, "nope", "-h", "--format"]).flatmap(_argv))
+@settings(max_examples=2000, deadline=None)
+def test_plain_argv_parse_equals_argparse(argv):
+    args = _plain_args(argv)
+    if args is not None:
+        assert vars(args) == vars(_build_parser().parse_args(argv))
 
 
 def test_uncapped_canonical_report_is_not_truncated(capsys):

@@ -210,3 +210,42 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+TOP_LEVEL_HELP = """\
+usage: thurston-obstruct [-h] {orbifold,matrix,slopes,table,canonical} ...
+
+Exact obstruction-theoretic analyses of branched sphere covers.
+
+positional arguments:
+  {orbifold,matrix,slopes,table,canonical}
+    orbifold            classify a critical portrait
+    matrix              analyze a nonnegative rational matrix
+    slopes              torus-quotient obstruction decision
+    table               analyze a curve table
+    canonical           check a canonical-obstruction candidate
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_plain_command_line_loads_no_argparse_and_help_does():
+    src = Path(thurston_obstruct.__file__).parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), COLUMNS="80")
+    code = (
+        "import sys\n"
+        "from thurston_obstruct.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, sorted({'argparse', 'gettext'} & set(sys.modules)), file=sys.stderr)"
+    )
+    argv = ["slopes", "--bound", "3", "--format", "json", "--matrix", "[[2,0],[0,3]]"]
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.stderr == "0 []\n"
+    # help, usage and errors are argparse's: -h loads it and prints the help it always printed
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, "-h"], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, TOP_LEVEL_HELP, "")

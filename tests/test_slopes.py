@@ -43,8 +43,10 @@ def test_normalize_examples():
         normalize([[1, 0], [0, 1]])
     with pytest.raises(PreconditionError):
         normalize([[0, 1], [1, 0]])  # determinant -1
-    with pytest.raises(PreconditionError, match="^action must be a 2x2 integer matrix$"):
-        normalize([[2, 0], [0, "two"]])
+    # an entry that is not an int is refused, never truncated or converted
+    for entry in ("two", "3", Fraction(5, 2), Fraction(2), 2.9, 2.0, True, None):
+        with pytest.raises(PreconditionError, match="^action must be a 2x2 integer matrix$"):
+            normalize([[2, 0], [0, entry]])
 
 
 def test_pullback_examples():
