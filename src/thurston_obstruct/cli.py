@@ -7,13 +7,16 @@ decides the torus-quotient obstruction question from a homology action,
 checks a candidate multicurve against the component criteria.
 
 Exit codes: 0 completed analysis (whatever the mathematical verdict),
-2 malformed input, 3 precondition violation, 4 resource cap exceeded.
+1 the report could not be written, 2 malformed input, 3 precondition
+violation, 4 resource cap exceeded.
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -47,6 +50,7 @@ if TYPE_CHECKING:  # a plain command line is parsed without argparse
     import argparse
 
 EXIT_OK = 0
+EXIT_WRITE_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_RESOURCE_CAP = 4
@@ -464,5 +468,27 @@ def main(argv: Optional[list[str]] = None) -> int:
     return code
 
 
+def script() -> int:
+    """The process entry: ``thurston-obstruct`` and ``python -m thurston_obstruct.cli``.
+
+    Everything alive before the request (the package, the standard library
+    and ``site``) is frozen into the permanent generation, which the
+    interpreter's shutdown collections neither walk nor free; the process
+    hands that memory back to the OS at exit.  ``main`` never freezes.  A
+    report that cannot be written exits 1 with one error line.
+    """
+    gc.freeze()
+    try:
+        code = main()
+        sys.stdout.flush()
+    except OSError as exc:
+        # the unwritten text stays buffered, and the interpreter's last flush
+        # would fail on it again: that flush goes to os.devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write the report: {exc.strerror}", file=sys.stderr)
+        return EXIT_WRITE_FAILED
+    return code
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(script())

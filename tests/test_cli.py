@@ -1,3 +1,5 @@
+import errno
+import gc
 import json
 import os
 import subprocess
@@ -22,6 +24,7 @@ from thurston_obstruct.cli import (
     _plain_args,
     main,
     run_request,
+    script,
 )
 from thurston_obstruct.documents import InputFormatError, dumps
 from thurston_obstruct.polynomials import LargestRootIsolator
@@ -972,3 +975,146 @@ def test_first_return_errors_name_the_failing_field(capsys):
     assert capsys.readouterr().err == (
         "error: decomposition[0].first_return.matrix: missing field\n"
     )
+
+
+# ---------------------------------------------------------------------------
+# the process entry: it freezes start-up objects, main never does
+
+
+# one request per subcommand
+ENTRY_REQUESTS = [
+    ["orbifold", json.dumps(PORTRAIT_DOC)],
+    ["matrix", "--check-simple", "[[0,2],[1,0]]"],
+    ["slopes", "--matrix", "[[2,0],[0,3]]", "--bound", "8"],
+    ["table", json.dumps(LEVY_TABLE_DOC)],
+    ["canonical", json.dumps(CANONICAL_DOC)],
+]
+
+
+def _cli_process(argv, **kwargs) -> subprocess.CompletedProcess:
+    env = dict(os.environ, PYTHONPATH=str(SCHEMA_DIR.parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "thurston_obstruct.cli", *argv], env=env, timeout=60, **kwargs
+    )
+
+
+def test_main_never_freezes(capsys):
+    frozen = gc.get_freeze_count()
+    for argv in ENTRY_REQUESTS:
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("code", [0, 2, 3, 4])
+def test_script_freezes_before_main_and_returns_its_code(monkeypatch, code):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr("thurston_obstruct.cli.main", lambda: calls.append("main") or code)
+    assert script() == code
+    assert calls == ["freeze", "main"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([*argv, "--format", fmt] for argv in ENTRY_REQUESTS for fmt in ("json", "text")),
+        ["matrix", '[["0.5"]]'],
+        ["slopes", "--matrix", "[[1,0],[0,1]]"],
+        ["table", json.dumps(LEVY_TABLE_DOC), "--subset-cap", "1"],
+    ],
+    ids=lambda argv: " ".join(argv[:1] + argv[-2:])[:60],
+)
+def test_process_entry_matches_main_in_process(capsys, argv):
+    # a fresh `python -m thurston_obstruct.cli` writes what main writes, and exits with its code
+    code = main(argv)
+    captured = capsys.readouterr()
+    proc = _cli_process(argv, capture_output=True, text=True)
+    assert (proc.stdout, proc.stderr, proc.returncode) == (captured.out, captured.err, code)
+
+
+def test_the_process_entry_freezes_before_the_request():
+    # the __main__ block runs script, which freezes everything imported so far
+    probe = (
+        "import atexit, gc, runpy, sys; "
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr)); "
+        "sys.argv[1:] = ['slopes', '--matrix', '[[2,0],[0,3]]']; "
+        "runpy.run_module('thurston_obstruct.cli', run_name='__main__')"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SCHEMA_DIR.parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == "True\n"
+
+
+class _FailingStdout:
+    """A stdout whose ``write`` or ``flush`` raises, over a real file descriptor."""
+
+    def __init__(self, fd: int, failing: str, exc: OSError):
+        self.fd, self.failing, self.exc = fd, failing, exc
+
+    def write(self, text: str) -> int:
+        if self.failing == "write":
+            raise self.exc
+        return len(text)
+
+    def flush(self) -> None:
+        if self.failing == "flush":
+            raise self.exc
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("failing", ["write", "flush"])
+@pytest.mark.parametrize(
+    "exc",
+    [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))],
+    ids=["no_space", "broken_pipe"],
+)
+def test_a_failed_report_write_exits_1_with_one_line(capsys, monkeypatch, tmp_path, failing, exc):
+    monkeypatch.setattr(gc, "freeze", lambda: None)
+    monkeypatch.setattr(sys, "argv", ["thurston-obstruct", *ENTRY_REQUESTS[2]])
+    with open(tmp_path / "stdout", "wb") as out:
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(out.fileno(), failing, exc))
+        assert script() == 1
+        # the interpreter's last flush of stdout goes to os.devnull
+        assert os.fstat(out.fileno()).st_rdev == os.stat(os.devnull).st_rdev
+    assert capsys.readouterr().err == f"error: cannot write the report: {exc.strerror}\n"
+
+
+def test_main_lets_a_failed_write_reach_library_callers(monkeypatch, tmp_path):
+    with open(tmp_path / "stdout", "wb") as out:
+        exc = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        monkeypatch.setattr(sys, "stdout", _FailingStdout(out.fileno(), "write", exc))
+        with pytest.raises(OSError) as raised:
+            main(ENTRY_REQUESTS[2])
+    assert raised.value is exc
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_full_device_exits_1_with_one_line(unbuffered, monkeypatch):
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(ENTRY_REQUESTS[2], stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write the report: No space left on device\n"
+
+
+def test_a_closed_pipe_exits_1_with_one_line():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes, so its first write fails
+    try:
+        proc = _cli_process(ENTRY_REQUESTS[2], stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write the report: Broken pipe\n"
+
+
+def test_the_console_script_names_the_process_entry():
+    # read as text: tomllib is not in Python 3.10
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert scripts.strip() == 'thurston-obstruct = "thurston_obstruct.cli:script"'

@@ -3,7 +3,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from oracles import ramification_by_backward_paths
 from thurston_obstruct import (
@@ -99,21 +99,39 @@ def test_ramification_four_fixed():
 
 @st.composite
 def portraits(draw):
-    """Random portraits of 1-8 points; draws that fail validation are rejected."""
+    """Random portraits of 1-8 points, each valid by construction.
+
+    Images, local degrees and marks are drawn freely.  Then every critical
+    value is marked, the marks are closed under the image map, and the
+    degree is the least valid one plus a drawn 0-4, so no draw is rejected.
+    """
     n = draw(st.integers(1, 8))
-    points = tuple(
-        PortraitPoint(
-            str(k),
+    drawn = [
+        (
             draw(st.sampled_from([True, True, True, False])),
-            str(draw(st.integers(0, n - 1))),
+            draw(st.integers(0, n - 1)),
             draw(st.sampled_from([1, 1, 1, 2, 3])),
         )
-        for k in range(n)
+        for _ in range(n)
+    ]
+    marked = {k for k, (mark, _, _) in enumerate(drawn) if mark}
+    marked |= {image for _, image, local in drawn if local >= 2}
+    frontier = list(marked)
+    while frontier:
+        image = drawn[frontier.pop()][1]
+        if image not in marked:
+            marked.add(image)
+            frontier.append(image)
+    fiber = [0] * n
+    for _, image, local in drawn:
+        fiber[image] += local
+    branching = sum(local - 1 for _, _, local in drawn)
+    least = max(2, max(fiber), (branching + 3) // 2)  # a fiber sum bounds each local degree
+    points = tuple(
+        PortraitPoint(str(k), k in marked, str(image), local)
+        for k, (_, image, local) in enumerate(drawn)
     )
-    try:
-        return CriticalPortrait(draw(st.integers(2, 6)), points)
-    except PreconditionError:
-        assume(False)
+    return CriticalPortrait(least + draw(st.integers(0, 4)), points)
 
 
 @given(portraits())
