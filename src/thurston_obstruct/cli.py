@@ -378,7 +378,12 @@ def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later ``main`` call."""
     import argparse
 
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):
+        def print_help(self, file=None):
+            # argparse's own swallows the OSError of a failed write: it reaches ``script`` instead
+            (file or sys.stdout).write(self.format_help())
+
+    parser = Parser(
         prog="thurston-obstruct",
         description="Exact obstruction-theoretic analyses of branched sphere covers.",
     )
@@ -475,12 +480,14 @@ def script() -> int:
     and ``site``) is frozen into the permanent generation, which the
     interpreter's shutdown collections neither walk nor free; the process
     hands that memory back to the OS at exit.  ``main`` never freezes.  A
-    report that cannot be written exits 1 with one error line.
+    report or help text that cannot be written exits 1 with one error line.
     """
     gc.freeze()
     try:
-        code = main()
-        sys.stdout.flush()
+        try:
+            code = main()
+        finally:  # also when argparse's help or errors leave main by SystemExit
+            sys.stdout.flush()
     except OSError as exc:
         # the unwritten text stays buffered, and the interpreter's last flush
         # would fail on it again: that flush goes to os.devnull instead

@@ -85,6 +85,12 @@ def _frame(lo: Fraction, hi: Fraction) -> tuple[int, int, int]:
     return lo.numerator * (den // lo.denominator), width.numerator * (den // width.denominator), den
 
 
+def _level(frame: tuple[int, int, int], width: Fraction) -> int:
+    """The least bisection level whose cells, E / (B 2^level) wide, are at most ``width``."""
+    _, e, b = frame
+    return (-(-e * width.denominator // (b * width.numerator)) - 1).bit_length()
+
+
 def _taylor(q: tuple[int, ...], a: int, b: int) -> list[int]:
     """The coefficients of b^d q((a + y) / b) in y for b > 0, lowest first.
 
@@ -266,9 +272,7 @@ class LargestRootIsolator:
         width = _as_fraction(width, "widths")
         if width <= 0:
             raise ValueError("width must be positive")
-        # the least level whose cells, E / (B 2^level) wide, are at most ``width``
-        _, e, b = self._frame
-        stop = (-(-e * width.denominator // (b * width.numerator)) - 1).bit_length()
+        stop = _level(self._frame, width)
         return self._bisect(lambda level, k: level >= stop)
 
     def refine_until_separated_from(self, point: Fraction) -> tuple[Fraction, Fraction]:

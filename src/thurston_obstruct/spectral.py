@@ -18,7 +18,8 @@ from operator import lshift, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._records import record
-from .polynomials import LargestRootIsolator, Poly, _as_fraction, _primitive
+from .polynomials import LargestRootIsolator, Poly, _as_fraction, _frame, _level, _primitive
+from .polynomials import simplest_rational_between
 
 
 class PreconditionError(ValueError):
@@ -31,13 +32,13 @@ class NonnegMatrix:
     ``ints`` is L*M for L = ``scale``, with gcd(L, every entry) = 1: L is the
     lcm of the reduced denominators, one pair per matrix.  The ``Fraction``
     ``rows`` are built on each call.  The spectral profile, the leading-root
-    isolator and the cyclic structure are built on first use and kept, so
-    every question about one matrix shares one closure of the support, one
-    set of block tags, one characteristic polynomial and one doubling over
-    boolean powers.
+    isolator, the cyclic structure and the Collatz-Wielandt bounds are built
+    on first use and kept, so every question about one matrix shares one
+    closure of the support, one set of block tags, one characteristic
+    polynomial, one doubling over boolean powers and one power iteration.
     """
 
-    __slots__ = ("scale", "ints", "n", "_profile", "_isolator", "_cyclic")
+    __slots__ = ("scale", "ints", "n", "_profile", "_isolator", "_cyclic", "_bounds")
 
     def __init__(self, rows: Iterable[Iterable]):
         mat = tuple(tuple(_as_fraction(x, "matrix entries") for x in row) for row in rows)
@@ -63,7 +64,7 @@ class NonnegMatrix:
         return m
 
     def _fill(self, scale, ints) -> None:
-        for name, value in zip(self.__slots__, (scale, ints, len(ints), None, None, None)):
+        for name, value in zip(self.__slots__, (scale, ints, len(ints), None, None, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
@@ -478,10 +479,6 @@ def _eliminate(m: NonnegMatrix, block: Sequence[int]) -> tuple:
     block, reducible or not; only the split of the rest needs irreducibility.
     """
     scale, ints = m.scale, m.ints
-    if len(block) == 1:  # C = [d]: read off d alone
-        d = scale - ints[block[0]][block[0]]
-        g = abs(d) or 1
-        return _TAG_ORDER[0 if d > 0 else 1 if d == 0 else 2], 0, [g], [[d // g]]
     rows = [[(scale if i == j else 0) - ints[i][j] for j in block] for i in block]
     gcds = [gcd(*row) or 1 for row in rows]
     c = [[x // g for x in row] for row, g in zip(rows, gcds)]
@@ -491,9 +488,26 @@ def _eliminate(m: NonnegMatrix, block: Sequence[int]) -> tuple:
     return tag, p, gcds, c
 
 
+def _row_sum_tag(m: NonnegMatrix, block: Sequence[int]) -> Optional[SpectralTag]:
+    """The tag of the row sums inside the block when they all lie below, above or at L = ``m.scale``, else None.
+
+    For B >= 0, min_i (B 1)_i <= rho(B) <= max_i (B 1)_i (``_power_bounds`` at x = 1).
+    """
+    ints, scale = m.ints, m.scale
+    sums = list(map(sum, ints)) if len(block) == m.n else [sum(ints[i][j] for j in block) for i in block]
+    low, high = min(sums), max(sums)
+    if high < scale or low > scale:
+        return SpectralTag.BELOW_ONE if high < scale else SpectralTag.ABOVE_ONE
+    return SpectralTag.EXACTLY_ONE if low == high else None
+
+
 def _block_tag(m: NonnegMatrix, block: Sequence[int]) -> SpectralTag:
-    """``_eliminate``'s tag, also the minimal-obstruction search's test of each subset."""
-    return _eliminate(m, block)[0]
+    """The block's tag by its row sums, else by ``_eliminate``; also the minimal search's subset test.
+
+    Both agree on a strongly connected block.  On a reducible one at 1 with every row sum L,
+    ``_eliminate`` may say above; both say not below 1, all that a reducible block is asked.
+    """
+    return _row_sum_tag(m, block) or _eliminate(m, block)[0]
 
 
 @record
@@ -503,7 +517,8 @@ class SpectralProfile:
     ``closed_below[b]`` says that block ``b`` of ``structure`` and every
     block reachable from it are below 1.  ``tag`` is the largest block tag,
     the trichotomy of rho(M).  ``eliminations[b]`` is ``_eliminate``'s
-    ``(tag, p, g, c)`` for block ``b`` as tuples, kept for the certificate.
+    ``(tag, p, g, c)`` for block ``b`` as tuples, kept for the certificate:
+    None for row sums all 1 (Perron vector 1), and () when some block is closed below 1.
     """
 
     support: tuple[int, ...]
@@ -525,17 +540,21 @@ def spectral_profile(m: NonnegMatrix) -> SpectralProfile:
         reach = _reach(support)
         structure = _condense(reach)
         blocks = structure.blocks()
-        eliminations = tuple(
-            (tag, p, tuple(g), tuple(map(tuple, c)))
-            for tag, p, g, c in (_eliminate(m, block) for block in blocks)
-        )
-        tags = tuple(e[0] for e in eliminations)
+        by_sums = [_row_sum_tag(m, block) for block in blocks]
+        eliminations = [None if t else _eliminate(m, b) for b, t in zip(blocks, by_sums)]
+        tags = tuple(t or e[0] for t, e in zip(by_sums, eliminations))
         # a block is closed below 1 when nothing it reaches lies in a block at or above 1
         above = (b for b, t in zip(blocks, tags) if t is not SpectralTag.BELOW_ONE)
         high = sum(1 << v for b in above for v in b)
         closed = tuple(not (reach[b[0]] | 1 << b[0]) & high for b in blocks)
+        if any(closed):  # no certificate, so no block needs its elimination
+            eliminations = []
+        for i, block in enumerate(blocks[: len(eliminations)]):
+            if by_sums[i] is not SpectralTag.EXACTLY_ONE:  # row sums all 1: the Perron vector is 1
+                tag, p, g, c = eliminations[i] or _eliminate(m, block)
+                eliminations[i] = (tag, p, tuple(g), tuple(map(tuple, c)))
         overall = max(tags, key=_TAG_ORDER.index, default=SpectralTag.BELOW_ONE)
-        profile = SpectralProfile(support, structure, tags, closed, overall, eliminations)
+        profile = SpectralProfile(support, structure, tags, closed, overall, tuple(eliminations))
         object.__setattr__(m, "_profile", profile)
     return m._profile
 
@@ -544,8 +563,9 @@ def spectral_tag(m: NonnegMatrix) -> SpectralTag:
     """Exact trichotomy of the leading eigenvalue rho(M) against 1.
 
     rho(M) is the largest rho over the strongly connected blocks of the
-    support digraph, and each block is decided by the M-matrix minors test
-    of ``_block_tag``: all leading principal minors of L*I - L*B positive
+    support digraph, and each block is decided by ``_block_tag``: by its row
+    sums when they all lie on one side of L or all equal it, else by the
+    M-matrix minors test: all leading principal minors of L*I - L*B positive
     means below 1, the first n-1 positive and the determinant zero means
     exactly 1, anything else above 1 (Berman & Plemmons, ch. 6; Bareiss
     1968).  Integer arithmetic only; the empty matrix is below 1.
@@ -585,6 +605,98 @@ def _leading_root_isolator(m: NonnegMatrix) -> LargestRootIsolator:
     return m._isolator
 
 
+_BOUNDS_MIN_DIM = 7  # a primitive 6x6 matrix still walks its characteristic polynomial
+_BOUNDS_LEVELS = 64  # the deepest bisection level the bounds serve
+_BOUNDS_BITS = _BOUNDS_LEVELS + 16  # fraction bits of each ratio
+_BOUNDS_STEPS = 80  # power steps per matrix before the isolator takes over
+
+
+def _power_bounds(m: NonnegMatrix, answer, more: bool):
+    """``answer(lo, hi, den)`` on Collatz-Wielandt bounds lo / den <= rho(M) < hi / den, kept on the matrix.
+
+    For A = L*M >= 0 and x > 0, min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i
+    (Collatz 1942; Wielandt 1950; Horn & Johnson, Matrix Analysis, 2nd ed.,
+    8.1).  From x = 1, each step takes y = A x, keeps the best lo = min r and
+    hi = max r + 1 over r_i = floor(2^P y_i / x_i), den = L 2^P for
+    P = ``_BOUNDS_BITS``, and shifts y right to P bits, each entry at least 1,
+    as the next x; on a primitive matrix the bounds close at the rate
+    |lambda_2| / rho.  Equal ratios give y = lambda x: rho(M) = y_0 / (L x_0),
+    kept as lo = hi over den = L x_0.  While ``answer`` returns None, steps
+    go on if ``more`` holds, the budget lasts and rho is not exact.  A x is
+    one sum of x_j times packed column j, read back by shift and mask (as in
+    ``_int_mul``): every x_i < 2^P, so no slot of w bits carries.
+    """
+    if m._bounds is None:
+        if not more:  # the start bounds [0, rs] settle nothing
+            return None
+        w = (max(map(max, m.ints)) * m.n << _BOUNDS_BITS).bit_length()
+        shifts = range(0, m.n * w, w)
+        pack = ([sum(map(lshift, col, shifts)) for col in zip(*m.ints)], shifts, (1 << w) - 1)
+        top = max(map(sum, m.ints)) << _BOUNDS_BITS  # rho <= the largest row sum
+        object.__setattr__(m, "_bounds", (pack, [1] * m.n, 0, top + 1, m.scale << _BOUNDS_BITS, 0))
+    while True:
+        pack, x, lo, hi, den, steps = m._bounds
+        bracket = answer(lo, hi, den)
+        if bracket is not None or lo == hi or steps == _BOUNDS_STEPS or not more:
+            return bracket
+        cols, shifts, mask = pack
+        y = list(map(mask.__and__, map(sum(map(mul, x, cols)).__rshift__, shifts)))
+        r = [(v << _BOUNDS_BITS) // u for v, u in zip(y, x)]
+        if min(r) == max(r) and all(v * x[0] == y[0] * u for v, u in zip(y, x)):
+            bounds = (pack, x, y[0], y[0], m.scale * x[0], steps + 1)
+        else:
+            shift = max(y).bit_length() - _BOUNDS_BITS
+            x = [max(1, v >> shift) for v in y] if shift > 0 else y
+            bounds = (pack, x, max(lo, min(r)), min(hi, max(r) + 1), den, steps + 1)
+        object.__setattr__(m, "_bounds", bounds)  # replaced whole: a racing query repeats steps at most
+
+
+def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tuple[Fraction, Fraction]]:
+    """The isolator's ``refine_to_width(width)``, or ``refine_until_separated_from(1)`` for None, by bounds.
+
+    Both answers depend on rho and the level-s grid x_k = (A 2^s + E k) / (B 2^s)
+    of the start bracket (-rs-1, rs] alone, (A, E, B) its frame.  The width
+    query stops at level ``_level``, the separation at the first level whose
+    closed cell excludes 1.  Either gives (rho, rho) at a grid point rho on
+    the way, else the cell (x_k, x_(k+1)) holding rho, as it is at level 0 of
+    the separation and otherwise snapped: (c, c) when its simplest rational c
+    is rho and above x_k.  Bounds x_k < lo/den <= rho < hi/den <= x_(k+1) fix
+    the cell, and the snap unless c lies in [lo/den, hi/den).  Primitive
+    matrices of ``_BOUNDS_MIN_DIM`` rows or more only, to level
+    ``_BOUNDS_LEVELS`` unless rho is exact; None leaves it to the isolator.
+    """
+    if m.n < _BOUNDS_MIN_DIM or not is_primitive(m):
+        return None
+    rs = Fraction(max(map(sum, m.ints)), m.scale)
+    a, e, b = frame = _frame(-rs - 1, rs)
+    levels = range(_BOUNDS_LEVELS + 1) if width is None else (_level(frame, width),)
+
+    def answer(lo: int, hi: int, den: int) -> Optional[tuple[Fraction, Fraction]]:
+        # t = (B x - A) / E, the place of x in the start bracket, is low / d at lo / den
+        d, low, high = e * den, b * lo - a * den, b * hi - a * den
+        for s in levels:
+            k = -(-(high << s) // d) - 1  # x_k < hi / den <= x_(k+1)
+            if low << s <= k * d:
+                return None  # lo / den <= x_k: the bounds hold a grid point
+            if lo == hi and high << s == (k + 1) * d:
+                return (Fraction(lo, den),) * 2  # rho = x_(k+1)
+            x0, grid = (a << s) + e * k, b << s
+            if width is not None or not x0 <= grid <= x0 + e:  # the closed cell excludes 1
+                break
+        else:
+            return None
+        cell = (Fraction(x0, grid), Fraction(x0 + e, grid))
+        if width is None and s == 0:
+            return cell
+        c = simplest_rational_between(*cell)
+        at = c * den
+        if lo == hi == at:
+            return (c, c)
+        return None if c > cell[0] and lo <= at < hi else cell
+
+    return _power_bounds(m, answer, levels[-1] <= _BOUNDS_LEVELS)
+
+
 def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fraction, Fraction]:
     """Rational bracket of width <= ``width`` (at least 2^-4096) around the leading eigenvalue.
 
@@ -604,7 +716,7 @@ def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fract
         return (Fraction(0), Fraction(0))
     if width < 1 and spectral_tag(m) is SpectralTag.EXACTLY_ONE:
         return (Fraction(1), Fraction(1))
-    return _leading_root_isolator(m).refine_to_width(width)
+    return _bounds_bracket(m, width) or _leading_root_isolator(m).refine_to_width(width)
 
 
 def spectral_radius_class(m: NonnegMatrix) -> SpectralClass:
@@ -624,7 +736,7 @@ def spectral_radius_class(m: NonnegMatrix) -> SpectralClass:
     tag = spectral_tag(m)
     if tag is SpectralTag.EXACTLY_ONE:
         return SpectralClass(tag, one, one)
-    lo, hi = _leading_root_isolator(m).refine_until_separated_from(one)
+    lo, hi = _bounds_bracket(m, None) or _leading_root_isolator(m).refine_until_separated_from(one)
     return SpectralClass(tag, lo, hi)
 
 
@@ -702,9 +814,10 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
     Existence is equivalent to: no reordering of indices exposes a leading
     principal block, closed under support edges, whose leading eigenvalue
     is below 1 (the matrix as a whole counts as such a block).  The profile
-    answers that.  Each block B of the condensation gets its part of the
-    certificate from the profile's elimination of C (``_eliminate``) that
-    decided its tag, in integers until one division per block:
+    answers that.  Each block B of the condensation whose row sums are all 1
+    gets 1, its Perron vector; every other gets its part of the certificate
+    from the profile's elimination of C (``_eliminate``), in integers until
+    one division per block:
 
     - below 1, the inflow from the blocks assigned before, summed over the
       integer rows ``m.ints`` and over C's row gcds, goes through C's
@@ -728,9 +841,12 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
     ints = m.ints
     vec = [Fraction(0)] * n
     # support edges point to earlier blocks, which are assigned first
-    for block, (tag, p, gcds, c) in zip(profile.structure.blocks(), profile.eliminations):
+    for block, elimination in zip(profile.structure.blocks(), profile.eliminations):
         k = len(block)
-        if tag is SpectralTag.BELOW_ONE:
+        if elimination is None:  # every row sum 1: the Perron vector 1
+            z, den = [1] * k, 1
+        elif elimination[0] is SpectralTag.BELOW_ONE:
+            _, _, gcds, c = elimination
             # row i of K*(I - B) x = K*inflow over g_i, times den to clear it
             inflow = [Fraction(sum(a * vec[j] for j, a in enumerate(ints[i]) if a), g)
                       for i, g in zip(block, gcds)]
@@ -743,6 +859,7 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
             z = _back_substitute([row + (x,) for row, x in zip(c, col)], k)
             den *= z.pop()
         else:
+            _, p, _, c = elimination
             z = _back_substitute(c, p) + [0] * (k - 1 - p)
             den = z[p]
             b = ints if len(profile.block_tags) == 1 else m.submatrix(block).ints

@@ -560,6 +560,52 @@ def subinvariant_by_fraction_inflow(m: NonnegMatrix) -> Optional[tuple[Fraction,
     return tuple(map(Fraction, _primitive(vec)))
 
 
+def block_tags_by_elimination(m: NonnegMatrix) -> tuple[SpectralTag, ...]:
+    """The profile's block tags with every block decided by ``_eliminate`` (no row-sum read-off)."""
+    return tuple(spectral._eliminate(m, block)[0] for block in spectral.scc_partition(m).blocks())
+
+
+def subinvariant_by_eliminations(m: NonnegMatrix) -> Optional[tuple[Fraction, ...]]:
+    """The library's certificate with every block eliminated, whatever its row sums.
+
+    Existence from the elimination tags and the closure of the support; each
+    block's part from its ``_eliminate`` as the library reads a kept one: the
+    inflow column through the stored multipliers below 1, back substitution
+    and x <- B x steps at or above 1.
+    """
+    n = m.n
+    blocks = spectral.scc_partition(m).blocks()
+    eliminations = [spectral._eliminate(m, block) for block in blocks]
+    reach = spectral._reach(m.support())
+    high = sum(1 << v for b, e in zip(blocks, eliminations) if e[0] is not SpectralTag.BELOW_ONE for v in b)
+    if n == 0 or any(not (reach[b[0]] | 1 << b[0]) & high for b in blocks):
+        return None
+    ints = m.ints
+    vec = [Fraction(0)] * n
+    for block, (tag, p, gcds, c) in zip(blocks, eliminations):
+        k = len(block)
+        if tag is SpectralTag.BELOW_ONE:
+            inflow = [Fraction(sum(a * vec[j] for j, a in enumerate(ints[i])), g) for i, g in zip(block, gcds)]
+            den = lcm(*(f.denominator for f in inflow))
+            col = [-f.numerator * (den // f.denominator) for f in inflow]
+            for q in range(k - 1):
+                pivot, prev = c[q][q], c[q - 1][q - 1] if q else 1
+                col[q + 1 :] = [(x * pivot - c[i][q] * col[q]) // prev for i, x in enumerate(col[q + 1 :], q + 1)]
+            z = spectral._back_substitute([[*row, x] for row, x in zip(c, col)], k)
+            den *= z.pop()
+        else:
+            z = spectral._back_substitute(c, p) + [0] * (k - 1 - p)
+            den = z[p]
+            b = m.submatrix(block).ints
+            for _ in range(k - 1):
+                if all(z):
+                    break
+                z = [sum(y * w for y, w in zip(row, z)) for row in b]
+        for i, value in zip(block, z):
+            vec[i] = Fraction(value, den)
+    return tuple(map(Fraction, _primitive(vec)))
+
+
 # ---------------------------------------------------------------------------
 # curve-table oracles
 

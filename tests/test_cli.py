@@ -2,6 +2,7 @@ import errno
 import gc
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -1118,3 +1119,41 @@ def test_the_console_script_names_the_process_entry():
     pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
     scripts = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
     assert scripts.strip() == 'thurston-obstruct = "thurston_obstruct.cli:script"'
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [["-h"], ["matrix", "-h"]], ids=["help", "matrix_help"])
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_a_help_text_that_cannot_be_written_exits_1_with_one_line(argv, unbuffered, monkeypatch):
+    # argparse's own print_help swallows the write's OSError, and its SystemExit
+    # used to skip the entry's flush: both exited 0 with nothing on stderr
+    monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(argv, stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: cannot write the report: No space left on device\n"
+
+
+def _spectral_calls(monkeypatch, rows) -> dict:
+    """Calls of ``charpoly`` and ``_block_charpoly`` made by one ``matrix --check-simple`` request."""
+    calls = {"charpoly": 0, "_block_charpoly": 0}
+
+    def counted(name):
+        real = getattr(spectral, name)
+        return lambda *args: calls.__setitem__(name, calls[name] + 1) or real(*args)
+
+    for name in calls:
+        monkeypatch.setattr(spectral, name, counted(name))
+    doc = json.dumps([[str(x) for x in row] for row in rows])
+    assert main(["matrix", "--check-simple", "--format", "json", doc]) == 0
+    return calls
+
+
+def test_collatz_wielandt_bounds_start_at_seven_rows(capsys, monkeypatch):
+    # the benchmark's nesting test needs the charpoly span of a primitive 6 x 6 request
+    rng = random.Random(6)
+    dense = [[Fraction(rng.randint(1, 4), rng.randint(1, 5)) for _ in range(10)] for _ in range(10)]
+    assert _spectral_calls(monkeypatch, [row[:6] for row in dense[:6]])["charpoly"] >= 1
+    # a primitive 10 x 10 whose bounds settle both brackets: no polynomial at all
+    assert _spectral_calls(monkeypatch, dense) == {"charpoly": 0, "_block_charpoly": 0}
+    capsys.readouterr()

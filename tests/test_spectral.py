@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from oracles import (
     DeflatingRootIsolator,
     FractionRootIsolator,
+    block_tags_by_elimination,
     charpoly_by_whole_berkowitz,
     charpoly_faddeev_leverrier,
     cleared_by_lcm,
@@ -32,6 +33,7 @@ from oracles import (
     scc_blocks_by_dfs,
     simple_by_exhaustion,
     sturm_tag,
+    subinvariant_by_eliminations,
     subinvariant_by_fraction_inflow,
     subinvariant_by_fraction_solves,
 )
@@ -63,9 +65,12 @@ from thurston_obstruct.spectral import (
     _block_tag,
     _berkowitz,
     _bool_mul,
+    _bounds_bracket,
     _cyclic_structure,
+    _eliminate,
     _int_mul,
     _leading_root_isolator,
+    _row_sum_tag,
     cyclic_classes,
     spectral_profile,
 )
@@ -1446,6 +1451,180 @@ def test_below_one_closure_drop_preserves_class(m):
     sub = m.submatrix(keep)
     assert spectral_radius_class(sub).tag is sc.tag
     assert exists_positive_subinvariant_vector(sub) is not None
+
+
+# ---------------------------------------------------------------------------
+# row-sum tags and Collatz-Wielandt brackets
+
+
+@given(st.one_of(spectral_matrices, row_denominator_matrices()), st.data())
+@example(NonnegMatrix([[1, 0], [0, 1]]), None)
+@settings(max_examples=120, deadline=None)
+def test_row_sum_tags_match_the_elimination_on_every_block_they_decide(m, data):
+    assert spectral_profile(m).block_tags == block_tags_by_elimination(m)
+    # any subset, as the minimal search visits them: strongly connected or not
+    subset = data.draw(st.lists(st.integers(0, m.n - 1), min_size=1, unique=True)) if data else [0, 1]
+    for block in (*scc_partition(m).blocks(), subset):
+        tag, eliminated = _row_sum_tag(m, block), _eliminate(m, block)[0]
+        assert _block_tag(m, block) is (tag or eliminated)
+        if tag is SpectralTag.EXACTLY_ONE and eliminated is SpectralTag.ABOVE_ONE:
+            # rho = 1 on a reducible subset, where the elimination only shows rho >= 1
+            sub = m.submatrix(list(block))
+            assert not is_irreducible(sub) and sturm_tag(sub) is SpectralTag.EXACTLY_ONE
+        else:
+            assert tag in (None, eliminated)
+
+
+@given(st.one_of(spectral_matrices, row_denominator_matrices(), mixed_block_matrices(max_n=12)))
+@settings(max_examples=120, deadline=None)
+def test_certificates_match_the_all_elimination_route(m):
+    assert exists_positive_subinvariant_vector(m) == subinvariant_by_eliminations(m)
+
+
+@st.composite
+def primitive_rows(draw, min_n=7, max_n=14, entries=dense_entries):
+    """A cycle through every vertex and a loop (so primitive), and entries of a drawn density."""
+    n = draw(st.integers(min_n, max_n))
+    density = draw(st.integers(1, 9))
+    rows = [[draw(entries) if draw(st.integers(0, 9)) < density else F(0) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        rows[i][(i + 1) % n] += 1
+    rows[0][0] += 1
+    return rows
+
+
+@st.composite
+def cyclic_class_matrices(draw):
+    """Irreducible of index h = 2..4 and 7-14 rows: entries only from each class into the next."""
+    h = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(2, 4), min_size=h, max_size=h).filter(lambda s: 7 <= sum(s) <= 14))
+    cls = [c for c, size in enumerate(sizes) for _ in range(size)]
+    return NonnegMatrix([[draw(dense_entries) if cls[j] == (cls[i] + 1) % h else 0 for j in range(len(cls))]
+                         for i in range(len(cls))])
+
+
+@st.composite
+def block_triangular_matrices(draw):
+    """Two to four primitive blocks of 2-5 rows, 7-14 in all, each feeding the earlier ones."""
+    blocks = draw(st.lists(primitive_rows(2, 5), min_size=2, max_size=4).filter(lambda b: sum(map(len, b)) >= 7))
+    n = sum(map(len, blocks))
+    rows, start = [], 0
+    for block in blocks:
+        for row in block:
+            feed = [draw(st.sampled_from(ENTRY_POOL)) for _ in range(start)]
+            rows.append(feed + row + [F(0)] * (n - start - len(block)))
+        start += len(block)
+    perm = draw(st.permutations(range(n)))
+    return NonnegMatrix([[rows[i][j] for j in perm] for i in perm])
+
+
+@st.composite
+def rational_rho_matrices(draw):
+    """D^-1 A D for A of constant row sums c and a positive diagonal D: rho = c, and the row sums
+    differ, so the bounds never meet.  Scaled by lambda so that rho is a grid point of level s of
+    the start bracket, or kept with c = 1 or 2, the simplest rational of many cells."""
+    rows = draw(primitive_rows())
+    c = draw(st.sampled_from((F(1), F(2))))
+    d = [draw(st.integers(1, 6)) for _ in rows]
+    rows = [[c * x / sum(row) * d[j] / d[i] for j, x in enumerate(row)] for i, row in enumerate(rows)]
+    rs = max(map(sum, rows))
+    level = draw(st.integers(0, 8))
+    if level and rs > c:
+        # t(rho) = (rho + rs + 1) / (2 rs + 1) is tau = k / 2^level for lambda rho and lambda rs
+        k = int((c + rs) / (2 * rs) * 2**level) + 1
+        tau = F(k, 2**level)
+        assume(tau < 1)
+        scale = (tau - 1) / (c + rs - 2 * tau * rs)
+        rows = [[scale * x for x in row] for row in rows]
+    return NonnegMatrix(rows)
+
+
+@st.composite
+def constant_row_sum_matrices(draw):
+    """Every row sums to c, so rho = c and the first step's ratios are all equal."""
+    rows = draw(primitive_rows())
+    c = draw(st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(7, 3))))
+    return NonnegMatrix([[c * x / sum(row) for x in row] for row in rows])
+
+
+@st.composite
+def small_gap_matrices(draw):
+    """[[A, eI], [eI, (1 - e) A]]: |lambda_2| / rho is near 1.  With both diagonal blocks A, x = 1
+    would have no part along the eigenvector of rho(A) - e, and the power steps would not see it."""
+    a = draw(primitive_rows(4, 7))
+    e = F(1, draw(st.sampled_from((10**3, 10**6))))
+    return NonnegMatrix(_weakly_coupled(a, e))
+
+
+@st.composite
+def near_one_matrices(draw):
+    """A primitive matrix over a rational within 10^-50 of its rho, so rho lies that close to 1."""
+    m = NonnegMatrix(draw(primitive_rows(7, 9)))
+    lo, _ = _fresh_isolator(m).refine_to_width(F(1, 10**50))
+    return NonnegMatrix([[x / lo for x in row] for row in m.rows])
+
+
+BRACKET_WIDTHS = (F(2), F(1), F(1, 3), F(1, 10**6), F(1, 2**40), F(1, 2**64), F(1, 2**65), F(1, 2**300))
+
+
+@given(
+    st.one_of(
+        primitive_rows().map(NonnegMatrix),
+        cyclic_class_matrices(),
+        block_triangular_matrices(),
+        rational_rho_matrices(),
+        constant_row_sum_matrices(),
+        small_gap_matrices(),
+        near_one_matrices(),
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_brackets_match_fresh_isolators_from_7_to_14_rows(m):
+    fresh = _fresh_isolator(m)
+    if spectral_tag(m) is not SpectralTag.EXACTLY_ONE:
+        spectral = spectral_radius_class(m)
+        assert (spectral.lo, spectral.hi) == fresh.refine_until_separated_from(F(1))
+    for width in BRACKET_WIDTHS:
+        expected = fresh.refine_to_width(width)
+        # after the queries before it on the same matrix, and alone on a new one
+        assert leading_eigenvalue_interval(m, width) == expected, width
+        assert leading_eigenvalue_interval(NonnegMatrix(m.rows), width) == expected, width
+
+
+def _weakly_coupled(a, e):
+    k = len(a)
+    return [[(1 - e * (i >= k)) * a[i % k][j % k] if i // k == j // k else e * (i % k == j % k)
+             for j in range(2 * k)] for i in range(2 * k)]
+
+
+def _dense(seed, n):
+    rng = random.Random(seed)
+    return [[F(rng.randint(1, 4), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
+
+
+def test_bounds_settle_primitive_matrices_and_leave_their_fallback_triggers_open():
+    # a dense 10 x 10: both brackets from the bounds, with no characteristic polynomial
+    m = NonnegMatrix(_dense(1, 10))
+    assert _bounds_bracket(m, None) == _fresh_isolator(m).refine_until_separated_from(F(1))
+    assert _bounds_bracket(m, F(1, 10**6)) == _fresh_isolator(m).refine_to_width(F(1, 10**6))
+    assert m._isolator is None
+    # a width whose level lies beyond the bounds' 64, and a 6 x 6 matrix: the isolator's
+    assert _bounds_bracket(NonnegMatrix(_dense(1, 10)), F(1, 2**300)) is None
+    assert _bounds_bracket(NonnegMatrix(_dense(1, 6)), F(1, 10**6)) is None
+    # constant row sums 2: rho = 2 after one step, at any width
+    ring = NonnegMatrix([[int(j in (i, (i + 1) % 7)) for j in range(7)] for i in range(7)])
+    assert _bounds_bracket(ring, None) == (F(2), F(2)) == _bounds_bracket(ring, F(1, 2**300))
+    assert ring._bounds[5] == 1
+    # rho = 2 with unequal row sums: 2 is the simplest rational of every cell around it
+    d = [1, 2, 3, 1, 2, 3, 1]
+    similar = NonnegMatrix([[x * F(d[j], d[i]) for j, x in enumerate(row)] for i, row in enumerate(ring.rows)])
+    assert _bounds_bracket(similar, F(1, 10**6)) is None
+    assert leading_eigenvalue_interval(similar, F(1, 10**6)) == (F(2), F(2))
+    # |lambda_2| / rho near 999/1000: the budget ends before the bounds meet
+    gap = NonnegMatrix(_weakly_coupled(_dense(2, 5), F(1, 1000)))
+    assert _bounds_bracket(gap, F(1, 10**6)) is None
+    assert gap._bounds[5] == spectral_module._BOUNDS_STEPS
+    assert leading_eigenvalue_interval(gap, F(1, 10**6)) == _fresh_isolator(gap).refine_to_width(F(1, 10**6))
 
 
 # ---------------------------------------------------------------------------
