@@ -489,9 +489,9 @@ def _eliminate(m: NonnegMatrix, block: Sequence[int]) -> tuple:
 
 
 def _row_sum_tag(m: NonnegMatrix, block: Sequence[int]) -> Optional[SpectralTag]:
-    """The tag of the row sums inside the block when they all lie below, above or at L = ``m.scale``, else None.
+    """The tag of the row sums inside the block when all lie below, above or at L = ``m.scale``; else None.
 
-    For B >= 0, min_i (B 1)_i <= rho(B) <= max_i (B 1)_i (``_power_bounds`` at x = 1).
+    For B >= 0, min_i (B 1)_i <= rho(B) <= max_i (B 1)_i (``_bounds_bracket``'s bounds at x = 1).
     """
     ints, scale = m.ints, m.scale
     sums = list(map(sum, ints)) if len(block) == m.n else [sum(ints[i][j] for j in block) for i in block]
@@ -611,46 +611,6 @@ _BOUNDS_BITS = _BOUNDS_LEVELS + 16  # fraction bits of each ratio
 _BOUNDS_STEPS = 80  # power steps per matrix before the isolator takes over
 
 
-def _power_bounds(m: NonnegMatrix, answer, more: bool):
-    """``answer(lo, hi, den)`` on Collatz-Wielandt bounds lo / den <= rho(M) < hi / den, kept on the matrix.
-
-    For A = L*M >= 0 and x > 0, min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i
-    (Collatz 1942; Wielandt 1950; Horn & Johnson, Matrix Analysis, 2nd ed.,
-    8.1).  From x = 1, each step takes y = A x, keeps the best lo = min r and
-    hi = max r + 1 over r_i = floor(2^P y_i / x_i), den = L 2^P for
-    P = ``_BOUNDS_BITS``, and shifts y right to P bits, each entry at least 1,
-    as the next x; on a primitive matrix the bounds close at the rate
-    |lambda_2| / rho.  Equal ratios give y = lambda x: rho(M) = y_0 / (L x_0),
-    kept as lo = hi over den = L x_0.  While ``answer`` returns None, steps
-    go on if ``more`` holds, the budget lasts and rho is not exact.  A x is
-    one sum of x_j times packed column j, read back by shift and mask (as in
-    ``_int_mul``): every x_i < 2^P, so no slot of w bits carries.
-    """
-    if m._bounds is None:
-        if not more:  # the start bounds [0, rs] settle nothing
-            return None
-        w = (max(map(max, m.ints)) * m.n << _BOUNDS_BITS).bit_length()
-        shifts = range(0, m.n * w, w)
-        pack = ([sum(map(lshift, col, shifts)) for col in zip(*m.ints)], shifts, (1 << w) - 1)
-        top = max(map(sum, m.ints)) << _BOUNDS_BITS  # rho <= the largest row sum
-        object.__setattr__(m, "_bounds", (pack, [1] * m.n, 0, top + 1, m.scale << _BOUNDS_BITS, 0))
-    while True:
-        pack, x, lo, hi, den, steps = m._bounds
-        bracket = answer(lo, hi, den)
-        if bracket is not None or lo == hi or steps == _BOUNDS_STEPS or not more:
-            return bracket
-        cols, shifts, mask = pack
-        y = list(map(mask.__and__, map(sum(map(mul, x, cols)).__rshift__, shifts)))
-        r = [(v << _BOUNDS_BITS) // u for v, u in zip(y, x)]
-        if min(r) == max(r) and all(v * x[0] == y[0] * u for v, u in zip(y, x)):
-            bounds = (pack, x, y[0], y[0], m.scale * x[0], steps + 1)
-        else:
-            shift = max(y).bit_length() - _BOUNDS_BITS
-            x = [max(1, v >> shift) for v in y] if shift > 0 else y
-            bounds = (pack, x, max(lo, min(r)), min(hi, max(r) + 1), den, steps + 1)
-        object.__setattr__(m, "_bounds", bounds)  # replaced whole: a racing query repeats steps at most
-
-
 def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tuple[Fraction, Fraction]]:
     """The isolator's ``refine_to_width(width)``, or ``refine_until_separated_from(1)`` for None, by bounds.
 
@@ -660,41 +620,64 @@ def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tupl
     closed cell excludes 1.  Either gives (rho, rho) at a grid point rho on
     the way, else the cell (x_k, x_(k+1)) holding rho, as it is at level 0 of
     the separation and otherwise snapped: (c, c) when its simplest rational c
-    is rho and above x_k.  Bounds x_k < lo/den <= rho < hi/den <= x_(k+1) fix
-    the cell, and the snap unless c lies in [lo/den, hi/den).  Primitive
-    matrices of ``_BOUNDS_MIN_DIM`` rows or more only, to level
-    ``_BOUNDS_LEVELS`` unless rho is exact; None leaves it to the isolator.
+    is rho and above x_k.  Equal row sums make rho = rs, the grid point at
+    level 0; otherwise bounds x_k < lo/den <= rho < hi/den <= x_(k+1) fix
+    the cell, and the snap unless c lies in [lo/den, hi/den).
+
+    For A = L*M >= 0 and x > 0, min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i
+    (Collatz 1942; Wielandt 1950; Horn & Johnson, Matrix Analysis, 2nd ed.,
+    8.1).  From x = 1, each step takes y = A x (one sum of x_j times packed
+    column j, as in ``_int_mul``; every x_i < 2^P, so no slot carries), keeps
+    the best lo = min r and hi = max r + 1 over r_i = floor(2^P y_i / x_i),
+    den = L 2^P, and shifts y right to P = ``_BOUNDS_BITS`` bits, each entry
+    at least 1, as the next x.  On a primitive matrix the bounds close at the
+    rate |lambda_2| / rho; the steps are kept on the matrix for the next
+    query.  Only primitive matrices of ``_BOUNDS_MIN_DIM`` rows or more are
+    answered here, in at most ``_BOUNDS_STEPS`` steps and to level
+    ``_BOUNDS_LEVELS``; None leaves the answer to the isolator.
     """
     if m.n < _BOUNDS_MIN_DIM or not is_primitive(m):
         return None
-    rs = Fraction(max(map(sum, m.ints)), m.scale)
+    sums = list(map(sum, m.ints))
+    rs = Fraction(max(sums), m.scale)
+    if min(sums) == max(sums):
+        return (rs, rs)
     a, e, b = frame = _frame(-rs - 1, rs)
     levels = range(_BOUNDS_LEVELS + 1) if width is None else (_level(frame, width),)
-
-    def answer(lo: int, hi: int, den: int) -> Optional[tuple[Fraction, Fraction]]:
+    if levels[-1] > _BOUNDS_LEVELS:
+        return None
+    if m._bounds is None:
+        w = (max(map(max, m.ints)) * m.n << _BOUNDS_BITS).bit_length()
+        shifts = range(0, m.n * w, w)
+        pack = ([sum(map(lshift, col, shifts)) for col in zip(*m.ints)], shifts, (1 << w) - 1)
+        top = max(sums) << _BOUNDS_BITS  # rho <= rs
+        object.__setattr__(m, "_bounds", (pack, [1] * m.n, 0, top + 1, m.scale << _BOUNDS_BITS, 0))
+    while True:
+        (cols, shifts, mask), x, lo, hi, den, steps = m._bounds
         # t = (B x - A) / E, the place of x in the start bracket, is low / d at lo / den
         d, low, high = e * den, b * lo - a * den, b * hi - a * den
         for s in levels:
             k = -(-(high << s) // d) - 1  # x_k < hi / den <= x_(k+1)
             if low << s <= k * d:
-                return None  # lo / den <= x_k: the bounds hold a grid point
-            if lo == hi and high << s == (k + 1) * d:
-                return (Fraction(lo, den),) * 2  # rho = x_(k+1)
+                break  # lo / den <= x_k: the bounds hold a grid point
             x0, grid = (a << s) + e * k, b << s
-            if width is not None or not x0 <= grid <= x0 + e:  # the closed cell excludes 1
-                break
-        else:
+            if width is None and x0 <= grid <= x0 + e:
+                continue  # the closed cell holds 1
+            cell = (Fraction(x0, grid), Fraction(x0 + e, grid))
+            if width is None and s == 0:
+                return cell
+            c = simplest_rational_between(*cell)
+            if c == cell[0] or not lo <= c * den < hi:
+                return cell
+            break
+        if steps == _BOUNDS_STEPS:
             return None
-        cell = (Fraction(x0, grid), Fraction(x0 + e, grid))
-        if width is None and s == 0:
-            return cell
-        c = simplest_rational_between(*cell)
-        at = c * den
-        if lo == hi == at:
-            return (c, c)
-        return None if c > cell[0] and lo <= at < hi else cell
-
-    return _power_bounds(m, answer, levels[-1] <= _BOUNDS_LEVELS)
+        y = list(map(mask.__and__, map(sum(map(mul, x, cols)).__rshift__, shifts)))
+        r = [(v << _BOUNDS_BITS) // u for v, u in zip(y, x)]
+        shift = max(y).bit_length() - _BOUNDS_BITS
+        x = [max(1, v >> shift) for v in y] if shift > 0 else y
+        bounds = ((cols, shifts, mask), x, max(lo, min(r)), min(hi, max(r) + 1), den, steps + 1)
+        object.__setattr__(m, "_bounds", bounds)  # replaced whole: a racing query repeats steps at most
 
 
 def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fraction, Fraction]:

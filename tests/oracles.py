@@ -585,12 +585,14 @@ def subinvariant_by_eliminations(m: NonnegMatrix) -> Optional[tuple[Fraction, ..
     for block, (tag, p, gcds, c) in zip(blocks, eliminations):
         k = len(block)
         if tag is SpectralTag.BELOW_ONE:
-            inflow = [Fraction(sum(a * vec[j] for j, a in enumerate(ints[i])), g) for i, g in zip(block, gcds)]
+            inflow = [Fraction(sum(a * vec[j] for j, a in enumerate(ints[i])), g)
+                      for i, g in zip(block, gcds)]
             den = lcm(*(f.denominator for f in inflow))
             col = [-f.numerator * (den // f.denominator) for f in inflow]
             for q in range(k - 1):
                 pivot, prev = c[q][q], c[q - 1][q - 1] if q else 1
-                col[q + 1 :] = [(x * pivot - c[i][q] * col[q]) // prev for i, x in enumerate(col[q + 1 :], q + 1)]
+                col[q + 1 :] = [(x * pivot - c[i][q] * col[q]) // prev
+                                for i, x in enumerate(col[q + 1 :], q + 1)]
             z = spectral._back_substitute([[*row, x] for row, x in zip(c, col)], k)
             den *= z.pop()
         else:

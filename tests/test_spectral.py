@@ -1458,12 +1458,11 @@ def test_below_one_closure_drop_preserves_class(m):
 
 
 @given(st.one_of(spectral_matrices, row_denominator_matrices()), st.data())
-@example(NonnegMatrix([[1, 0], [0, 1]]), None)
 @settings(max_examples=120, deadline=None)
 def test_row_sum_tags_match_the_elimination_on_every_block_they_decide(m, data):
     assert spectral_profile(m).block_tags == block_tags_by_elimination(m)
     # any subset, as the minimal search visits them: strongly connected or not
-    subset = data.draw(st.lists(st.integers(0, m.n - 1), min_size=1, unique=True)) if data else [0, 1]
+    subset = data.draw(st.lists(st.integers(0, m.n - 1), min_size=1, unique=True))
     for block in (*scc_partition(m).blocks(), subset):
         tag, eliminated = _row_sum_tag(m, block), _eliminate(m, block)[0]
         assert _block_tag(m, block) is (tag or eliminated)
@@ -1473,6 +1472,14 @@ def test_row_sum_tags_match_the_elimination_on_every_block_they_decide(m, data):
             assert not is_irreducible(sub) and sturm_tag(sub) is SpectralTag.EXACTLY_ONE
         else:
             assert tag in (None, eliminated)
+
+
+def test_a_reducible_block_at_one_is_not_below_one_by_either_route():
+    # the identity: rho = 1, which its row sums show; the elimination stops at
+    # the zero pivot, which shows rho >= 1 only
+    m = NonnegMatrix([[1, 0], [0, 1]])
+    assert _block_tag(m, [0, 1]) is _row_sum_tag(m, [0, 1]) is SpectralTag.EXACTLY_ONE
+    assert _eliminate(m, [0, 1])[0] is SpectralTag.ABOVE_ONE
 
 
 @given(st.one_of(spectral_matrices, row_denominator_matrices(), mixed_block_matrices(max_n=12)))
@@ -1486,7 +1493,8 @@ def primitive_rows(draw, min_n=7, max_n=14, entries=dense_entries):
     """A cycle through every vertex and a loop (so primitive), and entries of a drawn density."""
     n = draw(st.integers(min_n, max_n))
     density = draw(st.integers(1, 9))
-    rows = [[draw(entries) if draw(st.integers(0, 9)) < density else F(0) for _ in range(n)] for _ in range(n)]
+    rows = [[draw(entries) if draw(st.integers(0, 9)) < density else F(0) for _ in range(n)]
+            for _ in range(n)]
     for i in range(n):
         rows[i][(i + 1) % n] += 1
     rows[0][0] += 1
@@ -1506,7 +1514,9 @@ def cyclic_class_matrices(draw):
 @st.composite
 def block_triangular_matrices(draw):
     """Two to four primitive blocks of 2-5 rows, 7-14 in all, each feeding the earlier ones."""
-    blocks = draw(st.lists(primitive_rows(2, 5), min_size=2, max_size=4).filter(lambda b: sum(map(len, b)) >= 7))
+    blocks = draw(
+        st.lists(primitive_rows(2, 5), min_size=2, max_size=4).filter(lambda b: sum(map(len, b)) >= 7)
+    )
     n = sum(map(len, blocks))
     rows, start = [], 0
     for block in blocks:
@@ -1541,8 +1551,12 @@ def rational_rho_matrices(draw):
 
 @st.composite
 def constant_row_sum_matrices(draw):
-    """Every row sums to c, so rho = c and the first step's ratios are all equal."""
-    rows = draw(primitive_rows())
+    """Every row sums to c, so rho = c = rs: primitive, or any support at all (reducible,
+    imprimitive, a single vertex), a row with no entry getting one at a drawn column."""
+    rows = draw(st.one_of(primitive_rows(), matrices(max_n=9).map(lambda m: [list(r) for r in m.rows])))
+    for row in rows:
+        if not any(row):
+            row[draw(st.integers(0, len(row) - 1))] = F(1)
     c = draw(st.sampled_from((F(1, 2), F(1), F(3, 2), F(2), F(7, 3))))
     return NonnegMatrix([[c * x / sum(row) for x in row] for row in rows])
 
@@ -1579,7 +1593,7 @@ BRACKET_WIDTHS = (F(2), F(1), F(1, 3), F(1, 10**6), F(1, 2**40), F(1, 2**64), F(
     )
 )
 @settings(max_examples=60, deadline=None)
-def test_brackets_match_fresh_isolators_from_7_to_14_rows(m):
+def test_bound_brackets_match_fresh_isolators(m):
     fresh = _fresh_isolator(m)
     if spectral_tag(m) is not SpectralTag.EXACTLY_ONE:
         spectral = spectral_radius_class(m)
@@ -1611,13 +1625,14 @@ def test_bounds_settle_primitive_matrices_and_leave_their_fallback_triggers_open
     # a width whose level lies beyond the bounds' 64, and a 6 x 6 matrix: the isolator's
     assert _bounds_bracket(NonnegMatrix(_dense(1, 10)), F(1, 2**300)) is None
     assert _bounds_bracket(NonnegMatrix(_dense(1, 6)), F(1, 10**6)) is None
-    # constant row sums 2: rho = 2 after one step, at any width
+    # every row sum 2: rho = 2 = rs, the grid point at level 0, at any width and with no power step
     ring = NonnegMatrix([[int(j in (i, (i + 1) % 7)) for j in range(7)] for i in range(7)])
     assert _bounds_bracket(ring, None) == (F(2), F(2)) == _bounds_bracket(ring, F(1, 2**300))
-    assert ring._bounds[5] == 1
+    assert ring._bounds is None
     # rho = 2 with unequal row sums: 2 is the simplest rational of every cell around it
     d = [1, 2, 3, 1, 2, 3, 1]
-    similar = NonnegMatrix([[x * F(d[j], d[i]) for j, x in enumerate(row)] for i, row in enumerate(ring.rows)])
+    similar = NonnegMatrix([[x * F(d[j], d[i]) for j, x in enumerate(row)]
+                            for i, row in enumerate(ring.rows)])
     assert _bounds_bracket(similar, F(1, 10**6)) is None
     assert leading_eigenvalue_interval(similar, F(1, 10**6)) == (F(2), F(2))
     # |lambda_2| / rho near 999/1000: the budget ends before the bounds meet
