@@ -669,6 +669,8 @@ def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tupl
             c = simplest_rational_between(*cell)
             if c == cell[0] or not lo <= c * den < hi:
                 return cell
+            if (high - low) << (s + 16) < d:
+                return None  # c within bounds 2^16 times narrower than the cell: c may be rho
             break
         if steps == _BOUNDS_STEPS:
             return None

@@ -1629,12 +1629,14 @@ def test_bounds_settle_primitive_matrices_and_leave_their_fallback_triggers_open
     ring = NonnegMatrix([[int(j in (i, (i + 1) % 7)) for j in range(7)] for i in range(7)])
     assert _bounds_bracket(ring, None) == (F(2), F(2)) == _bounds_bracket(ring, F(1, 2**300))
     assert ring._bounds is None
-    # rho = 2 with unequal row sums: 2 is the simplest rational of every cell around it
-    d = [1, 2, 3, 1, 2, 3, 1]
-    similar = NonnegMatrix([[x * F(d[j], d[i]) for j, x in enumerate(row)]
-                            for i, row in enumerate(ring.rows)])
-    assert _bounds_bracket(similar, F(1, 10**6)) is None
+    # rho = 2 with unequal row sums (D^-1 A D, A dense with row sums 2): 2 is the simplest rational of
+    # the cells around it, which the bounds cannot tell from rho, so they stop at the first such cell
+    a = [[2 * x / sum(row) for x in row] for row in _dense(3, 8)]
+    d = [1, 2, 3, 1, 2, 3, 1, 2]
+    similar = NonnegMatrix([[x * F(d[j], d[i]) for j, x in enumerate(row)] for i, row in enumerate(a)])
+    assert _bounds_bracket(similar, F(1, 10**6)) is None and similar._bounds[5] < 40
     assert leading_eigenvalue_interval(similar, F(1, 10**6)) == (F(2), F(2))
+    assert spectral_radius_class(similar) == SpectralClass(SpectralTag.ABOVE_ONE, F(2), F(2))
     # |lambda_2| / rho near 999/1000: the budget ends before the bounds meet
     gap = NonnegMatrix(_weakly_coupled(_dense(2, 5), F(1, 1000)))
     assert _bounds_bracket(gap, F(1, 10**6)) is None
