@@ -643,9 +643,11 @@ def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tupl
     if min(sums) == max(sums):
         return (rs, rs)
     a, e, b = frame = _frame(-rs - 1, rs)
-    levels = range(_BOUNDS_LEVELS + 1) if width is None else (_level(frame, width),)
-    if levels[-1] > _BOUNDS_LEVELS:
+    stop = _BOUNDS_LEVELS if width is None else _level(frame, width)
+    if stop > _BOUNDS_LEVELS:
         return None
+    first = 0 if width is None else stop  # the levels before it hold 1 in their closed cells
+    snaps = {}  # (level, k) -> the cell and its simplest rational
     if m._bounds is None:
         w = (max(map(max, m.ints)) * m.n << _BOUNDS_BITS).bit_length()
         shifts = range(0, m.n * w, w)
@@ -656,23 +658,26 @@ def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tupl
         (cols, shifts, mask), x, lo, hi, den, steps = m._bounds
         # t = (B x - A) / E, the place of x in the start bracket, is low / d at lo / den
         d, low, high = e * den, b * lo - a * den, b * hi - a * den
-        for s in levels:
+        for s in range(first, stop + 1):
             k = -(-(high << s) // d) - 1  # x_k < hi / den <= x_(k+1)
             if low << s <= k * d:
                 break  # lo / den <= x_k: the bounds hold a grid point
             x0, grid = (a << s) + e * k, b << s
             if width is None and x0 <= grid <= x0 + e:
-                continue  # the closed cell holds 1
-            cell = (Fraction(x0, grid), Fraction(x0 + e, grid))
+                first = s + 1  # the closed cell holds 1, and narrower bounds keep the cell
+                continue
             if width is None and s == 0:
-                return cell
-            c = simplest_rational_between(*cell)
-            if c == cell[0] or not lo <= c * den < hi:
+                return (Fraction(x0, grid), Fraction(x0 + e, grid))
+            if (s, k) not in snaps:
+                cell = (Fraction(x0, grid), Fraction(x0 + e, grid))
+                snaps[s, k] = cell, simplest_rational_between(*cell)
+            cell, c = snaps[s, k]
+            if c == cell[0] or not lo * c.denominator <= c.numerator * den < hi * c.denominator:
                 return cell
             if (high - low) << (s + 16) < d:
                 return None  # c within bounds 2^16 times narrower than the cell: c may be rho
             break
-        if steps == _BOUNDS_STEPS:
+        if steps == _BOUNDS_STEPS or first > stop:
             return None
         y = list(map(mask.__and__, map(sum(map(mul, x, cols)).__rshift__, shifts)))
         r = [(v << _BOUNDS_BITS) // u for v, u in zip(y, x)]
