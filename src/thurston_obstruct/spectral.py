@@ -494,7 +494,10 @@ def _row_sum_tag(m: NonnegMatrix, block: Sequence[int]) -> Optional[SpectralTag]
     For B >= 0, min_i (B 1)_i <= rho(B) <= max_i (B 1)_i (``_bounds_bracket``'s bounds at x = 1).
     """
     ints, scale = m.ints, m.scale
-    sums = list(map(sum, ints)) if len(block) == m.n else [sum(ints[i][j] for j in block) for i in block]
+    if len(block) == 1:  # its loop alone: most blocks of a curve table's matrix
+        sums = [ints[block[0]][block[0]]]
+    else:
+        sums = list(map(sum, ints)) if len(block) == m.n else [sum(ints[i][j] for j in block) for i in block]
     low, high = min(sums), max(sums)
     if high < scale or low > scale:
         return SpectralTag.BELOW_ONE if high < scale else SpectralTag.ABOVE_ONE
@@ -549,10 +552,11 @@ def spectral_profile(m: NonnegMatrix) -> SpectralProfile:
         closed = tuple(not (reach[b[0]] | 1 << b[0]) & high for b in blocks)
         if any(closed):  # no certificate, so no block needs its elimination
             eliminations = []
-        for i, block in enumerate(blocks[: len(eliminations)]):
-            if by_sums[i] is not SpectralTag.EXACTLY_ONE:  # row sums all 1: the Perron vector is 1
-                tag, p, g, c = eliminations[i] or _eliminate(m, block)
-                eliminations[i] = (tag, p, tuple(g), tuple(map(tuple, c)))
+        else:
+            for i, block in enumerate(blocks):
+                if by_sums[i] is not SpectralTag.EXACTLY_ONE:  # row sums all 1: the Perron vector is 1
+                    tag, p, g, c = eliminations[i] or _eliminate(m, block)
+                    eliminations[i] = (tag, p, tuple(g), tuple(map(tuple, c)))
         overall = max(tags, key=_TAG_ORDER.index, default=SpectralTag.BELOW_ONE)
         profile = SpectralProfile(support, structure, tags, closed, overall, tuple(eliminations))
         object.__setattr__(m, "_profile", profile)
