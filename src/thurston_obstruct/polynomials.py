@@ -94,14 +94,14 @@ def _level(frame: tuple[int, int, int], width: Fraction) -> int:
 def _taylor(q: tuple[int, ...], a: int, b: int) -> list[int]:
     """The coefficients of b^d q((a + y) / b) in y for b > 0, lowest first.
 
-    b^d q((a + y) / b) = r(a + y) for the integer r(z) = sum q_i b^(d-i) z^i:
-    one Taylor shift by the integer a, in d(d+1)/2 multiply-adds (Horner's
-    scheme; von zur Gathen & Gerhard, ISSAC 1997).  Coefficient j is
-    b^(d-j) q^(j)(a/b) / j!, so it has the sign of q^(j) at a/b.
+    b^d q((a + y) / b) = r(a + y) for the integer r(z) = sum q_i b^(d-i) z^i
+    (plain powers, also for a midpoint's b = 2^k): one Taylor shift by the
+    integer a, in d(d+1)/2 multiply-adds (Horner's scheme; von zur Gathen &
+    Gerhard, ISSAC 1997).  Coefficient j is b^(d-j) q^(j)(a/b) / j!, so it
+    has the sign of q^(j) at a/b.
     """
     d = len(q) - 1
-    z = (b & -b).bit_length() - 1  # b = odd 2^z: a bisection midpoint's b = 2^z scales by shifts alone
-    r = [c * (b >> z) ** (d - i) << z * (d - i) for i, c in enumerate(q)]
+    r = [c * b ** (d - i) for i, c in enumerate(q)]
     for i in range(d):
         acc = r[d]
         for j in range(d - 1, i - 1, -1):

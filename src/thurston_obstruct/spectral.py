@@ -412,9 +412,8 @@ def charpoly(m: NonnegMatrix) -> Poly:
     for block in spectral_profile(m).structure.blocks():
         product = [0] * (len(vect) + len(block))
         for d, x in enumerate(_block_charpoly(m, block)):
-            if x:
-                for i, y in enumerate(vect, d):
-                    product[i] += x * y
+            for i, y in enumerate(vect, d):
+                product[i] += x * y
         vect = product
     return tuple(Fraction(vect[k], m.scale**k) for k in range(m.n, -1, -1))
 
@@ -622,11 +621,11 @@ def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tupl
     of the start bracket (-rs-1, rs] alone, (A, E, B) its frame.  The width
     query stops at level ``_level``, the separation at the first level whose
     closed cell excludes 1.  Either gives (rho, rho) at a grid point rho on
-    the way, else the cell (x_k, x_(k+1)) holding rho, as it is at level 0 of
-    the separation and otherwise snapped: (c, c) when its simplest rational c
-    is rho and above x_k.  Equal row sums make rho = rs, the grid point at
-    level 0; otherwise bounds x_k < lo/den <= rho < hi/den <= x_(k+1) fix
-    the cell, and the snap unless c lies in [lo/den, hi/den).
+    the way, else the cell (x_k, x_(k+1)) holding rho, snapped: (c, c) when
+    its simplest rational c is rho and above x_k (never the start bracket's
+    c = 0 < rho).  Equal row sums make rho = rs, the grid point at level 0;
+    otherwise bounds x_k < lo/den <= rho < hi/den <= x_(k+1) fix the cell,
+    and the snap unless c lies in [lo/den, hi/den).
 
     For A = L*M >= 0 and x > 0, min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i
     (Collatz 1942; Wielandt 1950; Horn & Johnson, Matrix Analysis, 2nd ed.,
@@ -637,8 +636,9 @@ def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tupl
     at least 1, as the next x.  On a primitive matrix the bounds close at the
     rate |lambda_2| / rho; the steps are kept on the matrix for the next
     query.  Only primitive matrices of ``_BOUNDS_MIN_DIM`` rows or more are
-    answered here, in at most ``_BOUNDS_STEPS`` steps and to level
-    ``_BOUNDS_LEVELS``; None leaves the answer to the isolator.
+    answered here, to level ``_BOUNDS_LEVELS`` and in at most ``_BOUNDS_STEPS``
+    steps, stopping from step 9 on once hi - lo has not halved over the last
+    four; None leaves the answer to the isolator.
     """
     if m.n < _BOUNDS_MIN_DIM or not is_primitive(m):
         return None
@@ -650,44 +650,38 @@ def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tupl
     stop = _BOUNDS_LEVELS if width is None else _level(frame, width)
     if stop > _BOUNDS_LEVELS:
         return None
-    first = 0 if width is None else stop  # the levels before it hold 1 in their closed cells
-    snaps = {}  # (level, k) -> the cell and its simplest rational
     if m._bounds is None:
         w = (max(map(max, m.ints)) * m.n << _BOUNDS_BITS).bit_length()
         shifts = range(0, m.n * w, w)
         pack = ([sum(map(lshift, col, shifts)) for col in zip(*m.ints)], shifts, (1 << w) - 1)
         top = max(sums) << _BOUNDS_BITS  # rho <= rs
-        object.__setattr__(m, "_bounds", (pack, [1] * m.n, 0, top + 1, m.scale << _BOUNDS_BITS, 0))
+        object.__setattr__(m, "_bounds", (pack, [1] * m.n, 0, top + 1, m.scale << _BOUNDS_BITS, 0, (top + 1,) * 4))
     while True:
-        (cols, shifts, mask), x, lo, hi, den, steps = m._bounds
+        (cols, shifts, mask), x, lo, hi, den, steps, widths = m._bounds
         # t = (B x - A) / E, the place of x in the start bracket, is low / d at lo / den
         d, low, high = e * den, b * lo - a * den, b * hi - a * den
-        for s in range(first, stop + 1):
+        for s in range(0 if width is None else stop, stop + 1):
             k = -(-(high << s) // d) - 1  # x_k < hi / den <= x_(k+1)
             if low << s <= k * d:
                 break  # lo / den <= x_k: the bounds hold a grid point
             x0, grid = (a << s) + e * k, b << s
             if width is None and x0 <= grid <= x0 + e:
-                first = s + 1  # the closed cell holds 1, and narrower bounds keep the cell
-                continue
-            if width is None and s == 0:
-                return (Fraction(x0, grid), Fraction(x0 + e, grid))
-            if (s, k) not in snaps:
-                cell = (Fraction(x0, grid), Fraction(x0 + e, grid))
-                snaps[s, k] = cell, simplest_rational_between(*cell)
-            cell, c = snaps[s, k]
+                continue  # the closed cell holds 1
+            cell = (Fraction(x0, grid), Fraction(x0 + e, grid))
+            c = simplest_rational_between(*cell)
             if c == cell[0] or not lo * c.denominator <= c.numerator * den < hi * c.denominator:
                 return cell
             if (high - low) << (s + 16) < d:
                 return None  # c within bounds 2^16 times narrower than the cell: c may be rho
             break
-        if steps == _BOUNDS_STEPS or first > stop:
-            return None
+        if steps == _BOUNDS_STEPS or steps > 8 and 2 * (hi - lo) > widths[0]:
+            return None  # the budget is spent, or the width has not halved over the last four steps
         y = list(map(mask.__and__, map(sum(map(mul, x, cols)).__rshift__, shifts)))
         r = [(v << _BOUNDS_BITS) // u for v, u in zip(y, x)]
         shift = max(y).bit_length() - _BOUNDS_BITS
         x = [max(1, v >> shift) for v in y] if shift > 0 else y
-        bounds = ((cols, shifts, mask), x, max(lo, min(r)), min(hi, max(r) + 1), den, steps + 1)
+        widths = widths[1:] + (hi - lo,)
+        bounds = ((cols, shifts, mask), x, max(lo, min(r)), min(hi, max(r) + 1), den, steps + 1, widths)
         object.__setattr__(m, "_bounds", bounds)  # replaced whole: a racing query repeats steps at most
 
 
@@ -695,11 +689,14 @@ def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fract
     """Rational bracket of width <= ``width`` (at least 2^-4096) around the leading eigenvalue.
 
     Successive calls with shrinking widths always return overlapping
-    intervals, since every result contains the eigenvalue itself.  At
-    rho = 1 a width below 1 needs no characteristic polynomial: 1 is the
-    only integer in a bisection bracket that narrow, so a midpoint or the
-    final snap to the simplest rational lands on it.  A float width raises
-    ``TypeError``, as a float matrix entry does.
+    intervals, since every result contains the eigenvalue itself.  A
+    primitive matrix of 7 rows or more gets its bracket from Collatz-Wielandt
+    bounds (``_bounds_bracket``), others by bisection with Taylor probes.  At
+    rho = 1, tagged from row sums first, a width below 1 needs no
+    characteristic polynomial: 1 is the only integer in a bisection bracket
+    that narrow, so a midpoint or the final snap to the simplest rational
+    lands on it.  A float width raises ``TypeError``, as a float matrix
+    entry does.
     """
     width = _as_fraction(width, "widths")
     if width <= 0:
@@ -716,13 +713,14 @@ def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fract
 def spectral_radius_class(m: NonnegMatrix) -> SpectralClass:
     """Exact trichotomy of the leading eigenvalue against 1, with a bracket.
 
-    The tag comes from ``spectral_tag`` (M-matrix leading minors, Berman &
-    Plemmons ch. 6, by Bareiss elimination).  The bracket is only printed:
-    it is [1, 1] in the exact case, and otherwise bisection from (-rs-1, rs],
-    rs the largest row sum, shrinks it until it lies strictly on the tag's
-    side of 1.  Each probe takes the signs of the characteristic polynomial
-    and its derivatives from its Taylor coefficients at the probed point
-    (see ``polynomials``).
+    The tag comes from ``spectral_tag``: row sums first, then M-matrix
+    leading minors (Berman & Plemmons ch. 6, by Bareiss elimination).  The
+    bracket is only printed: it is [1, 1] in the exact case, and otherwise
+    bisection from (-rs-1, rs], rs the largest row sum, shrinks it until it
+    lies strictly on the tag's side of 1: by Collatz-Wielandt bounds for a
+    primitive matrix of 7 rows or more (``_bounds_bracket``), else by probes
+    that take the signs of the characteristic polynomial and its derivatives
+    from its Taylor coefficients at the probed point (see ``polynomials``).
     """
     one = Fraction(1)
     if m.n == 0:

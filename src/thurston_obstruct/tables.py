@@ -329,12 +329,9 @@ def find_minimal_obstructions(
                     found.append(sub)
                     hits.append(tuple(idx))
                 elif size < limit:
-                    out = near & ~sub
-                    while out:
-                        w = out & -out
-                        out ^= w
-                        if sub | w not in grow:
-                            grow[sub | w] = near | nbr[w.bit_length() - 1]
+                    for v in _bits(near & ~sub):
+                        if sub | 1 << v not in grow:
+                            grow[sub | 1 << v] = near | nbr[v]
             level = grow
     # no hit contains another, since no superset of a hit is visited
     hits.sort(key=lambda h: (len(h), h))

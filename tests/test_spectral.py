@@ -997,7 +997,7 @@ def test_equal_spellings_give_one_stored_form():
 
 def test_stored_form_is_immutable():
     m = NonnegMatrix([[F(1, 2), 1], [0, F(1, 3)]])
-    for name in ("scale", "ints", "n", "rows", "_profile", "_isolator", "_cyclic"):
+    for name in (*NonnegMatrix.__slots__, "rows"):
         with pytest.raises(AttributeError):
             setattr(m, name, None)
     with pytest.raises(TypeError):
@@ -1637,11 +1637,33 @@ def test_bounds_settle_primitive_matrices_and_leave_their_fallback_triggers_open
     assert _bounds_bracket(similar, F(1, 10**6)) is None and similar._bounds[5] < 40
     assert leading_eigenvalue_interval(similar, F(1, 10**6)) == (F(2), F(2))
     assert spectral_radius_class(similar) == SpectralClass(SpectralTag.ABOVE_ONE, F(2), F(2))
-    # |lambda_2| / rho near 999/1000: the budget ends before the bounds meet
+    # |lambda_2| / rho near 999/1000: the width stops halving, and the bounds stop well inside the budget
     gap = NonnegMatrix(_weakly_coupled(_dense(2, 5), F(1, 1000)))
     assert _bounds_bracket(gap, F(1, 10**6)) is None
-    assert gap._bounds[5] == spectral_module._BOUNDS_STEPS
+    _, _, lo, hi, _, steps, widths = gap._bounds
+    assert 8 < steps < spectral_module._BOUNDS_STEPS and 2 * (hi - lo) > widths[0]
     assert leading_eigenvalue_interval(gap, F(1, 10**6)) == _fresh_isolator(gap).refine_to_width(F(1, 10**6))
+    # the 7 x 7 cycle with loops conjugated by diag(1, 2, 3, 1, 2, 3, 1): rho = 2 is the snap candidate of
+    # its cells and |lambda_2| / rho = cos(pi / 7), so its bounds close slowly and never settle the snap
+    d = [1, 2, 3, 1, 2, 3, 1]
+    loops = NonnegMatrix([[F(d[j], d[i]) * int(j in (i, (i + 1) % 7)) for j in range(7)] for i in range(7)])
+    assert _bounds_bracket(loops, None) is None and _bounds_bracket(loops, F(1, 10**6)) is None
+    assert loops._bounds[5] < 20
+    assert spectral_radius_class(loops) == SpectralClass(SpectralTag.ABOVE_ONE, F(2), F(2))
+    assert (F(2), F(2)) == _fresh_isolator(loops).refine_until_separated_from(F(1))
+    assert leading_eigenvalue_interval(loops, F(1, 10**6)) == _fresh_isolator(loops).refine_to_width(F(1, 10**6))
+
+
+def test_bounds_return_the_start_bracket_when_one_lies_above_it():
+    # every row sum below 1, all different: 1 lies above the start bracket (-rs-1, rs], which the isolator
+    # returns as it is; the bounds reach it by their one snap rule, after a power step
+    below = NonnegMatrix([[x / 30 for x in row] for row in _dense(4, 7)])
+    rs = max(below.row_sums())
+    assert rs < 1 and len(set(below.row_sums())) == 7
+    start = (-rs - 1, rs)
+    assert _bounds_bracket(below, None) == _fresh_isolator(below).refine_until_separated_from(F(1)) == start
+    assert below._bounds[5] > 0
+    assert spectral_radius_class(below) == SpectralClass(SpectralTag.BELOW_ONE, *start)
 
 
 # ---------------------------------------------------------------------------
