@@ -2,19 +2,21 @@
 
 A critical portrait records a finite marked dynamical system: labelled
 points with images and local degrees, marked points flagged.  From it the
-minimal ramification weights are computed by one walk of each point's
-forward orbit, and the orbifold is classified as hyperbolic or parabolic
-through its exact Euler characteristic.
+minimal ramification weights are computed in one pass over the image map,
+each point folded into its image after all its own preimages, and the
+orbifold is classified as hyperbolic or parabolic through its exact Euler
+characteristic.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
 from ._records import field, record
-from .spectral import PreconditionError, _reach
+from .spectral import PreconditionError
 
 INFINITE_WEIGHT = math.inf
 
@@ -101,37 +103,39 @@ class CriticalPortrait:
 def ramification_function(portrait: CriticalPortrait) -> dict[str, Weight]:
     """Minimal ramification weights of the portrait.
 
-    A point on a cycle through a critical point has infinite weight.  Any
-    other point x has the lcm of deg_y f^k, the product of the local
-    degrees of y, f(y), ..., f^(k-1)(y), over every listed y and k >= 1
-    with f^k(y) = x (Douady & Hubbard, Acta Math. 171, 1993).  So each
-    listed point's forward orbit is walked once, folding the running
-    product into every point it reaches, up to the first infinite point.
-    n steps suffice: they cover the orbit's tail and one lap of its cycle,
-    and a finite cycle has local degree 1 throughout, so a further lap
-    adds nothing.  An unmarked point keeps weight 1, since critical values
-    are marked and marked points map to marked points.
+    Point x has the lcm of deg_y f^k, the product of the local degrees of
+    y, f(y), ..., f^(k-1)(y), over every listed y and k >= 1 with
+    f^k(y) = x (Douady & Hubbard, Acta Math. 171, 1993).  Grouped by
+    z = f^(k-1)(y), that is the lcm over the listed preimages z of x of
+    deg_z f times the weight of z, and 1 where nothing maps in.  So each
+    point is folded into its image once all its own preimages are, in
+    Kahn's order (Commun. ACM 5, 1962).  The points that order never
+    reaches lie on cycles.  A cycle through a critical point has infinite
+    weight throughout; any other has local degree 1 throughout, so each of
+    its points gets the lcm of everything folded into the cycle.
     """
     points = portrait.points
     pos = {p.label: k for k, p in enumerate(points)}
     image = [pos[p.image] for p in points]
-
-    # point k is on a cycle iff it reaches itself, and then what it reaches
-    # is its cycle; a cycle through a critical point forces infinite weight
-    reach = _reach([1 << i for i in image])
-    critical = sum(1 << k for k, p in enumerate(points) if p.local_degree >= 2)
-    weights: list[Weight] = [
-        INFINITE_WEIGHT if reach[k] >> k & 1 and reach[k] & critical else 1 for k in range(len(points))
-    ]
-
-    for start in range(len(points)):
-        at, product = start, 1
-        for _ in points:
-            product *= points[at].local_degree
-            at = image[at]
-            if weights[at] == INFINITE_WEIGHT:
-                break
-            weights[at] = math.lcm(weights[at], product)
+    weights: list[Weight] = [1] * len(points)
+    waiting = Counter(image)  # listed preimages not yet folded into each point
+    ready = [k for k in range(len(points)) if not waiting[k]]
+    while ready:
+        k = ready.pop()
+        at = image[k]
+        weights[at] = math.lcm(weights[at], points[k].local_degree * weights[k])
+        waiting[at] -= 1
+        if not waiting[at]:
+            ready.append(at)
+    for k in range(len(points)):
+        if waiting[k]:  # k lies on a cycle not yet settled
+            cycle = [k]
+            while image[cycle[-1]] != k:
+                cycle.append(image[cycle[-1]])
+            critical = any(points[at].local_degree >= 2 for at in cycle)
+            weight = INFINITE_WEIGHT if critical else math.lcm(*(weights[at] for at in cycle))
+            for at in cycle:
+                weights[at], waiting[at] = weight, 0
     return {p.label: w for p, w in zip(points, weights)}
 
 

@@ -638,7 +638,9 @@ def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tupl
     query.  Only primitive matrices of ``_BOUNDS_MIN_DIM`` rows or more are
     answered here, to level ``_BOUNDS_LEVELS`` and in at most ``_BOUNDS_STEPS``
     steps, stopping from step 9 on once hi - lo has not halved over the last
-    four; None leaves the answer to the isolator.
+    four, and at once when every closed cell to that level holds 1 for the
+    separation, as the bounds only narrow inside those cells; None leaves
+    the answer to the isolator.
     """
     if m.n < _BOUNDS_MIN_DIM or not is_primitive(m):
         return None
@@ -674,6 +676,8 @@ def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tupl
             if (high - low) << (s + 16) < d:
                 return None  # c within bounds 2^16 times narrower than the cell: c may be rho
             break
+        else:
+            return None  # every closed cell to the last level holds 1, and later steps keep those cells
         if steps == _BOUNDS_STEPS or steps > 8 and 2 * (hi - lo) > widths[0]:
             return None  # the budget is spent, or the width has not halved over the last four steps
         y = list(map(mask.__and__, map(sum(map(mul, x, cols)).__rshift__, shifts)))

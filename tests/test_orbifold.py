@@ -97,15 +97,41 @@ def test_ramification_four_fixed():
         assert ram[lbl + "_pre"] == 1
 
 
+def test_ramification_along_a_long_chain():
+    # p0 (local degree 2) -> p1 -> ... -> p19999, fixed: the weight 2 reaches every point past p0
+    n = 20000
+    points = tuple(PortraitPoint(f"p{k}", True, f"p{min(k + 1, n - 1)}", 2 if k == 0 else 1) for k in range(n))
+    ram = ramification_function(CriticalPortrait(degree=2, points=points))
+    assert ram["p0"] == 1
+    assert list(ram.values())[1:] == [2] * (n - 1)
+
+
+def _fed_cycle(critical=()):
+    """A 1,000-point cycle c0 -> c1 -> ... -> c0, fed by t2 -> c0 of local degree 2 and t3 -> c500 of local degree 3."""
+    cycle = tuple(PortraitPoint(f"c{k}", True, f"c{(k + 1) % 1000}", 2 if k in critical else 1) for k in range(1000))
+    tails = (PortraitPoint("t2", False, "c0", 2), PortraitPoint("t3", False, "c500", 3))
+    return CriticalPortrait(degree=4, points=cycle + tails)
+
+
+def test_ramification_around_a_long_cycle_fed_by_two_tails():
+    ram = ramification_function(_fed_cycle())
+    assert ram.pop("t2") == ram.pop("t3") == 1
+    assert set(ram.values()) == {6} and len(ram) == 1000
+    # one point of local degree 2 on the cycle makes all of it infinite, and leaves the tails at 1
+    ram = ramification_function(_fed_cycle(critical={250}))
+    assert ram.pop("t2") == ram.pop("t3") == 1
+    assert set(ram.values()) == {INF} and len(ram) == 1000
+
+
 @st.composite
 def portraits(draw):
-    """Random portraits of 1-8 points, each valid by construction.
+    """Random portraits of 1-40 points, each valid by construction.
 
     Images, local degrees and marks are drawn freely.  Then every critical
     value is marked, the marks are closed under the image map, and the
     degree is the least valid one plus a drawn 0-4, so no draw is rejected.
     """
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40))
     drawn = [
         (
             draw(st.sampled_from([True, True, True, False])),

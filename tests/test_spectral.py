@@ -1654,6 +1654,20 @@ def test_bounds_settle_primitive_matrices_and_leave_their_fallback_triggers_open
     assert leading_eigenvalue_interval(loops, F(1, 10**6)) == _fresh_isolator(loops).refine_to_width(F(1, 10**6))
 
 
+def test_bounds_stop_once_every_level_holds_one():
+    # a dense 8 x 8 over the upper end of its 10^-60 bracket: rho lies just below 1, so every closed
+    # cell to level 64 holds 1, and no later step can change those cells; the bounds stop at the first
+    # step whose scan finds that (32 steps; the width-stall stop alone would end at step 43)
+    rows = _dense(5, 8)
+    _, hi = _fresh_isolator(NonnegMatrix(rows)).refine_to_width(F(1, 10**60))
+    rows = [[x / hi for x in row] for row in rows]
+    m = NonnegMatrix(rows)
+    assert _bounds_bracket(m, None) is None and m._bounds[5] == 32
+    separated = _fresh_isolator(NonnegMatrix(rows)).refine_until_separated_from(F(1))
+    assert separated[1] < 1
+    assert spectral_radius_class(m) == SpectralClass(SpectralTag.BELOW_ONE, *separated)
+
+
 def test_bounds_return_the_start_bracket_when_one_lies_above_it():
     # every row sum below 1, all different: 1 lies above the start bracket (-rs-1, rs], which the isolator
     # returns as it is; the bounds reach it by their one snap rule, after a power step
