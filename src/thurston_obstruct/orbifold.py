@@ -140,16 +140,14 @@ def ramification_function(portrait: CriticalPortrait) -> dict[str, Weight]:
 
 
 def euler_characteristic(weights: Sequence[Weight]) -> Fraction:
-    """2 - sum(1 - 1/w) over the weights, with 1 - 1/infinity = 1, exact."""
-    chi = Fraction(2)
-    for w in weights:
-        if w == INFINITE_WEIGHT:
-            chi -= 1
-        else:
-            if not isinstance(w, int) or w < 2:
-                raise PreconditionError("weights must be integers >= 2 or infinite")
-            chi -= 1 - Fraction(1, w)
-    return chi
+    """2 - sum(1 - 1/w) over the weights, with 1 - 1/infinity = 1, exact.
+
+    Every weight is checked before a ``Counter`` would merge 2.0 into 2 or True into 1;
+    the sum then takes one term per distinct weight.
+    """
+    if any(w != INFINITE_WEIGHT and (not isinstance(w, int) or w < 2) for w in weights):
+        raise PreconditionError("weights must be integers >= 2 or infinite")
+    return Fraction(2) - sum(k if w == INFINITE_WEIGHT else k - Fraction(k, w) for w, k in Counter(weights).items())
 
 
 class OrbifoldClass:

@@ -519,8 +519,8 @@ class SpectralProfile:
     ``closed_below[b]`` says that block ``b`` of ``structure`` and every
     block reachable from it are below 1.  ``tag`` is the largest block tag,
     the trichotomy of rho(M).  ``eliminations[b]`` is ``_eliminate``'s
-    ``(tag, p, g, c)`` for block ``b`` as tuples, kept for the certificate:
-    None for row sums all 1 (Perron vector 1), and () when some block is closed below 1.
+    ``(tag, p, g, c)`` for block ``b`` as tuples where its row sums left the
+    tag open, kept for the certificate, and None where they decided it.
     """
 
     support: tuple[int, ...]
@@ -545,19 +545,13 @@ def spectral_profile(m: NonnegMatrix) -> SpectralProfile:
         by_sums = [_row_sum_tag(m, block) for block in blocks]
         eliminations = [None if t else _eliminate(m, b) for b, t in zip(blocks, by_sums)]
         tags = tuple(t or e[0] for t, e in zip(by_sums, eliminations))
+        kept = tuple(e and (*e[:2], tuple(e[2]), tuple(map(tuple, e[3]))) for e in eliminations)
         # a block is closed below 1 when nothing it reaches lies in a block at or above 1
         above = (b for b, t in zip(blocks, tags) if t is not SpectralTag.BELOW_ONE)
         high = sum(1 << v for b in above for v in b)
         closed = tuple(not (reach[b[0]] | 1 << b[0]) & high for b in blocks)
-        if any(closed):  # no certificate, so no block needs its elimination
-            eliminations = []
-        else:
-            for i, block in enumerate(blocks):
-                if by_sums[i] is not SpectralTag.EXACTLY_ONE:  # row sums all 1: the Perron vector is 1
-                    tag, p, g, c = eliminations[i] or _eliminate(m, block)
-                    eliminations[i] = (tag, p, tuple(g), tuple(map(tuple, c)))
         overall = max(tags, key=_TAG_ORDER.index, default=SpectralTag.BELOW_ONE)
-        profile = SpectralProfile(support, structure, tags, closed, overall, tuple(eliminations))
+        profile = SpectralProfile(support, structure, tags, closed, overall, kept)
         object.__setattr__(m, "_profile", profile)
     return m._profile
 
@@ -812,8 +806,9 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
     is below 1 (the matrix as a whole counts as such a block).  The profile
     answers that.  Each block B of the condensation whose row sums are all 1
     gets 1, its Perron vector; every other gets its part of the certificate
-    from the profile's elimination of C (``_eliminate``), in integers until
-    one division per block:
+    from the elimination of C (``_eliminate``): the profile's where the row
+    sums left B's tag open, else its own, so each block is eliminated once.
+    In integers until one division per block:
 
     - below 1, the inflow from the blocks assigned before, summed over the
       integer rows ``m.ints`` and over C's row gcds, goes through C's
@@ -837,8 +832,10 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
     ints = m.ints
     vec = [Fraction(0)] * n
     # support edges point to earlier blocks, which are assigned first
-    for block, elimination in zip(profile.structure.blocks(), profile.eliminations):
+    for block, tag, elimination in zip(profile.structure.blocks(), profile.block_tags, profile.eliminations):
         k = len(block)
+        if elimination is None and tag is not SpectralTag.EXACTLY_ONE:  # tagged by its row sums
+            elimination = _eliminate(m, block)
         if elimination is None:  # every row sum 1: the Perron vector 1
             z, den = [1] * k, 1
         elif elimination[0] is SpectralTag.BELOW_ONE:
@@ -852,7 +849,7 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
                 pivot, prev = c[q][q], c[q - 1][q - 1] if q else 1
                 col[q + 1 :] = [(x * pivot - c[i][q] * col[q]) // prev
                                 for i, x in enumerate(col[q + 1 :], q + 1)]
-            z = _back_substitute([row + (x,) for row, x in zip(c, col)], k)
+            z = _back_substitute([(*row, x) for row, x in zip(c, col)], k)
             den *= z.pop()
         else:
             _, p, _, c = elimination

@@ -569,9 +569,9 @@ def subinvariant_by_eliminations(m: NonnegMatrix) -> Optional[tuple[Fraction, ..
     """The library's certificate with every block eliminated, whatever its row sums.
 
     Existence from the elimination tags and the closure of the support; each
-    block's part from its ``_eliminate`` as the library reads a kept one: the
-    inflow column through the stored multipliers below 1, back substitution
-    and x <- B x steps at or above 1.
+    block's part from its ``_eliminate`` as the library reads one, kept by the
+    profile or run by the certificate: the inflow column through the stored
+    multipliers below 1, back substitution and x <- B x steps at or above 1.
     """
     n = m.n
     blocks = spectral.scc_partition(m).blocks()

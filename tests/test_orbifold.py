@@ -101,9 +101,14 @@ def test_ramification_along_a_long_chain():
     # p0 (local degree 2) -> p1 -> ... -> p19999, fixed: the weight 2 reaches every point past p0
     n = 20000
     points = tuple(PortraitPoint(f"p{k}", True, f"p{min(k + 1, n - 1)}", 2 if k == 0 else 1) for k in range(n))
-    ram = ramification_function(CriticalPortrait(degree=2, points=points))
+    portrait = CriticalPortrait(degree=2, points=points)
+    ram = ramification_function(portrait)
     assert ram["p0"] == 1
     assert list(ram.values())[1:] == [2] * (n - 1)
+    # 19,999 weights of 2, summed as one distinct weight
+    sig = classify_orbifold(portrait)
+    assert sig.chi == euler_characteristic([2] * (n - 1)) == 2 - F(n - 1, 2)
+    assert sig.kind == OrbifoldClass.HYPERBOLIC
 
 
 def _fed_cycle(critical=()):
@@ -172,6 +177,13 @@ def test_euler_characteristic_values():
     assert euler_characteristic((2, 3, 7)) == F(-1, 42)
     with pytest.raises(PreconditionError, match=r"^weights must be integers >= 2 or infinite$"):
         euler_characteristic((2, 1))
+
+
+@pytest.mark.parametrize("weights", [(2, 2.0), (True,)])
+def test_euler_characteristic_checks_each_weight_before_counting(weights):
+    # a count per weight would merge 2.0 into 2 and True into 1
+    with pytest.raises(PreconditionError, match=r"^weights must be integers >= 2 or infinite$"):
+        euler_characteristic(weights)
 
 
 def test_classification_examples():

@@ -759,13 +759,52 @@ def test_certificates_on_row_denominators_match_both_fraction_routes(m):
         assert v == subinvariant_by_fraction_solves(m)
 
 
+def _eliminated_blocks(query):
+    """The query's answer and the blocks it passed to ``_eliminate``, in call order."""
+    with mock.patch.object(spectral_module, "_eliminate", side_effect=_eliminate) as calls:
+        answer = query()
+    return answer, [tuple(call.args[1]) for call in calls.call_args_list]
+
+
 @given(st.one_of(spectral_matrices, row_denominator_matrices()))
 @settings(max_examples=80, deadline=None)
-def test_certificate_runs_no_elimination_once_the_profile_exists(m):
-    expected = subinvariant_by_fraction_inflow(m)  # builds the profile
-    refuse = AssertionError("_bareiss called")
-    with mock.patch.object(spectral_module, "_bareiss", side_effect=refuse):
-        assert exists_positive_subinvariant_vector(m) == expected
+def test_profile_and_certificate_eliminate_each_block_at_most_once(m):
+    fresh = NonnegMatrix(m.rows)
+    (_, v), eliminated = _eliminated_blocks(
+        lambda: (spectral_profile(fresh), exists_positive_subinvariant_vector(fresh))
+    )
+    assert len(eliminated) == len(set(eliminated))
+    assert set(eliminated) <= set(spectral_profile(fresh).structure.blocks())
+    assert v == subinvariant_by_fraction_inflow(m)
+
+
+def test_the_profile_eliminates_only_blocks_its_row_sums_leave_open():
+    # one block of each kind: (0, 1) above 1 and (2, 3) below 1 by elimination (row sums
+    # straddle 1), (4, 5) below 1 and (6,) at 1 by their row sums
+    m = NonnegMatrix([["1/2", 2, 0, 0, 0, 0, 0], ["1/2", "1/2", 0, 0, 0, 0, 0],
+                      [1, 0, "1/4", "1/2", 0, 0, 0], [0, 0, 1, "1/4", 0, 0, 0],
+                      [0, 0, 1, 0, "1/4", "1/4", 0], [0, 0, 0, 0, "1/4", "1/4", 0],
+                      [0, 0, 0, 0, 0, 0, 1]])
+    tag, eliminated = _eliminated_blocks(lambda: spectral_tag(m))
+    assert tag is SpectralTag.ABOVE_ONE and eliminated == [(0, 1), (2, 3)]
+    profile = spectral_profile(m)
+    assert profile.structure.blocks() == ((0, 1), (2, 3), (4, 5), (6,))
+    assert [e is None for e in profile.eliminations] == [False, False, True, True]
+    # the certificate eliminates the one block tagged by its row sums that is not at 1
+    v, eliminated = _eliminated_blocks(lambda: exists_positive_subinvariant_vector(m))
+    assert eliminated == [(4, 5)]
+    assert v == (4, 1, 48, 64, 72, 24, 1) == subinvariant_by_eliminations(m)
+
+
+def test_a_dense_block_just_above_1_is_eliminated_only_for_its_certificate():
+    r = random.Random(11)
+    w = [[F(r.randint(1, 4), r.randint(1, 5)) for _ in range(80)] for _ in range(80)]
+    scale = F(10001, 10000) / min(map(sum, w))  # the least row sum becomes 1.0001
+    m = NonnegMatrix([[x * scale for x in row] for row in w])
+    tag, eliminated = _eliminated_blocks(lambda: spectral_tag(m))
+    assert tag is SpectralTag.ABOVE_ONE and eliminated == []
+    v, eliminated = _eliminated_blocks(lambda: exists_positive_subinvariant_vector(m))
+    assert eliminated == [tuple(range(80))] and all(x > 0 for x in v)
 
 
 def _fresh_isolator(m):
