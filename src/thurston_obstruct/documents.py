@@ -557,7 +557,7 @@ def torus_map_to_doc(tmap: TorusQuotientMap) -> list[list[int]]:
 
 def signature_to_doc(sig: OrbifoldSignature) -> dict:
     return {
-        "ramification": {lbl: format_weight(w) for lbl, w in sorted(sig.ramification.items())},
+        "ramification": {lbl: format_weight(w) for lbl, w in sig.ramification},
         "weights": [format_weight(w) for w in sig.weights],
         "chi": format_rational(sig.chi),
         "class": sig.kind,

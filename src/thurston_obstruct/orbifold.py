@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from ._records import field, record
+from ._records import record
 from .spectral import PreconditionError
 
 INFINITE_WEIGHT = math.inf
@@ -163,7 +163,7 @@ class OrbifoldSignature:
     weights: tuple[Weight, ...]
     chi: Fraction
     kind: str
-    ramification: Mapping[str, Weight] = field(compare=False, default_factory=dict)
+    ramification: tuple[tuple[str, Weight], ...] = ()  # (label, weight) pairs, sorted by label
 
     @property
     def parabolic_signature(self) -> Optional[tuple[Weight, ...]]:
@@ -189,7 +189,7 @@ def classify_orbifold(portrait: CriticalPortrait) -> OrbifoldSignature:
             raise AssertionError("flat signature outside the known list")
     else:
         kind = OrbifoldClass.SPHERICAL_EXCEPTION
-    return OrbifoldSignature(weights=weights, chi=chi, kind=kind, ramification=ram)
+    return OrbifoldSignature(weights=weights, chi=chi, kind=kind, ramification=tuple(sorted(ram.items())))
 
 
 def is_2222(portrait: CriticalPortrait) -> bool:

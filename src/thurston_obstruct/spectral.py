@@ -381,13 +381,10 @@ def _berkowitz(a: Sequence[Sequence[int]]) -> list[int]:
 
 def _block_charpoly(m: NonnegMatrix, block: Sequence[int]) -> list[int]:
     """det(yI - A_b) of one block b of the profile (A = L*M), highest degree first."""
-    profile = spectral_profile(m)
-    if profile.irreducible:
-        h, classes, _ = _cyclic_structure(m)
-    elif len(block) == 1 or any(m.ints[v][v] for v in block):  # no cycle, or a loop
+    if len(block) == 1 or any(m.ints[v][v] for v in block):  # no cycle, or a loop
         h, classes = 1, (block,)
     else:
-        h, classes, _ = _period(profile.support, block)
+        h, classes, _ = _period(spectral_profile(m).support, block)
     c = min(range(h), key=lambda i: len(classes[i]))
     # det(y^h I - P), spread to the powers of y^h
     det, factor = _berkowitz(_class_product(m.ints, classes, c)), [0] * (len(block) + 1)

@@ -1143,14 +1143,10 @@ RECORD_CLASSES = (
 def dataclass_twin(cls: type) -> type:
     """The standard library's ``dataclass(frozen=True)`` of a record's class body.
 
-    The twin has the record's name, annotations, plain defaults and
-    ``__post_init__``; ``OrbifoldSignature.ramification`` gets the
-    ``field(compare=False, default_factory=dict)`` it is declared with.
+    The twin has the record's name, annotations, defaults and ``__post_init__``.
     """
     annotations = cls.__dict__.get("__annotations__", {})
     namespace = {name: cls.__dict__[name] for name in annotations if name in cls.__dict__}
-    if cls is orbifold.OrbifoldSignature:
-        namespace["ramification"] = dataclasses.field(compare=False, default_factory=dict)
     if "__post_init__" in cls.__dict__:
         namespace["__post_init__"] = cls.__dict__["__post_init__"]
     namespace.update(__annotations__=dict(annotations), __qualname__=cls.__qualname__)

@@ -120,6 +120,8 @@ def test_portrait_missing_local_degree_defaults_to_one():
     }
     portrait = portrait_from_doc(doc)
     assert portrait.point("a").local_degree == 1
+    with pytest.raises(KeyError):
+        portrait.point("nope")
 
 
 def test_portrait_field_errors_carry_paths():

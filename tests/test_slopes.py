@@ -47,6 +47,10 @@ def test_normalize_examples():
     for entry in ("two", "3", Fraction(5, 2), Fraction(2), 2.9, 2.0, True, None):
         with pytest.raises(PreconditionError, match="^action must be a 2x2 integer matrix$"):
             normalize([[2, 0], [0, entry]])
+    # nor is any shape but 2x2: too many columns, a ragged row, a bare int
+    for rows in ([[2, 0, 1], [0, 3, 1]], [[2, 0], [3]], 2):
+        with pytest.raises(PreconditionError, match="^action must be a 2x2 integer matrix$"):
+            normalize(rows)
 
 
 def test_pullback_examples():

@@ -177,6 +177,13 @@ def test_charpoly_empty_matrix():
     assert charpoly(NonnegMatrix([])) == (F(1),)
 
 
+def test_charpoly_of_a_cycle_builds_no_cyclic_structure():
+    # the 3-cycle's one block takes its classes from _period, not from _cyclic_structure
+    m = NonnegMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
+    assert charpoly(m) == (F(-1), F(0), F(0), F(1))  # x^3 - 1, lowest degree first
+    assert m._cyclic is None
+
+
 # ---------------------------------------------------------------------------
 # trichotomy and intervals
 

@@ -92,6 +92,8 @@ def test_matrix_examples():
 def test_matrix_unknown_class():
     with pytest.raises(PreconditionError):
         thurston_matrix(levy_two_cycle(), ["g1", "nope"])
+    with pytest.raises(PreconditionError, match="^unknown curve class 'nope'$"):
+        levy_two_cycle().row("nope")
 
 
 def test_submatrix_consistency():
