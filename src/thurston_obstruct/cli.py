@@ -460,6 +460,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         raw = _read_input(getattr(args, "matrix", None), args.input)
         report, code = run_request({"command": args.command, "input": raw, "options": options})
+        text = docs.dumps(report) if args.format == "json" else render_text(report)
     except (InputFormatError, PreconditionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT if isinstance(exc, InputFormatError) else EXIT_PRECONDITION
@@ -469,7 +470,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         limit = sys.get_int_max_str_digits()
         print(f"error: the report needs an integer of more than {limit} digits", file=sys.stderr)
         return EXIT_PRECONDITION
-    sys.stdout.write(docs.dumps(report) if args.format == "json" else render_text(report))
+    sys.stdout.write(text)
     return code
 
 

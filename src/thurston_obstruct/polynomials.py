@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Sequence
 
 Poly = tuple[Fraction, ...]
 
@@ -163,8 +162,8 @@ class LargestRootIsolator:
 
     The contract: every complex root of each polynomial p has real part at
     most p's largest real root, as every eigenvalue z of a nonnegative matrix
-    has (Perron-Frobenius: Re z <= |z| <= rho).  Built once, it keeps one
-    integer polynomial per p: the q of ``_on_unit_interval``, a positive
+    has (Perron-Frobenius: Re z <= |z| <= rho).  It keeps one integer
+    polynomial per p: the q of ``_on_unit_interval``, a positive
     multiple of p(lo + (hi - lo) t).  V at t counts the sign variations of
     the Taylor coefficients of q(t + y), positive multiples of those of
     p(x + s) at x = lo + (hi - lo) t, where
@@ -178,37 +177,49 @@ class LargestRootIsolator:
     when no V(x) is and some p(x) = 0.  A matrix's rho is the largest over
     its strongly connected blocks, each with a polynomial of its own.
 
-    Every query walks the one bisection path from the start bracket.  Its
-    state at level s is ``(s, k, *V(k / 2^s))``, one V per polynomial, for
-    the cell (k / 2^s, (k + 1) / 2^s] of t, or ``(s, k, 0, ...)`` for the
+    Every query walks the one bisection path from the start bracket, and
+    asks ``side(a, b)``, when given, where rho lies against t = a/b before
+    each midpoint probe and each snap test: 1 above, -1 below, None when it
+    cannot tell; only then are the q probed, built on that first need.  Its
+    state at level s is ``(s, k)`` for the cell (k / 2^s, (k + 1) / 2^s] of
+    t reached by ``side`` answers, ``(s, k, *V(k / 2^s))``, one V per
+    polynomial, once the q have been probed, or ``(s, k, 0, ...)`` for the
     point k / 2^s once a midpoint is rho, so a probe needs integers only; a
     polynomial is probed by its sign alone while its V is 1, and no more
     once its V is 0.  The cells are nested, so the deepest state walked is
-    the one kept: the cell at a shallower level l is k >> (s - l).  It is only ever replaced whole by a
-    deeper one: a query probes only past what earlier ones walked, threads
-    that race on one isolator can at most repeat steps, and no answer
-    depends on the order of queries.  The caller must supply rational
-    bounds lo < hi such that rho lies in (lo, hi] and no p(lo) is 0.
+    the one kept: the cell at a shallower level l is k >> (s - l).  It is
+    only ever replaced whole by a deeper one: a query probes only past what
+    earlier ones walked, threads that race on one isolator can at most
+    repeat steps, and no answer depends on the order of queries.  The caller must supply rational
+    bounds lo < hi such that rho lies in (lo, hi], below hi with ``side``,
+    and no p(lo) is 0; without ``side`` the q are built and checked at once.
     """
 
-    __slots__ = ("qs", "lo", "hi", "_frame", "_deepest")
+    __slots__ = ("qs", "lo", "hi", "_polys", "_side", "_frame", "_deepest")
 
-    def __init__(self, polys: Sequence[Poly], lo: Fraction, hi: Fraction):
-        """``polys``: one or more polynomials, rational or integer coefficients, lowest degree first."""
-        if not polys or any(len(p) < 2 for p in polys):
-            raise ValueError("need a nonconstant polynomial")
+    def __init__(self, polys, lo: Fraction, hi: Fraction, side=None):
+        """``polys``: polynomials with rational or integer coefficients, lowest degree first, or a callable."""
         if not lo < hi:
             raise ValueError("no real root in the given range")
-        self._frame = _frame(lo, hi)
-        self.qs = tuple(_on_unit_interval(p, self._frame) for p in polys)
-        self.lo, self.hi = lo, hi
-        roots, at_lo = zip(*(_root_and_variations(list(q)) for q in self.qs))
-        if any(roots):
-            raise ValueError("lower bound must not be a root")
-        root, *at_hi = self._probe_at(1, 1)
-        if all(v <= w for v, w in zip(at_lo, at_hi)):  # Budan-Fourier: no root in (lo, hi]
-            raise ValueError("no real root in the given range")
-        self._deepest = (0, 1, *at_hi) if root and not any(at_hi) else (0, 0, *at_lo)
+        self.lo, self.hi, self._frame = lo, hi, _frame(lo, hi)
+        self._polys, self._side, self.qs, self._deepest = polys, side, None, (0, 0)
+        if not side:
+            roots, at_lo = zip(*(_root_and_variations(list(q)) for q in self._built()))
+            if any(roots):
+                raise ValueError("lower bound must not be a root")
+            root, *at_hi = self._probe_at(1, 1)
+            if all(v <= w for v, w in zip(at_lo, at_hi)):  # Budan-Fourier: no root in (lo, hi]
+                raise ValueError("no real root in the given range")
+            self._deepest = (0, 1, *at_hi) if root and not any(at_hi) else (0, 0, *at_lo)
+
+    def _built(self) -> tuple:
+        """The q, built on first need."""
+        if self.qs is None:
+            polys = self._polys() if callable(self._polys) else self._polys
+            if not polys or any(len(p) < 2 for p in polys):
+                raise ValueError("need a nonconstant polynomial")
+            self.qs = tuple(_on_unit_interval(p, self._frame) for p in polys)
+        return self.qs
 
     def _t(self, x: Fraction) -> tuple[int, int]:
         """t = (B x - A) / E of x, as a numerator and a positive denominator, unreduced."""
@@ -225,12 +236,19 @@ class LargestRootIsolator:
         return (any(root for root, _ in probes), *(v for _, v in probes))
 
     def _is_largest_root(self, a: int, b: int) -> bool:
-        """Whether t = a/b is rho: the q alone first, every sign only at a root of one of them."""
-        return any(not _value(q, a, b) for q in self.qs) and not any(self._probe_at(a, b)[1:])
+        """Whether t = a/b is rho: ``side`` first, then the q alone, every sign only at a root of one of them."""
+        if self._side and self._side(a, b):
+            return False
+        return any(not _value(q, a, b) for q in self._built()) and not any(self._probe_at(a, b)[1:])
 
     def _step(self, level: int, k: int, above: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-        """The path's state after ``(k, above)`` at ``level``: one probe of each live q at the midpoint."""
+        """The path's state after ``(k, above)`` at ``level``: ``side`` at the midpoint, else one probe per live q."""
         mid, shift = 2 * k + 1, level + 1
+        side = self._side and self._side(mid, 1 << shift)
+        if side:
+            return (mid, ()) if side > 0 else (2 * k, above)
+        if not above:  # a cell that side answers reached: the V at its lower end
+            above = tuple(_root_and_variations(_taylor(q, k, 1 << level))[1] for q in self._built())
         is_root, after = False, []
         for q, v in zip(self.qs, above):
             if v == 1:
@@ -252,15 +270,14 @@ class LargestRootIsolator:
         deepest, k, *above = self._deepest
         level = next((s for s in range(deepest) if done(s, k >> deepest - s)), deepest)
         if level < deepest:
-            k, above = k >> deepest - level, (True,)
-        above = tuple(above)
-        while any(above) and not done(level, k):
+            k, above = k >> deepest - level, ()
+        while (not above or any(above)) and not done(level, k):
             k, above = self._step(level, k, above)
             level += 1
         if level > self._deepest[0]:
             self._deepest = (level, k, *above)
         lo = self._x(k, level)
-        hi = self._x(k + 1, level) if any(above) else lo
+        hi = self._x(k + 1, level) if not above or any(above) else lo
         # snap to the simplest rational in the bracket if it is the root itself
         cand = simplest_rational_between(lo, hi)
         if lo < cand and self._is_largest_root(*self._t(cand)):
@@ -285,7 +302,7 @@ class LargestRootIsolator:
         """
         point = _as_fraction(point, "points")
         level, _, *above = self._deepest
-        if not self.lo <= point <= self.hi and (level or any(above)):  # the start state is a cell
+        if not self.lo <= point <= self.hi and (level or not above or any(above)):  # the start state is a cell
             return (self.lo, self.hi)
         a, b = self._t(point)
         if self._is_largest_root(a, b):

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import gcd, lcm
 from operator import lshift, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from ._records import record
-from .polynomials import LargestRootIsolator, Poly, _as_fraction, _frame, _level, _primitive
-from .polynomials import simplest_rational_between
+from .polynomials import LargestRootIsolator, Poly, _as_fraction, _frame, _primitive
 
 
 class PreconditionError(ValueError):
@@ -487,7 +487,7 @@ def _eliminate(m: NonnegMatrix, block: Sequence[int]) -> tuple:
 def _row_sum_tag(m: NonnegMatrix, block: Sequence[int]) -> Optional[SpectralTag]:
     """The tag of the row sums inside the block when all lie below, above or at L = ``m.scale``; else None.
 
-    For B >= 0, min_i (B 1)_i <= rho(B) <= max_i (B 1)_i (``_bounds_bracket``'s bounds at x = 1).
+    For B >= 0, min_i (B 1)_i <= rho(B) <= max_i (B 1)_i (``_bounds_side``'s bounds at x = 1).
     """
     ints, scale = m.ints, m.scale
     if len(block) == 1:  # its loop alone: most blocks of a curve table's matrix
@@ -579,96 +579,68 @@ def _leading_root_isolator(m: NonnegMatrix) -> LargestRootIsolator:
     same contract.  So the walk gets the one polynomial ``charpoly`` of an
     irreducible matrix, else det(L x I - A_b) (``_block_charpoly`` at
     y = L x) of each such block b with several vertices, and L x - a for the
-    largest diagonal entry a of A on those with one.  Built once per matrix
-    that needs a bracket; both kinds of query walk its one bisection path
-    from that start.
+    largest diagonal entry a of A on those with one, built when a probe
+    first needs them.  ``_bounds_side`` answers probes first on a primitive
+    matrix of ``_BOUNDS_MIN_DIM`` rows or more whose row sums differ, so that
+    rho < rs.  Built once per matrix that needs a bracket; both kinds of
+    query walk its one bisection path from that start.
     """
     if m._isolator is None:
-        rs = max(m.row_sums(), default=Fraction(0))
+        rs = max(m.row_sums())
         profile = spectral_profile(m)
-        if profile.irreducible:
-            polys = [charpoly(m)]
-        else:
+
+        def polys() -> list:
+            if profile.irreducible:
+                return [charpoly(m)]
             blocks = [b for b, tag in zip(profile.structure.blocks(), profile.block_tags) if tag is profile.tag]
             # det(L x I - A_b) and L x - a: integer coefficients, lowest degree first
-            polys = [[c * m.scale**k for k, c in enumerate(reversed(_block_charpoly(m, b)))]
+            found = [[c * m.scale**k for k, c in enumerate(reversed(_block_charpoly(m, b)))]
                      for b in blocks if len(b) > 1]
             ones = [m.ints[b[0]][b[0]] for b in blocks if len(b) == 1]
-            polys += [(-max(ones), m.scale)] if ones else []
-        object.__setattr__(m, "_isolator", LargestRootIsolator(polys, -rs - 1, rs))
+            return found + [(-max(ones), m.scale)] if ones else found
+
+        bounded = m.n >= _BOUNDS_MIN_DIM and is_primitive(m) and not _row_sum_bracket(m)
+        side = partial(_bounds_side, m, _frame(-rs - 1, rs)) if bounded else None
+        object.__setattr__(m, "_isolator", LargestRootIsolator(polys, -rs - 1, rs, side))
     return m._isolator
 
 
-_BOUNDS_MIN_DIM = 7  # a primitive 6x6 matrix still walks its characteristic polynomial
-_BOUNDS_LEVELS = 64  # the deepest bisection level the bounds serve
-_BOUNDS_BITS = _BOUNDS_LEVELS + 16  # fraction bits of each ratio
-_BOUNDS_STEPS = 80  # power steps per matrix before the isolator takes over
+_BOUNDS_MIN_DIM = 7  # a primitive 6x6 walks its charpoly: bench/tests::test_spans_nest_under_the_cli_call needs that
+_BOUNDS_BITS = 80  # fraction bits of each ratio
+_BOUNDS_STEPS = 80  # power steps per matrix before the polynomials take over
 
 
-def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tuple[Fraction, Fraction]]:
-    """The isolator's ``refine_to_width(width)``, or ``refine_until_separated_from(1)`` for None, by bounds.
+def _bounds_side(m: NonnegMatrix, frame: tuple[int, int, int], a: int, b: int) -> Optional[int]:
+    """Where rho lies against the point t = a/b of the isolator's start bracket, by bounds on it.
 
-    Both answers depend on rho and the level-s grid x_k = (A 2^s + E k) / (B 2^s)
-    of the start bracket (-rs-1, rs] alone, (A, E, B) its frame.  The width
-    query stops at level ``_level``, the separation at the first level whose
-    closed cell excludes 1.  Either gives (rho, rho) at a grid point rho on
-    the way, else the cell (x_k, x_(k+1)) holding rho, snapped: (c, c) when
-    its simplest rational c is rho and above x_k (never the start bracket's
-    c = 0 < rho).  Equal row sums make rho = rs, the grid point at level 0;
-    otherwise bounds x_k < lo/den <= rho < hi/den <= x_(k+1) fix the cell,
-    and the snap unless c lies in [lo/den, hi/den).
-
-    For A = L*M >= 0 and x > 0, min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i
-    (Collatz 1942; Wielandt 1950; Horn & Johnson, Matrix Analysis, 2nd ed.,
-    8.1).  From x = 1, each step takes y = A x (one sum of x_j times packed
-    column j, as in ``_int_mul``; every x_i < 2^P, so no slot carries), keeps
-    the best lo = min r and hi = max r + 1 over r_i = floor(2^P y_i / x_i),
-    den = L 2^P, and shifts y right to P = ``_BOUNDS_BITS`` bits, each entry
-    at least 1, as the next x.  On a primitive matrix the bounds close at the
-    rate |lambda_2| / rho; the steps are kept on the matrix for the next
-    query.  Only primitive matrices of ``_BOUNDS_MIN_DIM`` rows or more are
-    answered here, to level ``_BOUNDS_LEVELS`` and in at most ``_BOUNDS_STEPS``
-    steps, stopping from step 9 on once hi - lo has not halved over the last
-    four, and at once when every closed cell to that level holds 1 for the
-    separation, as the bounds only narrow inside those cells; None leaves
-    the answer to the isolator.
+    1 when rho lies above the point x = (A + E t) / B, (A, E, B) the
+    ``frame``, -1 below, None when the bounds cannot tell.  For A = L*M >= 0
+    and x > 0, min_i (Ax)_i / x_i <= rho(A) <= max_i (Ax)_i / x_i (Collatz
+    1942; Wielandt 1950; Horn & Johnson, Matrix Analysis, 2nd ed., 8.1).
+    From x = 1, each step takes y = A x (one sum of x_j times packed column
+    j, as in ``_int_mul``; every x_i < 2^P, so no slot carries), keeps the
+    best lo = min r and hi = max r + 1 over r_i = floor(2^P y_i / x_i),
+    den = L 2^P, so lo/den <= rho < hi/den, and shifts y right to
+    P = ``_BOUNDS_BITS`` bits, each entry at least 1, as the next x.  On a
+    primitive matrix the bounds close at the rate |lambda_2| / rho; the
+    steps are kept on the matrix for the next point.  A point inside the
+    bounds takes steps until it lies outside, the ``_BOUNDS_STEPS`` budget
+    is spent, or, from step 9 on, hi - lo has not halved over the last four.
     """
-    if m.n < _BOUNDS_MIN_DIM or not is_primitive(m):
-        return None
-    sums = list(map(sum, m.ints))
-    rs = Fraction(max(sums), m.scale)
-    if min(sums) == max(sums):
-        return (rs, rs)
-    a, e, b = frame = _frame(-rs - 1, rs)
-    stop = _BOUNDS_LEVELS if width is None else _level(frame, width)
-    if stop > _BOUNDS_LEVELS:
-        return None
     if m._bounds is None:
         w = (max(map(max, m.ints)) * m.n << _BOUNDS_BITS).bit_length()
         shifts = range(0, m.n * w, w)
         pack = ([sum(map(lshift, col, shifts)) for col in zip(*m.ints)], shifts, (1 << w) - 1)
-        top = max(sums) << _BOUNDS_BITS  # rho <= rs
+        top = max(map(sum, m.ints)) << _BOUNDS_BITS  # rho <= rs
         object.__setattr__(m, "_bounds", (pack, [1] * m.n, 0, top + 1, m.scale << _BOUNDS_BITS, 0, (top + 1,) * 4))
+    start, e, grid = frame
+    num, d = start * b + e * a, grid * b  # the point is num / d
     while True:
         (cols, shifts, mask), x, lo, hi, den, steps, widths = m._bounds
-        # t = (B x - A) / E, the place of x in the start bracket, is low / d at lo / den
-        d, low, high = e * den, b * lo - a * den, b * hi - a * den
-        for s in range(0 if width is None else stop, stop + 1):
-            k = -(-(high << s) // d) - 1  # x_k < hi / den <= x_(k+1)
-            if low << s <= k * d:
-                break  # lo / den <= x_k: the bounds hold a grid point
-            x0, grid = (a << s) + e * k, b << s
-            if width is None and x0 <= grid <= x0 + e:
-                continue  # the closed cell holds 1
-            cell = (Fraction(x0, grid), Fraction(x0 + e, grid))
-            c = simplest_rational_between(*cell)
-            if c == cell[0] or not lo * c.denominator <= c.numerator * den < hi * c.denominator:
-                return cell
-            if (high - low) << (s + 16) < d:
-                return None  # c within bounds 2^16 times narrower than the cell: c may be rho
-            break
-        else:
-            return None  # every closed cell to the last level holds 1, and later steps keep those cells
+        if num * den < lo * d:
+            return 1
+        if num * den >= hi * d:
+            return -1
         if steps == _BOUNDS_STEPS or steps > 8 and 2 * (hi - lo) > widths[0]:
             return None  # the budget is spent, or the width has not halved over the last four steps
         y = list(map(mask.__and__, map(sum(map(mul, x, cols)).__rshift__, shifts)))
@@ -680,18 +652,25 @@ def _bounds_bracket(m: NonnegMatrix, width: Optional[Fraction]) -> Optional[tupl
         object.__setattr__(m, "_bounds", bounds)  # replaced whole: a racing query repeats steps at most
 
 
+def _row_sum_bracket(m: NonnegMatrix) -> Optional[tuple[Fraction, Fraction]]:
+    """(rs, rs) when every row sums to rs, as min <= rho <= max (``_row_sum_tag``); else None."""
+    sums = set(map(sum, m.ints))
+    return None if len(sums) > 1 else (Fraction(sums.pop(), m.scale),) * 2
+
+
 def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fraction, Fraction]:
     """Rational bracket of width <= ``width`` (at least 2^-4096) around the leading eigenvalue.
 
     Successive calls with shrinking widths always return overlapping
-    intervals, since every result contains the eigenvalue itself.  A
-    primitive matrix of 7 rows or more gets its bracket from Collatz-Wielandt
-    bounds (``_bounds_bracket``), others by bisection with Taylor probes.  At
-    rho = 1, tagged from row sums first, a width below 1 needs no
-    characteristic polynomial: 1 is the only integer in a bisection bracket
-    that narrow, so a midpoint or the final snap to the simplest rational
-    lands on it.  A float width raises ``TypeError``, as a float matrix
-    entry does.
+    intervals, since every result contains the eigenvalue itself.  Equal
+    row sums rs give (rs, rs), the start bracket's upper end, at once;
+    otherwise the isolator bisects, with Collatz-Wielandt bounds
+    (``_bounds_side``) for a primitive matrix of 7 rows or more and Taylor
+    probes for the rest.  At rho = 1, tagged from row sums first, a width
+    below 1 needs no characteristic polynomial: 1 is the only integer in a
+    bisection bracket that narrow, so a midpoint or the final snap to the
+    simplest rational lands on it.  A float width raises ``TypeError``, as
+    a float matrix entry does.
     """
     width = _as_fraction(width, "widths")
     if width <= 0:
@@ -702,7 +681,7 @@ def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fract
         return (Fraction(0), Fraction(0))
     if width < 1 and spectral_tag(m) is SpectralTag.EXACTLY_ONE:
         return (Fraction(1), Fraction(1))
-    return _bounds_bracket(m, width) or _leading_root_isolator(m).refine_to_width(width)
+    return _row_sum_bracket(m) or _leading_root_isolator(m).refine_to_width(width)
 
 
 def spectral_radius_class(m: NonnegMatrix) -> SpectralClass:
@@ -710,12 +689,14 @@ def spectral_radius_class(m: NonnegMatrix) -> SpectralClass:
 
     The tag comes from ``spectral_tag``: row sums first, then M-matrix
     leading minors (Berman & Plemmons ch. 6, by Bareiss elimination).  The
-    bracket is only printed: it is [1, 1] in the exact case, and otherwise
-    bisection from (-rs-1, rs], rs the largest row sum, shrinks it until it
-    lies strictly on the tag's side of 1: by Collatz-Wielandt bounds for a
-    primitive matrix of 7 rows or more (``_bounds_bracket``), else by probes
-    that take the signs of the characteristic polynomial and its derivatives
-    from its Taylor coefficients at the probed point (see ``polynomials``).
+    bracket is only printed: it is [1, 1] in the exact case, (rs, rs) when
+    every row sums to rs, and otherwise bisection from (-rs-1, rs], rs the
+    largest row sum, shrinks it until it lies strictly on the tag's side of
+    1: probes are decided by Collatz-Wielandt bounds for a primitive matrix
+    of 7 rows or more (``_bounds_side``), and otherwise, or where the
+    bounds cannot tell, by the signs of the characteristic polynomial and
+    its derivatives from its Taylor coefficients at the probed point (see
+    ``polynomials``).
     """
     one = Fraction(1)
     if m.n == 0:
@@ -723,7 +704,7 @@ def spectral_radius_class(m: NonnegMatrix) -> SpectralClass:
     tag = spectral_tag(m)
     if tag is SpectralTag.EXACTLY_ONE:
         return SpectralClass(tag, one, one)
-    lo, hi = _bounds_bracket(m, None) or _leading_root_isolator(m).refine_until_separated_from(one)
+    lo, hi = _row_sum_bracket(m) or _leading_root_isolator(m).refine_until_separated_from(one)
     return SpectralClass(tag, lo, hi)
 
 

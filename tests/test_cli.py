@@ -414,6 +414,21 @@ def test_report_integer_past_the_digit_limit_exits_3(fmt):
     assert proc.stderr == "error: the report needs an integer of more than 4300 digits\n"
 
 
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_slopes_report_integer_past_the_digit_limit_exits_3(fmt):
+    # diag(10^4000, 10^4000 + 1) has a degree of 8001 digits, which neither format can write
+    big = 10**4000
+    env = dict(os.environ, PYTHONPATH=str(SCHEMA_DIR.parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "thurston_obstruct.cli", "slopes", "--format", fmt,
+         "--matrix", f"[[{big},0],[0,{big + 1}]]"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr == "error: the report needs an integer of more than 4300 digits\n"
+
+
 def test_inline_shorthand_leaves_json_strings_alone(capsys):
     # only bare fractions are quoted: one inside a string is not quoted a
     # second time, also after a string that ends in an escaped backslash
@@ -488,9 +503,9 @@ def test_matrix_reports_build_no_sturm_chain(capsys, monkeypatch):
 
 def test_exact_one_matrix_reports_build_no_characteristic_polynomial(capsys, monkeypatch):
     # at rho = 1 both brackets are [1, 1] below width 1 without bisection: no
-    # request builds charpoly or a block's polynomial, and a width of 1 or more
-    # still bisects: on charpoly of an irreducible matrix, and on the polynomial
-    # of the reducible one's stochastic block
+    # request builds charpoly or a block's polynomial; at a width of 1 equal
+    # row sums still give [1, 1] at once, and the reducible matrix, whose row
+    # sums differ, bisects on the polynomial of its stochastic block
     def refuse(*args):
         raise AssertionError("characteristic polynomial built")
 
@@ -510,8 +525,12 @@ def test_exact_one_matrix_reports_build_no_characteristic_polynomial(capsys, mon
             assert result["spectral"] == {"class": "exactly_one", "interval": ["1", "1"]}
             assert result["leading_interval"] == ["1", "1"]
             assert result["simple"]["exists"]
-        with pytest.raises(AssertionError, match="characteristic polynomial built"):
-            main(["matrix", "--width", "1", rows])
+        if rows == cases[-1]:
+            with pytest.raises(AssertionError, match="characteristic polynomial built"):
+                main(["matrix", "--width", "1", rows])
+        else:
+            report, code = run_json(capsys, ["matrix", "--width", "1", rows])
+            assert code == 0 and report["result"]["leading_interval"] == ["1", "1"]
 
 
 def test_check_simple_just_above_one_reports_a_verified_certificate():

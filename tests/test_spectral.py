@@ -57,7 +57,7 @@ from thurston_obstruct import (
     spectral_tag,
     wielandt_bound,
 )
-from thurston_obstruct import spectral as spectral_module
+from thurston_obstruct import polynomials as polynomials_module, spectral as spectral_module
 from thurston_obstruct.polynomials import LargestRootIsolator
 from thurston_obstruct.spectral import (
     _back_substitute,
@@ -65,7 +65,6 @@ from thurston_obstruct.spectral import (
     _block_tag,
     _berkowitz,
     _bool_mul,
-    _bounds_bracket,
     _cyclic_structure,
     _eliminate,
     _int_mul,
@@ -1266,7 +1265,7 @@ def test_candidate_block_walk_matches_the_whole_product(m):
     iso, whole = _leading_root_isolator(m), LargestRootIsolator([charpoly(m)], -rs - 1, rs)
     candidates = [b for b, tag in zip(profile.structure.blocks(), profile.block_tags) if tag is profile.tag]
     several = sum(len(b) > 1 for b in candidates)
-    assert len(iso.qs) == (1 if profile.irreducible else several + any(len(b) == 1 for b in candidates))
+    assert len(iso._built()) == (1 if profile.irreducible else several + any(len(b) == 1 for b in candidates))
     floor = 4096 if m.n <= 4 else 300
     for width in QUERY_WIDTHS + (F(1, 2**64), F(1, 2**floor)):
         assert iso.refine_to_width(width) == whole.refine_to_width(width), width
@@ -1662,68 +1661,97 @@ def _dense(seed, n):
     return [[F(rng.randint(1, 4), rng.randint(1, 5)) for _ in range(n)] for _ in range(n)]
 
 
+def _separated(m):
+    spectral = spectral_radius_class(m)
+    return spectral.lo, spectral.hi
+
+
 def test_bounds_settle_primitive_matrices_and_leave_their_fallback_triggers_open():
     # a dense 10 x 10: both brackets from the bounds, with no characteristic polynomial
     m = NonnegMatrix(_dense(1, 10))
-    assert _bounds_bracket(m, None) == _fresh_isolator(m).refine_until_separated_from(F(1))
-    assert _bounds_bracket(m, F(1, 10**6)) == _fresh_isolator(m).refine_to_width(F(1, 10**6))
-    assert m._isolator is None
-    # a width whose level lies beyond the bounds' 64, and a 6 x 6 matrix: the isolator's
-    assert _bounds_bracket(NonnegMatrix(_dense(1, 10)), F(1, 2**300)) is None
-    assert _bounds_bracket(NonnegMatrix(_dense(1, 6)), F(1, 10**6)) is None
-    # every row sum 2: rho = 2 = rs, the grid point at level 0, at any width and with no power step
+    assert _separated(m) == _fresh_isolator(m).refine_until_separated_from(F(1))
+    assert leading_eigenvalue_interval(m, F(1, 10**6)) == _fresh_isolator(m).refine_to_width(F(1, 10**6))
+    assert m._isolator.qs is None
+    # a width far past what the bounds can tell, and a 6 x 6 matrix: the polynomials take over
+    for rows, width in ((_dense(1, 10), F(1, 2**300)), (_dense(1, 6), F(1, 10**6))):
+        m = NonnegMatrix(rows)
+        assert leading_eigenvalue_interval(m, width) == _fresh_isolator(m).refine_to_width(width)
+        assert m._isolator.qs is not None
+    # every row sum 2: rho = 2 = rs, the start bracket's upper end, at any width, with no isolator and no power step
     ring = NonnegMatrix([[int(j in (i, (i + 1) % 7)) for j in range(7)] for i in range(7)])
-    assert _bounds_bracket(ring, None) == (F(2), F(2)) == _bounds_bracket(ring, F(1, 2**300))
-    assert ring._bounds is None
+    assert _separated(ring) == (F(2), F(2)) == leading_eigenvalue_interval(ring, F(1, 2**300))
+    assert ring._isolator is None and ring._bounds is None
     # rho = 2 with unequal row sums (D^-1 A D, A dense with row sums 2): 2 is the simplest rational of
-    # the cells around it, which the bounds cannot tell from rho, so they stop at the first such cell
+    # the cells around it, which the bounds cannot tell from rho, so the polynomials decide the snap
     a = [[2 * x / sum(row) for x in row] for row in _dense(3, 8)]
     d = [1, 2, 3, 1, 2, 3, 1, 2]
     similar = NonnegMatrix([[x * F(d[j], d[i]) for j, x in enumerate(row)] for i, row in enumerate(a)])
-    assert _bounds_bracket(similar, F(1, 10**6)) is None and similar._bounds[5] < 40
     assert leading_eigenvalue_interval(similar, F(1, 10**6)) == (F(2), F(2))
     assert spectral_radius_class(similar) == SpectralClass(SpectralTag.ABOVE_ONE, F(2), F(2))
+    assert similar._isolator.qs is not None
     # |lambda_2| / rho near 999/1000: the width stops halving, and the bounds stop well inside the budget
     gap = NonnegMatrix(_weakly_coupled(_dense(2, 5), F(1, 1000)))
-    assert _bounds_bracket(gap, F(1, 10**6)) is None
+    assert leading_eigenvalue_interval(gap, F(1, 10**6)) == _fresh_isolator(gap).refine_to_width(F(1, 10**6))
     _, _, lo, hi, _, steps, widths = gap._bounds
     assert 8 < steps < spectral_module._BOUNDS_STEPS and 2 * (hi - lo) > widths[0]
-    assert leading_eigenvalue_interval(gap, F(1, 10**6)) == _fresh_isolator(gap).refine_to_width(F(1, 10**6))
     # the 7 x 7 cycle with loops conjugated by diag(1, 2, 3, 1, 2, 3, 1): rho = 2 is the snap candidate of
     # its cells and |lambda_2| / rho = cos(pi / 7), so its bounds close slowly and never settle the snap
     d = [1, 2, 3, 1, 2, 3, 1]
     loops = NonnegMatrix([[F(d[j], d[i]) * int(j in (i, (i + 1) % 7)) for j in range(7)] for i in range(7)])
-    assert _bounds_bracket(loops, None) is None and _bounds_bracket(loops, F(1, 10**6)) is None
-    assert loops._bounds[5] < 20
     assert spectral_radius_class(loops) == SpectralClass(SpectralTag.ABOVE_ONE, F(2), F(2))
     assert (F(2), F(2)) == _fresh_isolator(loops).refine_until_separated_from(F(1))
     assert leading_eigenvalue_interval(loops, F(1, 10**6)) == _fresh_isolator(loops).refine_to_width(F(1, 10**6))
+    assert loops._bounds[5] < 20
 
 
-def test_bounds_stop_once_every_level_holds_one():
-    # a dense 8 x 8 over the upper end of its 10^-60 bracket: rho lies just below 1, so every closed
-    # cell to level 64 holds 1, and no later step can change those cells; the bounds stop at the first
-    # step whose scan finds that (32 steps; the width-stall stop alone would end at step 43)
+def _probes(query):
+    """The query's answer and its calls of ``_taylor`` and ``_dyadic_value``, the isolator's probes."""
+    with mock.patch.object(polynomials_module, "_taylor", wraps=polynomials_module._taylor) as taylor, \
+            mock.patch.object(polynomials_module, "_dyadic_value", wraps=polynomials_module._dyadic_value) as dyadic:
+        answer = query()
+    return answer, taylor.call_count + dyadic.call_count
+
+
+def test_a_stalled_walk_resumes_from_the_level_the_bounds_reached():
+    # a dense 8 x 8 over the upper end of its 10^-60 bracket: rho lies just below 1, and the bounds stall
+    # long before they exclude 1; the polynomials walk on from the cell the bounds reached
     rows = _dense(5, 8)
     _, hi = _fresh_isolator(NonnegMatrix(rows)).refine_to_width(F(1, 10**60))
     rows = [[x / hi for x in row] for row in rows]
     m = NonnegMatrix(rows)
-    assert _bounds_bracket(m, None) is None and m._bounds[5] == 32
-    separated = _fresh_isolator(NonnegMatrix(rows)).refine_until_separated_from(F(1))
-    assert separated[1] < 1
-    assert spectral_radius_class(m) == SpectralClass(SpectralTag.BELOW_ONE, *separated)
+    separated, calls = _probes(lambda: _separated(m))
+    expected, fresh_calls = _probes(lambda: _fresh_isolator(NonnegMatrix(rows)).refine_until_separated_from(F(1)))
+    assert separated == expected and expected[1] < 1
+    assert spectral_radius_class(m).tag is SpectralTag.BELOW_ONE
+    assert m._isolator.qs is not None and calls < fresh_calls
+    # a dense 16 x 16 at width 2^-300: the bounds stall at about level 36, and the walk goes on from there
+    m = NonnegMatrix(_dense(3, 16))
+    bracket, calls = _probes(lambda: leading_eigenvalue_interval(m, F(1, 2**300)))
+    expected, fresh_calls = _probes(lambda: _fresh_isolator(NonnegMatrix(_dense(3, 16))).refine_to_width(F(1, 2**300)))
+    assert bracket == expected
+    assert m._isolator.qs is not None and calls < fresh_calls
 
 
 def test_bounds_return_the_start_bracket_when_one_lies_above_it():
     # every row sum below 1, all different: 1 lies above the start bracket (-rs-1, rs], which the isolator
-    # returns as it is; the bounds reach it by their one snap rule, after a power step
+    # returns as it is, with no power step and no polynomial
     below = NonnegMatrix([[x / 30 for x in row] for row in _dense(4, 7)])
     rs = max(below.row_sums())
     assert rs < 1 and len(set(below.row_sums())) == 7
     start = (-rs - 1, rs)
-    assert _bounds_bracket(below, None) == _fresh_isolator(below).refine_until_separated_from(F(1)) == start
-    assert below._bounds[5] > 0
+    assert _separated(below) == _fresh_isolator(below).refine_until_separated_from(F(1)) == start
+    assert below._isolator.qs is None and below._bounds is None
     assert spectral_radius_class(below) == SpectralClass(SpectralTag.BELOW_ONE, *start)
+
+
+def test_equal_row_sums_give_their_sum_on_every_matrix_shape():
+    # index 2, and reducible with row sums 2 and 2: rho = 2 from the row sums, with no isolator
+    for rows in ([[0, 2], [2, 0]], [[2, 0], [1, 1]]):
+        m = NonnegMatrix(rows)
+        assert spectral_radius_class(m) == SpectralClass(SpectralTag.ABOVE_ONE, F(2), F(2))
+        for width in (F(1, 10**6), F(1, 2**300)):
+            assert leading_eigenvalue_interval(m, width) == (F(2), F(2))
+        assert m._isolator is None
 
 
 # ---------------------------------------------------------------------------
