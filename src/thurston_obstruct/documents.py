@@ -8,7 +8,9 @@ the string "inf", slopes as two-element integer arrays.
 The input schemas shipped in ``schemas/`` are the one definition of a
 valid input: every decoder first runs ``validate`` on its document, then
 checks only what no schema states (a zero denominator, a square matrix)
-and leaves the mathematics to the domain constructors.
+and leaves the mathematics to the domain constructors.  A ``matrix``
+input first takes one walk over its entries, which reads ``rational``'s
+pattern from its schema and hands every input it cannot take to that path.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import re
 from fractions import Fraction
 from math import gcd, inf, lcm
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 from .orbifold import INFINITE_WEIGHT, CriticalPortrait, OrbifoldSignature, PortraitPoint
 from .slopes import (
@@ -86,20 +88,24 @@ _TYPES = {  # schema type -> (Python type, the message of a value of another typ
 }
 
 
-@functools.cache
-def _compiled(ref: str) -> Callable[[Any], Optional[tuple[list, str]]]:
-    """The checker of the schema that ``ref`` (a file name and an optional JSON pointer) names.
-
-    The node is read straight from its file and compiled once per ``ref``:
-    every ``$ref`` to the same target, such as each matrix entry's
-    ``rational``, shares this one checker.
-    """
+def _node(ref: str) -> Any:
+    """The schema node that ``ref`` (a file name and an optional JSON pointer) names."""
     name, _, pointer = ref.partition("#")
     with open(os.path.join(_SCHEMA_DIR, name), encoding="utf-8") as f:
         node = json.load(f)
     for part in pointer.split("/")[1:]:
         node = node[part]
-    return _checker(node, name)
+    return node
+
+
+@functools.cache
+def _compiled(ref: str) -> Callable[[Any], Optional[tuple[list, str]]]:
+    """The checker of the schema node ``ref``, compiled once per ``ref``.
+
+    Every ``$ref`` to the same target, such as each matrix entry's
+    ``rational``, shares this one checker.
+    """
+    return _checker(_node(ref), ref.partition("#")[0])
 
 
 #: the keywords that the closure of each node type tests (None: an untyped node)
@@ -303,19 +309,71 @@ def format_weight(w) -> Any:
 # matrices
 
 
-def _square_ints(value: list, where: str) -> tuple[int, list[list[int]]]:
+class _Decoded(tuple):
+    """``(L, L*M)``; its ``fractions`` are the entries as reduced ``(p, q)`` rows, for the input echo."""
+
+
+def _scaled(rows: list[list[tuple[int, int]]], dens: Iterable[int]) -> _Decoded:
+    scale = lcm(*dens)
+    decoded = _Decoded((scale, [[p * (scale // q) for p, q in row] for row in rows]))
+    decoded.fractions = rows
+    return decoded
+
+
+def _square_ints(value: list, where: str) -> _Decoded:
     """``(L, L*M)`` of the schema-valid matrix M, L the lcm of its reduced denominators."""
     rows = [[_ratio(x, where, i, j) for j, x in enumerate(row)] for i, row in enumerate(value)]
     for i, row in enumerate(rows):
         if len(row) != len(rows):
             raise _fail(f"{where}[{i}]", f"expected {len(rows)} entries for a square matrix")
-    scale = lcm(*(q for row in rows for _, q in row))
-    return scale, [[p * (scale // q) for p, q in row] for row in rows]
+    return _scaled(rows, (q for row in rows for _, q in row))
+
+
+@functools.cache
+def _entry_match() -> Callable[[str], Any]:
+    """``fullmatch`` of the pattern of ``common.schema.json``'s ``rational`` strings."""
+    (pattern,) = (b["pattern"] for b in _node("common.schema.json#/$defs/rational")["oneOf"] if "pattern" in b)
+    return re.compile(pattern).fullmatch  # the whole string, as in _checker
+
+
+def _walk(value: Any) -> Optional[_Decoded]:
+    """``_square_ints`` of ``value`` in one walk over its entries, or None where that would fail.
+
+    Each entry is an ``int`` or a ``str`` that ``rational``'s pattern takes,
+    and ``_ratio`` reduces each distinct one once.  Anything else (another
+    type, a pattern miss, p/0, a part past the digit limit, a ragged row)
+    gives None, and the caller's ``validate`` and ``_square_ints`` word it.
+    """
+    if type(value) is not list:
+        return None
+    fullmatch, seen, rows = _entry_match(), {}, []
+    for row in value:
+        if type(row) is not list or len(row) != len(value):
+            return None
+        out = []
+        for x in row:
+            kind = type(x)
+            if kind is not str and kind is not int:  # before the lookup, where True == 1
+                return None
+            pq = seen.get(x)
+            if pq is None:
+                if kind is str and not fullmatch(x):
+                    return None
+                try:
+                    pq = seen[x] = _ratio(x, "")
+                except InputFormatError:
+                    return None
+            out.append(pq)
+        rows.append(out)
+    return _scaled(rows, (q for _, q in seen.values()))
 
 
 def rational_rows_from_doc(value: Any, where: str) -> tuple[int, list[list[int]]]:
-    validate(value, "common.schema.json#/$defs/rationalMatrix", where)
-    return _square_ints(value, where)
+    decoded = _walk(value)
+    if decoded is None:
+        validate(value, "common.schema.json#/$defs/rationalMatrix", where)
+        decoded = _square_ints(value, where)
+    return decoded
 
 
 def int_matrix2_from_doc(value: Any, where: str) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -327,8 +385,13 @@ def matrix_from_doc(value: Any) -> tuple[int, list[list[int]]]:
     """``(L, L*M)`` of a ``matrix`` input M, a matrix document or a bare array; M may be negative."""
     if not isinstance(value, dict):
         return rational_rows_from_doc(value, "matrix")
-    validate(value, "matrix.schema.json")  # covers the entries: no second pass over them
-    return _square_ints(value["matrix"], "matrix")
+    # the schema's two fields and its name, else validate words what is wrong
+    own = value.keys() == {"schema", "matrix"} and type(name := value["schema"]) is str
+    decoded = _walk(value["matrix"]) if own and name == MATRIX_SCHEMA else None
+    if decoded is None:
+        validate(value, "matrix.schema.json")
+        decoded = _square_ints(value["matrix"], "matrix")
+    return decoded
 
 
 def action_from_doc(value: Any) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -345,8 +408,10 @@ def matrix_to_doc(scale: int, ints: Sequence[Sequence[int]]) -> list[list[str]]:
             for row in ints]
 
 
-def matrix_input_to_doc(matrix: tuple[int, Sequence[Sequence[int]]]) -> dict:
-    return {"schema": MATRIX_SCHEMA, "matrix": matrix_to_doc(*matrix)}
+def matrix_input_to_doc(matrix: _Decoded) -> dict:
+    """The echo of a decoded ``matrix`` input, from its reduced entries."""
+    rows = [[f"{p}/{q}" if q != 1 else str(p) for p, q in row] for row in matrix.fractions]
+    return {"schema": MATRIX_SCHEMA, "matrix": rows}
 
 
 def action_input_to_doc(action: tuple[tuple[int, int], tuple[int, int]]) -> dict:

@@ -658,6 +658,9 @@ def _row_sum_bracket(m: NonnegMatrix) -> Optional[tuple[Fraction, Fraction]]:
     return None if len(sums) > 1 else (Fraction(sums.pop(), m.scale),) * 2
 
 
+_MIN_WIDTH = Fraction(1, 2**4096)  # the bisection's cost grows with the square of its digits
+
+
 def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fraction, Fraction]:
     """Rational bracket of width <= ``width`` (at least 2^-4096) around the leading eigenvalue.
 
@@ -675,7 +678,7 @@ def leading_eigenvalue_interval(m: NonnegMatrix, width: Fraction) -> tuple[Fract
     width = _as_fraction(width, "widths")
     if width <= 0:
         raise PreconditionError("width must be positive")
-    if width < Fraction(1, 2**4096):  # the bisection's cost grows with the square of its digits
+    if width < _MIN_WIDTH:
         raise PreconditionError("width must be at least 2^-4096")
     if m.n == 0:
         return (Fraction(0), Fraction(0))
@@ -782,11 +785,13 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
     Existence is equivalent to: no reordering of indices exposes a leading
     principal block, closed under support edges, whose leading eigenvalue
     is below 1 (the matrix as a whole counts as such a block).  The profile
-    answers that.  Each block B of the condensation whose row sums are all 1
-    gets 1, its Perron vector; every other gets its part of the certificate
-    from the elimination of C (``_eliminate``): the profile's where the row
-    sums left B's tag open, else its own, so each block is eliminated once.
-    In integers until one division per block:
+    answers that.  Each block B of the condensation whose row sums are all
+    above 1, or all 1, gets 1: then B 1 >= 1 (the Collatz-Wielandt bound at
+    1, ``_row_sum_tag``), and the inflow from other blocks only adds to it.
+    Every other gets its part of the certificate from the elimination of C
+    (``_eliminate``): the profile's where the row sums left B's tag open,
+    its own where they put B below 1, so each block is eliminated at most
+    once.  In integers until one division per block:
 
     - below 1, the inflow from the blocks assigned before, summed over the
       integer rows ``m.ints`` and over C's row gcds, goes through C's
@@ -812,9 +817,9 @@ def exists_positive_subinvariant_vector(m: NonnegMatrix) -> Optional[tuple[Fract
     # support edges point to earlier blocks, which are assigned first
     for block, tag, elimination in zip(profile.structure.blocks(), profile.block_tags, profile.eliminations):
         k = len(block)
-        if elimination is None and tag is not SpectralTag.EXACTLY_ONE:  # tagged by its row sums
+        if elimination is None and tag is SpectralTag.BELOW_ONE:  # tagged by its row sums
             elimination = _eliminate(m, block)
-        if elimination is None:  # every row sum 1: the Perron vector 1
+        if elimination is None:  # every row sum above 1, or every one 1: B 1 >= 1
             z, den = [1] * k, 1
         elif elimination[0] is SpectralTag.BELOW_ONE:
             _, _, gcds, c = elimination

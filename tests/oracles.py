@@ -525,9 +525,16 @@ def eye_minus_cleared(scale: int, b: Sequence[Sequence[int]]) -> list[list[int]]
     return [[(scale if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(b)]
 
 
+def ones_by_row_sums(rows, block: Sequence[int]) -> bool:
+    """Whether the block's ``Fraction`` row sums are all above 1 or all 1, so B 1 >= 1."""
+    sums = [sum((rows[i][j] for j in block), Fraction(0)) for i in block]
+    return all(x > 1 for x in sums) or all(x == 1 for x in sums)
+
+
 def subinvariant_by_fraction_inflow(m: NonnegMatrix) -> Optional[tuple[Fraction, ...]]:
     """The library's per-block certificate with each inflow summed over the
-    Fraction rows and each block cleared by its own lcm of denominators."""
+    Fraction rows and each block cleared by its own lcm of denominators;
+    1 on a block whose row sums are all above 1 or all 1."""
     n = m.n
     profile = spectral.spectral_profile(m)
     if n == 0 or any(profile.closed_below):
@@ -537,7 +544,9 @@ def subinvariant_by_fraction_inflow(m: NonnegMatrix) -> Optional[tuple[Fraction,
     for block, tag in zip(profile.structure.blocks(), profile.block_tags):
         scale, b = cleared_by_lcm(rows, block)
         c = eye_minus_cleared(scale, b)
-        if tag is SpectralTag.BELOW_ONE:
+        if ones_by_row_sums(rows, block):
+            z, den = [1] * len(block), 1
+        elif tag is SpectralTag.BELOW_ONE:
             inflow = [
                 scale * sum((rows[i][j] * vec[j] for j in range(n)), Fraction(0)) for i in block
             ]
@@ -569,7 +578,8 @@ def subinvariant_by_eliminations(m: NonnegMatrix) -> Optional[tuple[Fraction, ..
     """The library's certificate with every block eliminated, whatever its row sums.
 
     Existence from the elimination tags and the closure of the support; each
-    block's part from its ``_eliminate`` as the library reads one, kept by the
+    block's part is 1 where its ``Fraction`` row sums are all above 1 or all
+    1, else from its ``_eliminate`` as the library reads one, kept by the
     profile or run by the certificate: the inflow column through the stored
     multipliers below 1, back substitution and x <- B x steps at or above 1.
     """
@@ -580,11 +590,13 @@ def subinvariant_by_eliminations(m: NonnegMatrix) -> Optional[tuple[Fraction, ..
     high = sum(1 << v for b, e in zip(blocks, eliminations) if e[0] is not SpectralTag.BELOW_ONE for v in b)
     if n == 0 or any(not (reach[b[0]] | 1 << b[0]) & high for b in blocks):
         return None
-    ints = m.ints
+    ints, rows = m.ints, m.rows
     vec = [Fraction(0)] * n
     for block, (tag, p, gcds, c) in zip(blocks, eliminations):
         k = len(block)
-        if tag is SpectralTag.BELOW_ONE:
+        if ones_by_row_sums(rows, block):
+            z, den = [1] * k, 1
+        elif tag is SpectralTag.BELOW_ONE:
             inflow = [Fraction(sum(a * vec[j] for j, a in enumerate(ints[i])), g)
                       for i, g in zip(block, gcds)]
             den = lcm(*(f.denominator for f in inflow))

@@ -301,10 +301,16 @@ def test_input_schemas_have_the_shapes_the_validator_relies_on():
 
 def test_each_schema_ref_is_compiled_once():
     documents._compiled.cache_clear()
+    # a valid matrix, document or bare array, is decoded by the walk alone: no checker
     matrix_from_doc({"schema": "thurston-obstruct/matrix/1", "matrix": [[1, "1/2"], ["0", "-3/4"]]})
-    # the document's schema, its rationalMatrix and the one rational of every entry
+    matrix_from_doc([[1, "1/2"], [0, 1]])
+    assert documents._compiled.cache_info()[:2] == (0, 0)
+    # a rejected document: its schema, its rationalMatrix and the one rational of every entry
+    with pytest.raises(InputFormatError):
+        matrix_from_doc({"schema": "thurston-obstruct/matrix/1", "matrix": [[1, "1/2"], ["0", 1.5]]})
     assert documents._compiled.cache_info()[:2] == (0, 3)
-    matrix_from_doc([[1, "1/2"], [0, 1]])  # a bare matrix: rationalMatrix again, nothing compiled
+    with pytest.raises(InputFormatError):  # a bare matrix: rationalMatrix again, nothing compiled
+        matrix_from_doc([[1, "1/2"], [0, True]])
     assert documents._compiled.cache_info()[:2] == (1, 3)
     # the document's schema, tableFields, its classes and intMatrix2; the
     # inner tables of a first return reuse tableFields
@@ -717,6 +723,22 @@ def _matrix_outcome(value) -> tuple[int, str, str]:
 @example([[1, "1/0"], [0, 1]])
 @example([[1, "-3/4"], [0]])  # not square and negative: exit 2 before the sign check's 3
 @example([[1], [2, "1/0"]])  # a later row's bad entry is named before an earlier row's length
+# misses of the one walk over the entries, each worded by validate and _ratio: p/0 after entries
+# the walk reduced, other types, a final newline, a digit int() takes but the pattern does not,
+# the digit limit, a ragged row, an unknown or missing field, another schema, and an entry's
+# failure beside an unknown field, which comes first in property order
+@example({"schema": "thurston-obstruct/matrix/1", "matrix": [["1/0"] + ["007/014"] * 3] + [["007/014"] * 4] * 3})
+@example([[1, True], [0, 1]])
+@example([[1, 1.5], [0, 1]])
+@example([[1, "1/2\n"], [0, 1]])
+@example([["\u0663", 0], [0, 1]])
+@example([["2/4", "9" * 4301], [0, 1]])
+@example({"schema": "thurston-obstruct/matrix/1", "matrix": [[1, 0], ["1/2"]]})
+@example({"schema": "thurston-obstruct/matrix/1", "matrix": [[1]], "note": 1})
+@example({"schema": "thurston-obstruct/matrix/1"})
+@example({"schema": "thurston-obstruct/matrix/2", "matrix": [[1]]})
+@example({"schema": "thurston-obstruct/matrix/1", "matrix": [[1, 1.5], [0, 1]], "note": 1})
+@example({"note": 1, "matrix": [["1/0", 0], [0, 1]], "schema": "thurston-obstruct/matrix/1"})
 def test_matrix_decoding_matches_the_fraction_route(value):
     code, expected = matrix_input_by_fractions(value)
     got, out, err = _matrix_outcome(value)

@@ -28,6 +28,7 @@ from oracles import (
     int_mul_by_entries,
     kernel_vector,
     matrix_powers_by_fraction_products,
+    ones_by_row_sums,
     power_positive_exponent_by_rational_powers,
     roots_strictly_above,
     scc_blocks_by_dfs,
@@ -802,15 +803,30 @@ def test_the_profile_eliminates_only_blocks_its_row_sums_leave_open():
     assert v == (4, 1, 48, 64, 72, 24, 1) == subinvariant_by_eliminations(m)
 
 
-def test_a_dense_block_just_above_1_is_eliminated_only_for_its_certificate():
+def test_a_dense_block_just_above_1_is_never_eliminated():
     r = random.Random(11)
     w = [[F(r.randint(1, 4), r.randint(1, 5)) for _ in range(80)] for _ in range(80)]
     scale = F(10001, 10000) / min(map(sum, w))  # the least row sum becomes 1.0001
     m = NonnegMatrix([[x * scale for x in row] for row in w])
     tag, eliminated = _eliminated_blocks(lambda: spectral_tag(m))
     assert tag is SpectralTag.ABOVE_ONE and eliminated == []
+    # every row sum above 1: the certificate is the all-ones vector, with no elimination
     v, eliminated = _eliminated_blocks(lambda: exists_positive_subinvariant_vector(m))
-    assert eliminated == [tuple(range(80))] and all(x > 0 for x in v)
+    assert eliminated == [] and v == (1,) * 80
+
+
+@given(st.one_of(spectral_matrices, row_denominator_matrices(), mixed_block_matrices(max_n=12)))
+@settings(max_examples=120, deadline=None)
+@example(NonnegMatrix([[2, 1], [1, 2]]))
+@example(NonnegMatrix([[2, 0, 0], [1, "1/2", "1/2"], [0, "1/2", "1/2"]]))
+def test_blocks_whose_row_sums_reach_1_are_never_eliminated_and_get_ones(m):
+    fresh = NonnegMatrix(m.rows)
+    v, eliminated = _eliminated_blocks(lambda: exists_positive_subinvariant_vector(fresh))
+    rows = m.rows
+    for block in spectral_profile(fresh).structure.blocks():
+        if ones_by_row_sums(rows, block):
+            assert block not in eliminated
+            assert v is None or len({v[i] for i in block}) == 1
 
 
 def _fresh_isolator(m):
