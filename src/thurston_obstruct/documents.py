@@ -21,7 +21,7 @@ import os
 import re
 from fractions import Fraction
 from math import gcd, inf, lcm
-from typing import Any, Callable, Iterable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from .orbifold import INFINITE_WEIGHT, CriticalPortrait, OrbifoldSignature, PortraitPoint
 from .slopes import (
@@ -309,24 +309,14 @@ def format_weight(w) -> Any:
 # matrices
 
 
-class _Decoded(tuple):
-    """``(L, L*M)``; its ``fractions`` are the entries as reduced ``(p, q)`` rows, for the input echo."""
-
-
-def _scaled(rows: list[list[tuple[int, int]]], dens: Iterable[int]) -> _Decoded:
-    scale = lcm(*dens)
-    decoded = _Decoded((scale, [[p * (scale // q) for p, q in row] for row in rows]))
-    decoded.fractions = rows
-    return decoded
-
-
-def _square_ints(value: list, where: str) -> _Decoded:
+def _square_ints(value: list, where: str) -> tuple[int, list[list[int]]]:
     """``(L, L*M)`` of the schema-valid matrix M, L the lcm of its reduced denominators."""
     rows = [[_ratio(x, where, i, j) for j, x in enumerate(row)] for i, row in enumerate(value)]
     for i, row in enumerate(rows):
         if len(row) != len(rows):
             raise _fail(f"{where}[{i}]", f"expected {len(rows)} entries for a square matrix")
-    return _scaled(rows, (q for row in rows for _, q in row))
+    scale = lcm(*(q for row in rows for _, q in row))
+    return scale, [[p * (scale // q) for p, q in row] for row in rows]
 
 
 @functools.cache
@@ -336,7 +326,7 @@ def _entry_match() -> Callable[[str], Any]:
     return re.compile(pattern).fullmatch  # the whole string, as in _checker
 
 
-def _walk(value: Any) -> Optional[_Decoded]:
+def _walk(value: Any) -> Optional[tuple[int, list[list[int]]]]:
     """``_square_ints`` of ``value`` in one walk over its entries, or None where that would fail.
 
     Each entry is an ``int`` or a ``str`` that ``rational``'s pattern takes,
@@ -365,7 +355,8 @@ def _walk(value: Any) -> Optional[_Decoded]:
                     return None
             out.append(pq)
         rows.append(out)
-    return _scaled(rows, (q for _, q in seen.values()))
+    scale = lcm(*(q for _, q in seen.values()))
+    return scale, [[p * (scale // q) for p, q in row] for row in rows]
 
 
 def rational_rows_from_doc(value: Any, where: str) -> tuple[int, list[list[int]]]:
@@ -386,8 +377,8 @@ def matrix_from_doc(value: Any) -> tuple[int, list[list[int]]]:
     if not isinstance(value, dict):
         return rational_rows_from_doc(value, "matrix")
     # the schema's two fields and its name, else validate words what is wrong
-    own = value.keys() == {"schema", "matrix"} and type(name := value["schema"]) is str
-    decoded = _walk(value["matrix"]) if own and name == MATRIX_SCHEMA else None
+    own = value.keys() == {"schema", "matrix"} and value["schema"] == MATRIX_SCHEMA
+    decoded = _walk(value["matrix"]) if own else None
     if decoded is None:
         validate(value, "matrix.schema.json")
         decoded = _square_ints(value["matrix"], "matrix")
@@ -408,10 +399,8 @@ def matrix_to_doc(scale: int, ints: Sequence[Sequence[int]]) -> list[list[str]]:
             for row in ints]
 
 
-def matrix_input_to_doc(matrix: _Decoded) -> dict:
-    """The echo of a decoded ``matrix`` input, from its reduced entries."""
-    rows = [[f"{p}/{q}" if q != 1 else str(p) for p, q in row] for row in matrix.fractions]
-    return {"schema": MATRIX_SCHEMA, "matrix": rows}
+def matrix_input_to_doc(matrix: tuple[int, Sequence[Sequence[int]]]) -> dict:
+    return {"schema": MATRIX_SCHEMA, "matrix": matrix_to_doc(*matrix)}
 
 
 def action_input_to_doc(action: tuple[tuple[int, int], tuple[int, int]]) -> dict:

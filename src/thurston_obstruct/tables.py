@@ -283,14 +283,12 @@ def find_minimal_obstructions(
     attained on a proper strongly connected block), so it lies inside one
     strongly connected component of the support on the tracked classes and
     is connected there.  The components and their tags come from the
-    spectral profile of the tracked classes' matrix, which is
-    ``analyze_table``'s when its curves are the tracked ones.  Since rho
-    only grows from a principal submatrix to the whole, a component below 1
-    holds no obstruction and is skipped unvisited.  Inside each other
-    component, the connected subsets grow one size at a time, each by one
-    undirected neighbour, so all smaller hits are known when a subset is
-    reached: a hit is not extended, and a subset containing one is not
-    visited.
+    spectral profile of the tracked classes' matrix.  Since rho only grows
+    from a principal submatrix to the whole, a component below 1 holds no
+    obstruction and is skipped unvisited.  Inside each other component, the
+    connected subsets grow one size at a time, each by one undirected
+    neighbour, so all smaller hits are known when a subset is reached: a hit
+    is not extended, and a subset containing one is not visited.
 
     A visited subset whose members each have a successor and a predecessor
     inside it (necessary for irreducibility) is a hit when ``_block_tag``
@@ -305,9 +303,8 @@ def find_minimal_obstructions(
     """
     if subset_cap < 1:
         raise PreconditionError("subset cap must be at least 1")
-    tracked = tuple(c.id for c in table.classes if all(x.target != UNTRACKED for x in c.pullback))
-    kept = getattr(table, "_matrix", None)  # analyze_table's (order, matrix)
-    matrix = kept[1] if kept is not None and kept[0] == tracked else thurston_matrix(table, tracked)
+    tracked = [c.id for c in table.classes if all(x.target != UNTRACKED for x in c.pullback)]
+    matrix = thurston_matrix(table, tracked)
     profile = spectral_profile(matrix)
     succ = profile.support  # support digraph on the tracked classes
     pred = [sum(1 << u for u, row in enumerate(succ) if row >> v & 1) for v in range(len(succ))]
@@ -369,9 +366,6 @@ def analyze_table(
     """Assemble every verdict the table supports about one multicurve."""
     order = curve_order(table, curves)
     matrix = thurston_matrix(table, order)
-    # kept on the table, as a matrix keeps its profile: on the same curves the
-    # minimal search takes this matrix and its profile instead of a second build
-    object.__setattr__(table, "_matrix", (order, matrix))
     spectral = spectral_radius_class(matrix)
     obstruction = spectral.tag is not SpectralTag.BELOW_ONE
     return ObstructionReport(

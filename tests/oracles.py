@@ -575,13 +575,14 @@ def block_tags_by_elimination(m: NonnegMatrix) -> tuple[SpectralTag, ...]:
 
 
 def subinvariant_by_eliminations(m: NonnegMatrix) -> Optional[tuple[Fraction, ...]]:
-    """The library's certificate with every block eliminated, whatever its row sums.
+    """The library's certificate: 1 where a block's row sums reach 1, else from its elimination.
 
-    Existence from the elimination tags and the closure of the support; each
-    block's part is 1 where its ``Fraction`` row sums are all above 1 or all
-    1, else from its ``_eliminate`` as the library reads one, kept by the
-    profile or run by the certificate: the inflow column through the stored
-    multipliers below 1, back substitution and x <- B x steps at or above 1.
+    Existence from the elimination tags and the closure of the support,
+    every block eliminated for them; each block's part is 1 where its row
+    sums are all above 1 or all 1, else from its ``_eliminate`` as the
+    library reads one, kept by the profile or run by the certificate: the
+    inflow column through the stored multipliers below 1, back substitution
+    and x <- B x steps at or above 1.
     """
     n = m.n
     blocks = spectral.scc_partition(m).blocks()

@@ -1545,7 +1545,8 @@ def test_a_reducible_block_at_one_is_not_below_one_by_either_route():
 
 @given(st.one_of(spectral_matrices, row_denominator_matrices(), mixed_block_matrices(max_n=12)))
 @settings(max_examples=120, deadline=None)
-def test_certificates_match_the_all_elimination_route(m):
+def test_certificates_match_the_row_sum_then_elimination_route(m):
+    # ones where a block's row sums reach 1, an elimination on every other block
     assert exists_positive_subinvariant_vector(m) == subinvariant_by_eliminations(m)
 
 

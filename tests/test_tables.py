@@ -774,33 +774,6 @@ def test_analyze_table_report():
     assert report.simple_core == ("g1", "g2")
 
 
-def test_an_all_tracked_table_builds_its_thurston_matrix_once(monkeypatch):
-    real = tables.thurston_matrix
-    built = []
-    monkeypatch.setattr(tables, "thurston_matrix", lambda table, curves=None: built.append(curves) or real(table, curves))
-    ring = CurveTable(map_degree=3, classes=tuple(
-        CurveClass(f"c{i}", (PullbackComponent(1, f"c{(i + 1) % 6}"),) + (PullbackComponent(2, "c0"),) * (i == 0))
-        for i in range(6)))
-    # no multicurve, or every class named: the minimal search takes analyze_table's matrix
-    for curves in (None, [f"c{i}" for i in range(6)]):
-        built.clear()
-        report = analyze_table(ring, curves)
-        assert len(built) == 1
-        assert report.minimal == find_minimal_obstructions(CurveTable(ring.map_degree, ring.classes))
-        assert report.minimal.multicurves == (tuple(f"c{i}" for i in range(6)),)
-    # a smaller multicurve, or an untracked class, leaves the search its own build
-    built.clear()
-    analyze_table(ring, ["c0", "c1"])
-    assert len(built) == 2
-    untracked = CurveTable(map_degree=2, classes=(
-        CurveClass("g1", (PullbackComponent(1, "g2"),)),
-        CurveClass("g2", (PullbackComponent(1, "g1"), PullbackComponent(1, UNTRACKED))),
-    ))
-    built.clear()
-    report = analyze_table(untracked)
-    assert len(built) == 2 and report.minimal.multicurves == ()
-
-
 def test_table_validation():
     with pytest.raises(PreconditionError):
         CurveTable(map_degree=1, classes=(CurveClass("g", ()),))
